@@ -25,7 +25,7 @@ fn bench_store(c: &mut Criterion) {
     let store = bulk_store(&ds);
     c.bench_function("store/snapshot_point_reads", |b| {
         b.iter(|| {
-            let snap = store.snapshot();
+            let snap = store.pinned();
             let mut found = 0;
             for i in 0..200u64 {
                 if snap.person(PersonId(i * 3 % ds.persons.len() as u64)).is_some() {
@@ -37,7 +37,7 @@ fn bench_store(c: &mut Criterion) {
     });
 
     c.bench_function("store/friend_list_scan", |b| {
-        let snap = store.snapshot();
+        let snap = store.pinned();
         b.iter(|| {
             let mut total = 0;
             for i in 0..100u64 {

@@ -118,21 +118,6 @@ impl Table {
     }
 }
 
-/// One-line storage summary for bench stdout — shared by every extension
-/// binary that reports memory (`ext_storage_footprint`, `ext_concurrent_rw`,
-/// `ext_concurrent_load`) so the format stays greppable and identical.
-pub fn storage_line(stats: &snb_store::StorageStats) -> String {
-    format!(
-        "bytes/entity: {:.0} B/person, {:.0} B/message; index {:.2} MB compact \
-         vs {:.2} MB raw ({:.2}x)",
-        stats.bytes_per_person(),
-        stats.bytes_per_message(),
-        stats.index.run_bytes as f64 / 1e6,
-        stats.index.oracle_run_bytes as f64 / 1e6,
-        stats.compression_ratio(),
-    )
-}
-
 /// Format a duration in adaptive units.
 pub fn fmt_duration(d: Duration) -> String {
     if d >= Duration::from_secs(1) {

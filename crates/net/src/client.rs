@@ -320,7 +320,7 @@ fn dial_seed() -> u64 {
 
 /// Perform the client half of the v3 handshake on a fresh stream: apply
 /// timeouts, disable Nagle, send our magic, and require the server to echo
-/// it (a v2-only server would echo nothing or close).
+/// it.
 fn handshake_v3(mut stream: TcpStream, config: &NetConfig, addr: &str) -> SnbResult<TcpStream> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(config.request_timeout))?;

@@ -1,20 +1,18 @@
 //! Wire encoding: length-prefixed binary frames over a byte stream.
 //!
 //! One frame is `u32 little-endian payload length | payload`. A connection
-//! opens with an 8-byte magic handshake ([`NET_MAGIC`] for protocol v2,
-//! [`NET_MAGIC_V3`] for v3) sent by the client and echoed by the server;
-//! after that the client sends [`Request`] frames and reads one
-//! [`Response`] frame per request. Update operations reuse the WAL's
-//! versioned `UpdateOp` codec ([`snb_store::encode_update`]) so the
-//! workspace has a single binary encoding for mutations, on disk and on the
-//! wire; query parameters are encoded field-by-field here.
+//! opens with an 8-byte magic handshake ([`NET_MAGIC_V3`]) sent by the
+//! client and echoed by the server; after that the client sends
+//! [`Request`] frames and reads one [`Response`] frame per request. Update
+//! operations reuse the WAL's versioned `UpdateOp` codec
+//! ([`snb_store::encode_update`]) so the workspace has a single binary
+//! encoding for mutations, on disk and on the wire; query parameters are
+//! encoded field-by-field here.
 //!
-//! v2 is synchronous (one outstanding request per connection); v3 frames
-//! carry a `u64` correlation id ahead of the v2-shaped payload
+//! Every frame payload carries a `u64` correlation id ahead of the message
 //! ([`put_corr`] / [`take_corr`]) so a client may keep several requests in
 //! flight per connection and match responses arriving out of order. The
-//! server negotiates per connection off the handshake magic, so old v2
-//! clients keep working unchanged.
+//! server severs a connection that opens with any other magic.
 
 use snb_core::time::SimTime;
 use snb_core::{MessageId, PersonId, SnbError};
@@ -28,37 +26,20 @@ use snb_queries::params::{
 use snb_queries::sharded::{GroupRow, MergedRow, Partial};
 use std::io::{self, Read, Write};
 
-/// v2 handshake magic, sent by the client and echoed by the server. The
-/// digit versions the protocol: v2 added trace-context propagation on
-/// `Execute`, piggybacked server spans on `Outcome`, and histogram
-/// snapshots on `Counters` — all incompatible with v1, hence the bump.
-pub const NET_MAGIC: [u8; 8] = *b"SNBNET2\0";
-
-/// v3 handshake magic. v3 framing prefixes every request and response
-/// payload with a `u64` little-endian **correlation id** so a client may
-/// pipeline several requests on one connection and match responses that
-/// the server completes out of order. The server echoes whichever magic
-/// the client sent (negotiation: a v2 client gets v2 framing and strict
-/// one-at-a-time semantics; a v3 client gets pipelining).
+/// The handshake magic, sent by the client and echoed by the server. The
+/// digit versions the protocol: v3 framing prefixes every request and
+/// response payload with a `u64` little-endian **correlation id** so a
+/// client may pipeline several requests on one connection and match
+/// responses that the server completes out of order.
 pub const NET_MAGIC_V3: [u8; 8] = *b"SNBNET3\0";
 
-/// The wire protocol version negotiated by a handshake magic, or `None`
-/// for an unknown peer.
-pub fn protocol_version(magic: &[u8; 8]) -> Option<u8> {
-    match *magic {
-        NET_MAGIC => Some(2),
-        NET_MAGIC_V3 => Some(3),
-        _ => None,
-    }
-}
-
-/// Prepend a v3 correlation id to a frame payload under construction.
+/// Prepend a correlation id to a frame payload under construction.
 pub fn put_corr(buf: &mut Vec<u8>, corr: u64) {
     put_u64(buf, corr);
 }
 
-/// Split a v3 frame payload into its correlation id and the v2-shaped
-/// message bytes that follow it.
+/// Split a frame payload into its correlation id and the message bytes
+/// that follow it.
 pub fn take_corr(p: &[u8]) -> Option<(u64, &[u8])> {
     let (bytes, rest) = p.split_first_chunk::<8>()?;
     Some((u64::from_le_bytes(*bytes), rest))

@@ -8,20 +8,18 @@
 //!
 //! - [`codec`] — length-prefixed binary frames; updates reuse the WAL's
 //!   `UpdateOp` encoding, so the workspace has one binary codec for
-//!   mutations on disk and on the wire. Protocol v3 prefixes every frame
-//!   payload with a correlation id so responses can complete out of order;
-//!   v2 (no ids, strict request/response alternation) is still accepted.
+//!   mutations on disk and on the wire. Every frame payload is prefixed
+//!   with a correlation id so responses can complete out of order.
 //! - [`Server`] — a nonblocking readiness-loop TCP server (epoll-backed,
 //!   fixed worker pool) wrapping any [`snb_driver::Connector`]
-//!   (`snb serve`). Pipelines up to `max_pipeline` requests per v3
+//!   (`snb serve`). Pipelines up to `max_pipeline` requests per
 //!   connection; per-connection write queues are bounded and exert
 //!   backpressure by pausing reads.
 //! - [`RemoteConnector`] — a pooled client implementing `Connector`
 //!   (`snb run --connect host:port`). Retries connects with bounded
 //!   backoff; never retries a sent request (updates are not idempotent).
 //! - [`PipelinedClient`] — a single-connection windowed client for load
-//!   generation (`ext_concurrent_load`): decoupled send/recv matched by
-//!   correlation id.
+//!   generation: decoupled send/recv matched by correlation id.
 //!
 //! Both sides keep `net.client.*` / `net.server.*` counters
 //! ([`NetMetrics`]) that feed the full-disclosure report; the counters RPC
@@ -34,7 +32,7 @@ pub mod router;
 pub mod server;
 
 pub use client::{NetConfig, PipelinedClient, RemoteConnector};
-pub use codec::{read_frame, write_frame, Request, Response, MAX_FRAME, NET_MAGIC, NET_MAGIC_V3};
+pub use codec::{read_frame, write_frame, Request, Response, MAX_FRAME, NET_MAGIC_V3};
 pub use metrics::NetMetrics;
 pub use router::ShardedConnector;
 pub use server::{Server, ServerConfig};

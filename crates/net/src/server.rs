@@ -8,12 +8,11 @@
 //! constant no matter how many clients connect or how hard they churn.
 //!
 //! Per-connection state machine: `handshake → frame-read → execute →
-//! frame-write`. The handshake magic negotiates the protocol version per
-//! connection: v2 peers get the synchronous one-request-at-a-time contract
-//! they expect; v3 peers may **pipeline** — every v3 frame carries a `u64`
-//! correlation id, requests fan out to the worker pool, and responses are
-//! written back in completion order with their ids, so out-of-order
-//! completion is fine.
+//! frame-write`. The handshake accepts the one protocol magic
+//! ([`codec::NET_MAGIC_V3`]) and severs anything else. Peers may
+//! **pipeline** — every frame carries a `u64` correlation id, requests fan
+//! out to the worker pool, and responses are written back in completion
+//! order with their ids, so out-of-order completion is fine.
 //!
 //! Flow control is bounded end to end: per-connection write queues have a
 //! byte limit, and a connection over its limit (or over its pipeline cap)
@@ -24,7 +23,7 @@
 //! it pushed every stream clone and `JoinHandle` into vectors that only
 //! drained at shutdown).
 
-use crate::codec::{self, protocol_version, Request, Response, MAX_FRAME};
+use crate::codec::{self, Request, Response, MAX_FRAME, NET_MAGIC_V3};
 use crate::metrics::NetMetrics;
 use snb_core::{SnbError, SnbResult};
 use snb_driver::connector::Connector;
@@ -45,10 +44,9 @@ pub struct ServerConfig {
     /// Worker threads executing requests. `0` = one per hardware thread,
     /// clamped to `[2, 8]`.
     pub workers: usize,
-    /// Maximum requests in flight per v3 connection (v2 connections are
-    /// pinned to 1 to preserve their synchronous response order). Parsed
-    /// requests past this cap wait in the connection's pending queue, and
-    /// the connection stops being read while the queue is full.
+    /// Maximum requests in flight per connection. Parsed requests past
+    /// this cap wait in the connection's pending queue, and the connection
+    /// stops being read while the queue is full.
     pub max_pipeline: usize,
     /// Per-connection write-queue byte limit. A connection over the limit
     /// gets no new dispatches and is not read until the queue drains below
@@ -91,7 +89,7 @@ pub struct Server {
 /// meantime is recognized and dropped instead of hitting a reused slot.
 struct Job {
     token: u64,
-    corr: Option<u64>,
+    corr: u64,
     request: Request,
 }
 
@@ -285,9 +283,9 @@ impl Drop for CaptureGuard {
 }
 
 /// Execute one request and return its fully framed response
-/// (`len | [corr] | payload`). Never panics outward: a panicking connector
+/// (`len | corr | payload`). Never panics outward: a panicking connector
 /// becomes an error response, and the worker lives on.
-fn serve_request(shared: &Arc<Shared>, corr: Option<u64>, request: Request) -> Vec<u8> {
+fn serve_request(shared: &Arc<Shared>, corr: u64, request: Request) -> Vec<u8> {
     shared.metrics.requests.inc();
     let started = Instant::now();
     let response = match request {
@@ -347,13 +345,11 @@ fn serve_request(shared: &Arc<Shared>, corr: Option<u64>, request: Request) -> V
     frame
 }
 
-/// Frame a response: 4-byte length prefix, the v3 correlation id when the
-/// connection negotiated one, then the encoded response.
-fn frame_response(corr: Option<u64>, response: &Response) -> Vec<u8> {
+/// Frame a response: 4-byte length prefix, the correlation id, then the
+/// encoded response.
+fn frame_response(corr: u64, response: &Response) -> Vec<u8> {
     let mut frame = vec![0u8; 4];
-    if let Some(corr) = corr {
-        codec::put_corr(&mut frame, corr);
-    }
+    codec::put_corr(&mut frame, corr);
     response.encode(&mut frame);
     let len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&len.to_le_bytes());
@@ -397,8 +393,8 @@ const READ_CHUNK: usize = 16 * 1024;
 struct Conn {
     stream: TcpStream,
     gen: u32,
-    /// Negotiated protocol version; 0 while the handshake is incomplete.
-    version: u8,
+    /// The peer's magic was received, accepted and echoed.
+    handshaken: bool,
     /// Handshake bytes accumulated so far (the magic may arrive split).
     hs: [u8; 8],
     hs_len: usize,
@@ -409,7 +405,7 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Parsed requests waiting for a worker slot (pipeline cap/backpressure).
-    pending: VecDeque<(Option<u64>, Request)>,
+    pending: VecDeque<(u64, Request)>,
     /// Requests dispatched to the pool whose responses are still owed.
     in_flight: usize,
     /// The peer hung up or sent garbage: read no more, finish what is owed,
@@ -422,7 +418,7 @@ impl Conn {
         Conn {
             stream,
             gen,
-            version: 0,
+            handshaken: false,
             hs: [0u8; 8],
             hs_len: 0,
             rbuf: Vec::with_capacity(8 * 1024),
@@ -596,7 +592,7 @@ impl EventLoop {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
 
         // Handshake: the client speaks first; echo the magic back.
-        if conn.version == 0 {
+        if !conn.handshaken {
             let window = conn.rbuf.len() - conn.rpos;
             let take = (8 - conn.hs_len).min(window);
             conn.hs[conn.hs_len..conn.hs_len + take]
@@ -606,20 +602,15 @@ impl EventLoop {
             if conn.hs_len < 8 {
                 return true; // wait for the rest of the magic
             }
-            match protocol_version(&conn.hs) {
-                Some(version) => {
-                    conn.version = version;
-                    let echo = conn.hs;
-                    conn.wbuf.extend_from_slice(&echo);
-                    self.shared.metrics.bytes_in.add(8);
-                    self.shared.metrics.bytes_out.add(8);
-                }
-                None => {
-                    self.shared.metrics.errors.inc();
-                    self.close_conn(slot);
-                    return false;
-                }
+            if conn.hs != NET_MAGIC_V3 {
+                self.shared.metrics.errors.inc();
+                self.close_conn(slot);
+                return false;
             }
+            conn.handshaken = true;
+            conn.wbuf.extend_from_slice(&NET_MAGIC_V3);
+            self.shared.metrics.bytes_in.add(8);
+            self.shared.metrics.bytes_out.add(8);
         }
 
         loop {
@@ -639,14 +630,8 @@ impl EventLoop {
                 break; // frame still arriving
             }
             let payload = &window[4..4 + len];
-            let (corr, body) = if conn.version >= 3 {
-                match codec::take_corr(payload) {
-                    Some((corr, body)) => (Some(corr), body),
-                    None => (None, &[][..]), // undecodably short; falls out below
-                }
-            } else {
-                (None, payload)
-            };
+            // A payload too short for its id falls out as undecodable below.
+            let (corr, body) = codec::take_corr(payload).unwrap_or((0, &[]));
             let decoded = Request::decode(body);
             conn.rpos += 4 + len;
             self.shared.metrics.bytes_in.add((4 + len) as u64);
@@ -658,7 +643,7 @@ impl EventLoop {
                     // reply (and anything already owed) is flushed.
                     self.shared.metrics.errors.inc();
                     let reply = frame_response(
-                        corr.or(Some(0)).filter(|_| conn.version >= 3),
+                        corr,
                         &Response::Error(SnbError::Config("malformed request frame".into())),
                     );
                     self.shared.metrics.bytes_out.add(reply.len() as u64);
@@ -683,13 +668,12 @@ impl EventLoop {
     }
 
     /// Move parsed requests to the worker pool, bounded by the pipeline
-    /// cap (1 for v2: its responses must come back in request order) and
-    /// by write-queue backpressure.
+    /// cap and by write-queue backpressure.
     fn dispatch(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let cap = if conn.version >= 3 { self.shared.config.max_pipeline } else { 1 };
+        let cap = self.shared.config.max_pipeline;
         let mut dispatched = false;
         while conn.in_flight < cap
             && !conn.pending.is_empty()

@@ -1,17 +1,17 @@
 //! Readiness-loop server tests: connection churn must not leak, pipelined
-//! v3 requests must come back matched by correlation id, and bare v2
-//! clients must still be served.
+//! requests must come back matched by correlation id, and a peer with any
+//! other handshake magic must be severed.
 
 use snb_core::PersonId;
 use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Operation, StoreConnector};
-use snb_net::{codec, PipelinedClient, Request, Response, Server, NET_MAGIC, NET_MAGIC_V3};
+use snb_net::{codec, PipelinedClient, Response, Server, ServerConfig, NET_MAGIC_V3};
 use snb_queries::params::ShortQuery;
 use snb_queries::Engine;
 use snb_store::Store;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 fn dataset() -> &'static Dataset {
@@ -19,11 +19,19 @@ fn dataset() -> &'static Dataset {
     DS.get_or_init(|| generate(GeneratorConfig::with_persons(200).activity(0.3)).unwrap())
 }
 
-fn store_server() -> Server {
+/// One server at a time: `connection_churn_is_reaped` counts the process's
+/// server threads, so no sibling test may be running its own server
+/// meanwhile.
+static ONE_SERVER: Mutex<()> = Mutex::new(());
+
+/// A store-backed server plus the guard that keeps it the only one alive
+/// in this test binary. Keep the guard until the server has been joined.
+fn store_server(config: ServerConfig) -> (Server, MutexGuard<'static, ()>) {
+    let guard = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let store = Arc::new(Store::new());
     store.bulk_load(dataset());
     let connector = Arc::new(StoreConnector::new(store, Engine::Intended));
-    Server::bind("127.0.0.1:0", connector).unwrap()
+    (Server::bind_with_config("127.0.0.1:0", connector, config).unwrap(), guard)
 }
 
 /// Block until the server has reaped every accepted connection (closed
@@ -47,28 +55,30 @@ fn wait_reaped(server: &Server, deadline: Duration) {
     }
 }
 
+/// Threads of this process that belong to a server: the event loop and
+/// workers are named `snb-net-*`, and a thread spawned without a name
+/// inherits its spawner's. The test harness's own threads come and go as
+/// tests finish, so they are left out.
 #[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+fn server_thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("snb-net-"))
+        .count()
 }
 
 /// Satellite: connection churn must not leak. 200 connect/disconnect
 /// cycles — some after a full handshake, some hung up mid-handshake — must
 /// all be reaped, with `accepted - closed` settling to zero and (on Linux)
-/// no thread growth: the worker pool is fixed, there is no per-connection
-/// handler to leak.
+/// no thread beyond the event loop and the fixed worker pool: there is no
+/// per-connection handler to leak.
 #[test]
 fn connection_churn_is_reaped() {
-    let server = store_server();
+    const WORKERS: usize = 2;
+    let (server, _one_server) =
+        store_server(ServerConfig { workers: WORKERS, ..ServerConfig::default() });
     let addr = server.local_addr();
-
-    #[cfg(target_os = "linux")]
-    let threads_before = thread_count();
 
     for i in 0..200u32 {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -87,13 +97,7 @@ fn connection_churn_is_reaped() {
     assert_eq!(server.metrics().connections.get(), 200);
 
     #[cfg(target_os = "linux")]
-    {
-        let threads_after = thread_count();
-        assert!(
-            threads_after <= threads_before,
-            "thread count grew under churn: {threads_before} -> {threads_after}"
-        );
-    }
+    assert_eq!(server_thread_count(), 1 + WORKERS, "server threads after churn");
 
     // The server still works after all that churn.
     let mut client = PipelinedClient::connect(addr.to_string()).unwrap();
@@ -105,12 +109,12 @@ fn connection_churn_is_reaped() {
     server.join();
 }
 
-/// Satellite: K pipelined requests on one v3 connection all complete, and
+/// Satellite: K pipelined requests on one connection all complete, and
 /// every response's correlation id matches one request — regardless of the
 /// order the server finished them in.
 #[test]
 fn pipelined_requests_match_correlation_ids() {
-    let server = store_server();
+    let (server, _one_server) = store_server(ServerConfig::default());
     let mut client = PipelinedClient::connect(server.local_addr().to_string()).unwrap();
 
     const K: usize = 32;
@@ -138,53 +142,72 @@ fn pipelined_requests_match_correlation_ids() {
     server.join();
 }
 
-/// Compatibility: a bare v2 client (no correlation ids, strict
-/// request/response alternation) is still served by the readiness-loop
-/// server — the handshake magic selects the framing per connection.
+/// The retired v2 magic is severed without an echo and counted as a
+/// protocol error, exactly like any other unknown magic.
 #[test]
-fn v2_client_is_still_served() {
-    let server = store_server();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+fn unknown_magic_is_severed() {
+    let (server, _one_server) = store_server(ServerConfig::default());
 
-    stream.write_all(&NET_MAGIC).unwrap();
-    let mut echo = [0u8; 8];
-    stream.read_exact(&mut echo).unwrap();
-    assert_eq!(echo, NET_MAGIC, "server echoes the v2 magic back to v2 clients");
-
-    for i in 0..5u64 {
-        let op = Operation::Short(ShortQuery::S1(PersonId(i)));
-        let mut payload = Vec::new();
-        Request::Execute(op, None).encode(&mut payload);
-        codec::write_frame(&mut stream, &payload).unwrap();
-
-        let mut frame = Vec::new();
-        codec::read_frame(&mut stream, &mut frame).unwrap();
-        // v2 frames carry the response directly — no correlation prefix.
-        let response = Response::decode(&frame).expect("v2 response must decode");
-        assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
+    for (i, magic) in [*b"SNBNET2\0", *b"GET / HT"].iter().enumerate() {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(magic).unwrap();
+        let mut rest = Vec::new();
+        // EOF, or a reset if the close raced our write: never an echo.
+        let _ = stream.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "server answered {magic:?} with {rest:?}");
+        wait_reaped(&server, Duration::from_secs(10));
+        assert_eq!(server.metrics().errors.get(), i as u64 + 1);
     }
-
-    // The counters RPC works over v2 too.
-    let mut payload = Vec::new();
-    Request::Counters.encode(&mut payload);
-    codec::write_frame(&mut stream, &payload).unwrap();
-    let mut frame = Vec::new();
-    codec::read_frame(&mut stream, &mut frame).unwrap();
-    let Some(Response::Counters { counters, .. }) = Response::decode(&frame) else {
-        panic!("counters RPC failed over v2");
-    };
-    assert!(counters.iter().any(|(n, _)| n == "net.server.requests"));
+    assert_eq!(server.metrics().requests.get(), 0);
 
     server.shutdown();
     server.join();
 }
 
-/// A v3 connection that sends garbage instead of a well-formed request is
+/// 32 clients connect, then all at once pipeline 50 short reads each:
+/// every request is answered without an error, and once the clients hang
+/// up the server has reaped every connection it accepted.
+#[test]
+fn simultaneous_pipelined_clients_see_no_errors_and_are_reaped() {
+    const CLIENTS: usize = 32;
+    const READS: usize = 50;
+    let (server, _one_server) = store_server(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let start = Barrier::new(CLIENTS);
+
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (addr, start) = (&addr, &start);
+            scope.spawn(move || {
+                let mut client = PipelinedClient::connect(addr.clone()).unwrap();
+                start.wait();
+                for i in 0..READS {
+                    let person = PersonId(((c * READS + i) % 200) as u64);
+                    client.send(&Operation::Short(ShortQuery::S1(person))).unwrap();
+                }
+                for _ in 0..READS {
+                    let (_, response) = client.recv().unwrap();
+                    assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
+                }
+            });
+        }
+    });
+
+    wait_reaped(&server, Duration::from_secs(10));
+    assert_eq!(server.metrics().connections.get(), CLIENTS as u64);
+    assert_eq!(server.metrics().requests.get(), (CLIENTS * READS) as u64);
+    assert_eq!(server.metrics().errors.get(), 0);
+
+    server.shutdown();
+    server.join();
+}
+
+/// A connection that sends garbage instead of a well-formed request is
 /// answered with an error and severed, without taking the server down.
 #[test]
 fn malformed_frame_severs_only_that_connection() {
-    let server = store_server();
+    let (server, _one_server) = store_server(ServerConfig::default());
     let addr = server.local_addr();
 
     let mut bad = TcpStream::connect(addr).unwrap();

@@ -18,6 +18,7 @@ use snb_queries::{sharded, Engine};
 use snb_store::Store;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
@@ -222,6 +223,23 @@ fn two_shard_mixed_workload_runs_and_discloses_per_shard() {
             histograms.iter().any(|(n, h)| n == name && !h.is_empty()),
             "{name} missing or empty in disclosure"
         );
+    }
+
+    // Once the router hangs up, each shard reaps every connection it
+    // accepted (asynchronously, on the event loop's next wakeup).
+    drop(router);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for server in [&server0, &server1] {
+        let m = server.metrics();
+        while m.connections.get() != m.closed.get() {
+            assert!(
+                Instant::now() < deadline,
+                "shard leaked connections: accepted={} closed={}",
+                m.connections.get(),
+                m.closed.get()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     for server in [server0, server1] {

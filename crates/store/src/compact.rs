@@ -42,23 +42,6 @@
 
 use crate::graph::{key, Entry};
 use snb_core::time::SimTime;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, newly built runs store plain `Entry` slices instead of the
-/// packed block format — the A/B ablation switch behind
-/// [`set_uncompressed_runs`]. Read once per [`RunBuilder`]; existing runs
-/// keep whatever representation they were built with.
-static UNCOMPRESSED: AtomicBool = AtomicBool::new(false);
-
-/// Build all future runs uncompressed (plain 24-byte entries, the
-/// pre-compact representation). This exists for the storage-footprint
-/// benchmarks: it yields a store identical in every respect — same MVCC,
-/// same ladder, same iterators, same query plans — except the run bytes,
-/// so an A/B measurement isolates the cost of the compact format itself.
-/// Not intended for production use.
-pub fn set_uncompressed_runs(on: bool) {
-    UNCOMPRESSED.store(on, Ordering::Relaxed);
-}
 
 /// Entries per block: large enough that the ~10-byte block header and the
 /// 24-byte anchor amortize to well under a byte per entry, small enough
@@ -158,9 +141,8 @@ struct Anchor {
     offset: u32,
 }
 
-/// An immutable `(date, id)`-sorted run, normally in the packed
-/// block/frame-of-reference form described in the module docs, or — under
-/// the [`set_uncompressed_runs`] ablation switch — as a plain entry slice.
+/// An immutable `(date, id)`-sorted run in the packed
+/// block/frame-of-reference form described in the module docs.
 #[derive(Debug)]
 pub(crate) struct CompactRun {
     len: u32,
@@ -174,29 +156,21 @@ pub(crate) struct CompactRun {
     /// parsing any block header — the lanes that lose the k-way merge
     /// never touch their byte stream at all.
     last: Entry,
-    repr: Repr,
+    /// Anchors for blocks `1..` (`anchors[i]` describes block `i + 1`).
+    anchors: Box<[Anchor]>,
+    /// The encoded block stream.
+    bytes: Box<[u8]>,
 }
 
 impl Default for CompactRun {
     fn default() -> CompactRun {
-        CompactRun { len: 0, commit: None, last: ZERO_ENTRY, repr: Repr::default() }
-    }
-}
-
-/// Physical representation of a run's entries.
-#[derive(Debug)]
-enum Repr {
-    /// Frame-of-reference blocks: anchors for blocks `1..` (`anchors[i]`
-    /// describes block `i + 1`) plus the encoded byte stream.
-    Packed { anchors: Box<[Anchor]>, bytes: Box<[u8]> },
-    /// Plain sorted entries — the pre-compact format, kept as a buildable
-    /// ablation baseline (see [`set_uncompressed_runs`]).
-    Raw(Box<[Entry]>),
-}
-
-impl Default for Repr {
-    fn default() -> Repr {
-        Repr::Packed { anchors: Box::default(), bytes: Box::default() }
+        CompactRun {
+            len: 0,
+            commit: None,
+            last: ZERO_ENTRY,
+            anchors: Box::default(),
+            bytes: Box::default(),
+        }
     }
 }
 
@@ -329,25 +303,10 @@ impl CompactRun {
         self.len == 0
     }
 
-    /// Anchors and byte stream of a packed run (tests only).
-    #[cfg(test)]
-    fn packed(&self) -> (&[Anchor], &[u8]) {
-        match &self.repr {
-            Repr::Packed { anchors, bytes } => (anchors, bytes),
-            Repr::Raw(_) => panic!("expected a packed run"),
-        }
-    }
-
-    /// Resident heap bytes: anchors plus the byte stream (packed), or the
-    /// plain entry array (raw). (The run struct itself lives inline in its
-    /// owner.)
+    /// Resident heap bytes: anchors plus the byte stream. (The run struct
+    /// itself lives inline in its owner.)
     pub(crate) fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Packed { anchors, bytes } => {
-                anchors.len() * std::mem::size_of::<Anchor>() + bytes.len()
-            }
-            Repr::Raw(entries) => entries.len() * std::mem::size_of::<Entry>(),
-        }
+        self.anchors.len() * std::mem::size_of::<Anchor>() + self.bytes.len()
     }
 
     /// Entries in block `b`.
@@ -356,30 +315,10 @@ impl CompactRun {
         (self.len() - b * BLOCK).min(BLOCK)
     }
 
-    /// The raw entry slice, when this run is in uncompressed form.
-    #[inline]
-    fn raw(&self) -> Option<&[Entry]> {
-        match &self.repr {
-            Repr::Raw(entries) => Some(entries),
-            Repr::Packed { .. } => None,
-        }
-    }
-
-    /// The packed byte stream (packed runs only).
-    #[inline]
-    fn stream(&self) -> &[u8] {
-        match &self.repr {
-            Repr::Packed { bytes, .. } => bytes,
-            Repr::Raw(_) => unreachable!("stream() on a raw run"),
-        }
-    }
-
-    /// Parse block `b`'s header into a [`BlockView`] (packed runs only).
+    /// Parse block `b`'s header into a [`BlockView`].
     fn parse_block(&self, b: usize) -> BlockView {
-        let Repr::Packed { anchors, bytes } = &self.repr else {
-            unreachable!("parse_block on a raw run");
-        };
-        let mut pos = if b == 0 { 0 } else { anchors[b - 1].offset as usize };
+        let bytes = &self.bytes;
+        let mut pos = if b == 0 { 0 } else { self.anchors[b - 1].offset as usize };
         let base_date = unzigzag(read_varint(bytes, &mut pos));
         let min_id = read_varint(bytes, &mut pos);
         let dw = bytes[pos];
@@ -427,10 +366,7 @@ impl CompactRun {
         if d >= self.last.date {
             return self.len();
         }
-        let Repr::Packed { anchors, bytes } = &self.repr else {
-            return self.raw().expect("raw run").partition_point(|e| e.date <= d);
-        };
-        let block = anchors.partition_point(|a| a.date <= d);
+        let block = self.anchors.partition_point(|a| a.date <= d);
         let start = block * BLOCK;
         let v = self.parse_block(block);
         let n = self.block_len(block);
@@ -438,7 +374,7 @@ impl CompactRun {
         let mut hi = n;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if v.date(bytes, mid) <= d {
+            if v.date(&self.bytes, mid) <= d {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -473,9 +409,6 @@ impl CompactRun {
 pub(crate) struct RunBuilder {
     len: u32,
     commit: Option<u64>,
-    /// `Some` in the ablation mode: entries accumulate here verbatim and
-    /// the packed encoder never runs.
-    raw: Option<Vec<Entry>>,
     anchors: Vec<Anchor>,
     bytes: Vec<u8>,
     /// Entries buffered for the block being built (`scratch_n` filled).
@@ -490,17 +423,11 @@ impl RunBuilder {
         bytes_hint: usize,
         commit: Option<u64>,
     ) -> RunBuilder {
-        let raw = UNCOMPRESSED.load(Ordering::Relaxed);
         RunBuilder {
             len: 0,
             commit,
-            raw: raw.then(|| Vec::with_capacity(entries)),
-            anchors: Vec::with_capacity(if raw {
-                0
-            } else {
-                entries.div_ceil(BLOCK).saturating_sub(1)
-            }),
-            bytes: Vec::with_capacity(if raw { 0 } else { bytes_hint }),
+            anchors: Vec::with_capacity(entries.div_ceil(BLOCK).saturating_sub(1)),
+            bytes: Vec::with_capacity(bytes_hint),
             scratch: Box::new([ZERO_ENTRY; BLOCK]),
             scratch_n: 0,
             prev: ZERO_ENTRY,
@@ -514,15 +441,11 @@ impl RunBuilder {
             self.commit.is_none_or(|c| c == e.commit),
             "uniform-commit run got a differing commit"
         );
-        if let Some(raw) = &mut self.raw {
-            raw.push(e);
-        } else {
-            if self.scratch_n == BLOCK {
-                self.flush_block();
-            }
-            self.scratch[self.scratch_n] = e;
-            self.scratch_n += 1;
+        if self.scratch_n == BLOCK {
+            self.flush_block();
         }
+        self.scratch[self.scratch_n] = e;
+        self.scratch_n += 1;
         self.prev = e;
         self.len += 1;
     }
@@ -577,21 +500,19 @@ impl RunBuilder {
     }
 
     pub(crate) fn finish(mut self) -> CompactRun {
-        let repr = if let Some(raw) = self.raw.take() {
-            Repr::Raw(raw.into_boxed_slice())
-        } else {
-            if self.scratch_n > 0 {
-                self.flush_block();
-            }
-            if self.len > 0 {
-                self.bytes.extend_from_slice(&[0u8; STREAM_PAD]);
-            }
-            Repr::Packed {
-                anchors: self.anchors.into_boxed_slice(),
-                bytes: self.bytes.into_boxed_slice(),
-            }
-        };
-        CompactRun { len: self.len, commit: self.commit, last: self.prev, repr }
+        if self.scratch_n > 0 {
+            self.flush_block();
+        }
+        if self.len > 0 {
+            self.bytes.extend_from_slice(&[0u8; STREAM_PAD]);
+        }
+        CompactRun {
+            len: self.len,
+            commit: self.commit,
+            last: self.prev,
+            anchors: self.anchors.into_boxed_slice(),
+            bytes: self.bytes.into_boxed_slice(),
+        }
     }
 }
 
@@ -712,9 +633,6 @@ impl<'a> Cursor<'a> {
             return Some(self.single);
         };
         let r = self.rank as usize;
-        if let Some(entries) = run.raw() {
-            return Some(entries[r]);
-        }
         if self.cached_rank == self.rank {
             return Some(self.single);
         }
@@ -722,7 +640,7 @@ impl<'a> Cursor<'a> {
         if self.view.blk != b {
             self.view = run.parse_block(b as usize);
         }
-        let e = self.view.entry(run.stream(), r % BLOCK);
+        let e = self.view.entry(&run.bytes, r % BLOCK);
         // Memoize: k-way merges re-peek the same lane head on every
         // rescan, so repeated peeks must not re-decode.
         self.cached_rank = self.rank;
@@ -747,20 +665,13 @@ impl<'a> Cursor<'a> {
         };
         let r = self.rank as usize;
         let avail = (self.end - self.rank) as usize;
-        if let Some(entries) = run.raw() {
-            let n = avail.min(FILL_DATED);
-            for (o, e) in out[..n].iter_mut().zip(&entries[r..r + n]) {
-                *o = (e.id, e.date);
-            }
-            return n as u32;
-        }
         let b = (r / BLOCK) as u32;
         if self.view.blk != b {
             self.view = run.parse_block(b as usize);
         }
         let i0 = r % BLOCK;
         let n = avail.min(FILL_DATED).min(BLOCK - i0);
-        let bytes = run.stream();
+        let bytes = &run.bytes;
         let v = &self.view;
         let mut pos = v.pair_pos(i0);
         for o in out[..n].iter_mut() {
@@ -819,20 +730,8 @@ impl<'a> RevCursor<'a> {
         RevCursor { run: None, rem: 1, cached_rank: NO_RANK, view: BlockView::EMPTY, single: e }
     }
 
-    /// A lane over `run`'s first `end` entries, consumed from the back.
-    pub(crate) fn to_bound(run: &'a CompactRun, end: usize) -> RevCursor<'a> {
-        debug_assert!(end <= run.len());
-        RevCursor {
-            run: Some(run),
-            rem: end as u32,
-            cached_rank: NO_RANK,
-            view: BlockView::EMPTY,
-            single: ZERO_ENTRY,
-        }
-    }
-
     /// A lane over `run`'s entries dated at or before `d`, consumed from
-    /// the back — `to_bound(run, run.upper_bound_date(d))`, fused so the
+    /// the back — its first `run.upper_bound_date(d)` entries, fused so the
     /// lane's head entry is already decoded when the cursor is born. Walk
     /// construction plus one head peek is the per-candidate fixed cost of
     /// every "most recent N before date" query, and the lanes that lose
@@ -854,13 +753,8 @@ impl<'a> RevCursor<'a> {
                 single: run.last,
             };
         }
-        let Repr::Packed { anchors, bytes } = &run.repr else {
-            return RevCursor::to_bound(
-                run,
-                run.raw().expect("raw run").partition_point(|e| e.date <= d),
-            );
-        };
-        let block = anchors.partition_point(|a| a.date <= d);
+        let bytes = &run.bytes;
+        let block = run.anchors.partition_point(|a| a.date <= d);
         let v = run.parse_block(block);
         let n = run.block_len(block);
         let mut lo = 0usize;
@@ -900,9 +794,6 @@ impl<'a> RevCursor<'a> {
             return Some(self.single);
         };
         let r = (self.rem - 1) as usize;
-        if let Some(entries) = run.raw() {
-            return Some(entries[r]);
-        }
         if self.cached_rank == self.rem - 1 {
             return Some(self.single);
         }
@@ -910,7 +801,7 @@ impl<'a> RevCursor<'a> {
         if self.view.blk != b {
             self.view = run.parse_block(b as usize);
         }
-        let e = self.view.entry(run.stream(), r % BLOCK);
+        let e = self.view.entry(&run.bytes, r % BLOCK);
         // Memoize: k-way merges re-peek the same lane head on every
         // rescan, so repeated peeks must not re-decode.
         self.cached_rank = self.rem - 1;
@@ -931,10 +822,6 @@ impl<'a> RevCursor<'a> {
             return Some((self.single.id, self.single.date));
         };
         let r = (self.rem - 1) as usize;
-        if let Some(entries) = run.raw() {
-            let e = &entries[r];
-            return Some((e.id, e.date));
-        }
         if self.cached_rank == self.rem - 1 {
             return Some((self.single.id, self.single.date));
         }
@@ -942,7 +829,7 @@ impl<'a> RevCursor<'a> {
         if self.view.blk != b {
             self.view = run.parse_block(b as usize);
         }
-        Some(self.view.dated(run.stream(), r % BLOCK))
+        Some(self.view.dated(&run.bytes, r % BLOCK))
     }
 
     /// Consume the entry `peek_back` returned.
@@ -961,10 +848,6 @@ impl<'a> RevCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that read byte sizes or flip the process-global
-    /// representation switch, so the ablation test can't race them.
-    static FORMAT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn e(date: i64, id: u64, commit: u64) -> Entry {
         Entry { date: SimTime(date), id, commit }
@@ -1011,7 +894,6 @@ mod tests {
 
     #[test]
     fn empty_and_single_entry_runs() {
-        let _fmt = FORMAT_LOCK.lock().unwrap();
         let empty = CompactRun::default();
         assert!(empty.is_empty());
         assert_eq!(empty.upper_bound_date(SimTime(i64::MAX)), 0);
@@ -1022,13 +904,12 @@ mod tests {
         assert_eq!(run.upper_bound_date(SimTime(42)), 1);
         // A single-entry run: no anchor, zero-width columns, no commit
         // column (uniform) — it must undercut one raw 24-byte entry.
-        assert!(run.packed().0.is_empty());
+        assert!(run.anchors.is_empty());
         assert!(run.heap_bytes() < std::mem::size_of::<Entry>());
     }
 
     #[test]
     fn uniform_commits_are_elided() {
-        let _fmt = FORMAT_LOCK.lock().unwrap();
         // Same (date, id) repeated, all at the same commit: every column
         // range is zero, so each block is header-only — base date
         // (2-byte zigzag varint), min id (1 byte), two width bytes — and
@@ -1037,8 +918,8 @@ mod tests {
         let run = roundtrip(&entries);
         let blocks = 300usize.div_ceil(BLOCK);
         assert_eq!(run.commit, Some(9));
-        assert_eq!(run.packed().0.len(), blocks - 1);
-        assert_eq!(run.packed().1.len(), blocks * 5 + STREAM_PAD);
+        assert_eq!(run.anchors.len(), blocks - 1);
+        assert_eq!(run.bytes.len(), blocks * 5 + STREAM_PAD);
 
         // One differing commit forces a commit column: each block gains a
         // min-commit varint + width byte, and the block holding the odd
@@ -1047,7 +928,7 @@ mod tests {
         mixed[150].commit = 10;
         let mixed_run = roundtrip(&mixed);
         assert_eq!(mixed_run.commit, None);
-        assert_eq!(mixed_run.packed().1.len(), run.packed().1.len() + blocks * 2 + BLOCK);
+        assert_eq!(mixed_run.bytes.len(), run.bytes.len() + blocks * 2 + BLOCK);
     }
 
     #[test]
@@ -1097,7 +978,7 @@ mod tests {
         let mut sorted = entries.clone();
         sorted.sort_by_key(|x| (x.date, x.id));
         let run = CompactRun::from_sorted(&sorted);
-        let mut rev = RevCursor::to_bound(&run, run.len());
+        let mut rev = RevCursor::to_date_bound(&run, SimTime(i64::MAX));
         let mut got = Vec::new();
         while let Some(x) = rev.peek_back() {
             got.push((x.date, x.id, x.commit));
@@ -1137,7 +1018,6 @@ mod tests {
 
     #[test]
     fn compression_beats_raw_entries_on_typical_data() {
-        let _fmt = FORMAT_LOCK.lock().unwrap();
         // Dense dates, clustered ids, one shared commit — the bulk-load
         // shape. Narrow columns and the elided commit should land well
         // past the headline 2x target.
@@ -1149,52 +1029,5 @@ mod tests {
         let run = CompactRun::from_sorted(&sorted);
         let raw = sorted.len() * std::mem::size_of::<Entry>();
         assert!(run.heap_bytes() * 4 <= raw, "expected >= 4x: {} vs {raw}", run.heap_bytes());
-    }
-
-    #[test]
-    fn uncompressed_ablation_mode_roundtrips() {
-        let _fmt = FORMAT_LOCK.lock().unwrap();
-        // The A/B switch: runs built under the flag store plain entries
-        // (24 B each), decode identically through both cursors, and merges
-        // of mixed representations work — a packed input run is consumed
-        // through the same cursor abstraction.
-        let entries: Vec<Entry> =
-            (0..(BLOCK + 40)).map(|i| e(i as i64, i as u64 * 3, i as u64 % 4)).collect();
-        let packed = CompactRun::from_sorted(&entries);
-        set_uncompressed_runs(true);
-        let raw = CompactRun::from_sorted(&entries);
-        let merged = merge_compact(&packed, &raw);
-        set_uncompressed_runs(false);
-
-        assert!(matches!(raw.repr, Repr::Raw(_)));
-        assert_eq!(raw.heap_bytes(), entries.len() * std::mem::size_of::<Entry>());
-        for (x, y) in raw.to_vec().iter().zip(&packed.to_vec()) {
-            assert_eq!((x.date, x.id, x.commit), (y.date, y.id, y.commit));
-        }
-        for probe in [0, BLOCK - 1, BLOCK, BLOCK + 39] {
-            let d = entries[probe].date;
-            assert_eq!(raw.upper_bound_date(d), packed.upper_bound_date(d));
-        }
-        // The merge ran under the flag, so its output is raw too, with
-        // every entry doubled.
-        assert!(matches!(merged.repr, Repr::Raw(_)));
-        let want: Vec<Entry> = entries.iter().flat_map(|&x| [x, x]).collect();
-        let got = merged.to_vec();
-        assert_eq!(got.len(), want.len());
-        for (x, y) in got.iter().zip(&want) {
-            assert_eq!((x.date, x.id, x.commit), (y.date, y.id, y.commit));
-        }
-
-        let mut rev = RevCursor::to_bound(&raw, raw.len());
-        let mut back = Vec::new();
-        while let Some(x) = rev.peek_back() {
-            back.push(x);
-            rev.advance_back();
-        }
-        back.reverse();
-        assert_eq!(back.len(), entries.len());
-        for (x, y) in back.iter().zip(&entries) {
-            assert_eq!((x.date, x.id, x.commit), (y.date, y.id, y.commit));
-        }
     }
 }

@@ -40,8 +40,8 @@
 //!   prefix, so ordering lives in visibility, not in a barrier.
 //! - MVCC visibility is untouched: a published entry whose commit
 //!   timestamp is above the snapshot timestamp is simply invisible, so
-//!   [`Snapshot`]/[`PinnedSnapshot`] semantics are byte-identical to the
-//!   old latched store.
+//!   [`PinnedSnapshot`] semantics are byte-identical to the old latched
+//!   store.
 
 use crate::compact::{merge_compact, CompactRun, Cursor, RevCursor, FILL_DATED};
 use crate::counters::{StoreCounters, STRIPES};
@@ -1317,24 +1317,13 @@ impl Store {
     }
 
     /// Open a read snapshot: sees every transaction committed before this
-    /// call, and nothing that commits after.
-    pub fn snapshot(&self) -> Snapshot<'_> {
-        self.counters.snapshots.inc();
-        Snapshot { store: self, ts: self.clock.snapshot_ts() }
-    }
-
-    /// Open a *pinned* read snapshot. Since the latch-free rework this
-    /// acquires **no lock at all**: it reads the commit horizon with one
-    /// acquire load and hands out borrows straight into the immutable
-    /// segments — a long query never blocks a writer, and a writer never
-    /// blocks a reader. It is now safe to hold a pin across
-    /// [`Store::apply`] on the same thread and to interleave any number of
-    /// pins; the pinned view stays frozen at its snapshot timestamp.
-    ///
-    /// MVCC semantics are identical to [`Store::snapshot`] (same timestamp
-    /// rule, same visibility filter); the pinned form exists for the
-    /// borrowing zero-allocation APIs ([`PinnedSnapshot::friends_iter`],
-    /// [`PinnedSnapshot::person_ref`], …).
+    /// call, and nothing that commits after. It acquires **no lock at
+    /// all**: it reads the commit horizon with one acquire load and hands
+    /// out borrows straight into the immutable segments — a long query
+    /// never blocks a writer, and a writer never blocks a reader. It is
+    /// safe to hold a pin across [`Store::apply`] on the same thread and
+    /// to interleave any number of pins; the pinned view stays frozen at
+    /// its snapshot timestamp.
     pub fn pinned(&self) -> PinnedSnapshot<'_> {
         self.counters.snapshots.inc();
         self.counters.read_latchfree.inc();
@@ -1352,31 +1341,20 @@ impl Store {
     }
 }
 
-/// A consistent read view of the store.
+/// The consistent, latch-free read view of the store (see
+/// [`Store::pinned`]).
 ///
 /// The snapshot pins a commit timestamp; consistency comes from MVCC
 /// visibility alone — every accessor filters by the pinned timestamp, so
 /// the snapshot observes exactly the transactions committed before it was
-/// opened, no matter how many commit during the query. Reads are
-/// latch-free (see the module docs), so this type is cheap to hold across
-/// anything, including [`Store::apply`] on the same thread.
+/// opened, no matter how many commit during the query.
 ///
-/// [`Snapshot`] carries the owned-`Vec` API and is kept deliberately as an
-/// independent implementation of the scans, serving as the oracle the
-/// property tests compare [`PinnedSnapshot`]'s borrowing iterators
-/// against.
-pub struct Snapshot<'a> {
-    store: &'a Store,
-    ts: CommitTs,
-}
-
-/// A pinned, latch-free read view (see [`Store::pinned`]).
-///
-/// Pinning buys the borrowing APIs: accessors hand out references and
-/// zero-allocation iterators tied to the store's immutable segments
-/// ([`PinnedSnapshot::friends_iter`], [`PinnedSnapshot::recent_messages_walk`],
-/// [`PinnedSnapshot::person_ref`] …). MVCC visibility is byte-identical to
-/// [`Snapshot`]: the timestamp decides what is seen; no latch is involved.
+/// Accessors hand out references and zero-allocation iterators tied to the
+/// store's immutable segments ([`PinnedSnapshot::friends_iter`],
+/// [`PinnedSnapshot::recent_messages_walk`], [`PinnedSnapshot::person_ref`]
+/// …). The owned-`Vec` accessors beside them ([`PinnedSnapshot::friends`]
+/// …) run an independent eager merge of the same lists; the property tests
+/// compare the iterators against it.
 pub struct PinnedSnapshot<'a> {
     tables: &'a Tables,
     ts: CommitTs,
@@ -1403,10 +1381,10 @@ pub struct MessageMeta {
 }
 
 /// The shared read-path implementation: all primitives over the shared
-/// [`Tables`], parameterized by the snapshot timestamp. Both snapshot
-/// types delegate here; the borrowing iterators gather a list's published
-/// tail once up front (visibility-filtered, sorted) and merge it with the
-/// immutable bulk prefix on the fly.
+/// [`Tables`], parameterized by the snapshot timestamp.
+/// [`PinnedSnapshot`] delegates here; the borrowing iterators merge a
+/// list's published ladder runs (visibility-filtered as they are reached)
+/// with the immutable bulk prefix on the fly.
 #[derive(Clone, Copy)]
 struct ReadView<'g> {
     tables: &'g Tables,
@@ -1948,125 +1926,6 @@ impl Drop for RecentWalk<'_> {
     }
 }
 
-impl Snapshot<'_> {
-    fn view(&self) -> ReadView<'_> {
-        ReadView { tables: &self.store.tables, ts: self.ts, counters: &self.store.counters }
-    }
-
-    /// The snapshot's commit timestamp.
-    pub fn ts(&self) -> CommitTs {
-        self.ts
-    }
-
-    /// Person by id, if visible (cloned row).
-    pub fn person(&self, id: PersonId) -> Option<Person> {
-        self.view().person_ref(id).cloned()
-    }
-
-    /// Forum by id, if visible (cloned row).
-    pub fn forum(&self, id: ForumId) -> Option<Forum> {
-        self.view().forum_ref(id).cloned()
-    }
-
-    /// Full message row (content included), if visible.
-    pub fn message(&self, id: MessageId) -> Option<MessageRow> {
-        self.view().message_ref(id).cloned()
-    }
-
-    /// Fixed-size message header, if visible.
-    pub fn message_meta(&self, id: MessageId) -> Option<MessageMeta> {
-        self.view().message_meta(id)
-    }
-
-    /// Tags of a message (empty if the message is not visible).
-    pub fn message_tags(&self, id: MessageId) -> Vec<TagId> {
-        self.view().message_ref(id).map(|row| row.tags.to_vec()).unwrap_or_default()
-    }
-
-    /// Upper bound of the person id space (for scans; slots may be empty).
-    pub fn person_slots(&self) -> usize {
-        self.store.tables.persons.high()
-    }
-
-    /// Upper bound of the forum id space.
-    pub fn forum_slots(&self) -> usize {
-        self.store.tables.forums.high()
-    }
-
-    /// Upper bound of the message id space.
-    pub fn message_slots(&self) -> usize {
-        self.store.tables.messages.high()
-    }
-
-    /// Friends of `id` with friendship dates, ascending by date.
-    pub fn friends(&self, id: PersonId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.knows.get(id.index()))
-    }
-
-    /// Messages authored by `id`, ascending by creation date.
-    pub fn messages_of(&self, id: PersonId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.person_messages.get(id.index()))
-    }
-
-    /// Posts (no comments) authored by `id`, ascending by creation date.
-    pub fn posts_of(&self, id: PersonId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.person_posts.get(id.index()))
-    }
-
-    /// The up-to-`k` most recent messages of `id` created at or before
-    /// `max_date`, newest first — the intended-plan primitive behind
-    /// Q2/Q9/S2 ("top-20 most recent before date" with early termination
-    /// on the date-ordered index).
-    pub fn recent_messages_of(&self, id: PersonId, max_date: SimTime, k: usize) -> Vec<Dated> {
-        self.view().recent_messages_of(id, max_date, k)
-    }
-
-    /// Posts in forum `id`, ascending by creation date.
-    pub fn posts_in_forum(&self, id: ForumId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.forum_posts.get(id.index()))
-    }
-
-    /// Members of forum `id` with join dates.
-    pub fn members_of(&self, id: ForumId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.forum_members.get(id.index()))
-    }
-
-    /// Forums `id` has joined, with join dates.
-    pub fn forums_of(&self, id: PersonId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.person_forums.get(id.index()))
-    }
-
-    /// Forums `id` joined strictly after `min_date` (date-index range scan).
-    pub fn forums_of_after(&self, id: PersonId, min_date: SimTime) -> Vec<Dated> {
-        self.view().forums_of_after(id, min_date)
-    }
-
-    /// Direct replies to message `id`, ascending by date.
-    pub fn replies_of(&self, id: MessageId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.message_replies.get(id.index()))
-    }
-
-    /// Likes on message `id` as `(person, like date)`.
-    pub fn likes_of(&self, id: MessageId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.message_likes.get(id.index()))
-    }
-
-    /// Likes given by person `id` as `(message, like date)`.
-    pub fn likes_by(&self, id: PersonId) -> Vec<Dated> {
-        self.view().collect(self.store.tables.person_likes.get(id.index()))
-    }
-
-    /// Whether persons `a` and `b` are friends in this snapshot.
-    pub fn are_friends(&self, a: PersonId, b: PersonId) -> bool {
-        self.view().are_friends(a, b)
-    }
-
-    /// Storage statistics for the Table 8 experiment.
-    pub fn storage_stats(&self) -> crate::stats::StorageStats {
-        crate::stats::from_raw(self.store.tables.sizes())
-    }
-}
-
 impl PinnedSnapshot<'_> {
     fn view(&self) -> ReadView<'_> {
         ReadView { tables: self.tables, ts: self.ts, counters: self.counters }
@@ -2422,7 +2281,7 @@ mod tests {
             creation_date: SimTime(30),
         }))
         .unwrap();
-        let snap = s.snapshot();
+        let snap = s.pinned();
         assert_eq!(snap.person(PersonId(0)).unwrap().creation_date, SimTime(10));
         assert_eq!(snap.friends(PersonId(0)).len(), 1);
         assert!(snap.are_friends(PersonId(1), PersonId(0)));
@@ -2432,10 +2291,10 @@ mod tests {
     fn snapshots_do_not_see_later_commits() {
         let s = Store::new();
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
-        let snap = s.snapshot();
+        let snap = s.pinned();
         s.apply(&UpdateOp::AddPerson(person(1, 20))).unwrap();
         assert!(snap.person(PersonId(1)).is_none(), "later commit leaked into snapshot");
-        assert!(s.snapshot().person(PersonId(1)).is_some());
+        assert!(s.pinned().person(PersonId(1)).is_some());
     }
 
     #[test]
@@ -2478,7 +2337,7 @@ mod tests {
         assert_eq!(s.counters().commits.get(), 2);
         assert_eq!(s.counters().conflicts.get(), 1);
 
-        let early = s.snapshot();
+        let early = s.pinned();
         s.apply(&UpdateOp::AddFriendship(Knows {
             a: PersonId(0),
             b: PersonId(1),
@@ -2496,7 +2355,7 @@ mod tests {
         assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
 
         // A fresh snapshot sees it: examined but not skipped.
-        let now = s.snapshot();
+        let now = s.pinned();
         assert_eq!(now.friends(PersonId(0)).len(), 1);
         assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
 
@@ -2560,7 +2419,7 @@ mod tests {
         let s0 = s.apply_async(&UpdateOp::AddPerson(person(0, 10))).unwrap();
         let s1 = s.apply_async(&UpdateOp::AddPerson(person(1, 20))).unwrap();
         assert_eq!((s0, s1), (Some(1), Some(2)));
-        assert!(s.snapshot().person(PersonId(1)).is_some(), "visible before durable");
+        assert!(s.pinned().person(PersonId(1)).is_some(), "visible before durable");
         // One barrier on the newest seq covers the whole window.
         s.wait_durable(s1).unwrap();
         assert!(s.counters().wal_fsyncs.get() >= 1);
@@ -2578,8 +2437,8 @@ mod tests {
         serial.bulk_load_until_threads(&ds, ds.config.end, 1);
         let parallel = Store::new();
         parallel.bulk_load_until_threads(&ds, ds.config.end, 4);
-        let ss = serial.snapshot();
-        let sp = parallel.snapshot();
+        let ss = serial.pinned();
+        let sp = parallel.pinned();
         assert_eq!(ss.person_slots(), sp.person_slots());
         assert_eq!(ss.forum_slots(), sp.forum_slots());
         assert_eq!(ss.message_slots(), sp.message_slots());
@@ -2605,7 +2464,7 @@ mod tests {
     }
 
     #[test]
-    fn pinned_snapshot_matches_unpinned_reads() {
+    fn borrowing_iterators_match_owned_reads() {
         let ds =
             snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(120).activity(0.4))
                 .unwrap();
@@ -2615,22 +2474,19 @@ mod tests {
         for u in ds.update_stream().iter().take(200) {
             s.apply(&u.op).unwrap();
         }
-        let snap = s.snapshot();
-        let pinned = s.pinned();
-        assert_eq!(snap.ts(), pinned.ts());
+        let snap = s.pinned();
         for i in 0..snap.person_slots() as u64 {
             let p = PersonId(i);
-            assert_eq!(snap.friends(p), pinned.friends(p));
-            assert_eq!(snap.friends(p), pinned.friends_iter(p).collect::<Vec<_>>());
-            assert_eq!(snap.messages_of(p), pinned.messages_of_iter(p).collect::<Vec<_>>());
+            assert_eq!(snap.friends(p), snap.friends_iter(p).collect::<Vec<_>>());
+            assert_eq!(snap.messages_of(p), snap.messages_of_iter(p).collect::<Vec<_>>());
             let recent = snap.recent_messages_of(p, SimTime(i64::MAX), 5);
             assert_eq!(
                 recent,
-                pinned.recent_messages_walk(p, SimTime(i64::MAX)).take(5).collect::<Vec<_>>()
+                snap.recent_messages_walk(p, SimTime(i64::MAX)).take(5).collect::<Vec<_>>()
             );
             assert_eq!(
                 format!("{:?}", snap.person(p)),
-                format!("{:?}", pinned.person_ref(p).cloned())
+                format!("{:?}", snap.person_ref(p).cloned())
             );
         }
         assert!(s.counters().read_latchfree.get() >= 1);
@@ -2706,9 +2562,9 @@ mod tests {
     fn failed_transactions_leave_no_trace() {
         let s = Store::new();
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
-        let before = s.snapshot().ts();
+        let before = s.pinned().ts();
         let _ = s.apply(&UpdateOp::AddPost(post(0, 0, 5, 50)));
-        let snap = s.snapshot();
+        let snap = s.pinned();
         assert_eq!(snap.ts(), before, "failed txn must not advance the clock");
         assert!(snap.message(MessageId(0)).is_none());
     }
@@ -2722,7 +2578,7 @@ mod tests {
         s.apply(&UpdateOp::AddPost(post(1, 0, 0, 50))).unwrap();
         s.apply(&UpdateOp::AddPost(post(0, 0, 0, 30))).unwrap();
         s.apply(&UpdateOp::AddPost(post(2, 0, 0, 40))).unwrap();
-        let snap = s.snapshot();
+        let snap = s.pinned();
         let dates: Vec<i64> =
             snap.messages_of(PersonId(0)).iter().map(|(_, d)| d.millis()).collect();
         assert_eq!(dates, vec![30, 40, 50]);
@@ -2758,7 +2614,7 @@ mod tests {
             creation_date: SimTime(30),
         }))
         .unwrap();
-        let snap = s.snapshot();
+        let snap = s.pinned();
         assert_eq!(snap.replies_of(MessageId(0)).len(), 1);
         assert_eq!(snap.likes_of(MessageId(0)).first(), Some(&(0, SimTime(30))));
         assert_eq!(snap.likes_by(PersonId(0)).first(), Some(&(0, SimTime(30))));
@@ -2793,7 +2649,7 @@ mod tests {
                 .unwrap();
         let s = Store::new();
         s.bulk_load(&ds);
-        let snap = s.snapshot();
+        let snap = s.pinned();
         let bulk_persons =
             ds.persons.iter().filter(|p| p.creation_date <= ds.config.update_split).count();
         let visible_persons =
@@ -2813,7 +2669,7 @@ mod tests {
         for u in &stream {
             s.apply(&u.op).unwrap_or_else(|e| panic!("replay failed on {}: {e}", u.op.name()));
         }
-        let snap = s.snapshot();
+        let snap = s.pinned();
         let visible_persons =
             (0..snap.person_slots()).filter(|&i| snap.person(PersonId(i as u64)).is_some()).count();
         assert_eq!(visible_persons, ds.persons.len());

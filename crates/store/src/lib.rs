@@ -22,11 +22,9 @@ pub mod mvcc;
 pub mod stats;
 pub mod wal;
 
-pub use compact::set_uncompressed_runs;
 pub use counters::StoreCounters;
 pub use graph::{
-    Dated, DatedIter, MessageMeta, MessageRow, PinnedSnapshot, RecentWalk, RecoveryReport,
-    Snapshot, Store,
+    Dated, DatedIter, MessageMeta, MessageRow, PinnedSnapshot, RecentWalk, RecoveryReport, Store,
 };
 pub use stats::StorageStats;
 pub use wal::{decode_update, encode_update, Replay, SyncPolicy, Wal, WalMetrics};

@@ -34,7 +34,7 @@ fn readers_never_observe_partial_transactions() {
         for _ in 0..3 {
             scope.spawn(|| {
                 while !done.load(Ordering::Acquire) {
-                    let snap = store.snapshot();
+                    let snap = store.pinned();
                     let upper = snap.message_slots() as u64;
                     for m in (0..upper).step_by(97) {
                         let Some(meta) = snap.message_meta(MessageId(m)) else { continue };
@@ -78,7 +78,7 @@ fn snapshot_timestamps_are_monotone_under_writes() {
             let mut last_ts = 0;
             let mut last_visible = 0usize;
             while !done.load(Ordering::Acquire) {
-                let snap = store.snapshot();
+                let snap = store.pinned();
                 let ts = snap.ts();
                 assert!(ts >= last_ts, "snapshot ts went backwards");
                 // Visible row count never shrinks (insert-only store).
@@ -116,7 +116,7 @@ fn friend_lists_are_stable_within_a_snapshot() {
         });
         scope.spawn(|| {
             while !done.load(Ordering::Acquire) {
-                let snap = store.snapshot();
+                let snap = store.pinned();
                 for p in (0..200u64).step_by(17) {
                     let a = snap.friends(PersonId(p));
                     std::thread::yield_now(); // give the writer a window

@@ -175,8 +175,8 @@ fn group_commit_acknowledged_commits_survive_a_crash() {
     for u in &stream[..n] {
         reference.apply(&u.op).unwrap();
     }
-    let sr = recovered.snapshot();
-    let sf = reference.snapshot();
+    let sr = recovered.pinned();
+    let sf = reference.pinned();
     assert_eq!(sr.person_slots(), sf.person_slots());
     assert_eq!(sr.message_slots(), sf.message_slots());
     for i in 0..sf.person_slots() as u64 {
@@ -195,11 +195,11 @@ fn parallel_bulk_load_is_deterministic_across_thread_counts() {
     .unwrap();
     let reference = Store::new();
     reference.bulk_load_until_threads(&ds, ds.config.end, 1);
-    let rs = reference.snapshot();
+    let rs = reference.pinned();
     for threads in [2usize, 3, 8] {
         let s = Store::new();
         s.bulk_load_until_threads(&ds, ds.config.end, threads);
-        let sn = s.snapshot();
+        let sn = s.pinned();
         assert_eq!(sn.person_slots(), rs.person_slots(), "{threads} threads");
         assert_eq!(sn.forum_slots(), rs.forum_slots(), "{threads} threads");
         assert_eq!(sn.message_slots(), rs.message_slots(), "{threads} threads");

@@ -28,8 +28,8 @@ fn bulk_plus_updates_equals_full_load() {
     let b = Store::new();
     b.load_full(ds);
 
-    let sa = a.snapshot();
-    let sb = b.snapshot();
+    let sa = a.pinned();
+    let sb = b.pinned();
     assert_eq!(sa.person_slots(), sb.person_slots());
     assert_eq!(sa.message_slots(), sb.message_slots());
     for i in 0..ds.persons.len() as u64 {
@@ -86,8 +86,8 @@ fn wal_recovery_restores_exact_state() {
     for u in &stream[..half] {
         reference.apply(&u.op).unwrap();
     }
-    let sr = recovered.snapshot();
-    let sf = reference.snapshot();
+    let sr = recovered.pinned();
+    let sf = reference.pinned();
     for i in (0..ds.persons.len() as u64).step_by(7) {
         let p = PersonId(i);
         assert_eq!(sr.friends(p), sf.friends(p));
@@ -142,12 +142,12 @@ fn snapshots_isolate_concurrent_update_batches() {
 
     // Interleave: snapshot, apply a batch, verify the old snapshot still
     // sees the old counts while a new snapshot sees more.
-    let count_visible = |snap: &ldbc_snb::store::Snapshot<'_>| {
+    let count_visible = |snap: &ldbc_snb::store::PinnedSnapshot<'_>| {
         (0..snap.message_slots() as u64)
             .filter(|&m| snap.message_meta(ldbc_snb::core::MessageId(m)).is_some())
             .count()
     };
-    let before = store.snapshot();
+    let before = store.pinned();
     let n_before = count_visible(&before);
     let batch: Vec<_> = stream
         .iter()
@@ -160,7 +160,7 @@ fn snapshots_isolate_concurrent_update_batches() {
         store.apply(&u.op).unwrap();
     }
     assert_eq!(count_visible(&before), n_before, "old snapshot changed");
-    let after = store.snapshot();
+    let after = store.pinned();
     assert!(count_visible(&after) > n_before, "new snapshot missing inserts");
 }
 
