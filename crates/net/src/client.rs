@@ -132,7 +132,7 @@ impl RemoteConnector {
             backoff_schedule(self.config.retry_backoff, self.config.connect_retries, dial_seed());
         let mut sleeps = schedule.into_iter();
         loop {
-            match self.dial_once() {
+            match dial_once(&self.addr, &self.config) {
                 Ok(stream) => {
                     self.metrics.connections.inc();
                     if self.ever_connected.swap(true, Ordering::Relaxed) {
@@ -151,26 +151,6 @@ impl RemoteConnector {
         }
     }
 
-    fn dial_once(&self) -> SnbResult<TcpStream> {
-        let addrs: Vec<SocketAddr> = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| SnbError::Config(format!("cannot resolve {}: {e}", self.addr)))?
-            .collect();
-        let mut last_err: Option<std::io::Error> = None;
-        for addr in addrs {
-            match TcpStream::connect_timeout(&addr, self.config.connect_timeout) {
-                Ok(stream) => {
-                    return handshake_v3(stream, &self.config, &self.addr);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(SnbError::Io(last_err.unwrap_or_else(|| {
-            std::io::Error::other(format!("{} resolved to no addresses", self.addr))
-        })))
-    }
-
     fn checkout(&self) -> SnbResult<TcpStream> {
         if let Some(stream) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             return Ok(stream);
@@ -182,64 +162,30 @@ impl RemoteConnector {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).push(stream);
     }
 
-    /// One request round trip. A healthy exchange returns the connection to
-    /// the pool; any transport error poisons (drops) the connection — the
-    /// request may have reached the server, so it must not be replayed.
+    /// One request round trip — [`start_request`](Self::start_request) then
+    /// [`finish_request`](Self::finish_request) — timed into
+    /// `request_micros` from checkout to decoded response (a request that
+    /// never reached the wire leaves no sample).
     fn request(&self, payload: &[u8]) -> SnbResult<Response> {
-        let mut stream = self.checkout()?;
-        self.metrics.requests.inc();
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let result = (|| -> std::io::Result<Response> {
-            let mut framed = Vec::with_capacity(payload.len() + 8);
-            codec::put_corr(&mut framed, corr);
-            framed.extend_from_slice(payload);
-            let n_out = codec::write_frame(&mut stream, &framed)?;
-            self.metrics.bytes_out.add(n_out as u64);
-            let mut frame = Vec::new();
-            let n_in = codec::read_frame(&mut stream, &mut frame)?;
-            self.metrics.bytes_in.add(n_in as u64);
-            let (echoed, body) = codec::take_corr(&frame).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "response frame too short")
-            })?;
-            if echoed != corr {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("correlation mismatch: sent {corr}, got {echoed}"),
-                ));
-            }
-            Response::decode(body).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response frame")
-            })
-        })();
+        let (stream, corr) = self.start_request(payload)?;
+        let result = self.finish_request(stream, corr);
         self.metrics.request_micros.record(started.elapsed().as_micros() as u64);
-        match result {
-            Ok(response) => {
-                self.checkin(stream);
-                Ok(response)
-            }
-            Err(e) => {
-                self.metrics.errors.inc();
-                drop(stream);
-                Err(SnbError::Io(e))
-            }
-        }
+        result
     }
 
-    /// Scatter phase 1: check a connection out and write one framed
-    /// request without waiting for the reply. The caller holds the stream
-    /// and must follow up with [`finish_request`](Self::finish_request) —
-    /// writing to every shard before reading from any overlaps the
-    /// shards' execution. On a write error the connection is dropped
-    /// (poisoned), never returned to the pool.
+    /// First half of a round trip: check a connection out and write one
+    /// framed request without waiting for the reply. The caller holds the
+    /// stream and must follow up with
+    /// [`finish_request`](Self::finish_request) — a scatter writes to every
+    /// shard before reading from any, overlapping the shards' execution.
+    /// On a write error the connection is dropped (poisoned), never
+    /// returned to the pool.
     pub(crate) fn start_request(&self, payload: &[u8]) -> SnbResult<(TcpStream, u64)> {
         let mut stream = self.checkout()?;
         self.metrics.requests.inc();
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        codec::put_corr(&mut framed, corr);
-        framed.extend_from_slice(payload);
-        match codec::write_frame(&mut stream, &framed) {
+        match write_request(&mut stream, corr, payload) {
             Ok(n) => {
                 self.metrics.bytes_out.add(n as u64);
                 Ok((stream, corr))
@@ -252,7 +198,7 @@ impl RemoteConnector {
         }
     }
 
-    /// Scatter phase 2: read the response for a request started with
+    /// Second half: read the response for a request started with
     /// [`start_request`](Self::start_request). A healthy exchange returns
     /// the connection to the pool; any transport error poisons it — the
     /// request reached the server, so it must not be replayed.
@@ -261,18 +207,7 @@ impl RemoteConnector {
             let mut frame = Vec::new();
             let n_in = codec::read_frame(&mut stream, &mut frame)?;
             self.metrics.bytes_in.add(n_in as u64);
-            let (echoed, body) = codec::take_corr(&frame).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "response frame too short")
-            })?;
-            if echoed != corr {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("correlation mismatch: sent {corr}, got {echoed}"),
-                ));
-            }
-            Response::decode(body).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response frame")
-            })
+            decode_response(&frame, Some(corr)).map(|(_, response)| response)
         })();
         match result {
             Ok(response) => {
@@ -336,6 +271,53 @@ fn handshake_v3(mut stream: TcpStream, config: &NetConfig, addr: &str) -> SnbRes
     Ok(stream)
 }
 
+/// One dial attempt: resolve `addr`, connect to the first address that
+/// accepts within the connect timeout, and run the v3 handshake on it.
+fn dial_once(addr: &str, config: &NetConfig) -> SnbResult<TcpStream> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| SnbError::Config(format!("cannot resolve {addr}: {e}")))?
+        .collect();
+    let mut last_err: Option<std::io::Error> = None;
+    for sock in addrs {
+        match TcpStream::connect_timeout(&sock, config.connect_timeout) {
+            Ok(stream) => return handshake_v3(stream, config, addr),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(SnbError::Io(
+        last_err
+            .unwrap_or_else(|| std::io::Error::other(format!("{addr} resolved to no addresses"))),
+    ))
+}
+
+/// Frame `payload` under correlation id `corr` and write it; returns the
+/// bytes put on the wire.
+fn write_request(stream: &mut TcpStream, corr: u64, payload: &[u8]) -> std::io::Result<usize> {
+    let mut framed = Vec::with_capacity(payload.len() + 8);
+    codec::put_corr(&mut framed, corr);
+    framed.extend_from_slice(payload);
+    codec::write_frame(stream, &framed)
+}
+
+/// Split a response frame into the correlation id it answers and the
+/// decoded response. With `sent`, the echoed id must match it — a
+/// mismatch means the connection's request/response pairing is broken.
+/// Any error here is a transport error: the caller poisons the connection.
+fn decode_response(frame: &[u8], sent: Option<u64>) -> std::io::Result<(u64, Response)> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let (echoed, body) =
+        codec::take_corr(frame).ok_or_else(|| invalid("response frame too short".into()))?;
+    if let Some(corr) = sent {
+        if echoed != corr {
+            return Err(invalid(format!("correlation mismatch: sent {corr}, got {echoed}")));
+        }
+    }
+    let response =
+        Response::decode(body).ok_or_else(|| invalid("malformed response frame".into()))?;
+    Ok((echoed, response))
+}
+
 /// A single v3 connection with decoupled send and receive halves, for load
 /// generation. Unlike [`RemoteConnector`] (one request in flight per pooled
 /// connection), `PipelinedClient` lets the caller keep a window of requests
@@ -361,31 +343,8 @@ impl PipelinedClient {
     /// Dial and handshake (v3) with an explicit config. No connect retries:
     /// load sweeps want to see dial failures, not paper over them.
     pub fn with_config(addr: impl Into<String>, config: NetConfig) -> SnbResult<PipelinedClient> {
-        let addr = addr.into();
-        let sock_addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| SnbError::Config(format!("cannot resolve {addr}: {e}")))?
-            .collect();
-        let mut last_err: Option<std::io::Error> = None;
-        for sock in sock_addrs {
-            match TcpStream::connect_timeout(&sock, config.connect_timeout) {
-                Ok(stream) => {
-                    let stream = handshake_v3(stream, &config, &addr)?;
-                    return Ok(PipelinedClient {
-                        stream,
-                        next_corr: 1,
-                        in_flight: 0,
-                        poisoned: false,
-                    });
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(SnbError::Io(
-            last_err.unwrap_or_else(|| {
-                std::io::Error::other(format!("{addr} resolved to no addresses"))
-            }),
-        ))
+        let stream = dial_once(&addr.into(), &config)?;
+        Ok(PipelinedClient { stream, next_corr: 1, in_flight: 0, poisoned: false })
     }
 
     /// Requests sent whose responses have not yet been received.
@@ -412,10 +371,7 @@ impl PipelinedClient {
         self.check_poisoned()?;
         let corr = self.next_corr;
         self.next_corr += 1;
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        codec::put_corr(&mut framed, corr);
-        framed.extend_from_slice(payload);
-        if let Err(e) = codec::write_frame(&mut self.stream, &framed) {
+        if let Err(e) = write_request(&mut self.stream, corr, payload) {
             self.poisoned = true;
             return Err(SnbError::Io(e));
         }
@@ -433,13 +389,7 @@ impl PipelinedClient {
         let result = (|| -> std::io::Result<(u64, Response)> {
             let mut frame = Vec::new();
             codec::read_frame(&mut self.stream, &mut frame)?;
-            let (corr, body) = codec::take_corr(&frame).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "response frame too short")
-            })?;
-            let response = Response::decode(body).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response frame")
-            })?;
-            Ok((corr, response))
+            decode_response(&frame, None)
         })();
         match result {
             Ok(ok) => {

@@ -12,9 +12,9 @@
 //!   with a correlation id so responses can complete out of order.
 //! - [`Server`] — a nonblocking readiness-loop TCP server (epoll-backed,
 //!   fixed worker pool) wrapping any [`snb_driver::Connector`]
-//!   (`snb serve`). Pipelines up to `max_pipeline` requests per
-//!   connection; per-connection write queues are bounded and exert
-//!   backpressure by pausing reads.
+//!   (`snb serve`). Pipelines up to 64 requests per connection;
+//!   per-connection write queues are bounded and exert backpressure by
+//!   pausing reads.
 //! - [`RemoteConnector`] — a pooled client implementing `Connector`
 //!   (`snb run --connect host:port`). Retries connects with bounded
 //!   backoff; never retries a sent request (updates are not idempotent).

@@ -196,19 +196,28 @@ impl ShardedConnector {
 
     /// Fan a partial request out to every shard — all writes before any
     /// read, so shard executions overlap — and collect the partials plus
-    /// each shard's walk-seed candidate. All shards are drained even after
-    /// an error (healthy connections return to their pools); the first
-    /// error wins.
+    /// each shard's walk-seed candidate. Every request that was started is
+    /// drained even after an error — a failed write stops the fan-out, a
+    /// failed read does not stop the drain — so healthy connections return
+    /// to their pools; the first error wins.
     #[allow(clippy::type_complexity)]
     fn scatter(&self, op: &Operation) -> SnbResult<Vec<(Partial, Option<(u64, i64)>)>> {
         let mut payload = Vec::new();
         codec::encode_partial_req(op, &mut payload);
         let mut in_flight = Vec::with_capacity(self.shards.len());
+        let mut first_err: Option<SnbError> = None;
         for shard in &self.shards {
-            in_flight.push(shard.start_request(&payload)?);
+            match shard.start_request(&payload) {
+                Ok(started) => in_flight.push(started),
+                Err(e) => {
+                    first_err = Some(e);
+                    break;
+                }
+            }
         }
         let mut parts = Vec::with_capacity(self.shards.len());
-        let mut first_err: Option<SnbError> = None;
+        // `in_flight` is a prefix of `shards`: zip pairs each started
+        // request with the shard it went to.
         for (shard, (stream, corr)) in self.shards.iter().zip(in_flight) {
             match shard.finish_request(stream, corr) {
                 Ok(Response::Partial(p, seed)) => parts.push((p, seed)),

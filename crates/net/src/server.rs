@@ -38,20 +38,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Sizing knobs for the readiness loop and worker pool.
+/// Maximum requests in flight per connection. Parsed requests past this
+/// cap wait in the connection's pending queue, and the connection stops
+/// being read while the queue is full.
+const MAX_PIPELINE: usize = 64;
+/// Per-connection write-queue byte limit. A connection over the limit gets
+/// no new dispatches and is not read until the queue drains below it —
+/// slow readers stall themselves, not the server.
+const WRITE_BUF_LIMIT: usize = 4 << 20;
+
+/// Worker-pool size and shard identity of one server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing requests. `0` = one per hardware thread,
     /// clamped to `[2, 8]`.
     pub workers: usize,
-    /// Maximum requests in flight per connection. Parsed requests past
-    /// this cap wait in the connection's pending queue, and the connection
-    /// stops being read while the queue is full.
-    pub max_pipeline: usize,
-    /// Per-connection write-queue byte limit. A connection over the limit
-    /// gets no new dispatches and is not read until the queue drains below
-    /// it — slow readers stall themselves, not the server.
-    pub write_buf_limit: usize,
     /// This server's shard index (0-based). Single-process deployments
     /// keep the default `0/1`.
     pub shard: u32,
@@ -63,7 +64,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig { workers: 0, max_pipeline: 64, write_buf_limit: 4 << 20, shard: 0, shards: 1 }
+        ServerConfig { workers: 0, shard: 0, shards: 1 }
     }
 }
 
@@ -673,11 +674,10 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let cap = self.shared.config.max_pipeline;
         let mut dispatched = false;
-        while conn.in_flight < cap
+        while conn.in_flight < MAX_PIPELINE
             && !conn.pending.is_empty()
-            && conn.unflushed() < self.shared.config.write_buf_limit
+            && conn.unflushed() < WRITE_BUF_LIMIT
         {
             let (corr, request) = conn.pending.pop_front().expect("nonempty");
             conn.in_flight += 1;
@@ -736,8 +736,8 @@ impl EventLoop {
         }
         let conn = self.conns[slot].as_ref().expect("just checked");
         let want_read = !conn.read_closed
-            && conn.pending.len() < self.shared.config.max_pipeline
-            && conn.unflushed() < self.shared.config.write_buf_limit;
+            && conn.pending.len() < MAX_PIPELINE
+            && conn.unflushed() < WRITE_BUF_LIMIT;
         let want_write = conn.unflushed() > 0;
         let key = slot + KEY_BASE;
         let interest = match (want_read, want_write) {

@@ -493,3 +493,61 @@ fn server_death_mid_run_fails_driver_promptly() {
         "driver must fail within the request timeout, took {wall:?}"
     );
 }
+
+/// A peer that answers with the wrong correlation id breaks the
+/// connection's request/response pairing: the client must surface a
+/// transport error, count it, and never hand that stream to another
+/// request.
+#[test]
+fn correlation_mismatch_poisons_the_connection() {
+    use std::io::{Read, Write};
+
+    // Stub v3 peer: echoes the handshake magic, then answers every request
+    // with a well-formed response under `corr + 1`.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let handlers: Vec<_> = listener
+            .incoming()
+            .take(2) // the eager dial, then the re-dial after the poisoning
+            .map(|stream| {
+                let mut stream = stream.unwrap();
+                std::thread::spawn(move || {
+                    let mut magic = [0u8; 8];
+                    stream.read_exact(&mut magic).unwrap();
+                    stream.write_all(&magic).unwrap();
+                    let mut frame = Vec::new();
+                    while codec::read_frame(&mut stream, &mut frame).is_ok() {
+                        let (corr, _) = codec::take_corr(&frame).unwrap();
+                        let mut reply = Vec::new();
+                        codec::put_corr(&mut reply, corr + 1);
+                        Response::Outcome(OpOutcome::default(), Vec::new()).encode(&mut reply);
+                        codec::write_frame(&mut stream, &reply).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handlers {
+            h.join().unwrap();
+        }
+    });
+
+    let remote = RemoteConnector::connect(addr).unwrap();
+    let m = remote.metrics();
+    assert_eq!((m.connections.get(), m.errors.get()), (1, 0));
+
+    let op = Operation::Short(ShortQuery::S1(PersonId(1)));
+    match remote.execute(&op) {
+        Err(SnbError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+        other => panic!("expected a transport error, got {other:?}"),
+    }
+    assert_eq!(m.errors.get(), 1);
+    assert_eq!(m.connections.get(), 1, "the failed request itself reused the pooled stream");
+
+    // The poisoned stream was dropped, not re-pooled: the next request dials.
+    assert!(remote.execute(&op).is_err());
+    assert_eq!(m.connections.get(), 2);
+
+    drop(remote);
+    peer.join().unwrap();
+}

@@ -12,7 +12,7 @@ use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Connector, Operation, StoreConnector};
 use snb_driver::mix;
 use snb_driver::scheduler::{run, DriverConfig};
-use snb_net::{RemoteConnector, Server, ServerConfig, ShardedConnector};
+use snb_net::{NetConfig, RemoteConnector, Server, ServerConfig, ShardedConnector};
 use snb_queries::params::{ComplexQuery, Q9Params, ShortQuery};
 use snb_queries::{sharded, Engine};
 use snb_store::Store;
@@ -246,4 +246,48 @@ fn two_shard_mixed_workload_runs_and_discloses_per_shard() {
         server.shutdown();
         server.join();
     }
+}
+
+/// A scatter that cannot reach a later shard still finishes the requests
+/// it already wrote to earlier ones: shard 0's connection goes back to its
+/// pool, so the next request routed there neither dials nor reconnects.
+#[test]
+fn failed_scatter_drains_the_shards_it_already_wrote_to() {
+    let ds = dataset();
+    let map = ShardMap::new(2);
+    let (server0, _store0) = shard_server(ds, map, 0);
+    let (server1, _store1) = shard_server(ds, map, 1);
+    let addrs = [server0.local_addr().to_string(), server1.local_addr().to_string()];
+    // Fail fast on the dead shard: no connect retries.
+    let config = NetConfig { connect_retries: 0, ..NetConfig::default() };
+    let router = ShardedConnector::with_config(&addrs, config).unwrap();
+
+    let shard0 = |name: &str| -> u64 {
+        let name = format!("shard0.net.client.{name}");
+        let counters = router.counters();
+        counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v).expect("counter disclosed")
+    };
+    let (connections, reconnects) = (shard0("connections"), shard0("reconnects"));
+
+    server1.shutdown();
+    server1.join();
+
+    // The first scatter may still find shard 1's pooled connection (its
+    // write lands in the dead socket's buffer and the read fails); by the
+    // second, that connection is gone and the write loop itself fails on
+    // the refused dial — after shard 0's request is already in flight.
+    let person = PersonId(0);
+    assert_eq!(map.shard_of_person(person), 0);
+    let q9 = ComplexQuery::Q9(Q9Params { person, max_date: SimTime(i64::MAX) });
+    for _ in 0..2 {
+        assert!(router.execute(&Operation::Complex(q9.clone())).is_err());
+    }
+
+    router.execute(&Operation::Short(ShortQuery::S1(person))).unwrap();
+    assert_eq!(shard0("connections"), connections, "shard 0 had to dial again");
+    assert_eq!(shard0("reconnects"), reconnects);
+
+    drop(router);
+    server0.shutdown();
+    server0.join();
 }

@@ -1,6 +1,6 @@
 //! Compact immutable runs: per-block frame-of-reference encoding.
 //!
-//! The merge ladder's runs (and every [`crate::graph::IndexList`] bulk
+//! The merge ladder's runs (and every [`crate::tail::IndexList`] bulk
 //! prefix) are immutable and `(date, id)`-sorted — ideal input for
 //! columnar compression. A [`CompactRun`] stores entries in 128-entry
 //! blocks. Each block holds a small header — the block's base date, its
@@ -40,7 +40,7 @@
 //! structs caching one parsed block header; stepping within a block is a
 //! pair of masked loads, crossing a block re-parses one header.
 
-use crate::graph::{key, Entry};
+use crate::tables::{key, Entry};
 use snb_core::time::SimTime;
 
 /// Entries per block: large enough that the ~10-byte block header and the
@@ -653,7 +653,7 @@ impl<'a> Cursor<'a> {
     /// how many were written (0 = exhausted). Stops at block boundaries —
     /// the refill loop is branch-free per entry, with both column
     /// positions advanced incrementally. This is the forward drain's hot
-    /// loop: [`crate::graph::DatedIter`] serves whole-list scans out of
+    /// loop: [`crate::read::DatedIter`] serves whole-list scans out of
     /// one of these buffers.
     pub(crate) fn fill_dated(&mut self, out: &mut [(u64, SimTime); FILL_DATED]) -> u32 {
         if self.rank >= self.end {

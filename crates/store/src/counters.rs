@@ -12,7 +12,7 @@ use snb_obs::{Counter, Counters, Gauge, HistogramSnapshot, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Stripes in the writer lock map (shared with `graph.rs`; also the length
+/// Stripes in the writer lock map (shared with `store.rs`; also the length
 /// of the per-stripe telemetry arrays below).
 pub const STRIPES: usize = 64;
 

@@ -6,25 +6,31 @@
 //! (see [`mvcc`]), reads are latch-free (pinned snapshots hold no guard;
 //! index tails are published with release/acquire atomics) while writers
 //! commit in parallel through striped per-entity locks and publish
-//! out-of-order behind a visibility watermark (see [`graph`] and
-//! DESIGN.md "Concurrency model"), a group-commit write-ahead log gives
-//! redo durability with
+//! out-of-order behind a visibility watermark (the lock-free containers
+//! are in `tail`, the write pipeline in `store`, the read view and its
+//! iterators in `read`; see DESIGN.md "Concurrency model"), a
+//! group-commit write-ahead log gives redo durability with
 //! tail-truncating crash recovery (see [`wal`]), bulk loading is parallel
-//! and sort-once (see the `bulk_load*` methods on [`graph::Store`]), and
-//! the index set is designed around the Interactive workload's "most
-//! recent N before date" access patterns (see [`graph`]).
+//! and sort-once (see the `bulk_load*` methods on [`Store`]), and the
+//! index set is designed around the Interactive workload's "most recent N
+//! before date" access patterns (see `tables`).
 
 mod compact;
 pub mod counters;
-pub mod graph;
 mod loader;
 pub mod mvcc;
+mod read;
 pub mod stats;
+mod store;
+mod tables;
+mod tail;
+mod update_codec;
 pub mod wal;
 
 pub use counters::StoreCounters;
-pub use graph::{
-    Dated, DatedIter, MessageMeta, MessageRow, PinnedSnapshot, RecentWalk, RecoveryReport, Store,
-};
+pub use read::{Dated, DatedIter, MessageMeta, PinnedSnapshot, RecentWalk};
 pub use stats::StorageStats;
-pub use wal::{decode_update, encode_update, Replay, SyncPolicy, Wal, WalMetrics};
+pub use store::{RecoveryReport, Store};
+pub use tables::MessageRow;
+pub use update_codec::{decode_update, encode_update};
+pub use wal::{Replay, SyncPolicy, Wal, WalMetrics};

@@ -14,7 +14,7 @@
 //! 3. each list is sorted **once** with `sort_unstable_by_key` at the end
 //!    instead of being kept incrementally sorted;
 //! 4. each worker installs its chunk directly into the shared [`Tables`]
-//!    (stable [`SegVec`][crate::graph::SegVec] addresses make concurrent
+//!    (stable [`SegVec`][crate::tail::SegVec] addresses make concurrent
 //!    disjoint-slot installs safe), and the table bounds are published
 //!    once, after all workers join.
 //!
@@ -26,10 +26,9 @@
 //! load regardless of thread count (asserted by `tests/recovery.rs` and
 //! the workspace end-to-end suite).
 
-use crate::graph::{
-    comment_row, post_row, Entry, IndexList, IndexTable, MessageRow, Tables, Versioned,
-};
 use crate::mvcc::BULK_TS;
+use crate::tables::{comment_row, post_row, Entry, IndexTable, MessageRow, Tables, Versioned};
+use crate::tail::IndexList;
 use snb_core::schema::{Forum, Person};
 use snb_core::shard::ShardMap;
 use snb_core::time::SimTime;
@@ -335,7 +334,7 @@ fn build_shard(
 
 /// Install `lists` as immutable bulk prefixes at `table[start..]`.
 ///
-/// Uses [`SegVec::set_slot`][crate::graph::SegVec] (no bound bump): slots
+/// Uses [`SegVec::set_slot`][crate::tail::SegVec] (no bound bump): slots
 /// stay invisible to readers until the final publication pass in
 /// [`build_into`] raises each table's high-water mark.
 fn put_lists(table: &IndexTable, start: usize, lists: Vec<Vec<Entry>>) {
