@@ -1,9 +1,9 @@
 //! # snb-bench
 //!
 //! Benchmark harness: one binary per table and figure of the paper's
-//! evaluation (run with `cargo run -p snb-bench --release --bin <name>`),
-//! plus Criterion micro-benchmarks in `benches/`. This library holds the
-//! shared plumbing: dataset construction, timing, and table rendering.
+//! evaluation (run with `cargo run -p snb-bench --release --bin <name>`).
+//! This library holds the shared plumbing: dataset construction, timing,
+//! and table rendering.
 //!
 //! Absolute numbers will not match the paper (its systems ran on dual-Xeon
 //! servers against Sparksee/Virtuoso); every binary prints the paper's

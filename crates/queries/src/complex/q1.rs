@@ -8,6 +8,7 @@ use crate::engine::Engine;
 use crate::params::Q1Params;
 use crate::scratch::{with_scratch, QueryScratch};
 use snb_core::dict::Dictionaries;
+use snb_core::schema::Person;
 use snb_core::PersonId;
 use snb_store::PinnedSnapshot;
 
@@ -54,7 +55,7 @@ fn bfs_collect(snap: &PinnedSnapshot<'_>, sx: &mut QueryScratch, p: &Q1Params) -
         let mut next = Vec::new();
         for &u in &frontier {
             for (v, _) in snap.friends_iter(PersonId(u)) {
-                if sx.mark(v, depth as u8) {
+                if sx.mark(v, depth) {
                     next.push(v);
                     if snap.person_ref(PersonId(v)).is_some_and(|pr| pr.first_name == p.first_name)
                     {
@@ -89,11 +90,10 @@ fn naive_collect(
             }
             // Probing levels directly distinguishes the previous frontier
             // (level == depth-1) from older levels — no per-level set copy.
-            let touches_frontier = snap
-                .friends_iter(PersonId(v))
-                .any(|(f, _)| sx.level_of(f) == Some((depth - 1) as u8));
+            let touches_frontier =
+                snap.friends_iter(PersonId(v)).any(|(f, _)| sx.level_of(f) == Some(depth - 1));
             if touches_frontier {
-                sx.mark(v, depth as u8);
+                sx.mark(v, depth);
                 found_any = true;
                 if snap.person_ref(PersonId(v)).is_some_and(|pr| pr.first_name == p.first_name) {
                     matches.push((v, depth));
@@ -107,12 +107,22 @@ fn naive_collect(
     matches
 }
 
+/// Rank `(distance, last name, id)` over borrowed rows, then build the
+/// description strings for the returned rows only.
 fn materialize(snap: &PinnedSnapshot<'_>, matches: Vec<(u64, u32)>) -> Vec<Q1Row> {
     let dicts = Dictionaries::global();
-    let mut rows: Vec<Q1Row> = matches
+    let mut ranked: Vec<(u32, &'static str, u64, &Person)> = matches
         .into_iter()
         .filter_map(|(id, distance)| {
-            let person = snap.person(PersonId(id))?;
+            let person = snap.person_ref(PersonId(id))?;
+            Some((distance, person.last_name, id, person))
+        })
+        .collect();
+    ranked.sort_unstable_by_key(|&(distance, last_name, id, _)| (distance, last_name, id));
+    ranked.truncate(LIMIT);
+    ranked
+        .into_iter()
+        .map(|(distance, last_name, id, person)| {
             let universities = person
                 .study_at
                 .iter()
@@ -134,21 +144,16 @@ fn materialize(snap: &PinnedSnapshot<'_>, matches: Vec<(u64, u32)>) -> Vec<Q1Row
                     )
                 })
                 .collect();
-            Some(Q1Row {
+            Q1Row {
                 person: PersonId(id),
                 distance,
-                last_name: person.last_name,
+                last_name,
                 city: dicts.places.city(person.city).name,
                 universities,
                 companies,
-            })
+            }
         })
-        .collect();
-    rows.sort_by(|a, b| {
-        (a.distance, a.last_name, a.person).cmp(&(b.distance, b.last_name, b.person))
-    });
-    rows.truncate(LIMIT);
-    rows
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::params::Q10Params;
 use crate::scratch::with_scratch;
 use snb_core::{MessageId, PersonId, TagId};
 use snb_store::PinnedSnapshot;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Result limit.
@@ -32,7 +33,7 @@ pub struct Q10Row {
 
 /// Execute Q10.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q10Params) -> Vec<Q10Row> {
-    let interests: HashSet<TagId> = match snap.person(p.person) {
+    let interests: HashSet<TagId> = match snap.person_ref(p.person) {
         Some(me) => me.interests.iter().copied().collect(),
         None => return Vec::new(),
     };
@@ -41,21 +42,23 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q10Params) -> Vec<Q10R
         Engine::Intended => intended(snap, &cands, &interests),
         Engine::Naive => naive(snap, &cands, &interests),
     };
-    let mut rows: Vec<Q10Row> = cands
-        .iter()
-        .filter_map(|&c| {
-            let person = snap.person(PersonId(c))?;
+    // Rank over ids; names are borrowed for the returned rows only.
+    let mut ranked: Vec<(Reverse<i64>, u64)> =
+        cands.iter().map(|&c| (Reverse(scores.get(&c).copied().unwrap_or(0)), c)).collect();
+    ranked.sort_unstable();
+    ranked
+        .into_iter()
+        .filter_map(|(Reverse(score), c)| {
+            let person = snap.person_ref(PersonId(c))?;
             Some(Q10Row {
                 person: PersonId(c),
                 first_name: person.first_name,
                 last_name: person.last_name,
-                score: scores.get(&c).copied().unwrap_or(0),
+                score,
             })
         })
-        .collect();
-    rows.sort_by_key(|r| (std::cmp::Reverse(r.score), r.person));
-    rows.truncate(LIMIT);
-    rows
+        .take(LIMIT)
+        .collect()
 }
 
 /// Strict friends-of-friends passing the horoscope restriction.

@@ -12,6 +12,7 @@ use crate::scratch::with_scratch;
 use snb_core::dict::Dictionaries;
 use snb_core::{MessageId, PersonId};
 use snb_store::PinnedSnapshot;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Result limit.
@@ -40,11 +41,18 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q12Params) -> Vec<Q12R
         Engine::Intended => intended(snap, p, &classes),
         Engine::Naive => naive(snap, p, &classes),
     };
-    let mut rows: Vec<Q12Row> = per_friend
+    // Rank over ids; names and tag strings are built for the returned rows
+    // only.
+    let mut ranked: Vec<(Reverse<u32>, u64, BTreeSet<u64>)> = per_friend
         .into_iter()
         .filter(|(_, (count, _))| *count > 0)
-        .filter_map(|(friend, (count, tags))| {
-            let person = snap.person(PersonId(friend))?;
+        .map(|(friend, (count, tags))| (Reverse(count), friend, tags))
+        .collect();
+    ranked.sort_unstable_by_key(|&(count, friend, _)| (count, friend));
+    ranked
+        .into_iter()
+        .filter_map(|(Reverse(count), friend, tags)| {
+            let person = snap.person_ref(PersonId(friend))?;
             Some(Q12Row {
                 person: PersonId(friend),
                 first_name: person.first_name,
@@ -53,10 +61,8 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q12Params) -> Vec<Q12R
                 count,
             })
         })
-        .collect();
-    rows.sort_by_key(|r| (std::cmp::Reverse(r.count), r.person));
-    rows.truncate(LIMIT);
-    rows
+        .take(LIMIT)
+        .collect()
 }
 
 /// Per-friend aggregate: reply count plus the matched tag *ids* (names are

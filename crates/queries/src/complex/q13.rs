@@ -5,11 +5,16 @@
 
 use crate::engine::Engine;
 use crate::params::Q13Params;
+use crate::scratch::with_scratch;
 use snb_core::PersonId;
 use snb_store::PinnedSnapshot;
+use std::collections::HashSet;
 #[cfg(test)]
-use std::collections::VecDeque;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
+
+/// Level tag of the search grown from Y: both searches share one scratch,
+/// X-side levels are plain depths and Y-side levels carry this bit.
+const FROM_Y: u32 = 1 << 31;
 
 /// Execute Q13; returns the path length, 0 for identical endpoints, or −1.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q13Params) -> i32 {
@@ -23,43 +28,50 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q13Params) -> i32 {
 }
 
 /// Intended: bidirectional BFS — expand the smaller frontier each round;
-/// meets in the middle with O(b^(d/2)) work instead of O(b^d).
+/// meets in the middle with O(b^(d/2)) work instead of O(b^d). Both sides
+/// mark the thread's scratch, told apart by [`FROM_Y`].
 fn bidirectional_bfs(snap: &PinnedSnapshot<'_>, p: &Q13Params) -> i32 {
-    let mut dist_x: HashMap<u64, u32> = HashMap::from([(p.person_x.raw(), 0)]);
-    let mut dist_y: HashMap<u64, u32> = HashMap::from([(p.person_y.raw(), 0)]);
-    let mut frontier_x = vec![p.person_x.raw()];
-    let mut frontier_y = vec![p.person_y.raw()];
-    let mut depth_x = 0u32;
-    let mut depth_y = 0u32;
+    with_scratch(|sx| {
+        sx.begin(snap.person_slots());
+        sx.mark(p.person_x.raw(), 0);
+        sx.mark(p.person_y.raw(), FROM_Y);
+        let mut frontier_x = vec![p.person_x.raw()];
+        let mut frontier_y = vec![p.person_y.raw()];
+        let mut depth_x = 0u32;
+        let mut depth_y = 0u32;
 
-    while !frontier_x.is_empty() && !frontier_y.is_empty() {
-        // Expand the smaller side.
-        let (frontier, dist, other_dist, depth) = if frontier_x.len() <= frontier_y.len() {
-            (&mut frontier_x, &mut dist_x, &dist_y, &mut depth_x)
-        } else {
-            (&mut frontier_y, &mut dist_y, &dist_x, &mut depth_y)
-        };
-        *depth += 1;
-        let mut next = Vec::new();
-        let mut best: Option<u32> = None;
-        for &u in frontier.iter() {
-            for (v, _) in snap.friends_iter(PersonId(u)) {
-                if let Some(&od) = other_dist.get(&v) {
-                    let total = *depth + od;
-                    best = Some(best.map_or(total, |b| b.min(total)));
-                }
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                    e.insert(*depth);
-                    next.push(v);
+        while !frontier_x.is_empty() && !frontier_y.is_empty() {
+            // Expand the smaller side.
+            let (frontier, side, depth) = if frontier_x.len() <= frontier_y.len() {
+                (&mut frontier_x, 0, &mut depth_x)
+            } else {
+                (&mut frontier_y, FROM_Y, &mut depth_y)
+            };
+            *depth += 1;
+            let mut next = Vec::new();
+            let mut best: Option<u32> = None;
+            for &u in frontier.iter() {
+                for (v, _) in snap.friends_iter(PersonId(u)) {
+                    match sx.level_of(v) {
+                        Some(l) if l & FROM_Y != side => {
+                            let total = *depth + (l & !FROM_Y);
+                            best = Some(best.map_or(total, |b| b.min(total)));
+                        }
+                        Some(_) => {}
+                        None => {
+                            sx.mark(v, *depth | side);
+                            next.push(v);
+                        }
+                    }
                 }
             }
+            if let Some(b) = best {
+                return b as i32;
+            }
+            *frontier = next;
         }
-        if let Some(b) = best {
-            return b as i32;
-        }
-        *frontier = next;
-    }
-    -1
+        -1
+    })
 }
 
 /// Naive: unidirectional BFS where each level re-scans the whole person

@@ -5,10 +5,21 @@
 //! comment directly replying to a post contributes 1.0 for its (replier,
 //! poster) pair; a comment replying to a comment contributes 0.5. Paths are
 //! returned descending by weight.
+//!
+//! Intended plan: a BFS from X over the thread's scratch that stops as soon
+//! as Y is marked. BFS completes a level before it expands the next, so at
+//! that point every level below Y's is final, and the backward walk from Y
+//! (along strictly decreasing levels) reads only those. The weights come
+//! from one kernel, [`edge_weights`]: each distinct person on the paths
+//! scans their own messages once, and each comment credits the edge to its
+//! parent's author when that edge lies on a path. Weights are integer
+//! half-units, so a shard's partial sums add up exactly.
 
 use crate::engine::Engine;
 use crate::params::Q14Params;
+use crate::scratch::{with_scratch, QueryScratch};
 use snb_core::{MessageId, PersonId};
+use snb_obs::tick_neighbors_expanded;
 use snb_store::PinnedSnapshot;
 use std::collections::HashMap;
 
@@ -29,47 +40,65 @@ pub struct Q14Row {
 /// Execute Q14.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q14Params) -> Vec<Q14Row> {
     let paths = shortest_paths(snap, engine, p);
-    let mut cache: HashMap<(u64, u64), f64> = HashMap::new();
+    let weights = edge_weights(snap, &paths);
     let mut rows: Vec<Q14Row> = paths
         .into_iter()
         .map(|path| {
-            let weight = path.windows(2).map(|w| pair_weight(snap, &mut cache, w[0], w[1])).sum();
-            Q14Row { path: path.into_iter().map(PersonId).collect(), weight }
+            let halves: i64 = path.windows(2).map(|w| weight_of(&weights, w[0], w[1])).sum();
+            Q14Row { path: path.into_iter().map(PersonId).collect(), weight: halves as f64 / 2.0 }
         })
         .collect();
     rows.sort_by(|a, b| b.weight.partial_cmp(&a.weight).unwrap().then_with(|| a.path.cmp(&b.path)));
     rows
 }
 
-/// Interaction weight between a pair of adjacent persons, symmetric.
-/// Cached per unordered pair.
-fn pair_weight(
-    snap: &PinnedSnapshot<'_>,
-    cache: &mut HashMap<(u64, u64), f64>,
-    a: u64,
-    b: u64,
-) -> f64 {
-    let key = (a.min(b), a.max(b));
-    if let Some(&w) = cache.get(&key) {
-        return w;
-    }
-    let w = directed_weight(snap, key.0, key.1) + directed_weight(snap, key.1, key.0);
-    cache.insert(key, w);
-    w
+/// An undirected edge as its `(lower id, higher id)` endpoint pair.
+fn edge(a: u64, b: u64) -> (u64, u64) {
+    (a.min(b), a.max(b))
 }
 
-/// Weight of `from`'s comments on `to`'s messages.
-pub(crate) fn directed_weight(snap: &PinnedSnapshot<'_>, from: u64, to: u64) -> f64 {
-    let mut w = 0.0;
-    for (msg, _) in snap.messages_of_iter(PersonId(from)) {
-        let Some(meta) = snap.message_meta(MessageId(msg)) else { continue };
-        let Some((parent, _)) = meta.reply_info else { continue };
-        let Some(pmeta) = snap.message_meta(parent) else { continue };
-        if pmeta.author.raw() == to {
-            w += if pmeta.reply_info.is_none() { 1.0 } else { 0.5 };
+/// Interaction weight of every distinct edge on `paths`, in half-units (a
+/// reply to a post is 2, a reply to a comment 1), sorted by edge. Each
+/// distinct person on the paths scans their messages once; a comment
+/// credits the edge to its parent's author when that edge is on a path.
+/// Both endpoints of an edge are on the path, so the edge collects the
+/// replies in both directions. A shard sees only the messages it owns, and
+/// a comment lives with its parent, so per-shard weights add up to the
+/// full-store weight.
+pub(crate) fn edge_weights(
+    snap: &PinnedSnapshot<'_>,
+    paths: &[Vec<u64>],
+) -> Vec<((u64, u64), i64)> {
+    let mut weights: Vec<((u64, u64), i64)> =
+        paths.iter().flat_map(|p| p.windows(2)).map(|w| (edge(w[0], w[1]), 0)).collect();
+    if weights.is_empty() {
+        return weights;
+    }
+    weights.sort_unstable();
+    weights.dedup();
+    let mut persons: Vec<u64> = paths.iter().flatten().copied().collect();
+    persons.sort_unstable();
+    persons.dedup();
+    for &a in &persons {
+        for (msg, _) in snap.messages_of_iter(PersonId(a)) {
+            let Some((parent, _)) = snap.message_meta(MessageId(msg)).and_then(|m| m.reply_info)
+            else {
+                continue;
+            };
+            let Some(pmeta) = snap.message_meta(parent) else { continue };
+            let key = edge(a, pmeta.author.raw());
+            if let Ok(i) = weights.binary_search_by_key(&key, |&(e, _)| e) {
+                weights[i].1 += if pmeta.reply_info.is_none() { 2 } else { 1 };
+            }
         }
     }
-    w
+    weights
+}
+
+/// Weight of edge `a`–`b` in the sorted output of [`edge_weights`].
+fn weight_of(weights: &[((u64, u64), i64)], a: u64, b: u64) -> i64 {
+    let key = edge(a, b);
+    weights.binary_search_by_key(&key, |&(e, _)| e).map_or(0, |i| weights[i].1)
 }
 
 /// All shortest paths from X to Y as raw id vectors (deterministic order,
@@ -79,35 +108,51 @@ pub(crate) fn shortest_paths(
     engine: Engine,
     p: &Q14Params,
 ) -> Vec<Vec<u64>> {
+    let y = p.person_y.raw();
     if p.person_x == p.person_y {
-        return vec![vec![p.person_x.raw()]];
+        return vec![vec![y]];
     }
-    // BFS from X computing distances; Naive uses the level-scan expansion.
-    let dist = match engine {
-        Engine::Intended => bfs_distances(snap, p.person_x),
-        Engine::Naive => level_scan_distances(snap, p.person_x),
-    };
-    let Some(&target_d) = dist.get(&p.person_y.raw()) else {
-        return Vec::new();
-    };
-    // Walk backwards from Y along strictly-decreasing distances.
+    match engine {
+        Engine::Intended => with_scratch(|sx| match bfs_until(snap, sx, p.person_x, p.person_y) {
+            Some(d) => walk_back(snap, y, d, |v| sx.level_of(v)),
+            None => Vec::new(),
+        }),
+        // Naive: the level-scan expansion over a whole-graph distance map.
+        Engine::Naive => {
+            let dist = level_scan_distances(snap, p.person_x);
+            match dist.get(&y) {
+                Some(&d) => walk_back(snap, y, d, |v| dist.get(&v).copied()),
+                None => Vec::new(),
+            }
+        }
+    }
+}
+
+/// Walk backwards from `y` (at distance `target_d`) along strictly
+/// decreasing levels; `level` must be exact for every level below
+/// `target_d`.
+fn walk_back(
+    snap: &PinnedSnapshot<'_>,
+    y: u64,
+    target_d: u32,
+    level: impl Fn(u64) -> Option<u32>,
+) -> Vec<Vec<u64>> {
     let mut paths = Vec::new();
-    let mut stack = vec![(vec![p.person_y.raw()], target_d)];
-    while let Some((path, d)) = stack.pop() {
+    let mut stack = vec![(vec![y], target_d)];
+    while let Some((mut path, d)) = stack.pop() {
         if paths.len() >= MAX_PATHS {
             break;
         }
         let head = *path.last().unwrap();
         if d == 0 {
-            let mut full: Vec<u64> = path.clone();
-            full.reverse();
-            paths.push(full);
+            path.reverse();
+            paths.push(path);
             continue;
         }
         let mut preds: Vec<u64> = snap
             .friends_iter(PersonId(head))
             .map(|(f, _)| f)
-            .filter(|f| dist.get(f) == Some(&(d - 1)))
+            .filter(|&f| level(f) == Some(d - 1))
             .collect();
         preds.sort_unstable();
         for pred in preds.into_iter().rev() {
@@ -119,19 +164,36 @@ pub(crate) fn shortest_paths(
     paths
 }
 
-fn bfs_distances(snap: &PinnedSnapshot<'_>, start: PersonId) -> HashMap<u64, u32> {
-    let mut dist = HashMap::from([(start.raw(), 0u32)]);
-    let mut q = std::collections::VecDeque::from([start.raw()]);
-    while let Some(u) = q.pop_front() {
-        let d = dist[&u];
+/// BFS from `x` over the scratch that stops as soon as `y` is marked;
+/// returns `y`'s distance, or `None` when `y` is unreachable. When it
+/// stops, every level below `y`'s is complete.
+fn bfs_until(
+    snap: &PinnedSnapshot<'_>,
+    sx: &mut QueryScratch,
+    x: PersonId,
+    y: PersonId,
+) -> Option<u32> {
+    sx.begin(snap.person_slots());
+    sx.mark(x.raw(), 0);
+    let mut queue = std::mem::take(&mut sx.queue);
+    queue.push_back((x.raw(), 0));
+    let mut found = None;
+    let mut expanded = 0u64;
+    'bfs: while let Some((u, d)) = queue.pop_front() {
         for (v, _) in snap.friends_iter(PersonId(u)) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                e.insert(d + 1);
-                q.push_back(v);
+            expanded += 1;
+            if sx.mark(v, d + 1) {
+                if v == y.raw() {
+                    found = Some(d + 1);
+                    break 'bfs;
+                }
+                queue.push_back((v, d + 1));
             }
         }
     }
-    dist
+    sx.queue = queue;
+    tick_neighbors_expanded(expanded);
+    found
 }
 
 fn level_scan_distances(snap: &PinnedSnapshot<'_>, start: PersonId) -> HashMap<u64, u32> {
@@ -177,6 +239,34 @@ mod tests {
             let b = run(&snap, Engine::Naive, &p);
             assert_eq!(a, b, "{p:?}");
         }
+    }
+
+    #[test]
+    fn edge_weights_match_a_full_message_scan() {
+        // Both engines share the weight kernel, so check it against an
+        // independent recount over every message in the store.
+        let f = fixture();
+        let snap = f.store.pinned();
+        let n = f.ds.persons.len() as u64;
+        let mut weighed = 0;
+        for raw in (0..n).step_by(11) {
+            let p = Q14Params { person_x: PersonId(raw), person_y: PersonId(n - 1 - raw) };
+            let paths = shortest_paths(&snap, Engine::Intended, &p);
+            let got = edge_weights(&snap, &paths);
+            let mut expect: Vec<((u64, u64), i64)> = got.iter().map(|&(e, _)| (e, 0)).collect();
+            for m in 0..snap.message_slots() as u64 {
+                let Some(meta) = snap.message_meta(MessageId(m)) else { continue };
+                let Some((parent, _)) = meta.reply_info else { continue };
+                let pmeta = snap.message_meta(parent).unwrap();
+                let e = edge(meta.author.raw(), pmeta.author.raw());
+                if let Some(slot) = expect.iter_mut().find(|(k, _)| *k == e) {
+                    slot.1 += if pmeta.reply_info.is_none() { 2 } else { 1 };
+                }
+            }
+            assert_eq!(got, expect, "{p:?}");
+            weighed += got.iter().filter(|&&(_, w)| w > 0).count();
+        }
+        assert!(weighed > 0, "some path edge carries interactions");
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! `[start, start + duration)`. Foreign means neither country is the
 //! candidate's home country. Sorted descending by total message count,
 //! ascending by person id.
+//!
+//! Intended plan: the 2-hop circle from the scratch, filtered by home
+//! country, then one scan per candidate of their message index. That index
+//! is ascending by date, so the scan skips entries before `start` and
+//! stops at the first entry dated at or after the window's end; only
+//! in-window messages pay the row probe for their country.
 
 use crate::engine::Engine;
 use crate::helpers::load_two_hop;
@@ -73,9 +79,9 @@ fn candidates(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> Vec<u64> {
     })
 }
 
-/// Intended plan: traverse from the person; per candidate, a date-range
-/// scan of their message index, fetching the country only for in-window
-/// messages.
+/// Intended plan: traverse from the person; per candidate, scan their
+/// date-ascending message index up to the window's end (the scan stops
+/// there), fetching the country only for in-window messages.
 pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u32, u32)> {
     let end = p.start.plus_days(p.duration_days);
     let mut counts = HashMap::new();
@@ -83,7 +89,11 @@ pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, 
         let mut x = 0u32;
         let mut y = 0u32;
         for (msg, date) in snap.messages_of_iter(PersonId(c)) {
-            if date < p.start || date >= end {
+            // Ascending by date: nothing after the window's end can count.
+            if date >= end {
+                break;
+            }
+            if date < p.start {
                 continue;
             }
             if let Some(meta) = snap.message_meta(MessageId(msg)) {

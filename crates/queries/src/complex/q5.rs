@@ -6,6 +6,14 @@
 //! ascending by forum id). This is the query the paper uses to motivate
 //! parameter curation (Fig. 5): its cost tracks the highly variable size of
 //! the 2-hop environment. The intended plan is shown in Fig. 6a.
+//!
+//! Intended plan: the count is driven from the person side. For each 2-hop
+//! candidate, a date-range scan of their join index gives the few forums
+//! they joined after `min_date`; when there are any, one scan of the
+//! candidate's own posts counts each post whose forum is in that set.
+//! Counts live in the scratch's dense per-forum counters, and a forum that
+//! was joined but got no posts still yields a count-0 row. Ranking runs
+//! over forum ids; only the returned rows fetch their title.
 
 use crate::engine::Engine;
 use crate::helpers::load_two_hop;
@@ -13,6 +21,7 @@ use crate::params::Q5Params;
 use crate::scratch::with_scratch;
 use snb_core::{ForumId, MessageId, PersonId};
 use snb_store::PinnedSnapshot;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Result limit.
@@ -33,48 +42,68 @@ pub struct Q5Row {
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q5Params) -> Vec<Q5Row> {
     let counts = match engine {
         Engine::Intended => intended(snap, p),
-        Engine::Naive => naive(snap, p),
+        Engine::Naive => naive(snap, p).into_iter().collect(),
     };
-    let mut rows: Vec<Q5Row> = counts
+    let mut ranked: Vec<(Reverse<u32>, u64)> =
+        counts.into_iter().map(|(forum, count)| (Reverse(count), forum)).collect();
+    ranked.sort_unstable();
+    ranked
         .into_iter()
-        .filter_map(|(forum, count)| {
-            let f = snap.forum(ForumId(forum))?;
-            Some(Q5Row { forum: ForumId(forum), title: f.title, count })
+        .filter_map(|(Reverse(count), forum)| {
+            let f = snap.forum_ref(ForumId(forum))?;
+            Some(Q5Row { forum: ForumId(forum), title: f.title.clone(), count })
         })
-        .collect();
-    rows.sort_by_key(|r| (std::cmp::Reverse(r.count), r.forum));
-    rows.truncate(LIMIT);
-    rows
+        .take(LIMIT)
+        .collect()
 }
 
-/// Intended plan (Fig. 6a): person → friends → friends-of-friends, then a
-/// date-range scan of each candidate's join index, then count posts per
-/// forum restricted to the joiners.
-fn intended(snap: &PinnedSnapshot<'_>, p: &Q5Params) -> HashMap<u64, u32> {
-    // forum -> persons who joined it after min_date.
-    let mut joiners: HashMap<u64, HashSet<u64>> = HashMap::new();
+/// Intended plan (Fig. 6a, driven from the joiners): person → friends →
+/// friends-of-friends; per candidate, the forums joined after `min_date`
+/// and then the candidate's own posts in those forums. Returns one
+/// `(forum, count)` per forum any candidate joined.
+fn intended(snap: &PinnedSnapshot<'_>, p: &Q5Params) -> Vec<(u64, u32)> {
     with_scratch(|sx| {
         load_two_hop(snap, sx, p.person);
+        // `counts[f]` is 0 while forum `f` has no row, else 1 + its count.
+        let mut counts = std::mem::take(&mut sx.forum_counts);
+        let mut touched: Vec<u64> = Vec::new();
+        let mut joined: Vec<u64> = Vec::new();
         for &c in sx.one.iter().chain(sx.two.iter()) {
-            for (forum, _join) in snap.forums_of_after(PersonId(c), p.min_date) {
-                joiners.entry(forum).or_default().insert(c);
+            joined.clear();
+            joined
+                .extend(snap.forums_of_after(PersonId(c), p.min_date).into_iter().map(|(f, _)| f));
+            if joined.is_empty() {
+                continue;
             }
-        }
-    });
-    // Count posts in each candidate forum authored by its recent joiners.
-    let mut counts = HashMap::with_capacity(joiners.len());
-    for (forum, who) in joiners {
-        let mut n = 0u32;
-        for (post, _) in snap.posts_in_forum_iter(ForumId(forum)) {
-            if let Some(meta) = snap.message_meta(MessageId(post)) {
-                if who.contains(&meta.author.raw()) {
-                    n += 1;
+            joined.sort_unstable();
+            for &f in &joined {
+                let f = f as usize;
+                if f >= counts.len() {
+                    counts.resize(f + 1, 0);
+                }
+                if counts[f] == 0 {
+                    counts[f] = 1;
+                    touched.push(f as u64);
+                }
+            }
+            for (post, _) in snap.posts_of_iter(PersonId(c)) {
+                let Some(meta) = snap.message_meta(MessageId(post)) else { continue };
+                let forum = meta.forum.raw();
+                if joined.binary_search(&forum).is_ok() {
+                    counts[forum as usize] += 1;
                 }
             }
         }
-        counts.insert(forum, n);
-    }
-    counts
+        let out = touched
+            .into_iter()
+            .map(|f| {
+                let n = std::mem::take(&mut counts[f as usize]) - 1;
+                (f, n)
+            })
+            .collect();
+        sx.forum_counts = counts;
+        out
+    })
 }
 
 /// Naive plan: scan all forums' member lists, then a full message scan.
@@ -165,7 +194,7 @@ mod tests {
         let p = params();
         let counts = intended(&snap, &p);
         // Spot-check one forum against a recount from raw data.
-        if let Some((&forum, &count)) = counts.iter().max_by_key(|&(_, &c)| c) {
+        if let Some(&(forum, count)) = counts.iter().max_by_key(|&&(_, c)| c) {
             let circle: HashSet<u64> = with_scratch(|sx| {
                 load_two_hop(&snap, sx, p.person);
                 sx.one.iter().chain(sx.two.iter()).copied().collect()
@@ -186,5 +215,16 @@ mod tests {
                 .count() as u32;
             assert_eq!(count, recount);
         }
+    }
+
+    #[test]
+    fn forum_counters_are_zero_between_queries() {
+        let f = fixture();
+        let snap = f.store.pinned();
+        let counts = intended(&snap, &params());
+        assert!(!counts.is_empty());
+        with_scratch(|sx| assert!(sx.forum_counts.iter().all(|&n| n == 0)));
+        // A second run over the reused counters sees the same numbers.
+        assert_eq!(intended(&snap, &params()), counts);
     }
 }

@@ -66,7 +66,7 @@ pub fn bfs_within(
         }
         for (v, _) in snap.friends_iter(PersonId(u)) {
             expanded += 1;
-            if sx.mark(v, (d + 1).min(u8::MAX as u32) as u8) {
+            if sx.mark(v, d + 1) {
                 out.push((v, d + 1));
                 queue.push_back((v, d + 1));
             }

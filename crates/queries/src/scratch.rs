@@ -23,11 +23,12 @@ use std::collections::VecDeque;
 /// the epoch instead of touching memory. A marked slot also records its
 /// hop level (0 = the anchor person, 1 = friend, 2 = friend-of-friend, …),
 /// which is what lets queries probe "one-hop or two-hop?" without copying
-/// the two frontiers into a merged set.
+/// the two frontiers into a merged set. Levels are `u32`, so an unbounded
+/// BFS (Q13, Q14) keeps exact distances on paths of any length.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     stamp: Vec<u32>,
-    level: Vec<u8>,
+    level: Vec<u32>,
     epoch: u32,
     /// Direct friends of the anchor (filled by the `load_*` helpers).
     pub one: Vec<u64>,
@@ -36,6 +37,10 @@ pub struct QueryScratch {
     /// BFS queue carrying `(person, depth)` — depth rides in the entry so
     /// no distance-map lookup is needed per pop.
     pub(crate) queue: VecDeque<(u64, u32)>,
+    /// Dense per-forum counters indexed by forum id (Q5). All zero between
+    /// queries: the user resets every slot it touched before returning, so
+    /// `begin` leaves them alone.
+    pub(crate) forum_counts: Vec<u32>,
     used: bool,
 }
 
@@ -66,7 +71,7 @@ impl QueryScratch {
     /// Mark `id` at `level`; returns true when it was not yet marked this
     /// epoch (ids outside the `begin` bound are reported as already seen).
     #[inline]
-    pub fn mark(&mut self, id: u64, level: u8) -> bool {
+    pub fn mark(&mut self, id: u64, level: u32) -> bool {
         let Some(slot) = self.stamp.get_mut(id as usize) else {
             return false;
         };
@@ -86,7 +91,7 @@ impl QueryScratch {
 
     /// Hop level of `id`, if marked this epoch.
     #[inline]
-    pub fn level_of(&self, id: u64) -> Option<u8> {
+    pub fn level_of(&self, id: u64) -> Option<u32> {
         self.is_marked(id).then(|| self.level[id as usize])
     }
 }

@@ -258,7 +258,7 @@ pub fn partial(snap: &PinnedSnapshot<'_>, engine: Engine, q: &ComplexQuery) -> P
                 .collect(),
         ),
         ComplexQuery::Q10(p) => {
-            let interests: HashSet<snb_core::TagId> = match snap.person(p.person) {
+            let interests: HashSet<snb_core::TagId> = match snap.person_ref(p.person) {
                 Some(me) => me.interests.iter().copied().collect(),
                 None => return groups(Vec::new()),
             };
@@ -307,24 +307,12 @@ pub fn partial(snap: &PinnedSnapshot<'_>, engine: Engine, q: &ComplexQuery) -> P
         }
         ComplexQuery::Q14(p) => {
             let paths = q14::shortest_paths(snap, engine, p);
-            // Weight every unique adjacent pair once, in integer
-            // half-units (post-parent reply = 2, comment-parent = 1) so
-            // the cross-shard sum is exact.
-            let mut rows = Vec::new();
-            let mut seen: HashSet<(u64, u64)> = HashSet::new();
-            for path in &paths {
-                for w in path.windows(2) {
-                    let pair = (w[0].min(w[1]), w[0].max(w[1]));
-                    if seen.insert(pair) {
-                        let halves = half_units(
-                            q14::directed_weight(snap, pair.0, pair.1)
-                                + q14::directed_weight(snap, pair.1, pair.0),
-                        );
-                        rows.push(GroupRow { k1: pair.0, k2: pair.1, a: halves, b: 0 });
-                    }
-                }
-            }
-            rows.sort_by_key(|r| (r.k1, r.k2));
+            // This shard's half-unit weight of every path edge, already
+            // sorted by edge; the merge adds them across shards.
+            let rows = q14::edge_weights(snap, &paths)
+                .into_iter()
+                .map(|((lo, hi), halves)| GroupRow { k1: lo, k2: hi, a: halves, b: 0 })
+                .collect();
             Partial::Groups { rows, pairs: Vec::new(), paths }
         }
     }
@@ -697,25 +685,64 @@ mod tests {
         }
     }
 
+    /// Q3 and Q5 on every 7th person, and Q14 on pairs taken from opposite
+    /// ends of the person list (as the curated bindings pair them): the
+    /// plans whose per-shard partials are sums over shard-owned messages.
+    fn per_person_queries() -> Vec<ComplexQuery> {
+        let f = fixture();
+        let n = f.ds.persons.len() as u64;
+        // The two most populous countries, so Q3 has rows to compare.
+        let mut population =
+            vec![0usize; f.ds.persons.iter().map(|p| p.country + 1).max().unwrap()];
+        for p in &f.ds.persons {
+            population[p.country] += 1;
+        }
+        let mut countries: Vec<usize> = (0..population.len()).collect();
+        countries.sort_by_key(|&c| (Reverse(population[c]), c));
+        let start = snb_core::SimTime::from_ymd(2011, 1, 1);
+        (0..n)
+            .step_by(7)
+            .flat_map(|raw| {
+                let person = PersonId(raw);
+                [
+                    ComplexQuery::Q3(Q3Params {
+                        person,
+                        country_x: countries[0],
+                        country_y: countries[1],
+                        start,
+                        duration_days: 365,
+                    }),
+                    ComplexQuery::Q5(Q5Params { person, min_date: start }),
+                    ComplexQuery::Q14(Q14Params {
+                        person_x: person,
+                        person_y: PersonId(n - 1 - raw),
+                    }),
+                ]
+            })
+            .collect()
+    }
+
     #[test]
     fn two_shard_scatter_merge_is_pointwise_equal_to_the_full_store() {
         let f = fixture();
         let full = f.store.pinned();
         let [s0, s1] = shards();
         let (p0, p1) = (s0.pinned(), s1.pinned());
-        for q in queries() {
-            let expect = reference(&full, Engine::Intended, &q);
+        let cases = queries().into_iter().map(|q| (q, Engine::Intended)).chain(
+            per_person_queries()
+                .into_iter()
+                .flat_map(|q| [(q.clone(), Engine::Intended), (q, Engine::Naive)]),
+        );
+        for (q, engine) in cases {
+            let expect = reference(&full, engine, &q);
             if scatters(&q) {
-                let merged = merge(
-                    &q,
-                    vec![partial(&p0, Engine::Intended, &q), partial(&p1, Engine::Intended, &q)],
-                );
-                assert_eq!(merged, expect, "{q:?} 2-shard scatter");
+                let merged = merge(&q, vec![partial(&p0, engine, &q), partial(&p1, engine, &q)]);
+                assert_eq!(merged, expect, "{q:?} {engine:?} 2-shard scatter");
             } else {
                 // Replicated-only queries: any single shard answers whole.
                 for p in [&p0, &p1] {
-                    let merged = merge(&q, vec![partial(p, Engine::Intended, &q)]);
-                    assert_eq!(merged, expect, "{q:?} single-shard route");
+                    let merged = merge(&q, vec![partial(p, engine, &q)]);
+                    assert_eq!(merged, expect, "{q:?} {engine:?} single-shard route");
                 }
             }
         }

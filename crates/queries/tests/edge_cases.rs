@@ -93,6 +93,16 @@ fn queries_tolerate_ids_beyond_the_population() {
     );
     assert!(complex::q10::run(&snap, Engine::Intended, &Q10Params { person: ghost, month: 1 })
         .is_empty());
+    assert!(complex::q5::run(
+        &snap,
+        Engine::Intended,
+        &Q5Params { person: ghost, min_date: SimTime::SIM_START }
+    )
+    .is_empty());
+    for (x, y) in [(ghost, PersonId(0)), (PersonId(0), ghost)] {
+        let p = Q14Params { person_x: x, person_y: y };
+        assert!(complex::q14::run(&snap, Engine::Intended, &p).is_empty(), "{p:?}");
+    }
 }
 
 #[test]
@@ -128,4 +138,92 @@ fn degenerate_parameters_are_well_defined() {
     let classes = snb_core::dict::Dictionaries::global().tags.class_count();
     let q12 = Q12Params { person: p, tag_class: classes - 1 };
     let _ = complex::q12::run(&snap, Engine::Intended, &q12);
+}
+
+/// A `knows` chain 0 — 1 — … — 299 with one interaction deep inside it:
+/// Q13 and Q14 must keep exact BFS levels far past anything a byte could
+/// hold.
+#[test]
+fn a_300_person_chain_keeps_exact_distances() {
+    use snb_core::dict::names::Gender;
+    use snb_core::schema::*;
+    use snb_core::update::UpdateOp;
+    use snb_core::ForumId;
+    const N: u64 = 300;
+    let store = Store::new();
+    let apply = |op: UpdateOp| store.apply(&op).expect("chain insert");
+    for id in 0..N {
+        apply(UpdateOp::AddPerson(Person {
+            id: PersonId(id),
+            first_name: "Karl",
+            last_name: "Muller",
+            gender: Gender::Male,
+            birthday: SimTime(0),
+            creation_date: SimTime(1),
+            city: 0,
+            country: 0,
+            browser: "Chrome",
+            location_ip: String::new(),
+            languages: vec!["de"],
+            emails: vec![],
+            interests: vec![],
+            study_at: None,
+            work_at: vec![],
+        }));
+    }
+    for id in 0..N - 1 {
+        apply(UpdateOp::AddFriendship(Knows {
+            a: PersonId(id),
+            b: PersonId(id + 1),
+            creation_date: SimTime(2),
+        }));
+    }
+    // 150 replies to 151's post: weight 1.0 on edge 150–151 only.
+    apply(UpdateOp::AddForum(Forum {
+        id: ForumId(0),
+        title: "wall of 151".into(),
+        moderator: PersonId(151),
+        creation_date: SimTime(3),
+        tags: vec![],
+        kind: ForumKind::Wall,
+    }));
+    apply(UpdateOp::AddPost(Post {
+        id: MessageId(0),
+        author: PersonId(151),
+        forum: ForumId(0),
+        creation_date: SimTime(4),
+        content: "post".into(),
+        image_file: None,
+        tags: vec![],
+        language: "de",
+        country: 0,
+    }));
+    apply(UpdateOp::AddComment(Comment {
+        id: MessageId(1),
+        author: PersonId(150),
+        creation_date: SimTime(5),
+        content: "re".into(),
+        reply_to: MessageId(0),
+        root_post: MessageId(0),
+        forum: ForumId(0),
+        tags: vec![],
+        country: 0,
+    }));
+    let snap = store.pinned();
+    for (x, y) in [(0, N - 1), (N - 1, 0)] {
+        let p13 = Q13Params { person_x: PersonId(x), person_y: PersonId(y) };
+        for engine in [Engine::Intended, Engine::Naive] {
+            assert_eq!(
+                complex::q13::run(&snap, engine, &p13),
+                (N - 1) as i32,
+                "{engine:?} {x}→{y}"
+            );
+        }
+    }
+    let p14 = Q14Params { person_x: PersonId(0), person_y: PersonId(N - 1) };
+    let rows = complex::q14::run(&snap, Engine::Intended, &p14);
+    assert_eq!(rows, complex::q14::run(&snap, Engine::Naive, &p14));
+    assert_eq!(rows.len(), 1, "a chain has exactly one shortest path");
+    assert_eq!(rows[0].path, (0..N).map(PersonId).collect::<Vec<_>>());
+    assert_eq!(rows[0].weight, 1.0);
 }

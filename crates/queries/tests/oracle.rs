@@ -404,6 +404,152 @@ fn q13_and_q14_agree_with_the_drawn_topology() {
     assert_eq!(rows[0].weight, 0.5);
 }
 
+/// Q5 from person 0 as `(forum, count)`, both engines agreeing.
+fn q5_counts(store: &Store, min_date: i64) -> Vec<(u64, u32)> {
+    let snap = store.pinned();
+    let p = Q5Params { person: PersonId(0), min_date: SimTime(min_date) };
+    both(|e| complex::q5::run(&snap, e, &p)).iter().map(|r| (r.forum.raw(), r.count)).collect()
+}
+
+fn join(store: &Store, forum: u64, person: u64, t: i64) {
+    store
+        .apply(&UpdateOp::AddMembership(ForumMembership {
+            forum: ForumId(forum),
+            person: PersonId(person),
+            join_date: SimTime(t),
+        }))
+        .expect("oracle join");
+}
+
+#[test]
+fn q5_joiner_without_posts_yields_a_count_zero_row() {
+    // Person 3 (two hops from 0, no messages at all) joins forum 1 after
+    // the cutoff: forum 1 is a row with count 0, ranked after forum 0.
+    let store = oracle_store();
+    join(&store, 1, 3, 3_200);
+    assert_eq!(q5_counts(&store, 3_040), vec![(0, 2), (1, 0)]);
+}
+
+#[test]
+fn q5_join_dated_exactly_min_date_is_excluded() {
+    // Person 1 joined forum 0 at exactly 3050: "after" is strict, so only
+    // person 2 (joined 3060) counts, with msg1.
+    let store = oracle_store();
+    assert_eq!(q5_counts(&store, 3_050), vec![(0, 1)]);
+}
+
+#[test]
+fn q5_posts_in_forums_joined_before_min_date_do_not_count() {
+    // Cutoff 3055. Person 3 joins forum 0 at 3045 — before the cutoff —
+    // and posts there (msg7); their only later join is forum 1, where they
+    // never post. msg7 does not count, although forum 0 is a result row
+    // through person 2 (joined 3060, msg1).
+    let store = oracle_store();
+    join(&store, 0, 3, 3_045);
+    join(&store, 1, 3, 3_200);
+    store.apply(&UpdateOp::AddPost(post(7, 3, 0, 4_700, &[], 0))).expect("oracle insert");
+    assert_eq!(q5_counts(&store, 3_055), vec![(0, 1), (1, 0)]);
+}
+
+const DAY_MS: i64 = 86_400_000;
+
+/// Q3 from person 0 for countries 3 and 5 over `[start, start + 1 day)`
+/// as `(person, x_count, y_count)`, both engines agreeing.
+fn q3_rows(store: &Store, start: i64) -> Vec<(u64, u32, u32)> {
+    let snap = store.pinned();
+    let p = Q3Params {
+        person: PersonId(0),
+        country_x: 3,
+        country_y: 5,
+        start: SimTime(start),
+        duration_days: 1,
+    };
+    both(|e| complex::q3::run(&snap, e, &p))
+        .iter()
+        .map(|r| (r.person.raw(), r.x_count, r.y_count))
+        .collect()
+}
+
+#[test]
+fn q3_message_dated_exactly_start_counts() {
+    // Window [4000, 4000 + 1 day): msg0 (4000, country 3) is in, and msg6
+    // (4600, country 5) completes person 1's pair. One millisecond later
+    // msg0 falls before the window and the pair is gone.
+    let store = oracle_store();
+    assert_eq!(q3_rows(&store, 4_000), vec![(1, 1, 1)]);
+    assert!(q3_rows(&store, 4_001).is_empty());
+}
+
+#[test]
+fn q3_message_dated_exactly_end_does_not_count() {
+    // Window ending at exactly 4600 drops msg6 (person 1's only country-5
+    // message); ending one millisecond later keeps it.
+    let store = oracle_store();
+    assert!(q3_rows(&store, 4_600 - DAY_MS).is_empty());
+    assert_eq!(q3_rows(&store, 4_601 - DAY_MS), vec![(1, 1, 1)]);
+}
+
+#[test]
+fn q3_counts_in_window_messages_applied_after_the_bulk_load() {
+    // A bulk-loaded friend `c` with bulk messages before, inside and after
+    // a one-day window, plus posts applied afterwards: they sit in the
+    // index's ladder tail, merged into the date order the scan stops on.
+    let ds = snb_datagen::generate(
+        snb_datagen::GeneratorConfig::with_persons(120).activity(0.4).seed(5),
+    )
+    .unwrap();
+    let store = Store::new();
+    store.bulk_load(&ds);
+    let (p, c, start) = {
+        let snap = store.pinned();
+        (0..ds.persons.len() as u64)
+            .flat_map(|p| snap.friends(PersonId(p)).into_iter().map(move |(c, _)| (p, c)))
+            .find_map(|(p, c)| {
+                let msgs = snap.messages_of(PersonId(c));
+                let start = msgs.get(msgs.len() / 2)?.1;
+                (msgs.len() >= 3 && msgs.last()?.1.millis() > start.millis() + DAY_MS)
+                    .then_some((p, c, start))
+            })
+            .expect("a friend with messages spread over more than a day")
+    };
+    let end = start.plus_days(1);
+    let home = ds.persons[c as usize].country;
+    let mut foreign = (0..).filter(|&k| k != home);
+    let (x, y) = (foreign.next().unwrap(), foreign.next().unwrap());
+    let ids = ds.posts.iter().map(|m| m.id).chain(ds.comments.iter().map(|m| m.id));
+    let next_id = ids.map(|id| id.raw()).max().unwrap() + 1;
+    for (i, (t, country)) in [(start.millis() + 1, x), (start.millis() + 2, y), (end.millis(), x)]
+        .into_iter()
+        .enumerate()
+    {
+        store
+            .apply(&UpdateOp::AddPost(post(
+                next_id + i as u64,
+                c,
+                ds.forums[0].id.raw(),
+                t,
+                &[],
+                country,
+            )))
+            .unwrap();
+    }
+    let snap = store.pinned();
+    // Expected counts from the eager owned-`Vec` merge, not the iterator.
+    let (mut ex, mut ey) = (0, 0);
+    for (m, date) in snap.messages_of(PersonId(c)) {
+        let country = snap.message_meta(MessageId(m)).unwrap().country as usize;
+        if date >= start && date < end {
+            ex += u32::from(country == x);
+            ey += u32::from(country == y);
+        }
+    }
+    assert!(ex >= 1 && ey >= 1);
+    let q = Q3Params { person: PersonId(p), country_x: x, country_y: y, start, duration_days: 1 };
+    let rows = both(|e| complex::q3::run(&snap, e, &q));
+    let row = rows.iter().find(|r| r.person == PersonId(c)).expect("c is a row");
+    assert_eq!((row.x_count, row.y_count), (ex, ey));
+}
+
 mod short_reads {
     use super::*;
     use snb_queries::short;
