@@ -13,7 +13,10 @@ use snb_driver::connector::{Connector, Operation, StoreConnector};
 use snb_driver::mix;
 use snb_driver::scheduler::{run, DriverConfig};
 use snb_net::{NetConfig, RemoteConnector, Server, ServerConfig, ShardedConnector};
-use snb_queries::params::{ComplexQuery, Q9Params, ShortQuery};
+use snb_queries::params::{
+    ComplexQuery, Q10Params, Q12Params, Q14Params, Q2Params, Q3Params, Q4Params, Q5Params,
+    Q6Params, Q7Params, Q8Params, Q9Params, ShortQuery,
+};
 use snb_queries::{sharded, Engine};
 use snb_store::Store;
 use std::fmt::Write as _;
@@ -103,8 +106,8 @@ fn shard_digest(store: &Store, map: ShardMap, shard: u32) -> String {
 ///    likes) leaves each shard byte-identical to a single-process replay
 ///    of the union stream, under the shard's ownership filter;
 /// 2. the GCT dependency-visibility invariant verifies over the wire;
-/// 3. Q9 scatter-gather equals the single-process rows pointwise for 20+
-///    random parameter bindings, and S2 likewise.
+/// 3. every scattering read (Q2–Q10, Q12, Q14, S2) merged over the wire
+///    equals the single-process rows pointwise for 24 random bindings.
 #[test]
 fn two_shard_loopback_replay_and_scatter_match_single_process() {
     let ds = dataset();
@@ -152,15 +155,57 @@ fn two_shard_loopback_replay_and_scatter_match_single_process() {
     let snap = oracle.pinned();
     let mut rng = Rng::new(0x51a2d);
     let persons = ds.persons.len() as u64;
+    let classes = snb_core::dict::Dictionaries::global().tags.class_count() as u64;
+    // Q3 travels to the two most populous countries, so it has rows.
+    let mut countries: Vec<usize> = ds.persons.iter().map(|p| p.country).collect();
+    countries.sort_unstable();
+    let mut runs: Vec<(usize, usize)> =
+        countries.chunk_by(|a, b| a == b).map(|c| (usize::MAX - c.len(), c[0])).collect();
+    runs.sort_unstable();
+    let countries = [runs[0].1, runs[1].1];
+    let mut answered = std::collections::BTreeSet::new();
     for trial in 0..24 {
         let person = PersonId(rng.below(persons));
         let max_date = SimTime(ds.config.update_split.0 + rng.below(1 << 34) as i64);
-        let q = ComplexQuery::Q9(Q9Params { person, max_date });
-        let op = Operation::Complex(q.clone());
-        let parts = remotes.iter().map(|r| r.execute_partial(&op).unwrap().partial).collect();
-        let merged = sharded::merge(&q, parts);
-        let want = sharded::reference(&snap, Engine::Intended, &q);
-        assert_eq!(merged, want, "Q9 trial {trial} diverged for person {person:?}");
+        // Windows that straddle the bulk/update split, so partials read the
+        // ladder tails the replay left behind.
+        let start = max_date.plus_days(-60);
+        let queries = [
+            ComplexQuery::Q2(Q2Params { person, max_date }),
+            ComplexQuery::Q3(Q3Params {
+                person,
+                country_x: countries[0],
+                country_y: countries[1],
+                start,
+                duration_days: 365,
+            }),
+            ComplexQuery::Q4(Q4Params { person, start, duration_days: 90 }),
+            ComplexQuery::Q5(Q5Params { person, min_date: start }),
+            ComplexQuery::Q6(Q6Params {
+                person,
+                tag: ds.persons[person.index()].interests.first().map_or(0, |t| t.index()),
+            }),
+            ComplexQuery::Q7(Q7Params { person }),
+            ComplexQuery::Q8(Q8Params { person }),
+            ComplexQuery::Q9(Q9Params { person, max_date }),
+            ComplexQuery::Q10(Q10Params { person, month: rng.below(12) as u8 + 1 }),
+            ComplexQuery::Q12(Q12Params { person, tag_class: rng.below(classes) as usize }),
+            ComplexQuery::Q14(Q14Params {
+                person_x: person,
+                person_y: PersonId(rng.below(persons)),
+            }),
+        ];
+        for q in queries {
+            assert!(sharded::scatters(&q));
+            let op = Operation::Complex(q.clone());
+            let parts = remotes.iter().map(|r| r.execute_partial(&op).unwrap().partial).collect();
+            let merged = sharded::merge(&q, parts);
+            let want = sharded::reference(&snap, Engine::Intended, &q);
+            assert_eq!(merged, want, "Q{} trial {trial} diverged for {q:?}", q.number());
+            if !want.is_empty() {
+                answered.insert(q.number());
+            }
+        }
 
         let s = ShortQuery::S2(person);
         let op = Operation::Short(s);
@@ -169,6 +214,9 @@ fn two_shard_loopback_replay_and_scatter_match_single_process() {
         let want = sharded::reference_short(&snap, &s);
         assert_eq!(merged, want, "S2 trial {trial} diverged for person {person:?}");
     }
+    // Every scattering kind returned rows for some binding, so the
+    // comparisons above were not all between empty results.
+    assert_eq!(answered.len(), 11, "kinds with rows: {answered:?}");
 
     for server in [server0, server1] {
         server.shutdown();

@@ -685,9 +685,10 @@ mod tests {
         }
     }
 
-    /// Q3 and Q5 on every 7th person, and Q14 on pairs taken from opposite
-    /// ends of the person list (as the curated bindings pair them): the
-    /// plans whose per-shard partials are sums over shard-owned messages.
+    /// Q3–Q7, Q10 and Q12 on every 7th person, and Q14 on pairs taken from
+    /// opposite ends of the person list (as the curated bindings pair
+    /// them): every merge that sums, unions or de-duplicates per-shard
+    /// partials over shard-owned messages.
     fn per_person_queries() -> Vec<ComplexQuery> {
         let f = fixture();
         let n = f.ds.persons.len() as u64;
@@ -700,10 +701,12 @@ mod tests {
         let mut countries: Vec<usize> = (0..population.len()).collect();
         countries.sort_by_key(|&c| (Reverse(population[c]), c));
         let start = snb_core::SimTime::from_ymd(2011, 1, 1);
+        let thing = snb_core::dict::Dictionaries::global().tags.class_by_name("Thing").unwrap();
         (0..n)
             .step_by(7)
             .flat_map(|raw| {
                 let person = PersonId(raw);
+                let interests = &f.ds.persons[raw as usize].interests;
                 [
                     ComplexQuery::Q3(Q3Params {
                         person,
@@ -712,7 +715,15 @@ mod tests {
                         start,
                         duration_days: 365,
                     }),
+                    ComplexQuery::Q4(Q4Params { person, start, duration_days: 90 }),
                     ComplexQuery::Q5(Q5Params { person, min_date: start }),
+                    ComplexQuery::Q6(Q6Params {
+                        person,
+                        tag: interests.first().map_or(raw as usize, |t| t.index()),
+                    }),
+                    ComplexQuery::Q7(Q7Params { person }),
+                    ComplexQuery::Q10(Q10Params { person, month: (raw % 12) as u8 + 1 }),
+                    ComplexQuery::Q12(Q12Params { person, tag_class: thing }),
                     ComplexQuery::Q14(Q14Params {
                         person_x: person,
                         person_y: PersonId(n - 1 - raw),
@@ -733,8 +744,12 @@ mod tests {
                 .into_iter()
                 .flat_map(|q| [(q.clone(), Engine::Intended), (q, Engine::Naive)]),
         );
+        let mut answered = std::collections::BTreeSet::new();
         for (q, engine) in cases {
             let expect = reference(&full, engine, &q);
+            if !expect.is_empty() {
+                answered.insert(q.number());
+            }
             if scatters(&q) {
                 let merged = merge(&q, vec![partial(&p0, engine, &q), partial(&p1, engine, &q)]);
                 assert_eq!(merged, expect, "{q:?} {engine:?} 2-shard scatter");
@@ -745,6 +760,9 @@ mod tests {
                     assert_eq!(merged, expect, "{q:?} {engine:?} single-shard route");
                 }
             }
+        }
+        for n in [3, 4, 5, 6, 7, 10, 12, 14] {
+            assert!(answered.contains(&n), "no binding of Q{n} returned rows");
         }
     }
 
