@@ -251,7 +251,12 @@ impl Connector for StoreConnector {
     fn execute_partial(&self, op: &Operation) -> SnbResult<PartialOutcome> {
         let snap = self.store.pinned();
         let partial = match op {
-            Operation::Complex(q) => sharded::partial(&snap, self.engine, q),
+            Operation::Complex(q) => sharded::partial(&snap, self.engine, q).ok_or_else(|| {
+                SnbError::Config(format!(
+                    "Q{} reads replicated data only, not scatterable",
+                    q.number()
+                ))
+            })?,
             Operation::Short(s) => sharded::partial_short(&snap, s).ok_or_else(|| {
                 SnbError::Config(format!("S{} is a point lookup, not scatterable", s.number()))
             })?,

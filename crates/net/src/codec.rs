@@ -229,20 +229,16 @@ impl Response {
             }
             RESP_ERROR => Response::Error(decode_error(&mut p)?),
             RESP_COUNTERS => {
-                let n = get_u64(&mut p)? as usize;
-                if n > MAX_FRAME / 9 {
-                    return None; // each entry costs ≥ 9 bytes; length is a lie
-                }
+                // Name length + value.
+                let n = get_len(&mut p, 16)?;
                 let mut counters = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = get_str(&mut p)?;
                     let value = get_u64(&mut p)?;
                     counters.push((name, value));
                 }
-                let n = get_u64(&mut p)? as usize;
-                if n > MAX_FRAME / 33 {
-                    return None; // name + 3 header words + count ≥ 33 bytes
-                }
+                // Name length + 3 header words + bucket count.
+                let n = get_len(&mut p, 40)?;
                 let mut histograms = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = get_str(&mut p)?;
@@ -274,14 +270,14 @@ impl Response {
 // ---- partials ----
 
 /// Partial results ride the wire structurally: merged rows keep their
-/// explicit sort keys, group rows their additive measures. All length
-/// prefixes are sanity-bounded against [`MAX_FRAME`] like every other
+/// explicit sort keys, group rows their additive measures. The merge takes
+/// each query's limit from the query, so none is shipped. Every length
+/// prefix is bounded by the bytes left in the frame, like every other
 /// variable-length decode here.
 fn put_partial(buf: &mut Vec<u8>, partial: &Partial) {
     match partial {
-        Partial::Top { limit, rows } => {
+        Partial::Top(rows) => {
             buf.push(PARTIAL_TOP);
-            put_u64(buf, *limit as u64);
             put_u64(buf, rows.len() as u64);
             for row in rows {
                 for k in row.key {
@@ -325,39 +321,27 @@ fn put_partial(buf: &mut Vec<u8>, partial: &Partial) {
 fn get_partial(p: &mut &[u8]) -> Option<Partial> {
     match get_u8(p)? {
         PARTIAL_TOP => {
-            let limit = get_u64(p)? as u32;
-            let n = get_u64(p)? as usize;
-            if n > MAX_FRAME / 40 {
-                return None; // 3 key words + 2 lengths minimum per row
-            }
+            // 3 key words + 2 lengths.
+            let n = get_len(p, 40)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = [get_i64(p)?, get_i64(p)?, get_i64(p)?];
-                let nc = get_u64(p)? as usize;
-                if nc > p.len() / 8 {
-                    return None;
-                }
+                let nc = get_len(p, 8)?;
                 let mut cols = Vec::with_capacity(nc);
                 for _ in 0..nc {
                     cols.push(get_i64(p)?);
                 }
-                let nt = get_u64(p)? as usize;
-                if nt > p.len() / 8 {
-                    return None;
-                }
+                let nt = get_len(p, 8)?;
                 let mut text = Vec::with_capacity(nt);
                 for _ in 0..nt {
                     text.push(get_str(p)?);
                 }
                 rows.push(MergedRow { key, cols, text });
             }
-            Some(Partial::Top { limit, rows })
+            Some(Partial::Top(rows))
         }
         PARTIAL_GROUPS => {
-            let n = get_u64(p)? as usize;
-            if n > MAX_FRAME / 32 {
-                return None; // 4 words per group row
-            }
+            let n = get_len(p, 32)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push(GroupRow {
@@ -367,24 +351,15 @@ fn get_partial(p: &mut &[u8]) -> Option<Partial> {
                     b: get_i64(p)?,
                 });
             }
-            let n = get_u64(p)? as usize;
-            if n > MAX_FRAME / 16 {
-                return None; // 2 words per pair
-            }
+            let n = get_len(p, 16)?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 pairs.push((get_u64(p)?, get_u64(p)?));
             }
-            let n = get_u64(p)? as usize;
-            if n > MAX_FRAME / 8 {
-                return None; // 1 length word minimum per path
-            }
+            let n = get_len(p, 8)?;
             let mut paths = Vec::with_capacity(n);
             for _ in 0..n {
-                let len = get_u64(p)? as usize;
-                if len > p.len() / 8 {
-                    return None;
-                }
+                let len = get_len(p, 8)?;
                 let mut path = Vec::with_capacity(len);
                 for _ in 0..len {
                     path.push(get_u64(p)?);
@@ -416,10 +391,7 @@ fn put_spans(buf: &mut Vec<u8>, spans: &[SpanData]) {
 }
 
 fn get_spans(p: &mut &[u8]) -> Option<Vec<SpanData>> {
-    let n = get_u64(p)? as usize;
-    if n > MAX_FRAME / 56 {
-        return None; // 7 words minimum per span; length is a lie
-    }
+    let n = get_len(p, 56)?;
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         spans.push(SpanData {
@@ -452,10 +424,7 @@ fn get_hist(p: &mut &[u8]) -> Option<HistogramSnapshot> {
     let count = get_u64(p)?;
     let sum = get_u64(p)?;
     let max = get_u64(p)?;
-    let n = get_u64(p)? as usize;
-    if n > MAX_FRAME / 24 {
-        return None; // 3 words per bucket; length is a lie
-    }
+    let n = get_len(p, 24)?;
     let mut buckets = Vec::with_capacity(n);
     for _ in 0..n {
         buckets.push((get_u64(p)?, get_u64(p)?, get_u64(p)?));
@@ -757,6 +726,15 @@ fn get_u64(p: &mut &[u8]) -> Option<u64> {
 
 fn get_i64(p: &mut &[u8]) -> Option<i64> {
     get_u64(p).map(|v| v as i64)
+}
+
+/// A count of entries that take at least `min_bytes` each, or `None` when
+/// the bytes left could not hold that many: a length prefix is never
+/// trusted past the frame it arrived in, so a decode allocates at most
+/// what the frame itself could fill.
+fn get_len(p: &mut &[u8], min_bytes: usize) -> Option<usize> {
+    let n = get_u64(p)?;
+    (n <= (p.len() / min_bytes) as u64).then_some(n as usize)
 }
 
 fn get_opt_u64(p: &mut &[u8]) -> Option<Option<u64>> {

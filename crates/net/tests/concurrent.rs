@@ -2,10 +2,11 @@
 //! requests must come back matched by correlation id, and a peer with any
 //! other handshake magic must be severed.
 
+use snb_core::update::UpdateOp;
 use snb_core::PersonId;
 use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Operation, StoreConnector};
-use snb_net::{codec, PipelinedClient, Response, Server, ServerConfig, NET_MAGIC_V3};
+use snb_net::{codec, PipelinedClient, Request, Response, Server, ServerConfig, NET_MAGIC_V3};
 use snb_queries::params::ShortQuery;
 use snb_queries::Engine;
 use snb_store::Store;
@@ -223,6 +224,57 @@ fn malformed_frame_severs_only_that_connection() {
     let _ = bad.read_to_end(&mut rest);
 
     // A healthy client on the same server is unaffected.
+    let mut good = PipelinedClient::connect(addr.to_string()).unwrap();
+    good.send(&Operation::Short(ShortQuery::S1(PersonId(1)))).unwrap();
+    let (_, response) = good.recv().unwrap();
+    assert!(matches!(response, Response::Outcome(..)));
+
+    server.shutdown();
+    server.join();
+}
+
+/// An AddPerson `Execute` request whose language count claims 2^62
+/// entries: a well-formed frame of a few hundred bytes with one lying
+/// length prefix.
+fn hostile_add_person() -> Vec<u8> {
+    let person = dataset().persons[0].clone();
+    let mut body = Vec::new();
+    Request::Execute(Operation::Update(UpdateOp::AddPerson(person.clone())), None)
+        .encode(&mut body);
+    // Request tag, trace flag, operation class and update tag; then id,
+    // gender, birthday, creation date, city and country, and four strings.
+    let strings = [person.first_name, person.last_name, person.browser, &person.location_ip];
+    let at = 4 + 8 + 1 + 4 * 8 + strings.iter().map(|s| 8 + s.len()).sum::<usize>();
+    assert_eq!(body[at..at + 8], (person.languages.len() as u64).to_le_bytes());
+    body[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    body
+}
+
+#[test]
+fn a_length_prefix_past_the_frame_decodes_to_none() {
+    assert!(Request::decode(&hostile_add_person()).is_none());
+}
+
+/// A request that decodes on the event-loop thread must not be able to
+/// take that thread down: the hostile frame costs its own connection only.
+#[test]
+fn hostile_length_prefix_severs_only_that_connection() {
+    let (server, _one_server) = store_server(ServerConfig::default());
+    let addr = server.local_addr();
+
+    let mut bad = TcpStream::connect(addr).unwrap();
+    bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    bad.write_all(&NET_MAGIC_V3).unwrap();
+    let mut echo = [0u8; 8];
+    bad.read_exact(&mut echo).unwrap();
+    let mut payload = Vec::new();
+    codec::put_corr(&mut payload, 1);
+    payload.extend(hostile_add_person());
+    codec::write_frame(&mut bad, &payload).unwrap();
+    let mut rest = Vec::new();
+    let _ = bad.read_to_end(&mut rest);
+    assert_eq!(server.metrics().errors.get(), 1);
+
     let mut good = PipelinedClient::connect(addr.to_string()).unwrap();
     good.send(&Operation::Short(ShortQuery::S1(PersonId(1)))).unwrap();
     let (_, response) = good.recv().unwrap();

@@ -207,24 +207,21 @@ fn codec_round_trips_sharding_frames() {
     }
     assert!(matches!(request_round_trip(&Request::Gct), Request::Gct));
 
-    let top = Partial::Top {
-        limit: 20,
-        rows: vec![
-            MergedRow {
-                key: [-5, 3, 0],
-                cols: vec![1, -2, i64::MAX],
-                text: vec!["Käthe".into(), String::new()],
-            },
-            MergedRow { key: [i64::MIN, i64::MAX, 7], cols: vec![], text: vec![] },
-        ],
-    };
+    let top = Partial::Top(vec![
+        MergedRow {
+            key: [-5, 3, 0],
+            cols: vec![1, -2, i64::MAX],
+            text: vec!["Käthe".into(), String::new()],
+        },
+        MergedRow { key: [i64::MIN, i64::MAX, 7], cols: vec![], text: vec![] },
+    ]);
     let groups = Partial::Groups {
         rows: vec![GroupRow { k1: 9, k2: u64::MAX, a: -4, b: 11 }],
         pairs: vec![(1, 2), (3, 4)],
         paths: vec![vec![1, 2, 3], vec![]],
     };
     let seeds = [Some((u64::MAX, i64::MIN)), None, Some((7, -3))];
-    for (p, seed) in [top, groups, Partial::Top { limit: 0, rows: vec![] }].into_iter().zip(seeds) {
+    for (p, seed) in [top, groups, Partial::Top(vec![])].into_iter().zip(seeds) {
         let Response::Partial(back, s) = response_round_trip(&Response::Partial(p.clone(), seed))
         else {
             panic!("wrong response variant")

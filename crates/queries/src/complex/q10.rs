@@ -33,22 +33,10 @@ pub struct Q10Row {
 
 /// Execute Q10.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q10Params) -> Vec<Q10Row> {
-    let interests: HashSet<TagId> = match snap.person_ref(p.person) {
-        Some(me) => me.interests.iter().copied().collect(),
-        None => return Vec::new(),
-    };
-    let cands = horoscope_candidates(snap, p);
-    let scores = match engine {
-        Engine::Intended => intended(snap, &cands, &interests),
-        Engine::Naive => naive(snap, &cands, &interests),
-    };
     // Rank over ids; names are borrowed for the returned rows only.
-    let mut ranked: Vec<(Reverse<i64>, u64)> =
-        cands.iter().map(|&c| (Reverse(scores.get(&c).copied().unwrap_or(0)), c)).collect();
-    ranked.sort_unstable();
-    ranked
+    rank(counts(snap, engine, p))
         .into_iter()
-        .filter_map(|(Reverse(score), c)| {
+        .filter_map(|(c, score)| {
             let person = snap.person_ref(PersonId(c))?;
             Some(Q10Row {
                 person: PersonId(c),
@@ -57,12 +45,39 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q10Params) -> Vec<Q10R
                 score,
             })
         })
-        .take(LIMIT)
         .collect()
 }
 
+/// The score of every horoscope candidate, on either engine (empty when
+/// the start person does not exist).
+pub(crate) fn counts(
+    snap: &PinnedSnapshot<'_>,
+    engine: Engine,
+    p: &Q10Params,
+) -> HashMap<u64, i64> {
+    let interests: HashSet<TagId> = match snap.person_ref(p.person) {
+        Some(me) => me.interests.iter().copied().collect(),
+        None => return HashMap::new(),
+    };
+    let cands = horoscope_candidates(snap, p);
+    match engine {
+        Engine::Intended => intended(snap, &cands, &interests),
+        Engine::Naive => naive(snap, &cands, &interests),
+    }
+}
+
+/// The store-free rank step: the top 10 `(person, score)` by score
+/// descending, then id.
+pub(crate) fn rank(scores: HashMap<u64, i64>) -> Vec<(u64, i64)> {
+    let mut ranked: Vec<(Reverse<i64>, u64)> =
+        scores.into_iter().map(|(c, score)| (Reverse(score), c)).collect();
+    ranked.sort_unstable();
+    ranked.truncate(LIMIT);
+    ranked.into_iter().map(|(Reverse(score), c)| (c, score)).collect()
+}
+
 /// Strict friends-of-friends passing the horoscope restriction.
-pub(crate) fn horoscope_candidates(snap: &PinnedSnapshot<'_>, p: &Q10Params) -> Vec<u64> {
+fn horoscope_candidates(snap: &PinnedSnapshot<'_>, p: &Q10Params) -> Vec<u64> {
     let next_month = if p.month == 12 { 1 } else { p.month + 1 };
     with_scratch(|sx| {
         load_two_hop(snap, sx, p.person);
@@ -86,7 +101,7 @@ fn score_one(common: i64, total: i64) -> i64 {
 /// Intended: per candidate, scan their posts-only covering index — no
 /// per-message row probe just to discard replies (only the tag lookup
 /// touches the message table).
-pub(crate) fn intended(
+fn intended(
     snap: &PinnedSnapshot<'_>,
     cands: &[u64],
     interests: &HashSet<TagId>,
@@ -107,7 +122,7 @@ pub(crate) fn intended(
 }
 
 /// Naive: one full message scan grouping per candidate.
-pub(crate) fn naive(
+fn naive(
     snap: &PinnedSnapshot<'_>,
     cands: &[u64],
     interests: &HashSet<TagId>,

@@ -35,23 +35,11 @@ pub struct Q12Row {
 
 /// Execute Q12.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q12Params) -> Vec<Q12Row> {
-    let dicts = Dictionaries::global();
-    let classes: HashSet<usize> = dicts.tags.class_descendants(p.tag_class).into_iter().collect();
-    let per_friend = match engine {
-        Engine::Intended => intended(snap, p, &classes),
-        Engine::Naive => naive(snap, p, &classes),
-    };
     // Rank over ids; names and tag strings are built for the returned rows
     // only.
-    let mut ranked: Vec<(Reverse<u32>, u64, BTreeSet<u64>)> = per_friend
+    rank(counts(snap, engine, p))
         .into_iter()
-        .filter(|(_, (count, _))| *count > 0)
-        .map(|(friend, (count, tags))| (Reverse(count), friend, tags))
-        .collect();
-    ranked.sort_unstable_by_key(|&(count, friend, _)| (count, friend));
-    ranked
-        .into_iter()
-        .filter_map(|(Reverse(count), friend, tags)| {
+        .filter_map(|(friend, count, tags)| {
             let person = snap.person_ref(PersonId(friend))?;
             Some(Q12Row {
                 person: PersonId(friend),
@@ -61,8 +49,30 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q12Params) -> Vec<Q12R
                 count,
             })
         })
-        .take(LIMIT)
         .collect()
+}
+
+/// The per-friend [`Agg`] on either engine.
+pub(crate) fn counts(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q12Params) -> Agg {
+    let dicts = Dictionaries::global();
+    let classes: HashSet<usize> = dicts.tags.class_descendants(p.tag_class).into_iter().collect();
+    match engine {
+        Engine::Intended => intended(snap, p, &classes),
+        Engine::Naive => naive(snap, p, &classes),
+    }
+}
+
+/// The store-free rank step: friends with at least one matching reply,
+/// by count descending, then id; the top 20 as `(friend, count, tags)`.
+pub(crate) fn rank(agg: Agg) -> Vec<(u64, u32, BTreeSet<u64>)> {
+    let mut ranked: Vec<(u64, u32, BTreeSet<u64>)> = agg
+        .into_iter()
+        .filter(|(_, (count, _))| *count > 0)
+        .map(|(friend, (count, tags))| (friend, count, tags))
+        .collect();
+    ranked.sort_unstable_by_key(|&(friend, count, _)| (Reverse(count), friend));
+    ranked.truncate(LIMIT);
+    ranked
 }
 
 /// Per-friend aggregate: reply count plus the matched tag *ids* (names are
@@ -107,7 +117,7 @@ fn score_comment(
 }
 
 /// Intended: per friend, scan their messages picking comments.
-pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q12Params, classes: &HashSet<usize>) -> Agg {
+fn intended(snap: &PinnedSnapshot<'_>, p: &Q12Params, classes: &HashSet<usize>) -> Agg {
     let mut agg: Agg = HashMap::new();
     with_scratch(|sx| {
         load_friends(snap, sx, p.person);
@@ -122,7 +132,7 @@ pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q12Params, classes: &HashS
 }
 
 /// Naive: full message scan probing the friend marks.
-pub(crate) fn naive(snap: &PinnedSnapshot<'_>, p: &Q12Params, classes: &HashSet<usize>) -> Agg {
+fn naive(snap: &PinnedSnapshot<'_>, p: &Q12Params, classes: &HashSet<usize>) -> Agg {
     let mut agg: Agg = HashMap::new();
     with_scratch(|sx| {
         load_friends(snap, sx, p.person);
@@ -134,9 +144,6 @@ pub(crate) fn naive(snap: &PinnedSnapshot<'_>, p: &Q12Params, classes: &HashSet<
             }
         }
     });
-    agg.retain(|_, (c, _)| *c > 0);
-    // Intended seeds every friend with a zero entry; align by dropping them
-    // there too at the caller (rows filter on count > 0).
     agg
 }
 

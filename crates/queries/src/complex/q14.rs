@@ -21,6 +21,7 @@ use crate::scratch::{with_scratch, QueryScratch};
 use snb_core::{MessageId, PersonId};
 use snb_obs::tick_neighbors_expanded;
 use snb_store::PinnedSnapshot;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Cap on the number of enumerated shortest paths: dense social graphs can
@@ -39,17 +40,36 @@ pub struct Q14Row {
 
 /// Execute Q14.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q14Params) -> Vec<Q14Row> {
+    rank(counts(snap, engine, p))
+        .into_iter()
+        .map(|(halves, path)| Q14Row {
+            path: path.into_iter().map(PersonId).collect(),
+            weight: halves as f64 / 2.0,
+        })
+        .collect()
+}
+
+/// The shortest paths from X to Y, and the half-unit weight of every edge
+/// on them sorted by edge (see [`edge_weights`]).
+pub(crate) type Counts = (Vec<Vec<u64>>, Vec<((u64, u64), i64)>);
+
+/// [`Counts`] on either engine: the engines differ in the BFS only, and
+/// both weigh the paths with the one kernel.
+pub(crate) fn counts(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q14Params) -> Counts {
     let paths = shortest_paths(snap, engine, p);
     let weights = edge_weights(snap, &paths);
-    let mut rows: Vec<Q14Row> = paths
+    (paths, weights)
+}
+
+/// The store-free rank step: every path with its weight in half-units,
+/// by weight descending, then path.
+pub(crate) fn rank((paths, weights): Counts) -> Vec<(i64, Vec<u64>)> {
+    let mut ranked: Vec<(Reverse<i64>, Vec<u64>)> = paths
         .into_iter()
-        .map(|path| {
-            let halves: i64 = path.windows(2).map(|w| weight_of(&weights, w[0], w[1])).sum();
-            Q14Row { path: path.into_iter().map(PersonId).collect(), weight: halves as f64 / 2.0 }
-        })
+        .map(|path| (Reverse(path.windows(2).map(|w| weight_of(&weights, w[0], w[1])).sum()), path))
         .collect();
-    rows.sort_by(|a, b| b.weight.partial_cmp(&a.weight).unwrap().then_with(|| a.path.cmp(&b.path)));
-    rows
+    ranked.sort_unstable();
+    ranked.into_iter().map(|(Reverse(halves), path)| (halves, path)).collect()
 }
 
 /// An undirected edge as its `(lower id, higher id)` endpoint pair.
@@ -65,10 +85,7 @@ fn edge(a: u64, b: u64) -> (u64, u64) {
 /// replies in both directions. A shard sees only the messages it owns, and
 /// a comment lives with its parent, so per-shard weights add up to the
 /// full-store weight.
-pub(crate) fn edge_weights(
-    snap: &PinnedSnapshot<'_>,
-    paths: &[Vec<u64>],
-) -> Vec<((u64, u64), i64)> {
+fn edge_weights(snap: &PinnedSnapshot<'_>, paths: &[Vec<u64>]) -> Vec<((u64, u64), i64)> {
     let mut weights: Vec<((u64, u64), i64)> =
         paths.iter().flat_map(|p| p.windows(2)).map(|w| (edge(w[0], w[1]), 0)).collect();
     if weights.is_empty() {
@@ -103,11 +120,7 @@ fn weight_of(weights: &[((u64, u64), i64)], a: u64, b: u64) -> i64 {
 
 /// All shortest paths from X to Y as raw id vectors (deterministic order,
 /// capped at [`MAX_PATHS`]).
-pub(crate) fn shortest_paths(
-    snap: &PinnedSnapshot<'_>,
-    engine: Engine,
-    p: &Q14Params,
-) -> Vec<Vec<u64>> {
+fn shortest_paths(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q14Params) -> Vec<Vec<u64>> {
     let y = p.person_y.raw();
     if p.person_x == p.person_y {
         return vec![vec![y]];

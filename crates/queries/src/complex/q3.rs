@@ -18,6 +18,7 @@ use crate::params::Q3Params;
 use crate::scratch::with_scratch;
 use snb_core::{MessageId, PersonId};
 use snb_store::PinnedSnapshot;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Result limit.
@@ -40,15 +41,10 @@ pub struct Q3Row {
 
 /// Execute Q3.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q3Params) -> Vec<Q3Row> {
-    let counts = match engine {
-        Engine::Intended => intended(snap, p),
-        Engine::Naive => naive(snap, p),
-    };
-    let mut rows: Vec<Q3Row> = counts
+    rank(counts(snap, engine, p))
         .into_iter()
-        .filter(|&(_, (x, y))| x > 0 && y > 0)
-        .filter_map(|(id, (x_count, y_count))| {
-            let person = snap.person(PersonId(id))?;
+        .filter_map(|(id, x_count, y_count)| {
+            let person = snap.person_ref(PersonId(id))?;
             Some(Q3Row {
                 person: PersonId(id),
                 first_name: person.first_name,
@@ -57,10 +53,32 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q3Params) -> Vec<Q3Row
                 y_count,
             })
         })
+        .collect()
+}
+
+/// In-window message counts `(x, y)` per candidate, on either engine.
+pub(crate) fn counts(
+    snap: &PinnedSnapshot<'_>,
+    engine: Engine,
+    p: &Q3Params,
+) -> HashMap<u64, (u32, u32)> {
+    match engine {
+        Engine::Intended => intended(snap, p),
+        Engine::Naive => naive(snap, p),
+    }
+}
+
+/// The store-free rank step: candidates seen in both countries, by total
+/// count descending, then id; the top 20 as `(person, x, y)`.
+pub(crate) fn rank(counts: HashMap<u64, (u32, u32)>) -> Vec<(u64, u32, u32)> {
+    let mut ranked: Vec<(u64, u32, u32)> = counts
+        .into_iter()
+        .filter(|&(_, (x, y))| x > 0 && y > 0)
+        .map(|(id, (x, y))| (id, x, y))
         .collect();
-    rows.sort_by_key(|r| (std::cmp::Reverse(r.x_count + r.y_count), r.person));
-    rows.truncate(LIMIT);
-    rows
+    ranked.sort_unstable_by_key(|&(id, x, y)| (Reverse(x + y), id));
+    ranked.truncate(LIMIT);
+    ranked
 }
 
 /// Candidates whose home country is neither X nor Y.
@@ -82,7 +100,7 @@ fn candidates(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> Vec<u64> {
 /// Intended plan: traverse from the person; per candidate, scan their
 /// date-ascending message index up to the window's end (the scan stops
 /// there), fetching the country only for in-window messages.
-pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u32, u32)> {
+fn intended(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u32, u32)> {
     let end = p.start.plus_days(p.duration_days);
     let mut counts = HashMap::new();
     for c in candidates(snap, p) {
@@ -112,7 +130,7 @@ pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, 
 }
 
 /// Naive plan: full message scan grouped by author, filtered afterwards.
-pub(crate) fn naive(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u32, u32)> {
+fn naive(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u32, u32)> {
     let end = p.start.plus_days(p.duration_days);
     let cands: std::collections::HashSet<u64> = candidates(snap, p).into_iter().collect();
     let mut counts: HashMap<u64, (u32, u32)> = HashMap::new();
@@ -131,7 +149,6 @@ pub(crate) fn naive(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u3
             entry.1 += 1;
         }
     }
-    counts.retain(|_, &mut (x, y)| x > 0 || y > 0);
     counts
 }
 

@@ -6,7 +6,7 @@
 //! friends' posts before the window (only *new* topics count).
 
 use crate::engine::Engine;
-use crate::helpers::load_friends;
+use crate::helpers::{load_friends, rank_tags};
 use crate::params::Q4Params;
 use crate::scratch::with_scratch;
 use snb_core::dict::Dictionaries;
@@ -28,28 +28,33 @@ pub struct Q4Row {
 
 /// Execute Q4.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q4Params) -> Vec<Q4Row> {
-    let (in_window, before) = match engine {
+    let tags = &Dictionaries::global().tags;
+    rank(counts(snap, engine, p))
+        .into_iter()
+        .map(|(tag, count)| Q4Row { tag: tags.tag(tag as usize).name.clone(), count })
+        .collect()
+}
+
+/// Friend-post counts per tag inside the window, and the tags friends'
+/// posts carried before it.
+pub(crate) type Counts = (HashMap<u64, u32>, HashSet<u64>);
+
+/// [`Counts`] on either engine.
+pub(crate) fn counts(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q4Params) -> Counts {
+    match engine {
         Engine::Intended => intended(snap, p),
         Engine::Naive => naive(snap, p),
-    };
-    let dicts = Dictionaries::global();
-    let mut rows: Vec<Q4Row> = in_window
-        .into_iter()
-        .filter(|(tag, _)| !before.contains(tag))
-        .map(|(tag, count)| Q4Row { tag: dicts.tags.tag(tag as usize).name.clone(), count })
-        .collect();
-    rows.sort_by(|a, b| {
-        (std::cmp::Reverse(a.count), &a.tag).cmp(&(std::cmp::Reverse(b.count), &b.tag))
-    });
-    rows.truncate(LIMIT);
-    rows
+    }
+}
+
+/// The store-free rank step: drop the tags seen before the window, then
+/// the top 10 `(tag, count)` by count descending, then tag name.
+pub(crate) fn rank((in_window, before): Counts) -> Vec<(u64, u32)> {
+    rank_tags(in_window.into_iter().filter(|(tag, _)| !before.contains(tag)), LIMIT)
 }
 
 /// Intended: walk friends, range-scan each friend's message index.
-pub(crate) fn intended(
-    snap: &PinnedSnapshot<'_>,
-    p: &Q4Params,
-) -> (HashMap<u64, u32>, HashSet<u64>) {
+fn intended(snap: &PinnedSnapshot<'_>, p: &Q4Params) -> Counts {
     let end = p.start.plus_days(p.duration_days);
     let mut in_window: HashMap<u64, u32> = HashMap::new();
     let mut before: HashSet<u64> = HashSet::new();
@@ -79,7 +84,7 @@ pub(crate) fn intended(
 }
 
 /// Naive: full message-table scan.
-pub(crate) fn naive(snap: &PinnedSnapshot<'_>, p: &Q4Params) -> (HashMap<u64, u32>, HashSet<u64>) {
+fn naive(snap: &PinnedSnapshot<'_>, p: &Q4Params) -> Counts {
     let end = p.start.plus_days(p.duration_days);
     let mut in_window: HashMap<u64, u32> = HashMap::new();
     let mut before: HashSet<u64> = HashSet::new();

@@ -25,7 +25,7 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Result limit.
-const LIMIT: usize = 20;
+pub(crate) const LIMIT: usize = 20;
 
 /// One result row.
 #[derive(Debug, Clone, PartialEq, Eq)]

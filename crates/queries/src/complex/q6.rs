@@ -5,7 +5,7 @@
 //! Top 10 by post count, then tag name.
 
 use crate::engine::Engine;
-use crate::helpers::load_two_hop;
+use crate::helpers::{load_two_hop, rank_tags};
 use crate::params::Q6Params;
 use crate::scratch::with_scratch;
 use snb_core::dict::Dictionaries;
@@ -27,20 +27,25 @@ pub struct Q6Row {
 
 /// Execute Q6.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q6Params) -> Vec<Q6Row> {
-    let counts = match engine {
+    let tags = &Dictionaries::global().tags;
+    rank(counts(snap, engine, p))
+        .into_iter()
+        .map(|(tag, count)| Q6Row { tag: tags.tag(tag as usize).name.clone(), count })
+        .collect()
+}
+
+/// Co-occurrence counts per tag, on either engine.
+pub(crate) fn counts(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q6Params) -> HashMap<u64, u32> {
+    match engine {
         Engine::Intended => intended(snap, p),
         Engine::Naive => naive(snap, p),
-    };
-    let dicts = Dictionaries::global();
-    let mut rows: Vec<Q6Row> = counts
-        .into_iter()
-        .map(|(tag, count)| Q6Row { tag: dicts.tags.tag(tag as usize).name.clone(), count })
-        .collect();
-    rows.sort_by(|a, b| {
-        (std::cmp::Reverse(a.count), &a.tag).cmp(&(std::cmp::Reverse(b.count), &b.tag))
-    });
-    rows.truncate(LIMIT);
-    rows
+    }
+}
+
+/// The store-free rank step: the top 10 `(tag, count)` by count
+/// descending, then tag name.
+pub(crate) fn rank(counts: HashMap<u64, u32>) -> Vec<(u64, u32)> {
+    rank_tags(counts, LIMIT)
 }
 
 fn count_post(
@@ -64,7 +69,7 @@ fn count_post(
 /// per-message row probe (one random access into the fat message table
 /// just to discard replies, formerly the dominant cost of this query) is
 /// gone entirely.
-pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, u32> {
+fn intended(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, u32> {
     let mut counts = HashMap::new();
     with_scratch(|sx| {
         load_two_hop(snap, sx, p.person);
@@ -78,7 +83,7 @@ pub(crate) fn intended(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, 
 }
 
 /// Naive: full message scan with a hash probe.
-pub(crate) fn naive(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, u32> {
+fn naive(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, u32> {
     let mut counts = HashMap::new();
     with_scratch(|sx| {
         load_two_hop(snap, sx, p.person);

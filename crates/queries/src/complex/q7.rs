@@ -14,7 +14,7 @@ use snb_store::PinnedSnapshot;
 use std::collections::HashMap;
 
 /// Result limit.
-const LIMIT: usize = 20;
+pub(crate) const LIMIT: usize = 20;
 
 /// One result row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,14 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q7Params) -> Vec<Q7Row
     rows
 }
 
-fn keep_latest(latest: &mut HashMap<u64, (SimTime, u64)>, liker: u64, date: SimTime, msg: u64) {
+/// Record a like unless the liker already has a later one (or an equally
+/// dated one on a smaller message id).
+pub(crate) fn keep_latest(
+    latest: &mut HashMap<u64, (SimTime, u64)>,
+    liker: u64,
+    date: SimTime,
+    msg: u64,
+) {
     match latest.entry(liker) {
         std::collections::hash_map::Entry::Vacant(e) => {
             e.insert((date, msg));

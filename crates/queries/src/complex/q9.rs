@@ -20,7 +20,7 @@ use snb_store::PinnedSnapshot;
 use std::cmp::Reverse;
 
 /// Result limit.
-const LIMIT: usize = 20;
+pub(crate) const LIMIT: usize = 20;
 
 /// One result row.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,9 +8,11 @@
 //! instrumentation.
 
 use crate::scratch::QueryScratch;
+use snb_core::dict::Dictionaries;
 use snb_core::PersonId;
 use snb_obs::{tick_neighbors_expanded, tick_rows_scanned};
 use snb_store::PinnedSnapshot;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Load the direct friends of `p` into `sx.one`, marking `p` at level 0
@@ -44,37 +46,21 @@ pub fn load_two_hop(snap: &PinnedSnapshot<'_>, sx: &mut QueryScratch, p: PersonI
     tick_neighbors_expanded(expanded);
 }
 
-/// BFS distances from `start` up to `max_depth`; returns `(person, dist)`
-/// for every reached person except `start`, in discovery order. The depth
-/// rides in the queue entry (no distance-map re-lookup per pop) and
-/// visited tracking is the scratch's dense map.
-pub fn bfs_within(
-    snap: &PinnedSnapshot<'_>,
-    sx: &mut QueryScratch,
-    start: PersonId,
-    max_depth: u32,
+/// The top `limit` of `(tag, count)` pairs by count descending, then tag
+/// name: Q4's and Q6's result order. Names come from the embedded
+/// dictionary, so the ranking needs no store.
+pub(crate) fn rank_tags(
+    counts: impl IntoIterator<Item = (u64, u32)>,
+    limit: usize,
 ) -> Vec<(u64, u32)> {
-    sx.begin(snap.person_slots());
-    sx.mark(start.raw(), 0);
-    let mut queue = std::mem::take(&mut sx.queue);
-    queue.push_back((start.raw(), 0));
-    let mut out = Vec::new();
-    let mut expanded = 0u64;
-    while let Some((u, d)) = queue.pop_front() {
-        if d == max_depth {
-            continue;
-        }
-        for (v, _) in snap.friends_iter(PersonId(u)) {
-            expanded += 1;
-            if sx.mark(v, d + 1) {
-                out.push((v, d + 1));
-                queue.push_back((v, d + 1));
-            }
-        }
-    }
-    sx.queue = queue;
-    tick_neighbors_expanded(expanded);
-    out
+    let tags = &Dictionaries::global().tags;
+    let mut ranked: Vec<(Reverse<u32>, &str, u64)> = counts
+        .into_iter()
+        .map(|(tag, count)| (Reverse(count), tags.tag(tag as usize).name.as_str(), tag))
+        .collect();
+    ranked.sort_unstable();
+    ranked.truncate(limit);
+    ranked.into_iter().map(|(Reverse(count), _, tag)| (tag, count)).collect()
 }
 
 /// Bounded top-k collector over a key `K`: keeps the k *smallest* keys.
@@ -150,7 +136,6 @@ impl<K: Ord, V> TopK<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
 
     #[test]
     fn topk_keeps_k_smallest_in_order() {

@@ -1,48 +1,49 @@
 //! Scatter-gather execution of the read queries across shards.
 //!
-//! The paper's driver targets a *distributed* SUT (§4): updates are
-//! partitioned across driver threads and the GCT keeps dependent updates
-//! ordered across machines. This module supplies the query half of that
-//! story — every complex read and S2 can be answered exactly by a set of
-//! shard processes that each hold the replicated person/knows graph plus a
-//! forum-partitioned slice of the activity
-//! ([`snb_core::shard::ShardMap`]), because each query decomposes into a
-//! per-shard **partial** plus a pure client-side **merge**:
+//! The paper's driver targets a *distributed* SUT (§4). Every complex read
+//! and S2 can be answered exactly by a set of shard processes that each
+//! hold the replicated person/knows graph plus a forum-partitioned slice
+//! of the activity ([`snb_core::shard::ShardMap`]), because each query
+//! decomposes into a per-shard **partial** plus a pure client-side
+//! **merge**:
 //!
 //! * **Top-union queries** (Q2, Q5, Q7, Q8, Q9, S2): result items live on
 //!   exactly one shard, and every ordering key is computable locally. The
 //!   global top-k is the top-k of the union of per-shard top-k lists, so a
-//!   shard ships its own `run()` rows and [`merge`] re-sorts the union.
-//!   Q7 additionally de-duplicates per liker (keep the latest like); the
-//!   per-shard winner for a liker equals the global winner on the shard
-//!   that owns it, so local-dedup-then-union stays exact.
+//!   shard ships its own `run()` rows and [`merge`] re-sorts the union and
+//!   applies the query's limit. Q7 first keeps each liker's latest like
+//!   with `q7::keep_latest`, the rule `run` applies; the per-shard winner
+//!   for a liker equals the global winner on the shard that owns it, so
+//!   local-dedup-then-union stays exact.
 //! * **Additive-group queries** (Q3, Q4, Q6, Q10, Q12, Q14): the measure
 //!   is a sum over messages, and every message is owned by exactly one
-//!   shard, so per-group partial aggregates add up to the global
-//!   aggregate. Shards ship the **untruncated** group map (it is bounded
-//!   by the candidate circle or tag dictionary, not the message count) and
-//!   [`merge`] sums, filters, and ranks. Q14 ships path-pair weights in
-//!   integer half-units so cross-shard addition is exact.
+//!   shard, so the partials sum to the full store's counts. A shard ships
+//!   the query's `counts` **untruncated** (they are bounded by the
+//!   candidate circle or the tag dictionary, not the message count);
+//!   [`merge`] sums them back into the same counts type and calls the
+//!   query's own rank step, the one its `run` calls. Q14 ships edge
+//!   weights in integer half-units, so the sums are exact.
 //! * **Replicated-only queries** (Q1, Q11, Q13): they touch persons and
 //!   knows exclusively, which every shard replicates, so any single shard
-//!   answers exactly ([`scatters`] returns false and the connector routes
-//!   them whole).
+//!   answers exactly. [`scatters`] returns false, the connector routes them
+//!   whole, and they have no partial.
 //!
-//! Rows cross the wire as [`MergedRow`]: an explicit ascending sort `key`
-//! (descending orders are encoded by negation), identifier/measure
-//! columns, and the display strings that only the owning shard can
-//! resolve (message content, person names). Strings resolvable from the
-//! embedded dictionaries (tag names, company names) are re-resolved
-//! client-side instead of shipped.
+//! Top-union rows cross the wire as [`MergedRow`]: an explicit ascending
+//! sort `key` (descending orders are encoded by negation), identifier and
+//! measure columns, and the display strings that only the owning shard can
+//! resolve (message content, person names). Group partials cross as
+//! [`GroupRow`]s of ids and measures; strings resolvable from the embedded
+//! dictionaries (tag names) are resolved after the merge instead of
+//! shipped.
 
-use crate::complex::{q1, q10, q11, q12, q13, q14, q2, q3, q4, q5, q6, q7, q8, q9};
+use crate::complex::{q10, q12, q14, q2, q3, q4, q5, q6, q7, q8, q9};
 use crate::engine::Engine;
 use crate::params::{ComplexQuery, ShortQuery};
 use crate::short;
 use snb_core::dict::Dictionaries;
+use snb_core::SimTime;
 use snb_store::PinnedSnapshot;
-use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One merged result row: an explicit sort key (ascending; descending
 /// orders negate), id/measure columns, and owning-shard-resolved strings.
@@ -51,7 +52,7 @@ pub struct MergedRow {
     /// Ascending composite sort key.
     pub key: [i64; 3],
     /// Identifier and measure columns (per-query layout, documented on
-    /// [`partial`]).
+    /// [`partial`] and [`merge`]).
     pub cols: Vec<i64>,
     /// Display strings only the owning shard can resolve.
     pub text: Vec<String>,
@@ -61,7 +62,7 @@ pub struct MergedRow {
 /// carry additive measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupRow {
-    /// Primary group key (person, tag, forum, or pair-min id).
+    /// Primary group key (person, tag, or an edge's lower endpoint).
     pub k1: u64,
     /// Secondary key / kind discriminator (query-specific).
     pub k2: u64,
@@ -74,14 +75,8 @@ pub struct GroupRow {
 /// A shard's contribution to one query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Partial {
-    /// Local top-`limit` rows in final-key form (top-union queries, and
-    /// the whole result for replicated-only queries).
-    Top {
-        /// Global result limit the merge applies after re-sorting.
-        limit: u32,
-        /// Local rows, already keyed.
-        rows: Vec<MergedRow>,
-    },
+    /// Local top rows in final-key form (top-union queries).
+    Top(Vec<MergedRow>),
     /// Untruncated additive aggregates (group queries).
     Groups {
         /// Per-group partial sums.
@@ -107,510 +102,280 @@ pub fn scatters_short(s: &ShortQuery) -> bool {
     matches!(s, ShortQuery::S2(_))
 }
 
-/// Rows in rank order wrapped as an unlimited Top partial (replicated-only
-/// queries: the single answering shard already produced the final order).
-fn rank_rows(rows: impl Iterator<Item = MergedRow>) -> Partial {
-    let rows = rows
-        .enumerate()
-        .map(|(i, mut r)| {
-            r.key = [i as i64, 0, 0];
-            r
-        })
-        .collect();
-    Partial::Top { limit: u32::MAX, rows }
+fn top<R>(rows: Vec<R>, row: impl FnMut(R) -> MergedRow) -> Partial {
+    Partial::Top(rows.into_iter().map(row).collect())
 }
 
-fn top(limit: u32, rows: Vec<MergedRow>) -> Partial {
-    Partial::Top { limit, rows }
+/// Group rows and pairs in a deterministic wire order (aggregation maps
+/// iterate randomly).
+fn groups(rows: impl IntoIterator<Item = GroupRow>, mut pairs: Vec<(u64, u64)>) -> Partial {
+    let mut rows: Vec<GroupRow> = rows.into_iter().collect();
+    rows.sort_unstable_by_key(|r| (r.k1, r.k2));
+    pairs.sort_unstable();
+    Partial::Groups { rows, pairs, paths: Vec::new() }
 }
 
-fn groups(mut rows: Vec<GroupRow>) -> Partial {
-    // Deterministic wire order (aggregation maps iterate randomly).
-    rows.sort_by_key(|r| (r.k1, r.k2));
-    Partial::Groups { rows, pairs: Vec::new(), paths: Vec::new() }
+fn group(k1: u64, k2: u64, a: i64, b: i64) -> GroupRow {
+    GroupRow { k1, k2, a, b }
 }
 
-/// Compute this shard's partial answer. Column layouts (`cols` / `text`):
+/// Compute this shard's partial answer; `None` for the replicated-only
+/// queries, which never scatter. Layouts:
 ///
-/// | query | cols | text |
-/// |-------|------|------|
-/// | Q1  | person, distance, #unis | last, city, unis…, companies… |
-/// | Q2/Q9 | author, message, date | first, last, content |
-/// | Q3  | person, x_count, y_count | — |
-/// | Q4/Q6 | count | tag name |
-/// | Q5  | forum, count | title |
-/// | Q7  | liker, message, like_date, latency_min, is_new | first, last |
-/// | Q8  | commenter, comment, date | first, last, content |
-/// | Q10 | person, score | first, last |
-/// | Q11 | person, work_from | first, last, company |
-/// | Q12 | person, count | first, last, tag names… |
-/// | Q13 | path length (one row iff reachable) | — |
-/// | Q14 | weight half-units, path… | — |
-/// | S2  | message, date, root_post, root_author | content |
-pub fn partial(snap: &PinnedSnapshot<'_>, engine: Engine, q: &ComplexQuery) -> Partial {
-    match q {
-        ComplexQuery::Q1(p) => rank_rows(q1::run(snap, engine, p).into_iter().map(|r| {
-            let mut text = vec![r.last_name.to_string(), r.city.to_string()];
-            let unis = r.universities.len() as i64;
-            text.extend(r.universities);
-            text.extend(r.companies);
-            MergedRow {
-                key: [0; 3],
-                cols: vec![r.person.raw() as i64, r.distance as i64, unis],
-                text,
-            }
-        })),
-        ComplexQuery::Q2(p) => top(
-            20,
-            q2::run(snap, engine, p)
-                .into_iter()
-                .map(|r| MergedRow {
-                    key: [-r.creation_date.0, r.message.raw() as i64, 0],
-                    cols: vec![r.author.raw() as i64, r.message.raw() as i64, r.creation_date.0],
-                    text: vec![r.first_name.to_string(), r.last_name.to_string(), r.content],
-                })
-                .collect(),
-        ),
+/// | query | partial | columns |
+/// |-------|---------|---------|
+/// | Q2/Q9 | top | author, message, date · first, last, content |
+/// | Q3  | groups | k1 person, a x count, b y count |
+/// | Q4  | groups | k1 tag, a in-window count; k2 = 1 marks a tag seen before the window |
+/// | Q5  | top | forum, count · title |
+/// | Q6  | groups | k1 tag, a count |
+/// | Q7  | top | liker, message, like_date, latency_min, is_new · first, last |
+/// | Q8  | top | commenter, comment, date · first, last, content |
+/// | Q10 | groups | k1 candidate, a score |
+/// | Q12 | groups | k1 friend, a count; pairs (friend, matched tag) |
+/// | Q14 | groups | (k1, k2) edge, a half-units; the paths |
+/// | S2  | top | message, date, root_post, root_author · content |
+pub fn partial(snap: &PinnedSnapshot<'_>, engine: Engine, q: &ComplexQuery) -> Option<Partial> {
+    Some(match q {
+        ComplexQuery::Q2(p) => top(q2::run(snap, engine, p), |r| MergedRow {
+            key: [-r.creation_date.0, r.message.raw() as i64, 0],
+            cols: vec![r.author.raw() as i64, r.message.raw() as i64, r.creation_date.0],
+            text: vec![r.first_name.to_string(), r.last_name.to_string(), r.content],
+        }),
         ComplexQuery::Q3(p) => {
-            let counts = match engine {
-                Engine::Intended => q3::intended(snap, p),
-                Engine::Naive => q3::naive(snap, p),
-            };
-            groups(
-                counts
-                    .into_iter()
-                    .map(|(id, (x, y))| GroupRow { k1: id, k2: 0, a: x as i64, b: y as i64 })
-                    .collect(),
-            )
+            let counts = q3::counts(snap, engine, p);
+            groups(counts.into_iter().map(|(id, (x, y))| group(id, 0, x.into(), y.into())), vec![])
         }
         ComplexQuery::Q4(p) => {
-            let (in_window, before) = match engine {
-                Engine::Intended => q4::intended(snap, p),
-                Engine::Naive => q4::naive(snap, p),
-            };
-            let mut rows: Vec<GroupRow> = in_window
-                .into_iter()
-                .map(|(tag, count)| GroupRow { k1: tag, k2: 0, a: count as i64, b: 0 })
-                .collect();
-            rows.extend(before.into_iter().map(|tag| GroupRow { k1: tag, k2: 1, a: 0, b: 0 }));
-            groups(rows)
+            let (in_window, before) = q4::counts(snap, engine, p);
+            let rows = in_window.into_iter().map(|(tag, count)| group(tag, 0, count.into(), 0));
+            groups(rows.chain(before.into_iter().map(|tag| group(tag, 1, 0, 0))), vec![])
         }
-        ComplexQuery::Q5(p) => top(
-            20,
-            q5::run(snap, engine, p)
-                .into_iter()
-                .map(|r| MergedRow {
-                    key: [-(r.count as i64), r.forum.raw() as i64, 0],
-                    cols: vec![r.forum.raw() as i64, r.count as i64],
-                    text: vec![r.title],
-                })
-                .collect(),
-        ),
+        ComplexQuery::Q5(p) => top(q5::run(snap, engine, p), |r| MergedRow {
+            key: [-(r.count as i64), r.forum.raw() as i64, 0],
+            cols: vec![r.forum.raw() as i64, r.count as i64],
+            text: vec![r.title],
+        }),
         ComplexQuery::Q6(p) => {
-            let counts = match engine {
-                Engine::Intended => q6::intended(snap, p),
-                Engine::Naive => q6::naive(snap, p),
-            };
-            groups(
-                counts
-                    .into_iter()
-                    .map(|(tag, count)| GroupRow { k1: tag, k2: 0, a: count as i64, b: 0 })
-                    .collect(),
-            )
+            let counts = q6::counts(snap, engine, p);
+            groups(counts.into_iter().map(|(tag, count)| group(tag, 0, count.into(), 0)), vec![])
         }
-        ComplexQuery::Q7(p) => top(
-            20,
-            q7::run(snap, engine, p)
-                .into_iter()
-                .map(|r| MergedRow {
-                    key: [-r.like_date.0, r.liker.raw() as i64, 0],
-                    cols: vec![
-                        r.liker.raw() as i64,
-                        r.message.raw() as i64,
-                        r.like_date.0,
-                        r.latency_minutes,
-                        i64::from(r.is_new),
-                    ],
-                    text: vec![r.first_name.to_string(), r.last_name.to_string()],
-                })
-                .collect(),
-        ),
-        ComplexQuery::Q8(p) => top(
-            20,
-            q8::run(snap, engine, p)
-                .into_iter()
-                .map(|r| MergedRow {
-                    key: [-r.creation_date.0, r.comment.raw() as i64, 0],
-                    cols: vec![r.commenter.raw() as i64, r.comment.raw() as i64, r.creation_date.0],
-                    text: vec![r.first_name.to_string(), r.last_name.to_string(), r.content],
-                })
-                .collect(),
-        ),
-        ComplexQuery::Q9(p) => top(
-            20,
-            q9::run(snap, engine, p)
-                .into_iter()
-                .map(|r| MergedRow {
-                    key: [-r.creation_date.0, r.message.raw() as i64, 0],
-                    cols: vec![r.author.raw() as i64, r.message.raw() as i64, r.creation_date.0],
-                    text: vec![r.first_name.to_string(), r.last_name.to_string(), r.content],
-                })
-                .collect(),
-        ),
+        ComplexQuery::Q7(p) => top(q7::run(snap, engine, p), |r| MergedRow {
+            key: [-r.like_date.0, r.liker.raw() as i64, 0],
+            cols: vec![
+                r.liker.raw() as i64,
+                r.message.raw() as i64,
+                r.like_date.0,
+                r.latency_minutes,
+                i64::from(r.is_new),
+            ],
+            text: vec![r.first_name.to_string(), r.last_name.to_string()],
+        }),
+        ComplexQuery::Q8(p) => top(q8::run(snap, engine, p), |r| MergedRow {
+            key: [-r.creation_date.0, r.comment.raw() as i64, 0],
+            cols: vec![r.commenter.raw() as i64, r.comment.raw() as i64, r.creation_date.0],
+            text: vec![r.first_name.to_string(), r.last_name.to_string(), r.content],
+        }),
+        ComplexQuery::Q9(p) => top(q9::run(snap, engine, p), |r| MergedRow {
+            key: [-r.creation_date.0, r.message.raw() as i64, 0],
+            cols: vec![r.author.raw() as i64, r.message.raw() as i64, r.creation_date.0],
+            text: vec![r.first_name.to_string(), r.last_name.to_string(), r.content],
+        }),
+        // score = 2·common − total is linear in per-message terms, so
+        // per-shard scores add up to the global score.
         ComplexQuery::Q10(p) => {
-            let interests: HashSet<snb_core::TagId> = match snap.person_ref(p.person) {
-                Some(me) => me.interests.iter().copied().collect(),
-                None => return groups(Vec::new()),
-            };
-            let cands = q10::horoscope_candidates(snap, p);
-            let scores = match engine {
-                Engine::Intended => q10::intended(snap, &cands, &interests),
-                Engine::Naive => q10::naive(snap, &cands, &interests),
-            };
-            // score = 2·common − total is linear in per-message terms, so
-            // per-shard scores add up to the global score.
-            groups(scores.into_iter().map(|(c, s)| GroupRow { k1: c, k2: 0, a: s, b: 0 }).collect())
-        }
-        ComplexQuery::Q11(p) => {
-            rank_rows(q11::run(snap, engine, p).into_iter().map(|r| MergedRow {
-                key: [0; 3],
-                cols: vec![r.person.raw() as i64, r.work_from as i64],
-                text: vec![r.first_name.to_string(), r.last_name.to_string(), r.company],
-            }))
+            let scores = q10::counts(snap, engine, p);
+            groups(scores.into_iter().map(|(c, score)| group(c, 0, score, 0)), vec![])
         }
         ComplexQuery::Q12(p) => {
-            let dicts = Dictionaries::global();
-            let classes: HashSet<usize> =
-                dicts.tags.class_descendants(p.tag_class).into_iter().collect();
-            let agg = match engine {
-                Engine::Intended => q12::intended(snap, p, &classes),
-                Engine::Naive => q12::naive(snap, p, &classes),
-            };
-            let mut rows = Vec::with_capacity(agg.len());
-            let mut pairs = Vec::new();
-            for (friend, (count, tags)) in agg {
-                rows.push(GroupRow { k1: friend, k2: 0, a: count as i64, b: 0 });
-                pairs.extend(tags.into_iter().map(|t| (friend, t)));
-            }
-            rows.sort_by_key(|r| (r.k1, r.k2));
-            pairs.sort_unstable();
-            Partial::Groups { rows, pairs, paths: Vec::new() }
-        }
-        ComplexQuery::Q13(p) => {
-            let len = q13::run(snap, engine, p);
-            let rows = if len >= 0 {
-                vec![MergedRow { key: [0; 3], cols: vec![len as i64], text: Vec::new() }]
-            } else {
-                Vec::new()
-            };
-            Partial::Top { limit: u32::MAX, rows }
+            let agg = q12::counts(snap, engine, p);
+            let pairs = agg.iter().flat_map(|(&f, (_, tags))| tags.iter().map(move |&t| (f, t)));
+            let pairs = pairs.collect();
+            groups(agg.into_iter().map(|(f, (count, _))| group(f, 0, count.into(), 0)), pairs)
         }
         ComplexQuery::Q14(p) => {
-            let paths = q14::shortest_paths(snap, engine, p);
-            // This shard's half-unit weight of every path edge, already
-            // sorted by edge; the merge adds them across shards.
-            let rows = q14::edge_weights(snap, &paths)
-                .into_iter()
-                .map(|((lo, hi), halves)| GroupRow { k1: lo, k2: hi, a: halves, b: 0 })
-                .collect();
-            Partial::Groups { rows, pairs: Vec::new(), paths }
+            // The edge weights come sorted by edge; the merge adds them
+            // across shards.
+            let (paths, weights) = q14::counts(snap, engine, p);
+            let rows = weights.into_iter().map(|((lo, hi), halves)| group(lo, hi, halves, 0));
+            Partial::Groups { rows: rows.collect(), pairs: Vec::new(), paths }
         }
-    }
+        // Replicated-only (see [`scatters`]): any one shard runs it whole.
+        _ => return None,
+    })
 }
 
 /// Partial for a scattered short read (S2 only; see [`scatters_short`]).
 pub fn partial_short(snap: &PinnedSnapshot<'_>, s: &ShortQuery) -> Option<Partial> {
     match s {
-        ShortQuery::S2(person) => Some(top(
-            10,
-            short::s2_recent_messages(snap, *person)
-                .into_iter()
-                .map(|r| MergedRow {
-                    // S2 walk order: date desc, message id desc.
-                    key: [-r.creation_date.0, -(r.message.raw() as i64), 0],
-                    cols: vec![
-                        r.message.raw() as i64,
-                        r.creation_date.0,
-                        r.root_post.raw() as i64,
-                        r.root_author.raw() as i64,
-                    ],
-                    text: vec![r.content],
-                })
-                .collect(),
-        )),
+        ShortQuery::S2(person) => Some(top(short::s2_recent_messages(snap, *person), |r| {
+            MergedRow {
+                // S2 walk order: date desc, message id desc.
+                key: [-r.creation_date.0, -(r.message.raw() as i64), 0],
+                cols: vec![
+                    r.message.raw() as i64,
+                    r.creation_date.0,
+                    r.root_post.raw() as i64,
+                    r.root_author.raw() as i64,
+                ],
+                text: vec![r.content],
+            }
+        })),
         _ => None,
     }
 }
 
-/// Exact conversion of weights that are multiples of 0.5 into half-units.
-fn half_units(w: f64) -> i64 {
-    (w * 2.0).round() as i64
-}
-
 /// Merge per-shard partials into the final result rows (final order,
-/// truncated to the query's limit). Exact for every query — see the
-/// module docs for the per-class argument.
+/// truncated to the query's limit). Exact for every scattering query — see
+/// the module docs for the per-class argument; the replicated-only queries
+/// have no partials and merge to nothing.
+///
+/// Top-union queries return the shards' rows. The group queries return
+/// their rank step's output as unkeyed rows: Q3 `person, x, y`; Q4/Q6
+/// `count` · tag name; Q10 `person, score`; Q12 `person, count` · tag
+/// names; Q14 `half-units, path…`.
 pub fn merge(q: &ComplexQuery, parts: Vec<Partial>) -> Vec<MergedRow> {
     match q {
-        ComplexQuery::Q1(_)
-        | ComplexQuery::Q2(_)
-        | ComplexQuery::Q5(_)
-        | ComplexQuery::Q8(_)
-        | ComplexQuery::Q9(_)
-        | ComplexQuery::Q11(_)
-        | ComplexQuery::Q13(_) => merge_top(parts),
+        ComplexQuery::Q2(_) => ranked(top_rows(parts), q2::LIMIT),
+        ComplexQuery::Q5(_) => ranked(top_rows(parts), q5::LIMIT),
         ComplexQuery::Q7(_) => merge_q7(parts),
+        ComplexQuery::Q8(_) => ranked(top_rows(parts), q8::LIMIT),
+        ComplexQuery::Q9(_) => ranked(top_rows(parts), q9::LIMIT),
         ComplexQuery::Q3(_) => {
-            let (acc, _, _) = sum_groups(parts);
-            let mut out: Vec<MergedRow> = acc
-                .into_iter()
-                .filter(|&(_, (x, y))| x > 0 && y > 0)
-                .map(|((id, _), (x, y))| MergedRow {
-                    key: [-(x + y), id as i64, 0],
-                    cols: vec![id as i64, x, y],
-                    text: Vec::new(),
-                })
-                .collect();
-            out.sort();
-            out.truncate(20);
-            out
+            let mut counts: HashMap<u64, (u32, u32)> = HashMap::new();
+            for r in group_rows(&parts) {
+                let e = counts.entry(r.k1).or_default();
+                e.0 += r.a as u32;
+                e.1 += r.b as u32;
+            }
+            let ranked = q3::rank(counts);
+            ranked.into_iter().map(|(id, x, y)| row(vec![id as i64, x.into(), y.into()])).collect()
         }
         ComplexQuery::Q4(_) => {
-            let (acc, _, _) = sum_groups(parts);
-            let mut win: HashMap<u64, i64> = HashMap::new();
-            let mut before: HashSet<u64> = HashSet::new();
-            for ((tag, kind), (count, _)) in acc {
-                if kind == 0 {
-                    *win.entry(tag).or_default() += count;
+            let mut in_window: HashMap<u64, u32> = HashMap::new();
+            let mut before = HashSet::new();
+            for r in group_rows(&parts) {
+                if r.k2 == 0 {
+                    *in_window.entry(r.k1).or_default() += r.a as u32;
                 } else {
-                    before.insert(tag);
+                    before.insert(r.k1);
                 }
             }
-            win.retain(|tag, _| !before.contains(tag));
-            rank_tag_counts(win, 10)
+            tag_rows(q4::rank((in_window, before)))
         }
         ComplexQuery::Q6(_) => {
-            let (acc, _, _) = sum_groups(parts);
-            rank_tag_counts(acc.into_iter().map(|((tag, _), (c, _))| (tag, c)).collect(), 10)
+            let mut counts: HashMap<u64, u32> = HashMap::new();
+            for r in group_rows(&parts) {
+                *counts.entry(r.k1).or_default() += r.a as u32;
+            }
+            tag_rows(q6::rank(counts))
         }
         ComplexQuery::Q10(_) => {
-            let (acc, _, _) = sum_groups(parts);
-            let mut out: Vec<(Reverse<i64>, u64)> =
-                acc.into_iter().map(|((id, _), (score, _))| (Reverse(score), id)).collect();
-            out.sort_unstable();
-            out.truncate(10);
-            out.into_iter()
-                .map(|(Reverse(score), id)| MergedRow {
-                    key: [-score, id as i64, 0],
-                    cols: vec![id as i64, score],
-                    text: Vec::new(),
-                })
-                .collect()
+            let mut scores: HashMap<u64, i64> = HashMap::new();
+            for r in group_rows(&parts) {
+                *scores.entry(r.k1).or_default() += r.a;
+            }
+            q10::rank(scores).into_iter().map(|(id, score)| row(vec![id as i64, score])).collect()
         }
         ComplexQuery::Q12(_) => {
-            let (acc, pairs, _) = sum_groups(parts);
-            let mut tags: HashMap<u64, std::collections::BTreeSet<u64>> = HashMap::new();
-            for (friend, tag) in pairs {
-                tags.entry(friend).or_default().insert(tag);
+            let mut agg: q12::Agg = HashMap::new();
+            for r in group_rows(&parts) {
+                agg.entry(r.k1).or_default().0 += r.a as u32;
             }
-            let mut out: Vec<(Reverse<i64>, u64)> = acc
+            for part in &parts {
+                if let Partial::Groups { pairs, .. } = part {
+                    for &(friend, tag) in pairs {
+                        agg.entry(friend).or_default().1.insert(tag);
+                    }
+                }
+            }
+            q12::rank(agg)
                 .into_iter()
-                .filter(|&(_, (count, _))| count > 0)
-                .map(|((id, _), (count, _))| (Reverse(count), id))
-                .collect();
-            out.sort_unstable();
-            out.truncate(20);
-            out.into_iter()
-                .map(|(Reverse(count), id)| MergedRow {
-                    key: [-count, id as i64, 0],
-                    cols: vec![id as i64, count],
-                    text: q12::tag_names(&tags.remove(&id).unwrap_or_default()),
+                .map(|(id, count, tags)| MergedRow {
+                    text: q12::tag_names(&tags),
+                    ..row(vec![id as i64, count.into()])
                 })
                 .collect()
         }
         ComplexQuery::Q14(_) => {
-            let (acc, _, paths) = sum_groups(parts);
-            let mut out: Vec<MergedRow> = paths
+            let mut weights: BTreeMap<(u64, u64), i64> = BTreeMap::new();
+            for r in group_rows(&parts) {
+                *weights.entry((r.k1, r.k2)).or_default() += r.a;
+            }
+            let Some(Partial::Groups { paths, .. }) = parts.into_iter().next() else {
+                return Vec::new();
+            };
+            q14::rank((paths, weights.into_iter().collect()))
                 .into_iter()
-                .map(|path| {
-                    let halves: i64 = path
-                        .windows(2)
-                        .map(|w| {
-                            let pair = (w[0].min(w[1]), w[0].max(w[1]));
-                            acc.get(&pair).map_or(0, |&(h, _)| h)
-                        })
-                        .sum();
-                    let mut cols = vec![halves];
-                    cols.extend(path.iter().map(|&p| p as i64));
-                    MergedRow { key: [-halves, 0, 0], cols, text: Vec::new() }
+                .map(|(halves, path)| {
+                    row(std::iter::once(halves).chain(path.into_iter().map(|p| p as i64)).collect())
                 })
-                .collect();
-            // Weight desc, then path asc (cols after the shared halves
-            // column compare lexicographically over the path ids).
-            out.sort();
-            out
+                .collect()
         }
+        // Replicated-only (see [`scatters`]): never scattered.
+        _ => Vec::new(),
     }
 }
 
 /// Merge partials of a scattered short read (S2 only).
 pub fn merge_short(s: &ShortQuery, parts: Vec<Partial>) -> Vec<MergedRow> {
     debug_assert!(scatters_short(s));
-    merge_top(parts)
+    ranked(top_rows(parts), short::S2_LIMIT)
 }
 
-/// Union per-shard top lists, re-sort on the explicit key, truncate.
-fn merge_top(parts: Vec<Partial>) -> Vec<MergedRow> {
-    let mut limit = usize::MAX;
-    let mut all = Vec::new();
-    for p in parts {
-        if let Partial::Top { limit: l, rows } = p {
-            limit = l as usize;
-            all.extend(rows);
-        }
-    }
+/// An unkeyed merged row: the group queries' rank step already ordered it.
+fn row(cols: Vec<i64>) -> MergedRow {
+    MergedRow { key: [0; 3], cols, text: Vec::new() }
+}
+
+/// Q4/Q6 rows: count, with the tag's name from the embedded dictionary.
+fn tag_rows(ranked: Vec<(u64, u32)>) -> Vec<MergedRow> {
+    let tags = &Dictionaries::global().tags;
+    ranked
+        .into_iter()
+        .map(|(tag, count)| MergedRow {
+            text: vec![tags.tag(tag as usize).name.clone()],
+            ..row(vec![count.into()])
+        })
+        .collect()
+}
+
+/// Every shard's top rows, in shard order.
+fn top_rows(parts: Vec<Partial>) -> impl Iterator<Item = MergedRow> {
+    parts.into_iter().flat_map(|p| match p {
+        Partial::Top(rows) => rows,
+        Partial::Groups { .. } => Vec::new(),
+    })
+}
+
+/// Every shard's group rows, in shard order.
+fn group_rows(parts: &[Partial]) -> impl Iterator<Item = &GroupRow> {
+    parts.iter().flat_map(|p| match p {
+        Partial::Groups { rows, .. } => rows.as_slice(),
+        Partial::Top(_) => &[],
+    })
+}
+
+/// Sort top rows on their explicit key and keep the first `limit`.
+fn ranked(rows: impl Iterator<Item = MergedRow>, limit: usize) -> Vec<MergedRow> {
+    let mut all: Vec<MergedRow> = rows.collect();
     all.sort();
     all.truncate(limit);
     all
 }
 
-/// Q7: de-duplicate per liker keeping the globally latest like (larger
-/// date; smaller message id on ties), then rank.
+/// Q7: keep each liker's globally latest like with the rule `q7::run`
+/// applies on each shard, then rank.
 fn merge_q7(parts: Vec<Partial>) -> Vec<MergedRow> {
-    let mut latest: HashMap<i64, MergedRow> = HashMap::new();
-    for p in parts {
-        let Partial::Top { rows, .. } = p else { continue };
-        for row in rows {
-            let (liker, msg, date) = (row.cols[0], row.cols[1], row.cols[2]);
-            match latest.entry(liker) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(row);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let cur = e.get();
-                    if (date, Reverse(msg)) > (cur.cols[2], Reverse(cur.cols[1])) {
-                        e.insert(row);
-                    }
-                }
-            }
-        }
+    // cols: liker, message, like date.
+    let like = |r: &MergedRow| (r.cols[0] as u64, (SimTime(r.cols[2]), r.cols[1] as u64));
+    let rows: Vec<MergedRow> = top_rows(parts).collect();
+    let mut latest = HashMap::new();
+    for (liker, (date, msg)) in rows.iter().map(like) {
+        q7::keep_latest(&mut latest, liker, date, msg);
     }
-    let mut all: Vec<MergedRow> = latest.into_values().collect();
-    all.sort();
-    all.truncate(20);
-    all
-}
-
-/// Sum group measures per (k1, k2); union pairs; keep the first shard's
-/// paths (identical everywhere — the knows graph is replicated).
-type GroupSums = (HashMap<(u64, u64), (i64, i64)>, Vec<(u64, u64)>, Vec<Vec<u64>>);
-
-fn sum_groups(parts: Vec<Partial>) -> GroupSums {
-    let mut acc: HashMap<(u64, u64), (i64, i64)> = HashMap::new();
-    let mut all_pairs = Vec::new();
-    let mut first_paths: Option<Vec<Vec<u64>>> = None;
-    for p in parts {
-        let Partial::Groups { rows, pairs, paths } = p else { continue };
-        for r in rows {
-            let e = acc.entry((r.k1, r.k2)).or_default();
-            e.0 += r.a;
-            e.1 += r.b;
-        }
-        all_pairs.extend(pairs);
-        first_paths.get_or_insert(paths);
-    }
-    (acc, all_pairs, first_paths.unwrap_or_default())
-}
-
-/// Shared Q4/Q6 ranking: count desc, tag name asc, truncate, materialize
-/// names from the embedded dictionary (identical in every process).
-fn rank_tag_counts(counts: HashMap<u64, i64>, limit: usize) -> Vec<MergedRow> {
-    let dicts = Dictionaries::global();
-    let mut out: Vec<(Reverse<i64>, String)> = counts
-        .into_iter()
-        .map(|(tag, count)| (Reverse(count), dicts.tags.tag(tag as usize).name.clone()))
-        .collect();
-    out.sort_unstable();
-    out.truncate(limit);
-    out.into_iter()
-        .enumerate()
-        .map(|(i, (Reverse(count), name))| MergedRow {
-            key: [i as i64, 0, 0],
-            cols: vec![count],
-            text: vec![name],
-        })
-        .collect()
-}
-
-/// Single-process oracle: the plain `run()` rows converted into the same
-/// [`MergedRow`] layout [`merge`] produces. Differential tests (and the
-/// sharded loopback test in `snb-net`) compare scattered merges against
-/// this pointwise.
-pub fn reference(snap: &PinnedSnapshot<'_>, engine: Engine, q: &ComplexQuery) -> Vec<MergedRow> {
-    match q {
-        ComplexQuery::Q3(p) => q3::run(snap, engine, p)
-            .into_iter()
-            .map(|r| {
-                let (x, y) = (r.x_count as i64, r.y_count as i64);
-                MergedRow {
-                    key: [-(x + y), r.person.raw() as i64, 0],
-                    cols: vec![r.person.raw() as i64, x, y],
-                    text: Vec::new(),
-                }
-            })
-            .collect(),
-        ComplexQuery::Q4(p) => q4::run(snap, engine, p)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| MergedRow {
-                key: [i as i64, 0, 0],
-                cols: vec![r.count as i64],
-                text: vec![r.tag],
-            })
-            .collect(),
-        ComplexQuery::Q6(p) => q6::run(snap, engine, p)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| MergedRow {
-                key: [i as i64, 0, 0],
-                cols: vec![r.count as i64],
-                text: vec![r.tag],
-            })
-            .collect(),
-        ComplexQuery::Q10(p) => q10::run(snap, engine, p)
-            .into_iter()
-            .map(|r| MergedRow {
-                key: [-r.score, r.person.raw() as i64, 0],
-                cols: vec![r.person.raw() as i64, r.score],
-                text: Vec::new(),
-            })
-            .collect(),
-        ComplexQuery::Q12(p) => q12::run(snap, engine, p)
-            .into_iter()
-            .map(|r| MergedRow {
-                key: [-(r.count as i64), r.person.raw() as i64, 0],
-                cols: vec![r.person.raw() as i64, r.count as i64],
-                text: r.tags,
-            })
-            .collect(),
-        ComplexQuery::Q14(p) => q14::run(snap, engine, p)
-            .into_iter()
-            .map(|r| {
-                let halves = half_units(r.weight);
-                let mut cols = vec![halves];
-                cols.extend(r.path.iter().map(|p| p.raw() as i64));
-                MergedRow { key: [-halves, 0, 0], cols, text: Vec::new() }
-            })
-            .collect(),
-        // Top-union and replicated-only queries: the reference conversion
-        // is exactly the partial conversion over the full store.
-        _ => merge(q, vec![partial(snap, engine, q)]),
-    }
-}
-
-/// Single-process S2 oracle (see [`reference`]).
-pub fn reference_short(snap: &PinnedSnapshot<'_>, s: &ShortQuery) -> Vec<MergedRow> {
-    partial_short(snap, s).map(|p| merge_short(s, vec![p])).unwrap_or_default()
+    let kept = rows.into_iter().filter(|r| latest.get(&like(r).0) == Some(&like(r).1));
+    ranked(kept, q7::LIMIT)
 }
 
 #[cfg(test)]
@@ -621,6 +386,7 @@ mod tests {
     use snb_core::shard::ShardMap;
     use snb_core::PersonId;
     use snb_store::Store;
+    use std::cmp::Reverse;
     use std::sync::OnceLock;
 
     /// Two stores holding the 2-shard split of the fixture dataset.
@@ -672,16 +438,83 @@ mod tests {
         ]
     }
 
+    /// `run()`'s rows in the shape the merge must give them. For the group
+    /// queries, that is every column. The top-union queries ship `run()`'s
+    /// own rows and the merge only re-orders them, so for those it is the
+    /// id their merge key sorts by (`key[1]`).
+    fn run_rows(
+        snap: &PinnedSnapshot<'_>,
+        engine: Engine,
+        q: &ComplexQuery,
+    ) -> Vec<(Vec<i64>, Vec<String>)> {
+        fn cols<R>(rows: Vec<R>, f: impl Fn(R) -> Vec<i64>) -> Vec<(Vec<i64>, Vec<String>)> {
+            rows.into_iter().map(|r| (f(r), Vec::new())).collect()
+        }
+        let id = |raw: u64| raw as i64;
+        match q {
+            ComplexQuery::Q2(p) => cols(q2::run(snap, engine, p), |r| vec![id(r.message.raw())]),
+            ComplexQuery::Q3(p) => cols(q3::run(snap, engine, p), |r| {
+                vec![id(r.person.raw()), r.x_count.into(), r.y_count.into()]
+            }),
+            ComplexQuery::Q4(p) => q4::run(snap, engine, p)
+                .into_iter()
+                .map(|r| (vec![r.count.into()], vec![r.tag]))
+                .collect(),
+            ComplexQuery::Q5(p) => cols(q5::run(snap, engine, p), |r| vec![id(r.forum.raw())]),
+            ComplexQuery::Q6(p) => q6::run(snap, engine, p)
+                .into_iter()
+                .map(|r| (vec![r.count.into()], vec![r.tag]))
+                .collect(),
+            ComplexQuery::Q7(p) => cols(q7::run(snap, engine, p), |r| vec![id(r.liker.raw())]),
+            ComplexQuery::Q8(p) => cols(q8::run(snap, engine, p), |r| vec![id(r.comment.raw())]),
+            ComplexQuery::Q9(p) => cols(q9::run(snap, engine, p), |r| vec![id(r.message.raw())]),
+            ComplexQuery::Q10(p) => {
+                cols(q10::run(snap, engine, p), |r| vec![id(r.person.raw()), r.score])
+            }
+            ComplexQuery::Q12(p) => q12::run(snap, engine, p)
+                .into_iter()
+                .map(|r| (vec![id(r.person.raw()), r.count.into()], r.tags))
+                .collect(),
+            ComplexQuery::Q14(p) => cols(q14::run(snap, engine, p), |r| {
+                let halves = (r.weight * 2.0) as i64;
+                std::iter::once(halves).chain(r.path.iter().map(|p| id(p.raw()))).collect()
+            }),
+            _ => unreachable!("{q:?} does not scatter"),
+        }
+    }
+
+    /// Every scattering query of [`queries`] and [`per_person_queries`],
+    /// on both engines.
+    fn scattering_cases() -> Vec<(ComplexQuery, Engine)> {
+        queries()
+            .into_iter()
+            .chain(per_person_queries())
+            .filter(scatters)
+            .flat_map(|q| [(q.clone(), Engine::Intended), (q, Engine::Naive)])
+            .collect()
+    }
+
     #[test]
     fn merging_one_full_partial_matches_the_plain_run() {
         let f = fixture();
         let snap = f.store.pinned();
-        for q in queries() {
-            for engine in [Engine::Intended, Engine::Naive] {
-                let merged = merge(&q, vec![partial(&snap, engine, &q)]);
-                let expect = reference(&snap, engine, &q);
-                assert_eq!(merged, expect, "{q:?} single-partial identity");
-            }
+        for (q, engine) in scattering_cases() {
+            let part = partial(&snap, engine, &q).unwrap();
+            let top_union = matches!(part, Partial::Top(_));
+            let merged: Vec<(Vec<i64>, Vec<String>)> = merge(&q, vec![part])
+                .into_iter()
+                .map(|r| if top_union { (vec![r.key[1]], Vec::new()) } else { (r.cols, r.text) })
+                .collect();
+            assert_eq!(merged, run_rows(&snap, engine, &q), "{q:?} {engine:?} single partial");
+        }
+        for raw in (0..f.ds.persons.len() as u64).step_by(7) {
+            let s = ShortQuery::S2(PersonId(raw));
+            let merged = merge_short(&s, vec![partial_short(&snap, &s).unwrap()]);
+            let want: Vec<i64> = short::s2_recent_messages(&snap, PersonId(raw))
+                .iter()
+                .map(|r| -(r.message.raw() as i64))
+                .collect();
+            assert_eq!(merged.iter().map(|r| r.key[1]).collect::<Vec<_>>(), want, "S2 {raw}");
         }
     }
 
@@ -739,30 +572,21 @@ mod tests {
         let full = f.store.pinned();
         let [s0, s1] = shards();
         let (p0, p1) = (s0.pinned(), s1.pinned());
-        let cases = queries().into_iter().map(|q| (q, Engine::Intended)).chain(
-            per_person_queries()
-                .into_iter()
-                .flat_map(|q| [(q.clone(), Engine::Intended), (q, Engine::Naive)]),
-        );
         let mut answered = std::collections::BTreeSet::new();
-        for (q, engine) in cases {
-            let expect = reference(&full, engine, &q);
+        for (q, engine) in scattering_cases() {
+            let expect = merge(&q, vec![partial(&full, engine, &q).unwrap()]);
             if !expect.is_empty() {
                 answered.insert(q.number());
             }
-            if scatters(&q) {
-                let merged = merge(&q, vec![partial(&p0, engine, &q), partial(&p1, engine, &q)]);
-                assert_eq!(merged, expect, "{q:?} {engine:?} 2-shard scatter");
-            } else {
-                // Replicated-only queries: any single shard answers whole.
-                for p in [&p0, &p1] {
-                    let merged = merge(&q, vec![partial(p, engine, &q)]);
-                    assert_eq!(merged, expect, "{q:?} {engine:?} single-shard route");
-                }
-            }
+            let parts = [&p0, &p1].map(|p| partial(p, engine, &q).unwrap());
+            assert_eq!(merge(&q, parts.into()), expect, "{q:?} {engine:?} 2-shard scatter");
         }
         for n in [3, 4, 5, 6, 7, 10, 12, 14] {
             assert!(answered.contains(&n), "no binding of Q{n} returned rows");
+        }
+        // Replicated-only queries are routed whole: no store offers a partial.
+        for q in queries().into_iter().filter(|q| !scatters(q)) {
+            assert!([&full, &p0, &p1].iter().all(|s| partial(s, Engine::Intended, &q).is_none()));
         }
     }
 
@@ -778,7 +602,8 @@ mod tests {
                 &s,
                 vec![partial_short(&p0, &s).unwrap(), partial_short(&p1, &s).unwrap()],
             );
-            assert_eq!(merged, reference_short(&full, &s), "S2 person {raw}");
+            let expect = merge_short(&s, vec![partial_short(&full, &s).unwrap()]);
+            assert_eq!(merged, expect, "S2 person {raw}");
         }
     }
 
@@ -788,8 +613,8 @@ mod tests {
         // sharded path, since OpOutcome.rows feeds validation.
         let f = fixture();
         let snap = f.store.pinned();
-        for q in queries() {
-            let rows = merge(&q, vec![partial(&snap, Engine::Intended, &q)]).len();
+        for q in queries().into_iter().filter(scatters) {
+            let rows = merge(&q, vec![partial(&snap, Engine::Intended, &q).unwrap()]).len();
             let plain = crate::complex::run_complex(&snap, Engine::Intended, &q);
             assert_eq!(rows, plain, "{q:?} row count");
         }

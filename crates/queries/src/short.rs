@@ -63,10 +63,13 @@ pub struct RecentMessageRow {
     pub root_author: PersonId,
 }
 
+/// S2's result limit.
+pub(crate) const S2_LIMIT: usize = 10;
+
 /// Run S2.
 pub fn s2_recent_messages(snap: &PinnedSnapshot<'_>, person: PersonId) -> Vec<RecentMessageRow> {
     snap.recent_messages_walk(person, SimTime(i64::MAX))
-        .take(10)
+        .take(S2_LIMIT)
         .filter_map(|(msg, date)| {
             let row = snap.message(MessageId(msg))?;
             let root = row.reply_info.map(|(_, root)| root).unwrap_or(MessageId(msg));

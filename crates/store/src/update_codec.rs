@@ -1,11 +1,14 @@
 //! The binary encoding of an [`UpdateOp`] — the one on-disk / on-wire
 //! format of an update: [`crate::wal`] frames it into log records and
 //! `snb-net`'s wire protocol carries it as the payload of an update
-//! request (via the crate-root `encode_update` / `decode_update`).
+//! request. [`encode_update`] / [`decode_update`] are the one pair both use.
 //!
 //! The encoding is hand-rolled and versioned rather than serde-based: the
 //! schema structs hold `&'static str` dictionary references, which we
-//! re-intern on decode via the dictionary intern helpers.
+//! re-intern on decode via the dictionary intern helpers. Decoding runs on
+//! bytes from disk and from the network alike, so every length prefix is
+//! bounded by the bytes actually left (`get_len`) before anything is
+//! allocated for it.
 
 use snb_core::dict::names::{intern_name, Gender};
 use snb_core::dict::places::intern_language;
@@ -16,19 +19,6 @@ use snb_core::schema::{
 use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
 use snb_core::{ForumId, MessageId, OrganisationId, PersonId, TagId};
-
-/// Encode one update operation in the WAL's versioned binary format
-/// (without the record framing). Shared with `snb-net`'s wire protocol so
-/// an operation has exactly one on-disk / on-wire encoding.
-pub fn encode_update(op: &UpdateOp, buf: &mut Vec<u8>) {
-    encode_op(op, buf);
-}
-
-/// Decode one update operation encoded by [`encode_update`], advancing
-/// `p` past it. `None` on truncation or an unknown dictionary reference.
-pub fn decode_update(p: &mut &[u8]) -> Option<UpdateOp> {
-    decode_op(p)
-}
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -51,12 +41,9 @@ fn put_tags(buf: &mut Vec<u8>, tags: &[TagId]) {
 }
 
 fn get_u64(p: &mut &[u8]) -> Option<u64> {
-    if p.len() < 8 {
-        return None;
-    }
-    let v = u64::from_le_bytes(p[..8].try_into().unwrap());
-    *p = &p[8..];
-    Some(v)
+    let (bytes, rest) = p.split_first_chunk::<8>()?;
+    *p = rest;
+    Some(u64::from_le_bytes(*bytes))
 }
 
 fn get_i64(p: &mut &[u8]) -> Option<i64> {
@@ -64,20 +51,22 @@ fn get_i64(p: &mut &[u8]) -> Option<i64> {
 }
 
 fn get_str(p: &mut &[u8]) -> Option<String> {
-    let len = get_u64(p)? as usize;
-    if p.len() < len {
-        return None;
-    }
-    let s = String::from_utf8(p[..len].to_vec()).ok()?;
-    *p = &p[len..];
-    Some(s)
+    let len = get_len(p, 1)?;
+    let (bytes, rest) = p.split_at(len);
+    *p = rest;
+    String::from_utf8(bytes.to_vec()).ok()
+}
+
+/// A count of entries that take at least `min_bytes` each, or `None` when
+/// the bytes left could not hold that many — so a hostile count cannot
+/// make the decoder reserve more than the input could fill.
+fn get_len(p: &mut &[u8], min_bytes: usize) -> Option<usize> {
+    let n = get_u64(p)?;
+    (n <= (p.len() / min_bytes) as u64).then_some(n as usize)
 }
 
 fn get_tags(p: &mut &[u8]) -> Option<Vec<TagId>> {
-    let n = get_u64(p)? as usize;
-    if n > 1 << 20 {
-        return None;
-    }
+    let n = get_len(p, 8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(TagId(get_u64(p)?));
@@ -131,12 +120,13 @@ fn decode_person(p: &mut &[u8]) -> Option<Person> {
     let country = get_u64(p)? as usize;
     let browser = intern_browser(&get_str(p)?)?;
     let location_ip = get_str(p)?;
-    let n_langs = get_u64(p)? as usize;
+    // Strings are a length word and their bytes.
+    let n_langs = get_len(p, 8)?;
     let mut languages = Vec::with_capacity(n_langs);
     for _ in 0..n_langs {
         languages.push(intern_language(&get_str(p)?)?);
     }
-    let n_emails = get_u64(p)? as usize;
+    let n_emails = get_len(p, 8)?;
     let mut emails = Vec::with_capacity(n_emails);
     for _ in 0..n_emails {
         emails.push(get_str(p)?);
@@ -147,7 +137,7 @@ fn decode_person(p: &mut &[u8]) -> Option<Person> {
     } else {
         None
     };
-    let n_work = get_u64(p)? as usize;
+    let n_work = get_len(p, 16)?;
     let mut work_at = Vec::with_capacity(n_work);
     for _ in 0..n_work {
         work_at
@@ -178,7 +168,9 @@ fn take_u8(p: &mut &[u8]) -> Option<u8> {
     Some(b)
 }
 
-pub(crate) fn encode_op(op: &UpdateOp, buf: &mut Vec<u8>) {
+/// Encode one update operation in the versioned binary format (without
+/// the WAL's record framing).
+pub fn encode_update(op: &UpdateOp, buf: &mut Vec<u8>) {
     match op {
         UpdateOp::AddPerson(p) => {
             buf.push(1);
@@ -264,7 +256,10 @@ fn decode_like(p: &mut &[u8]) -> Option<Like> {
     })
 }
 
-pub(crate) fn decode_op(p: &mut &[u8]) -> Option<UpdateOp> {
+/// Decode one update operation encoded by [`encode_update`], advancing
+/// `p` past it. `None` on truncation, a length the input cannot hold, or
+/// an unknown dictionary reference.
+pub fn decode_update(p: &mut &[u8]) -> Option<UpdateOp> {
     match take_u8(p)? {
         1 => Some(UpdateOp::AddPerson(decode_person(p)?)),
         2 => Some(UpdateOp::AddPostLike(decode_like(p)?)),

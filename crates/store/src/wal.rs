@@ -39,7 +39,7 @@
 //! in the encoding of `update_codec.rs`; this file is the log, group
 //! commit and replay only.
 
-use crate::update_codec::{decode_op, encode_op};
+use crate::update_codec::{decode_update, encode_update};
 use snb_core::update::UpdateOp;
 use snb_core::{SnbError, SnbResult};
 use snb_obs::{Counter, LatencyHistogram};
@@ -329,7 +329,7 @@ impl Wal {
     pub fn append(&self, op: &UpdateOp) -> SnbResult<Appended> {
         let mut payload = Vec::with_capacity(128);
         payload.push(WAL_VERSION);
-        encode_op(op, &mut payload);
+        encode_update(op, &mut payload);
         let len = payload.len() as u32;
         let mut w = lock(&self.writer);
         let seq = w.appended + 1;
@@ -568,7 +568,7 @@ pub fn replay(path: &Path) -> SnbResult<Replay> {
             break; // hole or reordering in the sequence, or foreign version
         }
         let mut p = &payload[1..];
-        let Some(op) = decode_op(&mut p) else { break };
+        let Some(op) = decode_update(&mut p) else { break };
         ops.push(op);
         seq = rseq;
         off += RECORD_HEADER + len;
