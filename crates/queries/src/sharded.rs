@@ -374,7 +374,10 @@ fn merge_q7(parts: Vec<Partial>) -> Vec<MergedRow> {
     for (liker, (date, msg)) in rows.iter().map(like) {
         q7::keep_latest(&mut latest, liker, date, msg);
     }
-    let kept = rows.into_iter().filter(|r| latest.get(&like(r).0) == Some(&like(r).1));
+    let kept = rows.into_iter().filter(|r| {
+        let (liker, this) = like(r);
+        latest.get(&liker) == Some(&this)
+    });
     ranked(kept, q7::LIMIT)
 }
 
