@@ -60,8 +60,10 @@ const RESP_ERROR: u8 = 2;
 const RESP_COUNTERS: u8 = 3;
 const RESP_PARTIAL: u8 = 4;
 const RESP_GCT: u8 = 5;
-// Partial class tags.
-const PARTIAL_TOP: u8 = 1;
+// Partial class tags. Tag 1 was a top partial that carried a limit word
+// ahead of its rows; it stays retired, so a peer from a build that still
+// sends it has its partial refused instead of misread.
+const PARTIAL_TOP: u8 = 3;
 const PARTIAL_GROUPS: u8 = 2;
 // Operation class tags.
 const OP_UPDATE: u8 = 1;
@@ -746,10 +748,7 @@ fn get_opt_u64(p: &mut &[u8]) -> Option<Option<u64>> {
 }
 
 fn get_str(p: &mut &[u8]) -> Option<String> {
-    let len = get_u64(p)? as usize;
-    if len > p.len() {
-        return None;
-    }
+    let len = get_len(p, 1)?;
     let (bytes, rest) = p.split_at(len);
     *p = rest;
     String::from_utf8(bytes.to_vec()).ok()

@@ -228,6 +228,12 @@ fn codec_round_trips_sharding_frames() {
         };
         assert_eq!((back, s), (p, seed), "partial + seed must survive the wire losslessly");
     }
+    // Tag 1 retired with the top layout that shipped a limit word: a peer
+    // still sending it is refused rather than misread.
+    let mut retired = Vec::new();
+    Response::Partial(Partial::Top(vec![]), None).encode(&mut retired);
+    retired[1] = 1;
+    assert!(Response::decode(&retired).is_none(), "retired partial tag must not decode");
 
     let Response::Gct { shard, shards, horizon } =
         response_round_trip(&Response::Gct { shard: 1, shards: 4, horizon: -123 })

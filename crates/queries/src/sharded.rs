@@ -384,6 +384,7 @@ fn merge_q7(parts: Vec<Partial>) -> Vec<MergedRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::{q1, q11, q13};
     use crate::params::*;
     use crate::testutil::{busy_person, fixture, mid_date};
     use snb_core::shard::ShardMap;
@@ -587,9 +588,19 @@ mod tests {
         for n in [3, 4, 5, 6, 7, 10, 12, 14] {
             assert!(answered.contains(&n), "no binding of Q{n} returned rows");
         }
-        // Replicated-only queries are routed whole: no store offers a partial.
+        // Replicated-only queries are routed whole to one shard: no store
+        // offers a partial, and either shard alone answers them exactly.
         for q in queries().into_iter().filter(|q| !scatters(q)) {
-            assert!([&full, &p0, &p1].iter().all(|s| partial(s, Engine::Intended, &q).is_none()));
+            for engine in [Engine::Intended, Engine::Naive] {
+                let rows = |s: &PinnedSnapshot<'_>| match &q {
+                    ComplexQuery::Q1(p) => format!("{:?}", q1::run(s, engine, p)),
+                    ComplexQuery::Q11(p) => format!("{:?}", q11::run(s, engine, p)),
+                    ComplexQuery::Q13(p) => format!("{:?}", q13::run(s, engine, p)),
+                    _ => unreachable!("{q:?} scatters"),
+                };
+                assert!([&full, &p0, &p1].iter().all(|s| partial(s, engine, &q).is_none()));
+                assert!([&p0, &p1].iter().all(|s| rows(s) == rows(&full)), "{q:?} {engine:?}");
+            }
         }
     }
 
