@@ -26,11 +26,16 @@ use snb_core::{MessageId, SimTime, SnbError, SnbResult};
 use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome};
 use snb_obs::trace::{self, NameId, SpanData, SpanGuard};
 use snb_obs::HistogramSnapshot;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// A handshaken client connection. Reads go through the buffer, so a whole
+/// response frame arrives in one `recv`; writes go straight to the socket
+/// through `get_mut()`, one `write_all` per frame.
+pub(crate) type Stream = BufReader<TcpStream>;
 
 /// Client-side timeouts and retry policy.
 #[derive(Debug, Clone)]
@@ -66,7 +71,7 @@ pub type RemoteCounters = (Vec<(String, u64)>, Vec<(String, HistogramSnapshot)>)
 pub struct RemoteConnector {
     addr: String,
     config: NetConfig,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Stream>>,
     ever_connected: AtomicBool,
     /// v3 correlation ids, unique across the whole pool so a response
     /// surfacing on the wrong connection can never be mistaken for ours.
@@ -127,7 +132,7 @@ impl RemoteConnector {
 
     /// Dial with bounded retry + jittered exponential backoff. Only
     /// *connecting* is retried; requests never are.
-    fn dial(&self) -> SnbResult<TcpStream> {
+    fn dial(&self) -> SnbResult<Stream> {
         let schedule =
             backoff_schedule(self.config.retry_backoff, self.config.connect_retries, dial_seed());
         let mut sleeps = schedule.into_iter();
@@ -151,14 +156,14 @@ impl RemoteConnector {
         }
     }
 
-    fn checkout(&self) -> SnbResult<TcpStream> {
+    fn checkout(&self) -> SnbResult<Stream> {
         if let Some(stream) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             return Ok(stream);
         }
         self.dial()
     }
 
-    fn checkin(&self, stream: TcpStream) {
+    fn checkin(&self, stream: Stream) {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).push(stream);
     }
 
@@ -181,11 +186,11 @@ impl RemoteConnector {
     /// shard before reading from any, overlapping the shards' execution.
     /// On a write error the connection is dropped (poisoned), never
     /// returned to the pool.
-    pub(crate) fn start_request(&self, payload: &[u8]) -> SnbResult<(TcpStream, u64)> {
+    pub(crate) fn start_request(&self, payload: &[u8]) -> SnbResult<(Stream, u64)> {
         let mut stream = self.checkout()?;
         self.metrics.requests.inc();
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        match write_request(&mut stream, corr, payload) {
+        match write_request(stream.get_mut(), corr, payload) {
             Ok(n) => {
                 self.metrics.bytes_out.add(n as u64);
                 Ok((stream, corr))
@@ -202,7 +207,7 @@ impl RemoteConnector {
     /// [`start_request`](Self::start_request). A healthy exchange returns
     /// the connection to the pool; any transport error poisons it — the
     /// request reached the server, so it must not be replayed.
-    pub(crate) fn finish_request(&self, mut stream: TcpStream, corr: u64) -> SnbResult<Response> {
+    pub(crate) fn finish_request(&self, mut stream: Stream, corr: u64) -> SnbResult<Response> {
         let result = (|| -> std::io::Result<Response> {
             let mut frame = Vec::new();
             let n_in = codec::read_frame(&mut stream, &mut frame)?;
@@ -255,8 +260,9 @@ fn dial_seed() -> u64 {
 
 /// Perform the client half of the v3 handshake on a fresh stream: apply
 /// timeouts, disable Nagle, send our magic, and require the server to echo
-/// it.
-fn handshake_v3(mut stream: TcpStream, config: &NetConfig, addr: &str) -> SnbResult<TcpStream> {
+/// it. The read buffer goes on only after the echo, so it can hold nothing
+/// but response frames.
+fn handshake_v3(mut stream: TcpStream, config: &NetConfig, addr: &str) -> SnbResult<Stream> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(config.request_timeout))?;
     stream.set_write_timeout(Some(config.request_timeout))?;
@@ -268,12 +274,12 @@ fn handshake_v3(mut stream: TcpStream, config: &NetConfig, addr: &str) -> SnbRes
             "{addr} is not an snb-net v3 server (bad handshake)"
         )));
     }
-    Ok(stream)
+    Ok(BufReader::new(stream))
 }
 
 /// One dial attempt: resolve `addr`, connect to the first address that
 /// accepts within the connect timeout, and run the v3 handshake on it.
-fn dial_once(addr: &str, config: &NetConfig) -> SnbResult<TcpStream> {
+fn dial_once(addr: &str, config: &NetConfig) -> SnbResult<Stream> {
     let addrs: Vec<SocketAddr> = addr
         .to_socket_addrs()
         .map_err(|e| SnbError::Config(format!("cannot resolve {addr}: {e}")))?
@@ -291,13 +297,13 @@ fn dial_once(addr: &str, config: &NetConfig) -> SnbResult<TcpStream> {
     ))
 }
 
-/// Frame `payload` under correlation id `corr` and write it; returns the
-/// bytes put on the wire.
+/// Frame `payload` under correlation id `corr` and write it with one
+/// `write_all`; returns the bytes put on the wire.
 fn write_request(stream: &mut TcpStream, corr: u64, payload: &[u8]) -> std::io::Result<usize> {
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    codec::put_corr(&mut framed, corr);
-    framed.extend_from_slice(payload);
-    codec::write_frame(stream, &framed)
+    codec::write_frame_with(stream, |frame| {
+        codec::put_corr(frame, corr);
+        frame.extend_from_slice(payload);
+    })
 }
 
 /// Split a response frame into the correlation id it answers and the
@@ -328,7 +334,7 @@ fn decode_response(frame: &[u8], sent: Option<u64>) -> std::io::Result<(u64, Res
 /// Any transport error poisons the client: the connection's framing can no
 /// longer be trusted, so subsequent calls fail fast.
 pub struct PipelinedClient {
-    stream: TcpStream,
+    stream: Stream,
     next_corr: u64,
     in_flight: usize,
     poisoned: bool,
@@ -371,7 +377,7 @@ impl PipelinedClient {
         self.check_poisoned()?;
         let corr = self.next_corr;
         self.next_corr += 1;
-        if let Err(e) = write_request(&mut self.stream, corr, payload) {
+        if let Err(e) = write_request(self.stream.get_mut(), corr, payload) {
             self.poisoned = true;
             return Err(SnbError::Io(e));
         }

@@ -646,18 +646,41 @@ fn decode_error(p: &mut &[u8]) -> Option<SnbError> {
 
 // ---- framing ----
 
-/// Write one frame. Returns the number of bytes put on the wire
+/// Append one frame to `buf`: the length prefix, then whatever `payload`
+/// appends. Returns the frame's length on the wire (payload + 4).
+pub(crate) fn put_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    payload(buf);
+    let len = buf.len() - at - 4;
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    len + 4
+}
+
+/// Build one frame from what `payload` appends and write it with a single
+/// `write_all`, so on a `TCP_NODELAY` socket the prefix and the payload
+/// leave in one segment. Returns the number of bytes put on the wire
 /// (payload + 4-byte length prefix) for byte accounting.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
-    if payload.is_empty() || payload.len() > MAX_FRAME {
+pub(crate) fn write_frame_with(
+    w: &mut impl Write,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<usize> {
+    let mut frame = Vec::new();
+    let n = put_frame(&mut frame, payload);
+    if n == 4 || n - 4 > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame payload of {} bytes out of range", payload.len()),
+            format!("frame payload of {} bytes out of range", n - 4),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(payload.len() + 4)
+    w.write_all(&frame)?;
+    Ok(n)
+}
+
+/// Write one frame holding `payload` with a single `write_all`. Returns
+/// the number of bytes put on the wire (payload + 4-byte length prefix).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
+    write_frame_with(w, |buf| buf.extend_from_slice(payload))
 }
 
 /// Read one frame into `buf` (reusing its capacity). Returns the number of

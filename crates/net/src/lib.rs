@@ -10,8 +10,9 @@
 //!   `UpdateOp` encoding, so the workspace has one binary codec for
 //!   mutations on disk and on the wire. Every frame payload is prefixed
 //!   with a correlation id so responses can complete out of order.
-//! - [`Server`] — a nonblocking readiness-loop TCP server (epoll-backed,
-//!   fixed worker pool) wrapping any [`snb_driver::Connector`]
+//! - [`Server`] — a nonblocking readiness-loop TCP server (epoll-backed;
+//!   short reads run on the loop thread, slow requests on a fixed worker
+//!   pool) wrapping any [`snb_driver::Connector`]
 //!   (`snb serve`). Pipelines up to 64 requests per connection;
 //!   per-connection write queues are bounded and exert backpressure by
 //!   pausing reads.

@@ -27,10 +27,14 @@ pub struct NetMetrics {
     /// Requests dispatched to the worker pool whose responses have not yet
     /// been queued for write, across all connections (server only).
     pub pipeline_depth: Gauge,
+    /// Requests executed on the event-loop thread instead of the worker
+    /// pool: short reads, their partials and the Gct probe (server only).
+    pub inline_requests: Counter,
     /// Nanoseconds the event-loop thread spent working — accepting,
-    /// reading, parsing, dispatching, flushing — as opposed to blocked in
-    /// the poller (server only). `busy / (busy + idle)` nearing 1 means
-    /// the loop thread itself, not the worker pool, is the bottleneck.
+    /// reading, parsing, dispatching, executing inline requests, flushing —
+    /// as opposed to blocked in the poller (server only).
+    /// `busy / (busy + idle)` nearing 1 means the loop thread itself, not
+    /// the worker pool, is the bottleneck.
     pub loop_busy_nanos: Counter,
     /// Nanoseconds the event-loop thread spent blocked waiting for
     /// readiness (server only).
@@ -46,6 +50,9 @@ pub struct NetMetrics {
     /// Request latency in microseconds: client-observed round trip on the
     /// client side, execute-to-encode service time on the server side.
     pub request_micros: LatencyHistogram,
+    /// Microseconds a pooled request waited between being parsed and being
+    /// picked up by a worker (server only; inline requests never wait).
+    pub queue_micros: LatencyHistogram,
 }
 
 impl NetMetrics {
@@ -59,6 +66,7 @@ impl NetMetrics {
             open_conns: Gauge::new(),
             accept_backlog: Gauge::new(),
             pipeline_depth: Gauge::new(),
+            inline_requests: Counter::detached(),
             loop_busy_nanos: Counter::detached(),
             loop_idle_nanos: Counter::detached(),
             requests: Counter::detached(),
@@ -66,6 +74,7 @@ impl NetMetrics {
             bytes_in: Counter::detached(),
             bytes_out: Counter::detached(),
             request_micros: LatencyHistogram::new(),
+            queue_micros: LatencyHistogram::new(),
         }
     }
 
@@ -87,6 +96,7 @@ impl NetMetrics {
             out.push((name("open_conns"), self.open_conns.get()));
             out.push((name("accept_backlog"), self.accept_backlog.get()));
             out.push((name("pipeline_depth"), self.pipeline_depth.get()));
+            out.push((name("inline_requests"), self.inline_requests.get()));
             out.push((name("loop_busy_nanos"), self.loop_busy_nanos.get()));
             out.push((name("loop_idle_nanos"), self.loop_idle_nanos.get()));
         }

@@ -4,15 +4,25 @@
 //! driver sessions, so the server is built for connection counts far past
 //! the driver's partition count: one event-loop thread multiplexes every
 //! connection through an epoll-style poller (the vendored `polling` shim),
-//! and a **fixed worker pool** executes requests — thread count is
+//! and a **fixed worker pool** executes the slow requests — thread count is
 //! constant no matter how many clients connect or how hard they churn.
+//!
+//! Which thread executes a request is one rule (`runs_inline`). Short
+//! reads S1–S7 (and the S2 partial a router scatters) and the Gct probe
+//! run **inline on the event-loop thread**: they execute in about a
+//! microsecond, less than the two cross-thread wake-ups (loop → worker →
+//! loop) a pool hand-off costs. Complex reads, their partials and the
+//! counters dump take milliseconds and would stall every connection while
+//! they ran, and an update behind a WAL waits for `fdatasync` — on the
+//! loop thread it would stall the loop and shrink group commit to one
+//! update per fsync — so those go to the pool.
 //!
 //! Per-connection state machine: `handshake → frame-read → execute →
 //! frame-write`. The handshake accepts the one protocol magic
 //! ([`codec::NET_MAGIC_V3`]) and severs anything else. Peers may
-//! **pipeline** — every frame carries a `u64` correlation id, requests fan
-//! out to the worker pool, and responses are written back in completion
-//! order with their ids, so out-of-order completion is fine.
+//! **pipeline** — every frame carries a `u64` correlation id, pooled
+//! requests fan out to the workers, and responses are written back in
+//! completion order with their ids, so out-of-order completion is fine.
 //!
 //! Flow control is bounded end to end: per-connection write queues have a
 //! byte limit, and a connection over its limit (or over its pipeline cap)
@@ -26,7 +36,7 @@
 use crate::codec::{self, Request, Response, MAX_FRAME, NET_MAGIC_V3};
 use crate::metrics::NetMetrics;
 use snb_core::{SnbError, SnbResult};
-use snb_driver::connector::Connector;
+use snb_driver::connector::{Connector, Operation};
 use snb_obs::trace::{self, NameId, SpanData};
 use snb_obs::HistogramSnapshot;
 use std::collections::VecDeque;
@@ -92,6 +102,8 @@ struct Job {
     token: u64,
     corr: u64,
     request: Request,
+    /// When the loop parsed the request, for `queue_micros`.
+    parsed: Instant,
 }
 
 /// A fully framed response ready to be queued on its connection.
@@ -181,7 +193,7 @@ impl Server {
     }
 
     /// SUT histogram snapshots merged with the server's request-latency
-    /// histogram — the same view the counters RPC returns.
+    /// and queue-wait histograms — the same view the counters RPC returns.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         merged_histograms(&self.shared)
     }
@@ -237,7 +249,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .0;
             }
         };
-        let frame = serve_request(shared, job.corr, job.request);
+        shared.metrics.queue_micros.record(job.parsed.elapsed().as_micros() as u64);
+        let mut frame = Vec::new();
+        serve_request(shared, job.corr, job.request, &mut frame);
         shared
             .completions
             .lock()
@@ -283,10 +297,22 @@ impl Drop for CaptureGuard {
     }
 }
 
-/// Execute one request and return its fully framed response
-/// (`len | corr | payload`). Never panics outward: a panicking connector
-/// becomes an error response, and the worker lives on.
-fn serve_request(shared: &Arc<Shared>, corr: u64, request: Request) -> Vec<u8> {
+/// Whether `request` executes on the event-loop thread rather than the
+/// worker pool (see the module docs for why exactly these).
+fn runs_inline(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::Execute(Operation::Short(_), _)
+            | Request::Partial(Operation::Short(_))
+            | Request::Gct
+    )
+}
+
+/// Execute one request and append its fully framed response
+/// (`len | corr | payload`) to `out`; returns the frame's length. Never
+/// panics outward: a panicking connector becomes an error response, and
+/// the worker — or the event loop — lives on.
+fn serve_request(shared: &Shared, corr: u64, request: Request, out: &mut Vec<u8>) -> usize {
     shared.metrics.requests.inc();
     let started = Instant::now();
     let response = match request {
@@ -341,20 +367,18 @@ fn serve_request(shared: &Arc<Shared>, corr: u64, request: Request) -> Vec<u8> {
             horizon: shared.connector.gct_horizon(),
         },
     };
-    let frame = frame_response(corr, &response);
+    let n = put_response(out, corr, &response);
     shared.metrics.request_micros.record(started.elapsed().as_micros() as u64);
-    frame
+    n
 }
 
-/// Frame a response: 4-byte length prefix, the correlation id, then the
-/// encoded response.
-fn frame_response(corr: u64, response: &Response) -> Vec<u8> {
-    let mut frame = vec![0u8; 4];
-    codec::put_corr(&mut frame, corr);
-    response.encode(&mut frame);
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame
+/// Append a response frame to `out`: 4-byte length prefix, the correlation
+/// id, then the encoded response. Returns the frame's length.
+fn put_response(out: &mut Vec<u8>, corr: u64, response: &Response) -> usize {
+    codec::put_frame(out, |frame| {
+        codec::put_corr(frame, corr);
+        response.encode(frame);
+    })
 }
 
 fn merged_counters(shared: &Shared) -> Vec<(String, u64)> {
@@ -373,6 +397,8 @@ fn merged_histograms(shared: &Shared) -> Vec<(String, HistogramSnapshot)> {
     histograms
         .push(("net.server.request_micros".to_string(), shared.metrics.request_micros.snapshot()));
     histograms
+        .push(("net.server.queue_micros".to_string(), shared.metrics.queue_micros.snapshot()));
+    histograms
 }
 
 // ---- event loop ----
@@ -387,7 +413,8 @@ const KEY_BASE: usize = 1;
 /// backstop, not a polling interval.
 const WAIT_BACKSTOP: Duration = Duration::from_millis(250);
 
-/// Read chunk size per `read` call; reads repeat until `WouldBlock`.
+/// Read chunk size per `read` call; reads repeat until one comes back
+/// short.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-connection state machine.
@@ -405,8 +432,9 @@ struct Conn {
     /// Outbound bytes: the unflushed window is `wbuf[wpos..]`.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Parsed requests waiting for a worker slot (pipeline cap/backpressure).
-    pending: VecDeque<(u64, Request)>,
+    /// Parsed requests, with their correlation id and parse time, waiting
+    /// for dispatch (pipeline cap/backpressure).
+    pending: VecDeque<(u64, Request, Instant)>,
     /// Requests dispatched to the pool whose responses are still owed.
     in_flight: usize,
     /// The peer hung up or sent garbage: read no more, finish what is owed,
@@ -472,9 +500,10 @@ impl EventLoop {
                 std::thread::sleep(Duration::from_millis(10));
             }
             // Busy/idle split of the loop thread: `wait` time is idle,
-            // everything else (accept, read, parse, dispatch, flush) is
-            // busy. busy/(busy+idle) approaching 1 means the single loop
-            // thread — not the worker pool — is the bottleneck.
+            // everything else (accept, read, parse, dispatch, inline
+            // execution, flush) is busy. busy/(busy+idle) approaching 1
+            // means the single loop thread — not the worker pool — is the
+            // bottleneck.
             let busy_started = Instant::now();
             self.shared
                 .metrics
@@ -574,7 +603,16 @@ impl EventLoop {
                     conn.read_closed = true;
                     break;
                 }
-                Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                    // A short read took everything the socket held: skip
+                    // the read that would only say `WouldBlock`. Interest
+                    // is level-triggered, so bytes arriving after this
+                    // fire again once `after_progress` re-arms it.
+                    if n < READ_CHUNK {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -614,6 +652,7 @@ impl EventLoop {
             self.shared.metrics.bytes_out.add(8);
         }
 
+        let parsed = Instant::now();
         loop {
             let conn = self.conns[slot].as_mut().expect("checked by caller");
             let window = &conn.rbuf[conn.rpos..];
@@ -637,18 +676,18 @@ impl EventLoop {
             conn.rpos += 4 + len;
             self.shared.metrics.bytes_in.add((4 + len) as u64);
             match decoded {
-                Some(request) => conn.pending.push_back((corr, request)),
+                Some(request) => conn.pending.push_back((corr, request, parsed)),
                 None => {
                     // A frame we could not decode leaves no trustworthy
                     // stream position; report once, then sever after the
                     // reply (and anything already owed) is flushed.
                     self.shared.metrics.errors.inc();
-                    let reply = frame_response(
+                    let n = put_response(
+                        &mut conn.wbuf,
                         corr,
                         &Response::Error(SnbError::Config("malformed request frame".into())),
                     );
-                    self.shared.metrics.bytes_out.add(reply.len() as u64);
-                    conn.wbuf.extend_from_slice(&reply);
+                    self.shared.metrics.bytes_out.add(n as u64);
                     conn.pending.clear();
                     conn.read_closed = true;
                     break;
@@ -668,30 +707,39 @@ impl EventLoop {
         true
     }
 
-    /// Move parsed requests to the worker pool, bounded by the pipeline
-    /// cap and by write-queue backpressure.
-    fn dispatch(&mut self, slot: usize) {
+    /// Take parsed requests off the pending queue in order, bounded by the
+    /// pipeline cap and by write-queue backpressure. Inline requests are
+    /// served here, their frames appended to the write queue; the rest go
+    /// to the worker pool. Returns whether any frame was queued.
+    fn dispatch(&mut self, slot: usize) -> bool {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return;
+            return false;
         };
-        let mut dispatched = false;
-        while conn.in_flight < MAX_PIPELINE
-            && !conn.pending.is_empty()
-            && conn.unflushed() < WRITE_BUF_LIMIT
-        {
-            let (corr, request) = conn.pending.pop_front().expect("nonempty");
+        let mut queued = false;
+        while conn.in_flight < MAX_PIPELINE && conn.unflushed() < WRITE_BUF_LIMIT {
+            let Some((corr, request, parsed)) = conn.pending.pop_front() else {
+                break;
+            };
+            if runs_inline(&request) {
+                self.shared.metrics.inline_requests.inc();
+                let n = serve_request(&self.shared, corr, request, &mut conn.wbuf);
+                self.shared.metrics.bytes_out.add(n as u64);
+                queued = true;
+                continue;
+            }
             conn.in_flight += 1;
             self.shared.metrics.pipeline_depth.inc();
             self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner()).push_back(Job {
                 token: conn.token(slot),
                 corr,
                 request,
+                parsed,
             });
-            dispatched = true;
+            // One job wakes one worker; waking them all would send every
+            // other one straight back to sleep.
+            self.shared.jobs_ready.notify_one();
         }
-        if dispatched {
-            self.shared.jobs_ready.notify_all();
-        }
+        queued
     }
 
     /// Append completed responses to their connections' write queues and
@@ -725,8 +773,13 @@ impl EventLoop {
         }
         // A drained write queue may clear backpressure on the pending
         // queue: dispatch here, or a window-limited client waiting for
-        // responses before sending more would deadlock.
-        self.dispatch(slot);
+        // responses before sending more would deadlock. Inline replies are
+        // flushed in this same turn, and that flush may clear more.
+        while self.dispatch(slot) {
+            if !self.flush(slot) {
+                return;
+            }
+        }
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };

@@ -1,13 +1,18 @@
 //! Readiness-loop server tests: connection churn must not leak, pipelined
-//! requests must come back matched by correlation id, and a peer with any
-//! other handshake magic must be severed.
+//! requests must come back matched by correlation id, a peer with any
+//! other handshake magic must be severed, and each request must run on the
+//! thread the dispatch rule picks for it.
 
+use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
-use snb_core::PersonId;
+use snb_core::{PersonId, SnbResult};
 use snb_datagen::{generate, Dataset, GeneratorConfig};
-use snb_driver::connector::{Operation, StoreConnector};
-use snb_net::{codec, PipelinedClient, Request, Response, Server, ServerConfig, NET_MAGIC_V3};
-use snb_queries::params::ShortQuery;
+use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome, StoreConnector};
+use snb_net::{
+    codec, PipelinedClient, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC_V3,
+};
+use snb_queries::params::{ComplexQuery, Q2Params, Q7Params, ShortQuery};
+use snb_queries::sharded::Partial;
 use snb_queries::Engine;
 use snb_store::Store;
 use std::io::{Read, Write};
@@ -112,7 +117,9 @@ fn connection_churn_is_reaped() {
 
 /// Satellite: K pipelined requests on one connection all complete, and
 /// every response's correlation id matches one request — regardless of the
-/// order the server finished them in.
+/// order the server finished them in. Short reads, answered on the event
+/// loop, are interleaved with complex reads and counters dumps, answered
+/// by the pool.
 #[test]
 fn pipelined_requests_match_correlation_ids() {
     let (server, _one_server) = store_server(ServerConfig::default());
@@ -121,8 +128,20 @@ fn pipelined_requests_match_correlation_ids() {
     const K: usize = 32;
     let mut sent = std::collections::BTreeSet::new();
     for i in 0..K {
-        let op = Operation::Short(ShortQuery::S1(PersonId((i % 50) as u64)));
-        let corr = client.send(&op).unwrap();
+        let person = PersonId((i % 50) as u64);
+        let corr = match i % 4 {
+            0 => client.send(&Operation::Complex(ComplexQuery::Q2(Q2Params {
+                person,
+                max_date: SimTime(i64::MAX),
+            }))),
+            1 => client.send_counters(),
+            _ => client.send(&Operation::Short(match i % 3 {
+                0 => ShortQuery::S1(person),
+                1 => ShortQuery::S2(person),
+                _ => ShortQuery::S3(person),
+            })),
+        }
+        .unwrap();
         assert!(sent.insert(corr), "correlation ids must be unique");
     }
     assert_eq!(client.in_flight(), K);
@@ -132,12 +151,13 @@ fn pipelined_requests_match_correlation_ids() {
         let (corr, response) = client.recv().unwrap();
         assert!(got.insert(corr), "duplicate response for correlation id {corr}");
         match response {
-            Response::Outcome(..) => {}
+            Response::Outcome(..) | Response::Counters { .. } => {}
             other => panic!("pipelined request failed: {other:?}"),
         }
     }
     assert_eq!(got, sent, "every request answered exactly once");
     assert_eq!(client.in_flight(), 0);
+    assert_eq!(server.metrics().inline_requests.get(), K as u64 / 2, "the short reads");
 
     server.shutdown();
     server.join();
@@ -280,6 +300,175 @@ fn hostile_length_prefix_severs_only_that_connection() {
     let (_, response) = good.recv().unwrap();
     assert!(matches!(response, Response::Outcome(..)));
 
+    server.shutdown();
+    server.join();
+}
+
+/// A stand-in SUT for the dispatch tests: every operation answers one row
+/// and every partial an empty top list, except that a complex read first
+/// sleeps `complex_sleep`, and with `panics` an S1 or a complex read
+/// panics instead.
+struct Stub {
+    complex_sleep: Duration,
+    panics: bool,
+}
+
+impl Connector for Stub {
+    fn execute(&self, op: &Operation) -> SnbResult<OpOutcome> {
+        match op {
+            Operation::Short(ShortQuery::S1(_)) | Operation::Complex(_) if self.panics => {
+                panic!("stub SUT panics on {op:?}")
+            }
+            Operation::Complex(_) => std::thread::sleep(self.complex_sleep),
+            _ => {}
+        }
+        Ok(OpOutcome { rows: 1, ..OpOutcome::default() })
+    }
+
+    fn execute_partial(&self, _op: &Operation) -> SnbResult<PartialOutcome> {
+        Ok(PartialOutcome { partial: Partial::Top(Vec::new()), seed: None })
+    }
+}
+
+fn stub_server(stub: Stub, workers: usize) -> (Server, MutexGuard<'static, ()>) {
+    let guard = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
+    let config = ServerConfig { workers, ..ServerConfig::default() };
+    (Server::bind_with_config("127.0.0.1:0", Arc::new(stub), config).unwrap(), guard)
+}
+
+fn complex_read() -> Operation {
+    Operation::Complex(ComplexQuery::Q7(Q7Params { person: PersonId(1) }))
+}
+
+fn ask(client: &mut PipelinedClient, op: &Operation) -> Response {
+    client.send(op).unwrap();
+    client.recv().unwrap().1
+}
+
+/// A panicking SUT costs the request, not the server, on both paths: the
+/// S1 panics on the event-loop thread, the complex read on a worker. Each
+/// is answered with an error, the connection that carried them and a fresh
+/// one both keep serving, and no server thread was lost or added.
+#[test]
+fn a_panicking_sut_is_survived_inline_and_on_the_pool() {
+    const WORKERS: usize = 2;
+    let stub = Stub { complex_sleep: Duration::ZERO, panics: true };
+    let (server, _one_server) = stub_server(stub, WORKERS);
+    let addr = server.local_addr().to_string();
+    let mut client = PipelinedClient::connect(addr.clone()).unwrap();
+
+    for op in [Operation::Short(ShortQuery::S1(PersonId(1))), complex_read()] {
+        let response = ask(&mut client, &op);
+        assert!(matches!(response, Response::Error(_)), "{op:?} answered {response:?}");
+    }
+    assert_eq!(server.metrics().errors.get(), 2);
+
+    let s3 = Operation::Short(ShortQuery::S3(PersonId(1)));
+    let mut fresh = PipelinedClient::connect(addr).unwrap();
+    for client in [&mut client, &mut fresh] {
+        let response = ask(client, &s3);
+        assert!(matches!(response, Response::Outcome(..)), "S3 answered {response:?}");
+    }
+
+    #[cfg(target_os = "linux")]
+    assert_eq!(server_thread_count(), 1 + WORKERS, "server threads after the panics");
+
+    server.shutdown();
+    server.join();
+}
+
+/// How far `inline_requests` moves while `call` runs.
+fn inline_ticks(server: &Server, call: impl FnOnce()) -> u64 {
+    let before = server.metrics().inline_requests.get();
+    call();
+    server.metrics().inline_requests.get() - before
+}
+
+/// Which path each request takes: the seven short reads, the S2 partial
+/// and the Gct probe run on the event loop; a complex read, an update, a
+/// complex partial and the counters dump go to the pool, and only those
+/// record a queue wait.
+#[test]
+fn short_reads_and_gct_run_inline_and_the_rest_on_the_pool() {
+    let stub = Stub { complex_sleep: Duration::ZERO, panics: false };
+    let (server, _one_server) = stub_server(stub, 2);
+    let remote = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
+
+    let (p, m) = (PersonId(1), snb_core::MessageId(1));
+    for s in [
+        ShortQuery::S1(p),
+        ShortQuery::S2(p),
+        ShortQuery::S3(p),
+        ShortQuery::S4(m),
+        ShortQuery::S5(m),
+        ShortQuery::S6(m),
+        ShortQuery::S7(m),
+    ] {
+        let ticks = inline_ticks(&server, || {
+            remote.execute(&Operation::Short(s)).unwrap();
+        });
+        assert_eq!(ticks, 1, "{s:?}");
+    }
+    let s2 = Operation::Short(ShortQuery::S2(p));
+    let ticks = inline_ticks(&server, || {
+        remote.execute_partial(&s2).unwrap();
+    });
+    assert_eq!(ticks, 1, "S2 partial");
+    let ticks = inline_ticks(&server, || {
+        remote.remote_gct().unwrap();
+    });
+    assert_eq!(ticks, 1, "Gct");
+
+    let update = Operation::Update(UpdateOp::AddPerson(dataset().persons[0].clone()));
+    for op in [complex_read(), update] {
+        let ticks = inline_ticks(&server, || {
+            remote.execute(&op).unwrap();
+        });
+        assert_eq!(ticks, 0, "{op:?}");
+    }
+    let ticks = inline_ticks(&server, || {
+        remote.execute_partial(&complex_read()).unwrap();
+    });
+    assert_eq!(ticks, 0, "complex partial");
+    let ticks = inline_ticks(&server, || {
+        remote.remote_counters().unwrap();
+    });
+    assert_eq!(ticks, 0, "counters");
+    assert_eq!(server.metrics().queue_micros.count(), 4, "one queue wait per pooled request");
+
+    server.shutdown();
+    server.join();
+}
+
+/// A short read does not wait behind slow requests: while two 300 ms
+/// complex reads hold both workers, an S1 on another connection is
+/// answered from the event loop at once.
+#[test]
+fn a_short_read_is_not_blocked_behind_busy_workers() {
+    let stub = Stub { complex_sleep: Duration::from_millis(300), panics: false };
+    let (server, _one_server) = stub_server(stub, 2);
+    let addr = server.local_addr().to_string();
+    let mut slow = PipelinedClient::connect(addr.clone()).unwrap();
+    let mut fast = PipelinedClient::connect(addr).unwrap();
+
+    slow.send(&complex_read()).unwrap();
+    slow.send(&complex_read()).unwrap();
+    // A worker records the queue wait as it picks a job up.
+    let t0 = Instant::now();
+    while server.metrics().queue_micros.count() < 2 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "the workers never took the reads");
+        std::thread::yield_now();
+    }
+
+    let started = Instant::now();
+    let response = ask(&mut fast, &Operation::Short(ShortQuery::S1(PersonId(1))));
+    let waited = started.elapsed();
+    assert!(matches!(response, Response::Outcome(..)), "S1 answered {response:?}");
+    assert!(waited < Duration::from_millis(50), "S1 waited {waited:?} behind the workers");
+
+    for _ in 0..2 {
+        assert!(matches!(slow.recv().unwrap().1, Response::Outcome(..)));
+    }
     server.shutdown();
     server.join();
 }
