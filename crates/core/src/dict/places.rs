@@ -145,11 +145,6 @@ impl Places {
         self.countries.len()
     }
 
-    /// Number of cities across all countries.
-    pub fn city_count(&self) -> usize {
-        self.cities.len()
-    }
-
     /// Country by index.
     pub fn country(&self, idx: CountryIdx) -> &Country {
         &self.countries[idx]

@@ -42,8 +42,6 @@ pub struct Tags {
     tags: Vec<TagDef>,
     /// Tag indices per country.
     by_country: Vec<Vec<usize>>,
-    /// Global (country-less) tag indices.
-    global: Vec<usize>,
     /// Cumulative weights over all tags, for unconditioned sampling.
     cum_all: Vec<f64>,
 }
@@ -110,7 +108,6 @@ impl Tags {
                 .iter()
                 .map(|x| std::mem::size_of::<Vec<usize>>() + x.len() * 8)
                 .sum::<usize>()
-            + self.global.len() * 8
             + self.cum_all.len() * std::mem::size_of::<f64>()
     }
 
@@ -124,7 +121,6 @@ impl Tags {
 
         let mut tags = Vec::new();
         let mut by_country = vec![Vec::new(); country_count];
-        let mut global = Vec::new();
 
         for (ci, c) in places.countries().iter().enumerate() {
             // Country weight also boosts the tag's global popularity.
@@ -140,7 +136,6 @@ impl Tags {
             }
         }
         for &(name, class, weight) in GLOBAL_TAGS {
-            global.push(tags.len());
             tags.push(TagDef { name: name.to_string(), class, country: None, weight });
         }
 
@@ -150,7 +145,7 @@ impl Tags {
             total += t.weight;
             cum_all.push(total);
         }
-        Tags { classes, tags, by_country, global, cum_all }
+        Tags { classes, tags, by_country, cum_all }
     }
 
     /// Number of tags.
@@ -176,11 +171,6 @@ impl Tags {
     /// Find a tag class by name.
     pub fn class_by_name(&self, name: &str) -> Option<usize> {
         self.classes.iter().position(|c| c.name == name)
-    }
-
-    /// Find a tag by name.
-    pub fn tag_by_name(&self, name: &str) -> Option<usize> {
-        self.tags.iter().position(|t| t.name == name)
     }
 
     /// All class indices that are `class` or transitively below it.
@@ -232,16 +222,6 @@ impl Tags {
             next += 1;
         }
         out
-    }
-
-    /// Global tag indices (no country link).
-    pub fn global_tags(&self) -> &[usize] {
-        &self.global
-    }
-
-    /// Tag indices linked to `country`.
-    pub fn country_tags(&self, country: CountryIdx) -> &[usize] {
-        &self.by_country[country]
     }
 }
 

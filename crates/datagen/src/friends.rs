@@ -293,6 +293,79 @@ mod tests {
     }
 
     #[test]
+    fn generated_graph_has_one_dominant_component() {
+        // §2: persons form one dominant connected component.
+        fn root(parent: &mut [usize], mut v: usize) -> usize {
+            while parent[v] != v {
+                parent[v] = parent[parent[v]];
+                v = parent[v];
+            }
+            v
+        }
+        for n in [600, 800] {
+            let (_, persons, knows) = dataset(n);
+            let size = persons.len();
+            let mut parent: Vec<usize> = (0..size).collect();
+            for k in &knows {
+                let (ra, rb) = (root(&mut parent, k.a.index()), root(&mut parent, k.b.index()));
+                parent[ra] = rb;
+            }
+            let mut sizes = vec![0usize; size];
+            for v in 0..size {
+                sizes[root(&mut parent, v)] += 1;
+            }
+            let largest = *sizes.iter().max().unwrap();
+            assert!(
+                largest as f64 > 0.85 * size as f64,
+                "{n} persons: largest component covers only {largest}/{size}"
+            );
+        }
+    }
+
+    #[test]
+    fn generated_graph_clusters_more_than_random() {
+        // §2.3: homophily clusters friendships far above the Erdős–Rényi
+        // expectation, which is mean_degree / n. Average local clustering
+        // over persons with degree >= 2; each triangle is counted once,
+        // from its lowest-index corner.
+        for n in [600, 800] {
+            let (_, persons, knows) = dataset(n);
+            let size = persons.len();
+            let mut adj = vec![Vec::new(); size];
+            for k in &knows {
+                adj[k.a.index()].push(k.b.index());
+                adj[k.b.index()].push(k.a.index());
+            }
+            adj.iter_mut().for_each(|l: &mut Vec<usize>| l.sort_unstable());
+            let (mut cc_sum, mut cc_count, mut triangles) = (0.0, 0usize, 0u64);
+            for (v, neigh) in adj.iter().enumerate() {
+                let d = neigh.len();
+                if d < 2 {
+                    continue;
+                }
+                let mut closed = 0usize;
+                for (i, &a) in neigh.iter().enumerate() {
+                    for &b in &neigh[i + 1..] {
+                        if adj[a].binary_search(&b).is_ok() {
+                            closed += 1;
+                            triangles += u64::from(v < a);
+                        }
+                    }
+                }
+                cc_sum += 2.0 * closed as f64 / (d * (d - 1)) as f64;
+                cc_count += 1;
+            }
+            let cc = cc_sum / cc_count.max(1) as f64;
+            let random_cc = 2.0 * knows.len() as f64 / size as f64 / size as f64;
+            assert!(
+                cc > 5.0 * random_cc,
+                "{n} persons: clustering {cc:.4} vs random expectation {random_cc:.4}"
+            );
+            assert!(triangles > 0, "{n} persons: no triangle");
+        }
+    }
+
+    #[test]
     fn study_location_key_layout_matches_paper() {
         let config = GeneratorConfig::with_persons(100);
         let persons = generate_persons(&config);

@@ -171,9 +171,20 @@ fn gct_wake_batches_are_capped() {
             assert!(start.elapsed() < Duration::from_secs(5), "waiters never parked");
             std::thread::yield_now();
         }
+        // `parks` counts a waiter just before it enters the condvar wait; a
+        // waiter still between releasing the lock and sleeping would see a
+        // notification as well as the sleeper it was meant for. Give the
+        // last one time to fall asleep.
+        std::thread::sleep(Duration::from_millis(50));
 
-        // One capped notify: at most MAX_WAKE_BATCH waiters come back.
+        // One capped notify: at most MAX_WAKE_BATCH waiters come back. The
+        // first wake is awaited (well inside the 30 s wait cap, so only the
+        // notify can cause it), then stragglers get time to show up.
         signal.notify();
+        let notified = Instant::now();
+        while woken.load(Ordering::SeqCst) == 0 && notified.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         std::thread::sleep(Duration::from_millis(100));
         let after_one = woken.load(Ordering::SeqCst);
         assert!(after_one >= 1, "a capped notify must wake someone");

@@ -37,10 +37,6 @@ impl EpochSeries {
         self.epoch_micros
     }
 
-    pub fn num_epochs(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Record a sample taken `elapsed_micros` after the run started.
     #[inline]
     pub fn record(&self, elapsed_micros: u64, value: u64) {

@@ -101,11 +101,6 @@ impl StripeTelemetry {
         self.conflicts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
-    /// Acquire-wait distribution for one stripe.
-    pub fn wait_hist(&self, stripe: usize) -> &LatencyHistogram {
-        &self.wait[stripe]
-    }
-
     /// All stripes' waits folded into one store-wide distribution.
     pub fn merged_wait(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();

@@ -653,11 +653,6 @@ impl PinnedSnapshot<'_> {
         self.collect(self.tables.person_messages.get(id.index()))
     }
 
-    /// Posts (no comments) authored by `id`, ascending by creation date.
-    pub fn posts_of(&self, id: PersonId) -> Vec<Dated> {
-        self.collect(self.tables.person_posts.get(id.index()))
-    }
-
     /// The up-to-`k` most recent messages of `id` created at or before
     /// `max_date`, newest first.
     pub fn recent_messages_of(&self, id: PersonId, max_date: SimTime, k: usize) -> Vec<Dated> {

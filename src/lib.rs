@@ -10,13 +10,9 @@
 //! - [`params`]: parameter curation
 //! - [`driver`]: the dependency-aware workload driver
 //! - [`obs`]: latency histograms, counters, and query operator profiles
-//! - [`algorithms`]: the SNB-Algorithms workload (PageRank, communities, ...)
-//! - [`bi`]: the SNB-BI workload draft (scan-heavy analytical queries)
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
-pub use snb_algorithms as algorithms;
-pub use snb_bi as bi;
 pub use snb_core as core;
 pub use snb_datagen as datagen;
 pub use snb_driver as driver;

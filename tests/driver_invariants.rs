@@ -2,19 +2,49 @@
 //! never violated, whatever the partitioning or execution mode.
 
 use ldbc_snb::core::update::UpdateOp;
-use ldbc_snb::core::{SimTime, SnbResult};
+use ldbc_snb::core::SnbResult;
 use ldbc_snb::datagen::{generate, Dataset, GeneratorConfig};
 use ldbc_snb::driver::connector::{OpOutcome, Operation};
-use ldbc_snb::driver::{mix, run, Connector, DriverConfig, ExecutionMode};
+use ldbc_snb::driver::{mix, run, Connector, DriverConfig, ExecutionMode, RunReport, WorkItem};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+/// How long one `run` may take before the test fails instead of hanging.
+const RUN_TIMEOUT: Duration = Duration::from_secs(120);
 
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
     DS.get_or_init(|| {
         generate(GeneratorConfig::with_persons(500).activity(0.4).threads(4).seed(9)).unwrap()
     })
+}
+
+/// `run` on a thread of its own: a run that does not return within
+/// [`RUN_TIMEOUT`] fails the test, naming `what`, instead of stalling it.
+fn run_bounded<C: Connector + 'static>(
+    items: &Arc<Vec<WorkItem>>,
+    conn: &Arc<C>,
+    config: &DriverConfig,
+    what: &str,
+) -> RunReport {
+    let (tx, rx) = mpsc::channel();
+    let (items, conn, config) = (Arc::clone(items), Arc::clone(conn), config.clone());
+    // Joined only when `run` panicked: a thread that overran the timeout is
+    // left behind (its send then fails unseen), since joining it would stall
+    // the suite again.
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(run(&items, &*conn, &config));
+    });
+    match rx.recv_timeout(RUN_TIMEOUT) {
+        Ok(report) => report.unwrap(),
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: run still going after {RUN_TIMEOUT:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("sender dropped unsent"))
+        }
+    }
 }
 
 /// A connector that verifies, at execution time, that every referenced
@@ -25,7 +55,6 @@ fn dataset() -> &'static Dataset {
 struct OrderValidatingConnector {
     persons: Mutex<HashSet<u64>>,
     forums: Mutex<HashSet<u64>>,
-    bulk_split: SimTime,
     violations: Mutex<Vec<String>>,
 }
 
@@ -47,7 +76,6 @@ impl OrderValidatingConnector {
         OrderValidatingConnector {
             persons: Mutex::new(persons),
             forums: Mutex::new(forums),
-            bulk_split: ds.config.update_split,
             violations: Mutex::new(Vec::new()),
         }
     }
@@ -98,7 +126,6 @@ impl Connector for OrderValidatingConnector {
                 self.check_person(l.person.raw(), "addLike");
             }
         }
-        let _ = self.bulk_split;
         Ok(OpOutcome { rows: 1, ..Default::default() })
     }
 }
@@ -106,12 +133,12 @@ impl Connector for OrderValidatingConnector {
 #[test]
 fn parallel_mode_never_violates_dependencies() {
     let ds = dataset();
-    let items = mix::updates_only(ds);
+    let items = Arc::new(mix::updates_only(ds));
     for partitions in [1, 3, 6, 12] {
-        let conn = OrderValidatingConnector::new(ds);
+        let conn = Arc::new(OrderValidatingConnector::new(ds));
         let config = DriverConfig { partitions, ..DriverConfig::default() };
-        run(&items, &conn, &config).unwrap();
-        let violations = conn.violations.into_inner();
+        run_bounded(&items, &conn, &config, &format!("partitions={partitions}"));
+        let violations = std::mem::take(&mut *conn.violations.lock());
         assert!(
             violations.is_empty(),
             "partitions={partitions}: {} violations, first: {}",
@@ -124,16 +151,16 @@ fn parallel_mode_never_violates_dependencies() {
 #[test]
 fn windowed_mode_never_violates_dependencies() {
     let ds = dataset();
-    let items = mix::updates_only(ds);
+    let items = Arc::new(mix::updates_only(ds));
     for window in [ds.config.t_safe_millis, ds.config.t_safe_millis / 4] {
-        let conn = OrderValidatingConnector::new(ds);
+        let conn = Arc::new(OrderValidatingConnector::new(ds));
         let config = DriverConfig {
             partitions: 6,
             mode: ExecutionMode::Windowed { window_millis: window },
             ..DriverConfig::default()
         };
-        run(&items, &conn, &config).unwrap();
-        let violations = conn.violations.into_inner();
+        run_bounded(&items, &conn, &config, &format!("window={window} partitions=6"));
+        let violations = std::mem::take(&mut *conn.violations.lock());
         assert!(violations.is_empty(), "window={window}: {violations:?}");
     }
 }
@@ -143,7 +170,7 @@ fn intra_forum_causality_holds_per_partition() {
     // Comments must execute after their parent within the same forum
     // stream; verify with a connector that tracks message insertion order.
     let ds = dataset();
-    let items = mix::updates_only(ds);
+    let items = Arc::new(mix::updates_only(ds));
 
     #[derive(Default)]
     struct ForumOrderConnector {
@@ -183,21 +210,20 @@ fn intra_forum_causality_holds_per_partition() {
         .filter(|&(_, t)| t <= ds.config.update_split)
         .map(|(id, _)| id)
         .collect();
-    let conn = ForumOrderConnector { bulk, ..Default::default() };
+    let conn = Arc::new(ForumOrderConnector { bulk, ..Default::default() });
     let config = DriverConfig { partitions: 8, ..DriverConfig::default() };
-    run(&items, &conn, &config).unwrap();
+    run_bounded(&items, &conn, &config, "partitions=8");
     assert_eq!(*conn.violations.lock(), 0, "comment executed before its parent");
 }
 
 #[test]
 fn throughput_scales_and_latency_is_recorded() {
     let ds = dataset();
-    let items: Vec<_> = mix::updates_only(ds).into_iter().take(4_000).collect();
-    let conn = ldbc_snb::driver::SleepConnector::new(std::time::Duration::from_micros(100));
-    let r1 =
-        run(&items, &conn, &DriverConfig { partitions: 1, ..DriverConfig::default() }).unwrap();
-    let r8 =
-        run(&items, &conn, &DriverConfig { partitions: 8, ..DriverConfig::default() }).unwrap();
+    let items: Arc<Vec<_>> = Arc::new(mix::updates_only(ds).into_iter().take(4_000).collect());
+    let conn = Arc::new(ldbc_snb::driver::SleepConnector::new(Duration::from_micros(100)));
+    let config = |partitions| DriverConfig { partitions, ..DriverConfig::default() };
+    let r1 = run_bounded(&items, &conn, &config(1), "partitions=1");
+    let r8 = run_bounded(&items, &conn, &config(8), "partitions=8");
     assert!(
         r8.ops_per_second > 2.0 * r1.ops_per_second,
         "1p {:.0} ops/s vs 8p {:.0} ops/s",
