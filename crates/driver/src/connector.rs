@@ -118,6 +118,17 @@ pub trait Connector: Send + Sync {
     fn gct_horizon(&self) -> i64 {
         0
     }
+
+    /// Whether [`Connector::execute`] of an update may block: on a disk (a
+    /// WAL that syncs before the commit may be acknowledged), a remote
+    /// peer, or a lock held elsewhere. The `snb-net` server runs updates
+    /// on its event-loop thread only for a connector that answers `false`,
+    /// and on its worker pool otherwise. Default `true`, so a connector —
+    /// or a wrapper that does not forward this — keeps its updates off the
+    /// loop.
+    fn updates_block(&self) -> bool {
+        true
+    }
 }
 
 /// Shared connectors delegate: callers that must keep a handle after the
@@ -142,6 +153,10 @@ impl<T: Connector + ?Sized> Connector for Arc<T> {
 
     fn gct_horizon(&self) -> i64 {
         (**self).gct_horizon()
+    }
+
+    fn updates_block(&self) -> bool {
+        (**self).updates_block()
     }
 }
 
@@ -189,6 +204,11 @@ impl Connector for StoreConnector {
 
     fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         self.store.counters().histogram_snapshots()
+    }
+
+    /// Only behind a WAL that syncs: an in-memory commit never waits.
+    fn updates_block(&self) -> bool {
+        self.store.commits_block()
     }
 
     fn execute(&self, op: &Operation) -> SnbResult<OpOutcome> {

@@ -28,7 +28,8 @@ pub struct NetMetrics {
     /// been queued for write, across all connections (server only).
     pub pipeline_depth: Gauge,
     /// Requests executed on the event-loop thread instead of the worker
-    /// pool: short reads, their partials and the Gct probe (server only).
+    /// pool: short reads, their partials, the Gct probe and, for a
+    /// connector whose updates do not block, updates (server only).
     pub inline_requests: Counter,
     /// Nanoseconds the event-loop thread spent working — accepting,
     /// reading, parsing, dispatching, executing inline requests, flushing —

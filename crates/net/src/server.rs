@@ -11,11 +11,14 @@
 //! reads S1–S7 (and the S2 partial a router scatters) and the Gct probe
 //! run **inline on the event-loop thread**: they execute in about a
 //! microsecond, less than the two cross-thread wake-ups (loop → worker →
-//! loop) a pool hand-off costs. Complex reads, their partials and the
+//! loop) a pool hand-off costs. So do updates, when the connector says
+//! they do not block ([`Connector::updates_block`]): an in-memory commit
+//! takes a few microseconds. Complex reads, their partials and the
 //! counters dump take milliseconds and would stall every connection while
-//! they ran, and an update behind a WAL waits for `fdatasync` — on the
-//! loop thread it would stall the loop and shrink group commit to one
-//! update per fsync — so those go to the pool.
+//! they ran, and an update behind a WAL that syncs waits for `fdatasync`
+//! before it may be acknowledged — on the loop thread it would stall the
+//! loop and shrink group commit to one update per fsync — so those go to
+//! the pool.
 //!
 //! Per-connection state machine: `handshake → frame-read → execute →
 //! frame-write`. The handshake accepts the one protocol magic
@@ -114,6 +117,8 @@ struct Completion {
 
 struct Shared {
     connector: Arc<dyn Connector>,
+    /// `!connector.updates_block()`, asked once at bind.
+    inline_updates: bool,
     config: ServerConfig,
     shutdown: AtomicBool,
     poller: polling::Poller,
@@ -143,6 +148,7 @@ impl Server {
         poller.add(&listener, polling::Event::readable(LISTENER_KEY))?;
         let worker_count = config.effective_workers();
         let shared = Arc::new(Shared {
+            inline_updates: !connector.updates_block(),
             connector,
             config,
             shutdown: AtomicBool::new(false),
@@ -298,14 +304,17 @@ impl Drop for CaptureGuard {
 }
 
 /// Whether `request` executes on the event-loop thread rather than the
-/// worker pool (see the module docs for why exactly these).
-fn runs_inline(request: &Request) -> bool {
-    matches!(
-        request,
+/// worker pool: the short reads, the S2 partial, the Gct probe, and
+/// updates when `inline_updates` (the connector's updates do not block).
+/// See the module docs for why exactly these.
+fn runs_inline(request: &Request, inline_updates: bool) -> bool {
+    match request {
         Request::Execute(Operation::Short(_), _)
-            | Request::Partial(Operation::Short(_))
-            | Request::Gct
-    )
+        | Request::Partial(Operation::Short(_))
+        | Request::Gct => true,
+        Request::Execute(Operation::Update(_), _) => inline_updates,
+        _ => false,
+    }
 }
 
 /// Execute one request and append its fully framed response
@@ -720,7 +729,7 @@ impl EventLoop {
             let Some((corr, request, parsed)) = conn.pending.pop_front() else {
                 break;
             };
-            if runs_inline(&request) {
+            if runs_inline(&request, self.shared.inline_updates) {
                 self.shared.metrics.inline_requests.inc();
                 let n = serve_request(&self.shared, corr, request, &mut conn.wbuf);
                 self.shared.metrics.bytes_out.add(n as u64);

@@ -1,7 +1,8 @@
 //! Readiness-loop server tests: connection churn must not leak, pipelined
 //! requests must come back matched by correlation id, a peer with any
-//! other handshake magic must be severed, and each request must run on the
-//! thread the dispatch rule picks for it.
+//! other handshake magic must be severed, each request must run on the
+//! thread the dispatch rule picks for it, and an update that blocks must
+//! be answered only once it is done, without the loop waiting for it.
 
 use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
@@ -17,6 +18,7 @@ use snb_queries::Engine;
 use snb_store::Store;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -307,10 +309,14 @@ fn hostile_length_prefix_severs_only_that_connection() {
 /// A stand-in SUT for the dispatch tests: every operation answers one row
 /// and every partial an empty top list, except that a complex read first
 /// sleeps `complex_sleep`, and with `panics` an S1 or a complex read
-/// panics instead.
+/// panics instead. With an `update_wait`, an update blocks: it sleeps
+/// that long, standing in for a durability wait, and then sets `durable`.
+#[derive(Default)]
 struct Stub {
     complex_sleep: Duration,
     panics: bool,
+    update_wait: Option<Duration>,
+    durable: Arc<AtomicBool>,
 }
 
 impl Connector for Stub {
@@ -320,9 +326,17 @@ impl Connector for Stub {
                 panic!("stub SUT panics on {op:?}")
             }
             Operation::Complex(_) => std::thread::sleep(self.complex_sleep),
+            Operation::Update(_) => {
+                std::thread::sleep(self.update_wait.unwrap_or_default());
+                self.durable.store(true, Ordering::SeqCst);
+            }
             _ => {}
         }
         Ok(OpOutcome { rows: 1, ..OpOutcome::default() })
+    }
+
+    fn updates_block(&self) -> bool {
+        self.update_wait.is_some()
     }
 
     fn execute_partial(&self, _op: &Operation) -> SnbResult<PartialOutcome> {
@@ -340,6 +354,10 @@ fn complex_read() -> Operation {
     Operation::Complex(ComplexQuery::Q7(Q7Params { person: PersonId(1) }))
 }
 
+fn update() -> Operation {
+    Operation::Update(UpdateOp::AddPerson(dataset().persons[0].clone()))
+}
+
 fn ask(client: &mut PipelinedClient, op: &Operation) -> Response {
     client.send(op).unwrap();
     client.recv().unwrap().1
@@ -352,7 +370,7 @@ fn ask(client: &mut PipelinedClient, op: &Operation) -> Response {
 #[test]
 fn a_panicking_sut_is_survived_inline_and_on_the_pool() {
     const WORKERS: usize = 2;
-    let stub = Stub { complex_sleep: Duration::ZERO, panics: true };
+    let stub = Stub { panics: true, ..Stub::default() };
     let (server, _one_server) = stub_server(stub, WORKERS);
     let addr = server.local_addr().to_string();
     let mut client = PipelinedClient::connect(addr.clone()).unwrap();
@@ -384,14 +402,14 @@ fn inline_ticks(server: &Server, call: impl FnOnce()) -> u64 {
     server.metrics().inline_requests.get() - before
 }
 
-/// Which path each request takes: the seven short reads, the S2 partial
-/// and the Gct probe run on the event loop; a complex read, an update, a
-/// complex partial and the counters dump go to the pool, and only those
-/// record a queue wait.
+/// Which path each request takes: the seven short reads, the S2 partial,
+/// the Gct probe and an update that does not block run on the event loop;
+/// a complex read, a complex partial and the counters dump go to the pool,
+/// and only those record a queue wait. An update whose connector says it
+/// blocks goes to the pool too, and is its one queue wait.
 #[test]
 fn short_reads_and_gct_run_inline_and_the_rest_on_the_pool() {
-    let stub = Stub { complex_sleep: Duration::ZERO, panics: false };
-    let (server, _one_server) = stub_server(stub, 2);
+    let (server, one_server) = stub_server(Stub::default(), 2);
     let remote = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
 
     let (p, m) = (PersonId(1), snb_core::MessageId(1));
@@ -418,14 +436,15 @@ fn short_reads_and_gct_run_inline_and_the_rest_on_the_pool() {
         remote.remote_gct().unwrap();
     });
     assert_eq!(ticks, 1, "Gct");
+    let ticks = inline_ticks(&server, || {
+        remote.execute(&update()).unwrap();
+    });
+    assert_eq!(ticks, 1, "an update that does not block");
 
-    let update = Operation::Update(UpdateOp::AddPerson(dataset().persons[0].clone()));
-    for op in [complex_read(), update] {
-        let ticks = inline_ticks(&server, || {
-            remote.execute(&op).unwrap();
-        });
-        assert_eq!(ticks, 0, "{op:?}");
-    }
+    let ticks = inline_ticks(&server, || {
+        remote.execute(&complex_read()).unwrap();
+    });
+    assert_eq!(ticks, 0, "complex read");
     let ticks = inline_ticks(&server, || {
         remote.execute_partial(&complex_read()).unwrap();
     });
@@ -434,7 +453,62 @@ fn short_reads_and_gct_run_inline_and_the_rest_on_the_pool() {
         remote.remote_counters().unwrap();
     });
     assert_eq!(ticks, 0, "counters");
-    assert_eq!(server.metrics().queue_micros.count(), 4, "one queue wait per pooled request");
+    assert_eq!(server.metrics().queue_micros.count(), 3, "one queue wait per pooled request");
+    drop(remote);
+    server.shutdown();
+    server.join();
+    drop(one_server);
+
+    let stub = Stub { update_wait: Some(Duration::from_millis(1)), ..Stub::default() };
+    let (server, _one_server) = stub_server(stub, 2);
+    let remote = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
+    let ticks = inline_ticks(&server, || {
+        remote.execute(&update()).unwrap();
+    });
+    assert_eq!(ticks, 0, "an update that blocks");
+    assert_eq!(server.metrics().queue_micros.count(), 1, "one queue wait, the update's");
+
+    server.shutdown();
+    server.join();
+}
+
+/// Acknowledged means durable, and the loop does not wait for the disk:
+/// while an update blocks 300 ms on a worker (as one behind a syncing WAL
+/// waits for its fsync), an S1 on a second connection is answered from
+/// the event loop at once; the update's reply arrives only after its wait
+/// has returned; and the wait ran on the fixed pool, not on a thread of
+/// its own.
+#[test]
+fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
+    const WORKERS: usize = 2;
+    let stub = Stub { update_wait: Some(Duration::from_millis(300)), ..Stub::default() };
+    let durable = Arc::clone(&stub.durable);
+    let (server, _one_server) = stub_server(stub, WORKERS);
+    let addr = server.local_addr().to_string();
+    let mut writer = PipelinedClient::connect(addr.clone()).unwrap();
+    let mut reader = PipelinedClient::connect(addr).unwrap();
+
+    writer.send(&update()).unwrap();
+    // A worker records the queue wait as it picks the update up.
+    let t0 = Instant::now();
+    while server.metrics().queue_micros.count() < 1 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "no worker took the update");
+        std::thread::yield_now();
+    }
+
+    let started = Instant::now();
+    let response = ask(&mut reader, &Operation::Short(ShortQuery::S1(PersonId(1))));
+    let waited = started.elapsed();
+    assert!(matches!(response, Response::Outcome(..)), "S1 answered {response:?}");
+    assert!(waited < Duration::from_millis(50), "S1 waited {waited:?} behind the durability wait");
+    assert!(!durable.load(Ordering::SeqCst), "the 300 ms wait is still running");
+    #[cfg(target_os = "linux")]
+    assert_eq!(server_thread_count(), 1 + WORKERS, "server threads during a durability wait");
+
+    let (_, response) = writer.recv().unwrap();
+    assert!(durable.load(Ordering::SeqCst), "the update was acknowledged before it was durable");
+    assert!(matches!(response, Response::Outcome(..)), "update answered {response:?}");
+    assert_eq!(server.metrics().inline_requests.get(), 1, "the S1 alone");
 
     server.shutdown();
     server.join();
@@ -445,7 +519,7 @@ fn short_reads_and_gct_run_inline_and_the_rest_on_the_pool() {
 /// answered from the event loop at once.
 #[test]
 fn a_short_read_is_not_blocked_behind_busy_workers() {
-    let stub = Stub { complex_sleep: Duration::from_millis(300), panics: false };
+    let stub = Stub { complex_sleep: Duration::from_millis(300), ..Stub::default() };
     let (server, _one_server) = stub_server(stub, 2);
     let addr = server.local_addr().to_string();
     let mut slow = PipelinedClient::connect(addr.clone()).unwrap();

@@ -135,6 +135,18 @@ pub struct RecoveryReport {
     pub last_seq: u64,
 }
 
+/// A commit that [`Store::apply_async`] made visible but nobody has
+/// acknowledged yet: hand it to [`Store::wait_durable`] before replying.
+#[derive(Debug)]
+#[must_use = "a commit may be acknowledged only once `wait_durable` has returned for its ticket"]
+pub struct CommitTicket {
+    /// The commit's WAL record; `None` without a WAL.
+    seq: Option<u64>,
+    /// [`trace::now_nanos`] at the end of publish, where the commit's
+    /// `durable_wait` stage begins.
+    published: u64,
+}
+
 /// The store.
 #[derive(Debug)]
 pub struct Store {
@@ -238,7 +250,8 @@ impl Store {
         };
         store.bulk_load(bulk);
         for op in &replay.ops {
-            store.apply_internal(op, false)?;
+            // Replayed records are durable already: nothing to wait for.
+            let _replayed = store.apply_internal(op, false)?;
         }
         Ok((store, report))
     }
@@ -348,7 +361,8 @@ impl Store {
     /// Execute one update operation as an ACID transaction: lock the
     /// touched stripes, validate, WAL-append, apply, publish — then,
     /// outside every lock, wait for the WAL's [`SyncPolicy`] to make the
-    /// record durable before acknowledging.
+    /// record durable before acknowledging. Exactly
+    /// [`Store::apply_async`] followed by [`Store::wait_durable`].
     ///
     /// WAL order is no longer equal to commit-timestamp order (two
     /// shard-disjoint writers append in whatever order they reach the
@@ -363,39 +377,35 @@ impl Store {
     /// before it is durable, but it is never acknowledged to the caller
     /// until it is — the standard group-commit contract.
     pub fn apply(&self, op: &UpdateOp) -> SnbResult<()> {
-        let (seq, published) = self.apply_internal(op, true)?;
-        // The durable stage runs from publish to acknowledgement — group
-        // commit wait plus the commit's bookkeeping tail — and is timed
-        // even when it is a no-op (no WAL), so the seven stage histograms
-        // tile `apply` end-to-end and their sums reconcile against
-        // measured op latency.
-        self.wait_durable(seq)?;
-        let t1 = trace::now_nanos();
-        self.counters.stages.durable_wait.record(t1 - published);
-        trace::record_stage(&SPAN_DURABLE_WAIT, published / 1_000, t1 / 1_000);
-        Ok(())
+        self.wait_durable(self.apply_async(op)?)
     }
 
-    /// Pipelined commit, phase one: WAL-append, apply, publish — and return
-    /// without waiting for durability. The commit is immediately visible to
-    /// new snapshots (so causally dependent operations can proceed), but it
-    /// MUST NOT be acknowledged until [`Store::wait_durable`] has been
-    /// called on the returned sequence number. Because WAL order respects
-    /// dependency order (see [`Store::apply`]), a crash before the sync
-    /// loses only unacknowledged commits — never a dependency of a
-    /// surviving record.
-    pub fn apply_async(&self, op: &UpdateOp) -> SnbResult<Option<u64>> {
-        self.apply_internal(op, true).map(|(seq, _)| seq)
+    /// Commit, phase one: lock, validate, WAL-append (buffered), apply,
+    /// publish — and return without waiting for durability. The commit is
+    /// immediately visible to new snapshots (so causally dependent
+    /// operations can proceed), but it MUST NOT be acknowledged until
+    /// [`Store::wait_durable`] has returned for the ticket. Because WAL
+    /// order respects dependency order (see [`Store::apply`]), a crash
+    /// before the sync loses only unacknowledged commits — never a
+    /// dependency of a surviving record.
+    pub fn apply_async(&self, op: &UpdateOp) -> SnbResult<CommitTicket> {
+        self.apply_internal(op, true)
     }
 
-    /// Pipelined commit, phase two: block until the WAL record `seq` (and,
-    /// the durable horizon being cumulative, every record before it) is
-    /// durable per the [`SyncPolicy`]. `None` — an op applied with no WAL
-    /// attached — and stores without a WAL return immediately.
-    pub fn wait_durable(&self, seq: Option<u64>) -> SnbResult<()> {
-        if let (Some(wal), Some(seq)) = (&self.wal, seq) {
+    /// Commit, phase two: block until the ticket's WAL record (and, the
+    /// durable horizon being cumulative, every record before it) is
+    /// durable per the [`SyncPolicy`]; with no WAL, or under
+    /// [`SyncPolicy::Never`], it returns at once. Either way it closes the
+    /// commit's `durable_wait` stage — publish to acknowledgement: the
+    /// group-commit wait plus whatever ran between the two phases — so the
+    /// seven stage histograms sample every commit and tile it end to end.
+    pub fn wait_durable(&self, ticket: CommitTicket) -> SnbResult<()> {
+        if let (Some(wal), Some(seq)) = (&self.wal, ticket.seq) {
             wal.wait_durable(seq)?;
         }
+        let t1 = trace::now_nanos();
+        self.counters.stages.durable_wait.record(t1 - ticket.published);
+        trace::record_stage(&SPAN_DURABLE_WAIT, ticket.published / 1_000, t1 / 1_000);
         Ok(())
     }
 
@@ -422,8 +432,8 @@ impl Store {
         guards
     }
 
-    /// Striped phase of [`Store::apply`]. Returns the WAL sequence number
-    /// to await when a log append happened.
+    /// Striped phase of [`Store::apply`]: everything up to the durability
+    /// wait. Returns the commit's [`CommitTicket`].
     ///
     /// Ordering within the stripe critical section is load-bearing:
     /// everything fallible (validation, the WAL append) happens **before**
@@ -434,12 +444,10 @@ impl Store {
     /// out-of-order and non-blocking (ring wraparound aside — see
     /// [`CommitClock::publish`]): a descheduled writer delays only the
     /// watermark, never other committers.
-    /// Returns the WAL sequence to await plus the publish-end timestamp
-    /// ([`trace::now_nanos`]) where the `durable_wait` stage begins.
-    fn apply_internal(&self, op: &UpdateOp, log: bool) -> SnbResult<(Option<u64>, u64)> {
+    fn apply_internal(&self, op: &UpdateOp, log: bool) -> SnbResult<CommitTicket> {
         // Stage boundaries double as histogram samples and (when a trace
         // is live) causal child spans of the caller's op span. The six
-        // stages here plus `durable_wait` in `apply` tile the committed
+        // stages here plus `durable_wait` in `wait_durable` tile the committed
         // path end-to-end. Failed validations record their stripe wait
         // plus a `validate_failed` sample (kept out of the committed-path
         // tiling), so contention burned before a conflict still shows up
@@ -505,7 +513,13 @@ impl Store {
             trace::record_stage(&SPAN_APPLY, t4 / 1_000, t5 / 1_000);
             trace::record_stage(&SPAN_PUBLISH_WAIT, t5 / 1_000, t6 / 1_000);
         }
-        Ok((seq, t6))
+        Ok(CommitTicket { seq, published: t6 })
+    }
+
+    /// Whether [`Store::apply`] may block before it returns: behind a WAL
+    /// that syncs, it waits for the commit's record to be on disk.
+    pub fn commits_block(&self) -> bool {
+        self.wal.as_ref().is_some_and(Wal::syncs)
     }
 
     /// Flush the WAL (an fsync durability point under any policy other than
@@ -665,16 +679,47 @@ mod tests {
         )
         .unwrap();
         // Phase one only: both commits visible, neither necessarily synced.
-        let s0 = s.apply_async(&UpdateOp::AddPerson(person(0, 10))).unwrap();
-        let s1 = s.apply_async(&UpdateOp::AddPerson(person(1, 20))).unwrap();
-        assert_eq!((s0, s1), (Some(1), Some(2)));
+        let t0 = s.apply_async(&UpdateOp::AddPerson(person(0, 10))).unwrap();
+        let t1 = s.apply_async(&UpdateOp::AddPerson(person(1, 20))).unwrap();
+        assert_eq!((t0.seq, t1.seq), (Some(1), Some(2)));
+        assert!(t0.published <= t1.published);
         assert!(s.pinned().person(PersonId(1)).is_some(), "visible before durable");
-        // One barrier on the newest seq covers the whole window.
-        s.wait_durable(s1).unwrap();
+        assert_eq!(s.counters().stages.durable_wait.count(), 0, "nothing acknowledged yet");
+        // One barrier on the newest seq covers the whole window; the older
+        // ticket then returns without another fsync.
+        s.wait_durable(t1).unwrap();
         assert!(s.counters().wal_fsyncs.get() >= 1);
         assert_eq!(s.counters().wal_group_size.get(), 2, "horizon covers both records");
+        let fsyncs = s.counters().wal_fsyncs.get();
+        s.wait_durable(t0).unwrap();
+        assert_eq!(s.counters().wal_fsyncs.get(), fsyncs);
+        // Each ticket closed its own commit's durable stage.
+        assert_eq!(s.counters().stages.durable_wait.count(), 2);
         drop(s);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn commits_block_only_behind_a_wal_that_syncs() {
+        let s = Store::new();
+        assert!(!s.commits_block());
+        s.wait_durable(s.apply_async(&UpdateOp::AddPerson(person(0, 10))).unwrap()).unwrap();
+        assert_eq!(s.counters().stages.durable_wait.count(), 1, "the stage samples every commit");
+
+        for (policy, blocks) in [
+            (crate::wal::SyncPolicy::Never, false),
+            (crate::wal::SyncPolicy::EveryCommit, true),
+            (crate::wal::SyncPolicy::default(), true),
+        ] {
+            let path = std::env::temp_dir()
+                .join(format!("snb-graph-blocks-{}-{policy:?}.wal", std::process::id()));
+            let logged = Store::with_wal_policy(&path, policy).unwrap();
+            assert_eq!(logged.commits_block(), blocks, "{policy:?}");
+            logged.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
+            assert_eq!(logged.counters().wal_fsyncs.get() > 0, blocks, "{policy:?}");
+            drop(logged);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -726,11 +771,10 @@ mod tests {
         assert_eq!(s.counters().read_latchfree.get(), 2);
     }
 
-    #[test]
-    fn stage_sums_reconcile_with_measured_apply_latency() {
-        // The write-pipeline stage histograms claim to tile `Store::apply`
-        // end-to-end; hold them to it: the sum of all stage sums must be
-        // within 10% of the wall-clock time spent inside `apply`.
+    /// Commit a stream of 7 998 updates through `commit` and check that the
+    /// sum of all stage sums is within 0.90–1.05 of the wall-clock time
+    /// spent committing, and that every stage sampled every commit.
+    fn assert_stages_tile(path: &str, commit: impl Fn(&Store, &UpdateOp) -> SnbResult<()>) {
         let s = Store::new();
         s.apply(&UpdateOp::AddPerson(person(0, 1))).unwrap();
         s.apply(&UpdateOp::AddForum(forum(0, 0, 5))).unwrap();
@@ -739,22 +783,38 @@ mod tests {
             ops.push(UpdateOp::AddPerson(person(i, i as i64)));
             ops.push(UpdateOp::AddPost(post(i, i, 0, i as i64 + 1)));
         }
+        let stage_sum = || s.counters().stages.named().iter().map(|(_, h)| h.sum()).sum::<u64>();
+        let warmup = stage_sum();
         let t0 = std::time::Instant::now();
         for op in &ops {
-            s.apply(op).unwrap();
+            commit(&s, op).unwrap();
         }
         let wall_nanos = t0.elapsed().as_nanos() as f64;
-        let stage_sum: u64 = s.counters().stages.named().iter().map(|(_, h)| h.sum()).sum();
+        let stage_sum = stage_sum() - warmup;
         let ratio = stage_sum as f64 / wall_nanos;
         assert!(
             (0.90..=1.05).contains(&ratio),
-            "stage sums ({stage_sum}ns) must reconcile with measured apply wall time \
+            "{path}: stage sums ({stage_sum}ns) must reconcile with measured commit wall time \
              ({wall_nanos:.0}ns); ratio {ratio:.3}"
         );
-        // And every committed op contributed to every stage.
         for (name, h) in s.counters().stages.named() {
-            assert_eq!(h.count(), s.counters().commits.get(), "{name} must sample every commit");
+            assert_eq!(
+                h.count(),
+                s.counters().commits.get(),
+                "{path}: {name} must sample every commit"
+            );
         }
+    }
+
+    #[test]
+    fn stage_sums_reconcile_with_measured_apply_latency() {
+        // The write-pipeline stage histograms claim to tile a commit end to
+        // end, on both commit paths: `apply`, and the split the server
+        // runs on two threads.
+        assert_stages_tile("apply", |s, op| s.apply(op));
+        assert_stages_tile("apply_async + wait_durable", |s, op| {
+            s.wait_durable(s.apply_async(op)?)
+        });
     }
 
     #[test]

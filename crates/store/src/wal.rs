@@ -312,6 +312,12 @@ impl Wal {
         self.policy
     }
 
+    /// Whether [`Wal::wait_durable`] may block: every policy but
+    /// [`SyncPolicy::Never`] syncs before a commit is acknowledged.
+    pub fn syncs(&self) -> bool {
+        self.policy != SyncPolicy::Never
+    }
+
     /// Number of live records (replayed ones included after
     /// [`Wal::open_append`]).
     pub fn records(&self) -> u64 {
