@@ -30,7 +30,7 @@ pub mod wal;
 pub use counters::StoreCounters;
 pub use read::{Dated, DatedIter, MessageMeta, PinnedSnapshot, RecentWalk};
 pub use stats::StorageStats;
-pub use store::{CommitTicket, RecoveryReport, Store};
+pub use store::{RecoveryReport, Store};
 pub use tables::MessageRow;
 pub use update_codec::{decode_update, encode_update};
 pub use wal::{Replay, SyncPolicy, Wal, WalMetrics};

@@ -219,24 +219,6 @@ impl CommitClock {
             self.unpark.notify_all();
         }
     }
-
-    /// Restore the clock after recovery to `ts`. Requires no publisher to
-    /// be in flight, and enforces the same direction invariant `publish`
-    /// has: moving the watermark backwards would un-commit transactions
-    /// already visible to readers, so it panics instead (restoring to the
-    /// current watermark is an allowed no-op). Stale ring occupants are
-    /// harmless across a restore — every future expected value exceeds
-    /// every past timestamp, and the watermark only moves over exact
-    /// matches.
-    pub fn restore(&self, ts: CommitTs) {
-        let latest = self.latest.load(Ordering::SeqCst);
-        assert!(
-            latest <= ts,
-            "CommitClock::restore went backwards: restoring {ts} under watermark {latest}"
-        );
-        self.latest.store(ts, Ordering::SeqCst);
-        self.next.store(ts + 1, Ordering::SeqCst);
-    }
 }
 
 /// Visibility test shared by all versioned containers.
@@ -359,35 +341,5 @@ mod tests {
         let publication = t.join().unwrap();
         assert!(publication.parked > 0, "wrapped publisher must have parked");
         assert_eq!(clock.snapshot_ts(), far);
-    }
-
-    #[test]
-    fn restore_resets_both_counters() {
-        let clock = CommitClock::new();
-        clock.restore(41);
-        assert_eq!(clock.snapshot_ts(), 41);
-        assert_eq!(clock.reserve(), 42);
-    }
-
-    #[test]
-    fn restore_to_the_current_watermark_is_a_noop() {
-        let clock = CommitClock::new();
-        clock.restore(17);
-        clock.restore(17); // idempotent recovery replay must not panic
-        assert_eq!(clock.snapshot_ts(), 17);
-        assert_eq!(clock.reserve(), 18);
-    }
-
-    #[test]
-    #[should_panic(expected = "restore went backwards")]
-    fn restore_below_the_watermark_panics() {
-        let clock = CommitClock::new();
-        let a = clock.reserve();
-        let b = clock.reserve();
-        clock.publish(a);
-        clock.publish(b);
-        // Un-committing `b` by restoring to `a` would hand out `b` again
-        // and expose readers to a horizon that went backwards.
-        clock.restore(a);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::compact::{Cursor, RevCursor, FILL_DATED};
 use crate::counters::StoreCounters;
-use crate::mvcc::{visible, CommitTs, BULK_TS};
+use crate::mvcc::{visible, CommitTs};
 use crate::tables::{key, Entry, MessageRow, Tables};
 use crate::tail::{IndexList, LaneSrc, MAX_RUNS};
 use snb_core::schema::{Forum, Person};
@@ -101,12 +101,12 @@ impl<'g> PinnedSnapshot<'g> {
     }
 
     /// Account one index scan: `fast` entries served from the always-
-    /// visible fast lane (bulk prefix, plus [`BULK_TS`] tail entries from
-    /// top-up loads — no visibility check either way), `examined`
-    /// version-stamped entries walked of which `kept` were visible. Both
-    /// lanes funnel through here so they stay consistently accounted:
-    /// every touched entry lands in exactly one of
-    /// `store.read.fastlane_entries` or `store.mvcc.versions_walked`.
+    /// visible bulk prefix (no visibility check), `examined` tail entries
+    /// walked of which `kept` were visible. Every bulk entry lives in the
+    /// prefix and every tail entry is a versioned commit, so the lane
+    /// decides the counter: each touched entry lands in exactly one of
+    /// `store.read.fastlane_entries` (prefix) or
+    /// `store.mvcc.versions_walked` (tail).
     /// The eager `Vec` APIs account their whole gathered tail up front;
     /// the lazy iterators batch per-entry accounting as they go and flush
     /// it on drop (see [`flush_scan_accounting`]) — an early-exiting
@@ -135,8 +135,8 @@ impl<'g> PinnedSnapshot<'g> {
         };
         let bulk = list.bulk();
         let mut tail = Vec::new();
-        let (fast_t, examined, kept) = list.gather_tail(self.ts, |_| true, &mut tail);
-        self.note_scan(bulk.len() + fast_t, examined, kept);
+        let (examined, kept) = list.gather_tail(self.ts, |_| true, &mut tail);
+        self.note_scan(bulk.len(), examined, kept);
         let mut out = Vec::new();
         merge_ascending(bulk.cursor(), &tail, &mut out);
         out
@@ -350,10 +350,6 @@ impl Iterator for DatedIter<'_> {
             match self.runs[self.cur].peek() {
                 Some(e) if key(&e) <= self.bound => {
                     self.runs[self.cur].advance();
-                    if e.commit == BULK_TS {
-                        self.fast += 1;
-                        return Some((e.id, e.date));
-                    }
                     self.examined += 1;
                     if visible(e.commit, self.ts) {
                         self.kept += 1;
@@ -474,10 +470,6 @@ impl Iterator for RecentWalk<'_> {
             match self.runs[self.cur].peek_back() {
                 Some(e) if key(&e) >= self.bound => {
                     self.runs[self.cur].advance_back();
-                    if e.commit == BULK_TS {
-                        self.fast += 1;
-                        return Some((e.id, e.date));
-                    }
                     self.examined += 1;
                     if visible(e.commit, self.ts) {
                         self.kept += 1;
@@ -685,8 +677,8 @@ impl PinnedSnapshot<'_> {
         let bulk = list.bulk();
         let prefix = Cursor::at(bulk, bulk.upper_bound_date(min_date));
         let mut tail = Vec::new();
-        let (fast_t, examined, kept) = list.gather_tail(self.ts, |e| e.date > min_date, &mut tail);
-        self.note_scan(prefix.remaining() + fast_t, examined, kept);
+        let (examined, kept) = list.gather_tail(self.ts, |e| e.date > min_date, &mut tail);
+        self.note_scan(prefix.remaining(), examined, kept);
         let mut out = Vec::new();
         merge_ascending(prefix, &tail, &mut out);
         out
@@ -731,19 +723,11 @@ impl PinnedSnapshot<'_> {
                 let n = tail.published_len();
                 for i in 0..n {
                     let e = tail.published(i);
-                    if e.commit == BULK_TS {
-                        fast += 1;
-                        if e.id == b.raw() {
-                            found = true;
-                            break;
-                        }
-                    } else {
-                        examined += 1;
-                        if e.id == b.raw() && visible(e.commit, self.ts) {
-                            kept = 1;
-                            found = true;
-                            break;
-                        }
+                    examined += 1;
+                    if e.id == b.raw() && visible(e.commit, self.ts) {
+                        kept = 1;
+                        found = true;
+                        break;
                     }
                 }
             }

@@ -26,7 +26,7 @@
 //!   horizon, and MVCC visibility filters everything above it.
 
 use crate::counters::{StoreCounters, STRIPES};
-use crate::mvcc::{CommitClock, BULK_TS};
+use crate::mvcc::CommitClock;
 use crate::read::PinnedSnapshot;
 use crate::tables::Tables;
 use crate::wal::{SyncPolicy, Wal};
@@ -135,18 +135,6 @@ pub struct RecoveryReport {
     pub last_seq: u64,
 }
 
-/// A commit that [`Store::apply_async`] made visible but nobody has
-/// acknowledged yet: hand it to [`Store::wait_durable`] before replying.
-#[derive(Debug)]
-#[must_use = "a commit may be acknowledged only once `wait_durable` has returned for its ticket"]
-pub struct CommitTicket {
-    /// The commit's WAL record; `None` without a WAL.
-    seq: Option<u64>,
-    /// [`trace::now_nanos`] at the end of publish, where the commit's
-    /// `durable_wait` stage begins.
-    published: u64,
-}
-
 /// The store.
 #[derive(Debug)]
 pub struct Store {
@@ -165,42 +153,25 @@ impl Default for Store {
     }
 }
 
-fn stripe_locks() -> [Mutex<()>; STRIPES] {
-    std::array::from_fn(|_| Mutex::new(()))
-}
-
 impl Store {
     /// Empty store without durability.
     pub fn new() -> Store {
         Store {
             tables: Tables::new(),
-            stripes: stripe_locks(),
+            stripes: std::array::from_fn(|_| Mutex::new(())),
             clock: CommitClock::new(),
             wal: None,
             counters: StoreCounters::new(),
         }
     }
 
-    /// Empty store logging every committed transaction to a write-ahead log
-    /// at `path` (created or truncated), without fsync — the historical
-    /// behaviour, equivalent to [`SyncPolicy::Never`].
-    pub fn with_wal(path: &Path) -> SnbResult<Store> {
-        Store::with_wal_policy(path, SyncPolicy::Never)
-    }
-
     /// Empty store logging to a write-ahead log at `path` (created or
     /// truncated) under `policy`: commits are acknowledged only once the
     /// policy's durability requirement holds for their record.
     pub fn with_wal_policy(path: &Path, policy: SyncPolicy) -> SnbResult<Store> {
-        let counters = StoreCounters::new();
-        let wal = Wal::create_with(path, policy, counters.wal_metrics())?;
-        Ok(Store {
-            tables: Tables::new(),
-            stripes: stripe_locks(),
-            clock: CommitClock::new(),
-            wal: Some(wal),
-            counters,
-        })
+        let mut store = Store::new();
+        store.wal = Some(Wal::create_with(path, policy, store.counters.wal_metrics())?);
+        Ok(store)
     }
 
     /// Runtime counters for this store instance.
@@ -217,49 +188,35 @@ impl Store {
         self.counters.mem.refresh(&stats, dict);
     }
 
-    /// Recover a store by bulk-loading `bulk` and replaying the WAL at
-    /// `path`, without keeping the log attached for further durability
-    /// (reopens it under [`SyncPolicy::Never`]).
+    /// Recover a store: bulk-load `bulk`, replay the intact prefix of the
+    /// WAL at `path`, physically truncate its torn tail (reported and
+    /// counted in `store.wal.recovery_truncated_bytes`), and keep appending
+    /// to the same log at the next sequence number under
+    /// [`SyncPolicy::Never`].
     pub fn recover(bulk: &snb_datagen::Dataset, path: &Path) -> SnbResult<(Store, RecoveryReport)> {
-        Store::recover_with_policy(bulk, path, SyncPolicy::Never)
-    }
-
-    /// Recover a store and keep appending to the same log: bulk-load
-    /// `bulk`, replay the WAL's intact prefix, physically truncate its torn
-    /// tail (reported and counted in `store.wal.recovery_truncated_bytes`),
-    /// and resume the log at the next sequence number under `policy`.
-    pub fn recover_with_policy(
-        bulk: &snb_datagen::Dataset,
-        path: &Path,
-        policy: SyncPolicy,
-    ) -> SnbResult<(Store, RecoveryReport)> {
-        let counters = StoreCounters::new();
-        let (wal, replay) = Wal::open_append(path, policy, counters.wal_metrics())?;
+        let mut store = Store::new();
+        let (wal, replay) =
+            Wal::open_append(path, SyncPolicy::Never, store.counters.wal_metrics())?;
         let report = RecoveryReport {
             replayed: replay.ops.len() as u64,
             truncated_bytes: replay.truncated_bytes,
             truncated_records: replay.truncated_records,
             last_seq: replay.last_seq,
         };
-        let store = Store {
-            tables: Tables::new(),
-            stripes: stripe_locks(),
-            clock: CommitClock::new(),
-            wal: Some(wal),
-            counters,
-        };
         store.bulk_load(bulk);
+        // Replayed records are in the log already: apply them before the
+        // log is attached, so they are neither re-appended nor waited on.
         for op in &replay.ops {
-            // Replayed records are durable already: nothing to wait for.
-            let _replayed = store.apply_internal(op, false)?;
+            store.apply(op)?;
         }
+        store.wal = Some(wal);
         Ok((store, report))
     }
 
     /// Bulk-load every entity of `ds` with a creation date at or before the
     /// configured update split (§4: "32 months are bulkloaded at benchmark
-    /// start"). Bulk rows carry [`BULK_TS`] and are visible to every
-    /// snapshot. Uses the parallel sorted loader on an empty store.
+    /// start"). Bulk rows carry [`BULK_TS`](crate::mvcc::BULK_TS) and are
+    /// visible to every snapshot. Requires an empty store.
     pub fn bulk_load(&self, ds: &snb_datagen::Dataset) {
         self.bulk_load_until(ds, ds.config.update_split)
     }
@@ -276,61 +233,22 @@ impl Store {
     }
 
     /// Bulk-load all entities created at or before `cut` using `threads`
-    /// loader threads.
+    /// loader threads, into an empty store.
     ///
-    /// On an empty store this always takes the parallel sorted path
-    /// ([`crate::loader`]): partition every id space into contiguous
-    /// per-thread ranges, build each table slice and adjacency list on its
-    /// owning thread, sort every date-ordered index **once**, and install
-    /// the lists as immutable bulk prefixes — the result is identical at
-    /// any thread count (including 1). A non-empty store (incremental
-    /// top-up loads, as used by a few experiments) falls back to the
-    /// serial insert path under all write stripes, which composes with
-    /// existing contents by appending [`BULK_TS`] tail entries.
+    /// This is the parallel sorted path ([`crate::loader`]): partition
+    /// every id space into contiguous per-thread ranges, build each table
+    /// slice and adjacency list on its owning thread, sort every
+    /// date-ordered index **once**, and install the lists as immutable bulk
+    /// prefixes — the result is identical at any thread count (including
+    /// 1). Because the store starts empty, every
+    /// [`BULK_TS`](crate::mvcc::BULK_TS) entry lives in a bulk prefix, and
+    /// every tail entry is a versioned commit.
     ///
     /// Bulk loading is not atomic with respect to concurrent readers —
     /// run it before serving queries, as the benchmark does.
     pub fn bulk_load_until_threads(&self, ds: &snb_datagen::Dataset, cut: SimTime, threads: usize) {
-        if self.tables.is_empty() {
-            crate::loader::build_into(&self.tables, ds, cut, threads.max(1));
-            return;
-        }
-        let _guards: Vec<MutexGuard<'_, ()>> = self.stripes.iter().map(|m| m.lock()).collect();
-        for p in &ds.persons {
-            if p.creation_date <= cut {
-                self.tables.insert_person(p.clone(), BULK_TS);
-            }
-        }
-        for k in &ds.knows {
-            if k.creation_date <= cut {
-                self.tables.insert_knows(k, BULK_TS);
-            }
-        }
-        for f in &ds.forums {
-            if f.creation_date <= cut {
-                self.tables.insert_forum(f.clone(), BULK_TS);
-            }
-        }
-        for m in &ds.memberships {
-            if m.join_date <= cut {
-                self.tables.insert_membership(m, BULK_TS);
-            }
-        }
-        for p in &ds.posts {
-            if p.creation_date <= cut {
-                self.tables.insert_post(p, BULK_TS);
-            }
-        }
-        for c in &ds.comments {
-            if c.creation_date <= cut {
-                self.tables.insert_comment(c, BULK_TS);
-            }
-        }
-        for l in &ds.likes {
-            if l.creation_date <= cut {
-                self.tables.insert_like(l, BULK_TS);
-            }
-        }
+        assert!(self.tables.is_empty(), "bulk load requires an empty store");
+        crate::loader::build_into(&self.tables, ds, cut, threads.max(1));
     }
 
     /// Bulk-load only shard `shard` of `map`'s slice of `ds` (entities
@@ -361,12 +279,11 @@ impl Store {
     /// Execute one update operation as an ACID transaction: lock the
     /// touched stripes, validate, WAL-append, apply, publish — then,
     /// outside every lock, wait for the WAL's [`SyncPolicy`] to make the
-    /// record durable before acknowledging. Exactly
-    /// [`Store::apply_async`] followed by [`Store::wait_durable`].
+    /// record durable before acknowledging.
     ///
-    /// WAL order is no longer equal to commit-timestamp order (two
+    /// WAL order is not equal to commit-timestamp order (two
     /// shard-disjoint writers append in whatever order they reach the
-    /// log), but it still *respects dependencies*: a transaction B that
+    /// log), but it *respects dependencies*: a transaction B that
     /// validated against A's rows can only have seen them after A's
     /// append (A appends before it installs any row), so A precedes B in
     /// the log and prefix-consistent recovery replays every dependency
@@ -376,82 +293,24 @@ impl Store {
     /// behind the disk. A commit may be briefly visible to snapshots
     /// before it is durable, but it is never acknowledged to the caller
     /// until it is — the standard group-commit contract.
-    pub fn apply(&self, op: &UpdateOp) -> SnbResult<()> {
-        self.wait_durable(self.apply_async(op)?)
-    }
-
-    /// Commit, phase one: lock, validate, WAL-append (buffered), apply,
-    /// publish — and return without waiting for durability. The commit is
-    /// immediately visible to new snapshots (so causally dependent
-    /// operations can proceed), but it MUST NOT be acknowledged until
-    /// [`Store::wait_durable`] has returned for the ticket. Because WAL
-    /// order respects dependency order (see [`Store::apply`]), a crash
-    /// before the sync loses only unacknowledged commits — never a
-    /// dependency of a surviving record.
-    pub fn apply_async(&self, op: &UpdateOp) -> SnbResult<CommitTicket> {
-        self.apply_internal(op, true)
-    }
-
-    /// Commit, phase two: block until the ticket's WAL record (and, the
-    /// durable horizon being cumulative, every record before it) is
-    /// durable per the [`SyncPolicy`]; with no WAL, or under
-    /// [`SyncPolicy::Never`], it returns at once. Either way it closes the
-    /// commit's `durable_wait` stage — publish to acknowledgement: the
-    /// group-commit wait plus whatever ran between the two phases — so the
-    /// seven stage histograms sample every commit and tile it end to end.
-    pub fn wait_durable(&self, ticket: CommitTicket) -> SnbResult<()> {
-        if let (Some(wal), Some(seq)) = (&self.wal, ticket.seq) {
-            wal.wait_durable(seq)?;
-        }
-        let t1 = trace::now_nanos();
-        self.counters.stages.durable_wait.record(t1 - ticket.published);
-        trace::record_stage(&SPAN_DURABLE_WAIT, ticket.published / 1_000, t1 / 1_000);
-        Ok(())
-    }
-
-    /// Lock the stripes `op` writes to, ascending. A contended stripe is
-    /// counted in `store.write.shard_conflicts` before blocking, and the
-    /// time spent blocked lands in that stripe's acquire-wait histogram —
-    /// the per-stripe heatmap that separates "one hot stripe" from
-    /// "uniform collision pressure".
-    fn lock_stripes(&self, op: &UpdateOp) -> Vec<MutexGuard<'_, ()>> {
-        let (set, n) = stripe_set(op);
-        let mut guards = Vec::with_capacity(n);
-        for &i in &set[..n] {
-            match self.stripes[i].try_lock() {
-                Some(g) => guards.push(g),
-                None => {
-                    self.counters.write_shard_conflicts.inc();
-                    let blocked = trace::now_nanos();
-                    let g = self.stripes[i].lock();
-                    self.counters.stripes.note_conflict(i, trace::now_nanos() - blocked);
-                    guards.push(g);
-                }
-            }
-        }
-        guards
-    }
-
-    /// Striped phase of [`Store::apply`]: everything up to the durability
-    /// wait. Returns the commit's [`CommitTicket`].
     ///
     /// Ordering within the stripe critical section is load-bearing:
     /// everything fallible (validation, the WAL append) happens **before**
     /// [`CommitClock::reserve`], because every reserved timestamp must be
     /// published or the visibility watermark would wedge at the gap; and
     /// the append happens **before** any row is installed so WAL order
-    /// respects dependency order (see [`Store::apply`]). `publish` is
-    /// out-of-order and non-blocking (ring wraparound aside — see
-    /// [`CommitClock::publish`]): a descheduled writer delays only the
-    /// watermark, never other committers.
-    fn apply_internal(&self, op: &UpdateOp, log: bool) -> SnbResult<CommitTicket> {
+    /// respects dependency order. `publish` is out-of-order and
+    /// non-blocking (ring wraparound aside — see [`CommitClock::publish`]):
+    /// a descheduled writer delays only the watermark, never other
+    /// committers.
+    pub fn apply(&self, op: &UpdateOp) -> SnbResult<()> {
         // Stage boundaries double as histogram samples and (when a trace
-        // is live) causal child spans of the caller's op span. The six
-        // stages here plus `durable_wait` in `wait_durable` tile the committed
-        // path end-to-end. Failed validations record their stripe wait
-        // plus a `validate_failed` sample (kept out of the committed-path
-        // tiling), so contention burned before a conflict still shows up
-        // in the attribution exactly when conflicts spike.
+        // is live) causal child spans of the caller's op span. The seven
+        // stages tile the committed path end-to-end. Failed validations
+        // record their stripe wait plus a `validate_failed` sample (kept
+        // out of the committed-path tiling), so contention burned before a
+        // conflict still shows up in the attribution exactly when
+        // conflicts spike.
         let t0 = trace::now_nanos();
         let guards = self.lock_stripes(op);
         let t1 = trace::now_nanos();
@@ -468,14 +327,12 @@ impl Store {
             return Err(e);
         }
         let t2 = trace::now_nanos();
-        let mut seq = None;
-        if log {
-            if let Some(wal) = &self.wal {
-                let appended = wal.append(op)?;
-                self.counters.wal_appends.inc();
-                self.counters.wal_bytes.add(appended.bytes);
-                seq = Some(appended.seq);
-            }
+        let mut logged = None;
+        if let Some(wal) = &self.wal {
+            let appended = wal.append(op)?;
+            self.counters.wal_appends.inc();
+            self.counters.wal_bytes.add(appended.bytes);
+            logged = Some((wal, appended.seq));
         }
         let t3 = trace::now_nanos();
         let ts = self.clock.reserve();
@@ -513,7 +370,38 @@ impl Store {
             trace::record_stage(&SPAN_APPLY, t4 / 1_000, t5 / 1_000);
             trace::record_stage(&SPAN_PUBLISH_WAIT, t5 / 1_000, t6 / 1_000);
         }
-        Ok(CommitTicket { seq, published: t6 })
+        // The durable horizon is cumulative, and a no-sync WAL returns at
+        // once; either way the commit's `durable_wait` stage closes here.
+        if let Some((wal, seq)) = logged {
+            wal.wait_durable(seq)?;
+        }
+        let t7 = trace::now_nanos();
+        st.durable_wait.record(t7 - t6);
+        trace::record_stage(&SPAN_DURABLE_WAIT, t6 / 1_000, t7 / 1_000);
+        Ok(())
+    }
+
+    /// Lock the stripes `op` writes to, ascending. A contended stripe is
+    /// counted in `store.write.shard_conflicts` before blocking, and the
+    /// time spent blocked lands in that stripe's acquire-wait histogram —
+    /// the per-stripe heatmap that separates "one hot stripe" from
+    /// "uniform collision pressure".
+    fn lock_stripes(&self, op: &UpdateOp) -> Vec<MutexGuard<'_, ()>> {
+        let (set, n) = stripe_set(op);
+        let mut guards = Vec::with_capacity(n);
+        for &i in &set[..n] {
+            match self.stripes[i].try_lock() {
+                Some(g) => guards.push(g),
+                None => {
+                    self.counters.write_shard_conflicts.inc();
+                    let blocked = trace::now_nanos();
+                    let g = self.stripes[i].lock();
+                    self.counters.stripes.note_conflict(i, trace::now_nanos() - blocked);
+                    guards.push(g);
+                }
+            }
+        }
+        guards
     }
 
     /// Whether [`Store::apply`] may block before it returns: behind a WAL
@@ -522,8 +410,8 @@ impl Store {
         self.wal.as_ref().is_some_and(Wal::syncs)
     }
 
-    /// Flush the WAL (an fsync durability point under any policy other than
-    /// [`SyncPolicy::Never`]).
+    /// Flush the WAL (an fsync durability point under
+    /// [`SyncPolicy::Group`]).
     pub fn flush_wal(&self) -> SnbResult<()> {
         if let Some(wal) = &self.wal {
             wal.flush()?;
@@ -638,7 +526,7 @@ mod tests {
     fn wal_counters_track_appends_and_bytes() {
         let path =
             std::env::temp_dir().join(format!("snb-graph-counters-{}.wal", std::process::id()));
-        let s = Store::with_wal(&path).unwrap();
+        let s = Store::with_wal_policy(&path, SyncPolicy::Never).unwrap();
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
         s.apply(&UpdateOp::AddPerson(person(1, 20))).unwrap();
         s.flush_wal().unwrap();
@@ -654,10 +542,11 @@ mod tests {
     fn durable_policy_fsyncs_before_acknowledging() {
         let path =
             std::env::temp_dir().join(format!("snb-graph-durable-{}.wal", std::process::id()));
-        let s = Store::with_wal_policy(&path, crate::wal::SyncPolicy::EveryCommit).unwrap();
+        let s = Store::with_wal_policy(&path, SyncPolicy::default()).unwrap();
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
         s.apply(&UpdateOp::AddPerson(person(1, 20))).unwrap();
-        // One fsync per acknowledged commit, latency recorded, no errors.
+        // Serial commits share no fsync: one per acknowledged commit,
+        // latency recorded, no errors.
         assert!(s.counters().wal_fsyncs.get() >= 2);
         assert_eq!(s.counters().wal_group_size.get(), 2);
         assert!(s.counters().wal_fsync_micros.count() >= 2);
@@ -667,50 +556,13 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_apply_defers_the_durability_barrier() {
-        let path =
-            std::env::temp_dir().join(format!("snb-graph-pipeline-{}.wal", std::process::id()));
-        let s = Store::with_wal_policy(
-            &path,
-            crate::wal::SyncPolicy::GroupCommit {
-                max_batch: 64,
-                max_delay: std::time::Duration::ZERO,
-            },
-        )
-        .unwrap();
-        // Phase one only: both commits visible, neither necessarily synced.
-        let t0 = s.apply_async(&UpdateOp::AddPerson(person(0, 10))).unwrap();
-        let t1 = s.apply_async(&UpdateOp::AddPerson(person(1, 20))).unwrap();
-        assert_eq!((t0.seq, t1.seq), (Some(1), Some(2)));
-        assert!(t0.published <= t1.published);
-        assert!(s.pinned().person(PersonId(1)).is_some(), "visible before durable");
-        assert_eq!(s.counters().stages.durable_wait.count(), 0, "nothing acknowledged yet");
-        // One barrier on the newest seq covers the whole window; the older
-        // ticket then returns without another fsync.
-        s.wait_durable(t1).unwrap();
-        assert!(s.counters().wal_fsyncs.get() >= 1);
-        assert_eq!(s.counters().wal_group_size.get(), 2, "horizon covers both records");
-        let fsyncs = s.counters().wal_fsyncs.get();
-        s.wait_durable(t0).unwrap();
-        assert_eq!(s.counters().wal_fsyncs.get(), fsyncs);
-        // Each ticket closed its own commit's durable stage.
-        assert_eq!(s.counters().stages.durable_wait.count(), 2);
-        drop(s);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn commits_block_only_behind_a_wal_that_syncs() {
         let s = Store::new();
         assert!(!s.commits_block());
-        s.wait_durable(s.apply_async(&UpdateOp::AddPerson(person(0, 10))).unwrap()).unwrap();
+        s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
         assert_eq!(s.counters().stages.durable_wait.count(), 1, "the stage samples every commit");
 
-        for (policy, blocks) in [
-            (crate::wal::SyncPolicy::Never, false),
-            (crate::wal::SyncPolicy::EveryCommit, true),
-            (crate::wal::SyncPolicy::default(), true),
-        ] {
+        for (policy, blocks) in [(SyncPolicy::Never, false), (SyncPolicy::Group, true)] {
             let path = std::env::temp_dir()
                 .join(format!("snb-graph-blocks-{}-{policy:?}.wal", std::process::id()));
             let logged = Store::with_wal_policy(&path, policy).unwrap();
@@ -771,10 +623,12 @@ mod tests {
         assert_eq!(s.counters().read_latchfree.get(), 2);
     }
 
-    /// Commit a stream of 7 998 updates through `commit` and check that the
-    /// sum of all stage sums is within 0.90–1.05 of the wall-clock time
-    /// spent committing, and that every stage sampled every commit.
-    fn assert_stages_tile(path: &str, commit: impl Fn(&Store, &UpdateOp) -> SnbResult<()>) {
+    #[test]
+    fn stage_sums_reconcile_with_measured_apply_latency() {
+        // The write-pipeline stage histograms claim to tile a commit end to
+        // end: commit 7 998 updates and check that the sum of all stage
+        // sums is within 0.90–1.05 of the wall-clock time spent in `apply`,
+        // and that every stage sampled every commit.
         let s = Store::new();
         s.apply(&UpdateOp::AddPerson(person(0, 1))).unwrap();
         s.apply(&UpdateOp::AddForum(forum(0, 0, 5))).unwrap();
@@ -787,34 +641,19 @@ mod tests {
         let warmup = stage_sum();
         let t0 = std::time::Instant::now();
         for op in &ops {
-            commit(&s, op).unwrap();
+            s.apply(op).unwrap();
         }
         let wall_nanos = t0.elapsed().as_nanos() as f64;
         let stage_sum = stage_sum() - warmup;
         let ratio = stage_sum as f64 / wall_nanos;
         assert!(
             (0.90..=1.05).contains(&ratio),
-            "{path}: stage sums ({stage_sum}ns) must reconcile with measured commit wall time \
+            "stage sums ({stage_sum}ns) must reconcile with measured apply wall time \
              ({wall_nanos:.0}ns); ratio {ratio:.3}"
         );
         for (name, h) in s.counters().stages.named() {
-            assert_eq!(
-                h.count(),
-                s.counters().commits.get(),
-                "{path}: {name} must sample every commit"
-            );
+            assert_eq!(h.count(), s.counters().commits.get(), "{name} must sample every commit");
         }
-    }
-
-    #[test]
-    fn stage_sums_reconcile_with_measured_apply_latency() {
-        // The write-pipeline stage histograms claim to tile a commit end to
-        // end, on both commit paths: `apply`, and the split the server
-        // runs on two threads.
-        assert_stages_tile("apply", |s, op| s.apply(op));
-        assert_stages_tile("apply_async + wait_durable", |s, op| {
-            s.wait_durable(s.apply_async(op)?)
-        });
     }
 
     #[test]
@@ -841,6 +680,17 @@ mod tests {
         let visible_persons =
             (0..snap.person_slots()).filter(|&i| snap.person(PersonId(i as u64)).is_some()).count();
         assert_eq!(visible_persons, bulk_persons);
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk load requires an empty store")]
+    fn a_second_bulk_load_panics() {
+        let ds =
+            snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(50).activity(0.2))
+                .unwrap();
+        let s = Store::new();
+        s.bulk_load(&ds);
+        s.bulk_load(&ds);
     }
 
     #[test]

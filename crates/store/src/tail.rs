@@ -416,45 +416,40 @@ impl IndexList {
     }
 
     /// Gather the tail entries passing `pred` that are visible at `ts`
-    /// into `out`, sorted by `(date, id)`. Returns `(fast, examined,
-    /// kept)`: tail entries served on the [`BULK_TS`] fast lane, versioned
-    /// entries examined, and of those the visible ones kept. Entries
-    /// rejected by `pred` are uncounted (a date-bounded scan never touched
-    /// them in the sorted representation). Allocates nothing when the tail
-    /// is empty.
+    /// into `out`, sorted by `(date, id)`. Returns `(examined, kept)`:
+    /// tail entries examined, and of those the visible ones kept. Every
+    /// tail entry is a versioned commit (bulk entries live only in the
+    /// prefix). Entries rejected by `pred` are uncounted (a date-bounded
+    /// scan never touched them in the sorted representation). Allocates
+    /// nothing when the tail is empty.
     pub(crate) fn gather_tail<F: Fn(&Entry) -> bool>(
         &self,
         ts: CommitTs,
         pred: F,
         out: &mut Vec<Entry>,
-    ) -> (usize, usize, usize) {
+    ) -> (usize, usize) {
         let Some(tail) = self.tail() else {
-            return (0, 0, 0);
+            return (0, 0);
         };
         let n = tail.published_len();
         if n == 0 {
-            return (0, 0, 0);
+            return (0, 0);
         }
         out.reserve(n);
-        let (mut fast, mut examined, mut kept) = (0usize, 0usize, 0usize);
+        let (mut examined, mut kept) = (0usize, 0usize);
         for i in 0..n {
             let e = tail.published(i);
             if !pred(&e) {
                 continue;
             }
-            if e.commit == BULK_TS {
-                fast += 1;
+            examined += 1;
+            if visible(e.commit, ts) {
+                kept += 1;
                 out.push(e);
-            } else {
-                examined += 1;
-                if visible(e.commit, ts) {
-                    kept += 1;
-                    out.push(e);
-                }
             }
         }
         out.sort_unstable_by_key(key);
-        (fast, examined, kept)
+        (examined, kept)
     }
 }
 
@@ -489,10 +484,10 @@ mod tests {
             Entry { date: SimTime(30), id: 1, commit: BULK_TS },
         ]);
         assert_eq!(list.bulk().len(), 2);
-        // Appends never disturb the immutable bulk prefix: a top-up bulk
-        // entry, a committed entry, and a committed entry dated *inside*
-        // the prefix all land in the published tail.
-        list.push(Entry { date: SimTime(20), id: 2, commit: BULK_TS });
+        // Appends never disturb the immutable bulk prefix: committed
+        // entries, one dated *inside* the prefix, all land in the
+        // published tail.
+        list.push(Entry { date: SimTime(20), id: 2, commit: 4 });
         list.push(Entry { date: SimTime(40), id: 3, commit: 5 });
         list.push(Entry { date: SimTime(15), id: 4, commit: 6 });
         assert_eq!(list.bulk().len(), 2);
@@ -501,14 +496,14 @@ mod tests {
 
         // At ts 5 the commit-6 entry is invisible; gather sorts the rest.
         let mut out = Vec::new();
-        let (fast, examined, kept) = list.gather_tail(5, |_| true, &mut out);
-        assert_eq!((fast, examined, kept), (1, 2, 1));
+        let (examined, kept) = list.gather_tail(5, |_| true, &mut out);
+        assert_eq!((examined, kept), (3, 2));
         assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2, 3]);
 
         // At ts 6 all three are visible, sorted by (date, id).
         out.clear();
-        let (fast, examined, kept) = list.gather_tail(6, |_| true, &mut out);
-        assert_eq!((fast, examined, kept), (1, 2, 2));
+        let (examined, kept) = list.gather_tail(6, |_| true, &mut out);
+        assert_eq!((examined, kept), (3, 3));
         assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![4, 2, 3]);
     }
 

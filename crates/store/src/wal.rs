@@ -19,21 +19,16 @@
 //! Durability is governed by [`SyncPolicy`]:
 //!
 //! - [`SyncPolicy::Never`]: buffered writes only — the OS page cache
-//!   decides when data hits disk (the pre-v2 behaviour; fastest, not
-//!   crash-durable).
-//! - [`SyncPolicy::EveryCommit`]: `fdatasync` before every commit
-//!   acknowledgement.
-//! - [`SyncPolicy::GroupCommit`]: commits are acknowledged only after
-//!   their record is fsynced, but the fsync is shared. The first committer
-//!   to find no sync in flight becomes the *leader* and fsyncs once for
-//!   every record appended so far while followers block on a condvar;
-//!   commits arriving during that fsync pile up and are covered together
-//!   by the next leader's sync. This natural piggybacking amortizes the
-//!   dominant durability cost across concurrent committers without ever
-//!   acknowledging a non-durable commit and without delaying anyone
-//!   (`max_delay: ZERO`, the default). A non-zero `max_delay` additionally
-//!   holds the sync until `max_batch` records accumulate or the batch
-//!   stops growing — fewer, larger fsyncs at the price of commit latency.
+//!   decides when data hits disk (fastest, not crash-durable).
+//! - [`SyncPolicy::Group`] (the default): commits are acknowledged only
+//!   after their record is fsynced, but the fsync is shared. The first
+//!   committer to find no sync in flight becomes the *leader* and fsyncs
+//!   once for every record appended so far while followers block on a
+//!   condvar; commits arriving during that fsync pile up and are covered
+//!   together by the next leader's sync. This natural piggybacking
+//!   amortizes the dominant durability cost across concurrent committers
+//!   without ever acknowledging a non-durable commit and without delaying
+//!   anyone.
 //!
 //! A record's payload is a version byte followed by one update operation
 //! in the encoding of `update_codec.rs`; this file is the log, group
@@ -48,7 +43,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Log format version, first byte of every record payload.
 const WAL_VERSION: u8 = 2;
@@ -69,46 +64,24 @@ const PREALLOC_BYTES: u64 = 1 << 23;
 
 /// When (if ever) the log calls `fdatasync` before a commit is
 /// acknowledged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Buffered writes only; acknowledged commits may be lost on a crash.
     Never,
-    /// One `fdatasync` per commit — maximal durability, minimal throughput.
-    EveryCommit,
-    /// Group commit: one `fdatasync` covers every commit in flight. With
-    /// `max_delay: ZERO` (the default) the leader syncs immediately and
-    /// batching comes from commits piling up behind the in-flight fsync;
-    /// a non-zero delay holds the sync until `max_batch` records
-    /// accumulate, the batch stops growing, or the delay elapses.
-    GroupCommit {
-        /// Sync as soon as this many unsynced records have accumulated.
-        max_batch: usize,
-        /// Sync no later than this after the leader starts collecting.
-        max_delay: Duration,
-    },
-}
-
-impl Default for SyncPolicy {
-    fn default() -> SyncPolicy {
-        SyncPolicy::GroupCommit { max_batch: 64, max_delay: Duration::ZERO }
-    }
+    /// Group commit: one `fdatasync` covers every commit in flight. The
+    /// leader syncs immediately; batching comes from commits piling up
+    /// behind the in-flight fsync.
+    #[default]
+    Group,
 }
 
 impl SyncPolicy {
-    /// Parse a CLI spelling: `never`, `commit`, `group`, or
-    /// `group:<max_batch>:<max_delay_us>`.
+    /// Parse a CLI spelling: `never` or `group`.
     pub fn parse(s: &str) -> Option<SyncPolicy> {
         match s {
             "never" => Some(SyncPolicy::Never),
-            "commit" | "every-commit" => Some(SyncPolicy::EveryCommit),
-            "group" => Some(SyncPolicy::default()),
-            _ => {
-                let rest = s.strip_prefix("group:")?;
-                let (batch, delay) = rest.split_once(':')?;
-                let max_batch: usize = batch.parse().ok().filter(|&b| b > 0)?;
-                let max_delay = Duration::from_micros(delay.parse().ok()?);
-                Some(SyncPolicy::GroupCommit { max_batch, max_delay })
-            }
+            "group" => Some(SyncPolicy::Group),
+            _ => None,
         }
     }
 }
@@ -191,7 +164,7 @@ impl Writer {
 struct SyncState {
     /// Sequence number of the last record known durable on disk.
     synced: u64,
-    /// Whether some committer is currently collecting a batch or fsyncing.
+    /// Whether some committer is currently fsyncing.
     leader: bool,
 }
 
@@ -210,9 +183,6 @@ pub struct Wal {
     metrics: WalMetrics,
     path: PathBuf,
     records: AtomicU64,
-    /// Last appended sequence number, readable without the writer lock
-    /// (advanced with `fetch_max`, so racing appends can't regress it).
-    appended_hint: AtomicU64,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -220,13 +190,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Wal {
-    /// Create (truncate) a log at `path` with no durability guarantees and
-    /// detached metrics — the pre-v2 constructor, kept for tests and
-    /// benchmark-compat stores.
-    pub fn create(path: &Path) -> SnbResult<Wal> {
-        Wal::create_with(path, SyncPolicy::Never, WalMetrics::detached())
-    }
-
     /// Create (truncate) a log at `path` under `policy`.
     pub fn create_with(path: &Path, policy: SyncPolicy, metrics: WalMetrics) -> SnbResult<Wal> {
         let mut file = File::create(path)?;
@@ -298,7 +261,6 @@ impl Wal {
             metrics,
             path: path.to_path_buf(),
             records: AtomicU64::new(records),
-            appended_hint: AtomicU64::new(last_seq),
         })
     }
 
@@ -307,13 +269,8 @@ impl Wal {
         &self.path
     }
 
-    /// Durability policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
-    /// Whether [`Wal::wait_durable`] may block: every policy but
-    /// [`SyncPolicy::Never`] syncs before a commit is acknowledged.
+    /// Whether [`Wal::wait_durable`] may block: [`SyncPolicy::Group`]
+    /// syncs before a commit is acknowledged.
     pub fn syncs(&self) -> bool {
         self.policy != SyncPolicy::Never
     }
@@ -350,74 +307,31 @@ impl Wal {
         }
         drop(w);
         self.records.fetch_add(1, Ordering::Relaxed);
-        self.appended_hint.fetch_max(seq, Ordering::Release);
-        // Wake a group-commit leader waiting for its batch to fill.
-        self.cond.notify_all();
         Ok(Appended { seq, bytes: RECORD_HEADER as u64 + payload.len() as u64 })
     }
 
     /// Block until record `seq` is durable per the sync policy (returns
-    /// immediately under [`SyncPolicy::Never`]).
+    /// immediately under [`SyncPolicy::Never`]). The durable horizon is
+    /// cumulative: one wait on the newest record covers every earlier one.
     pub fn wait_durable(&self, seq: u64) -> SnbResult<()> {
-        let (max_batch, max_delay) = match self.policy {
-            SyncPolicy::Never => return Ok(()),
-            SyncPolicy::EveryCommit => {
-                // The classic baseline: each committer pays for its own
-                // fsync, no sharing. (A concurrent sync may already have
-                // covered us — re-syncing anyway is exactly this policy's
-                // cost model.)
-                if lock(&self.state).synced >= seq {
-                    return Ok(());
-                }
-                return self.sync_now();
-            }
-            SyncPolicy::GroupCommit { max_batch, max_delay } => {
-                (max_batch.max(1) as u64, max_delay)
-            }
-        };
-        // Poll slice while collecting a batch: one slice with no new
-        // appends means every in-flight committer is already in the batch.
-        const SLICE: Duration = Duration::from_micros(20);
+        if self.policy == SyncPolicy::Never {
+            return Ok(());
+        }
         let mut st = lock(&self.state);
         while st.synced < seq {
             if st.leader {
-                // Someone is collecting a batch (ours included) or already
-                // in fsync; wait for it to publish the new durable horizon.
+                // A sync is in flight; it may or may not cover `seq`.
                 st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
-            // Become the leader: let the batch fill while it is still
-            // growing, up to `max_batch` records or `max_delay` — syncing as
-            // soon as growth stalls, because waiting longer would tax the
-            // commits already collected for the benefit of hypothetical
-            // future ones.
+            // Become the leader: one fsync for every record appended so far.
             st.leader = true;
-            let start = Instant::now();
-            let mut last_hint = self.appended_hint.load(Ordering::Acquire);
-            loop {
-                if last_hint.saturating_sub(st.synced) >= max_batch {
-                    break;
-                }
-                let elapsed = start.elapsed();
-                if elapsed >= max_delay {
-                    break;
-                }
-                let (g, _) = self
-                    .cond
-                    .wait_timeout(st, SLICE.min(max_delay - elapsed))
-                    .unwrap_or_else(|e| e.into_inner());
-                st = g;
-                let hint = self.appended_hint.load(Ordering::Acquire);
-                if hint == last_hint {
-                    break;
-                }
-                last_hint = hint;
-            }
             drop(st);
             let res = self.sync_now();
             st = lock(&self.state);
             st.leader = false;
             drop(st);
+            // Wake the followers `sync_now` did not cover: one leads next.
             self.cond.notify_all();
             res?;
             st = lock(&self.state);
@@ -457,8 +371,8 @@ impl Wal {
         }
     }
 
-    /// Flush buffered records to the OS; under any policy other than
-    /// [`SyncPolicy::Never`] this is also a full durability point (fsync).
+    /// Flush buffered records to the OS; under [`SyncPolicy::Group`] this
+    /// is also a full durability point (fsync).
     pub fn flush(&self) -> SnbResult<()> {
         if self.policy == SyncPolicy::Never {
             lock(&self.writer).spill()
@@ -617,6 +531,11 @@ mod tests {
         std::env::temp_dir().join(format!("snb-wal-{}-{name}", std::process::id()))
     }
 
+    /// A fresh log that never syncs, with detached metrics.
+    fn create(path: &Path) -> SnbResult<Wal> {
+        Wal::create_with(path, SyncPolicy::Never, WalMetrics::detached())
+    }
+
     fn sample_ops() -> Vec<UpdateOp> {
         // Use the generator for realistic, fully populated entities.
         let ds =
@@ -639,7 +558,7 @@ mod tests {
         let path = tmp("roundtrip");
         let ops = sample_ops();
         {
-            let wal = Wal::create(&path).unwrap();
+            let wal = create(&path).unwrap();
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -661,7 +580,7 @@ mod tests {
         let path = tmp("torn");
         let ops = sample_ops();
         {
-            let wal = Wal::create(&path).unwrap();
+            let wal = create(&path).unwrap();
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -688,7 +607,7 @@ mod tests {
         let path = tmp("corrupt");
         let ops = sample_ops();
         {
-            let wal = Wal::create(&path).unwrap();
+            let wal = create(&path).unwrap();
             for op in ops.iter().take(5) {
                 wal.append(op).unwrap();
             }
@@ -714,7 +633,7 @@ mod tests {
         let path = tmp("badlen");
         let ops = sample_ops();
         {
-            let wal = Wal::create(&path).unwrap();
+            let wal = create(&path).unwrap();
             for op in ops.iter().take(5) {
                 wal.append(op).unwrap();
             }
@@ -738,7 +657,7 @@ mod tests {
     #[test]
     fn empty_log_replays_empty() {
         let path = tmp("empty");
-        Wal::create(&path).unwrap().flush().unwrap();
+        create(&path).unwrap().flush().unwrap();
         let replayed = replay(&path).unwrap();
         assert!(replayed.ops.is_empty());
         assert_eq!(replayed.valid_bytes, WAL_MAGIC.len() as u64);
@@ -751,7 +670,7 @@ mod tests {
         let path = tmp("resume");
         let ops = sample_ops();
         {
-            let wal = Wal::create(&path).unwrap();
+            let wal = create(&path).unwrap();
             for op in ops.iter().take(6) {
                 wal.append(op).unwrap();
             }
@@ -794,7 +713,7 @@ mod tests {
         let path = tmp("prealloc");
         let ops = sample_ops();
         {
-            let wal = Wal::create(&path).unwrap();
+            let wal = create(&path).unwrap();
             for op in ops.iter().take(4) {
                 wal.append(op).unwrap();
             }
@@ -827,25 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn every_commit_policy_fsyncs_each_commit() {
-        let path = tmp("everycommit");
-        let metrics = WalMetrics::detached();
-        let ops = sample_ops();
-        {
-            let wal = Wal::create_with(&path, SyncPolicy::EveryCommit, metrics.clone()).unwrap();
-            for op in ops.iter().take(10) {
-                let a = wal.append(op).unwrap();
-                wal.wait_durable(a.seq).unwrap();
-            }
-            assert_eq!(wal.synced_seq(), 10);
-        }
-        assert!(metrics.fsyncs.get() >= 10, "one fsync per commit at minimum");
-        assert_eq!(metrics.group_size.get(), 10);
-        assert!(metrics.fsync_micros.count() >= 10);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn group_commit_shares_fsyncs_across_threads() {
         let path = tmp("groupcommit");
         let metrics = WalMetrics::detached();
@@ -854,12 +754,7 @@ mod tests {
         let threads = 4usize;
         assert!(ops.len() >= per_thread * threads);
         {
-            let wal = Wal::create_with(
-                &path,
-                SyncPolicy::GroupCommit { max_batch: 8, max_delay: Duration::from_millis(5) },
-                metrics.clone(),
-            )
-            .unwrap();
+            let wal = Wal::create_with(&path, SyncPolicy::Group, metrics.clone()).unwrap();
             std::thread::scope(|s| {
                 for t in 0..threads {
                     let wal = &wal;
@@ -883,20 +778,34 @@ mod tests {
         assert_eq!(rep.ops.len(), per_thread * threads);
         assert_eq!(rep.truncated_bytes, 0);
         std::fs::remove_file(&path).unwrap();
+
+        // Deterministically: the durable horizon is cumulative, so one
+        // wait on the newest of k buffered records syncs all k at once,
+        // and a later wait on an older record issues no fsync.
+        let metrics = WalMetrics::detached();
+        let k = 5u64;
+        {
+            let wal = Wal::create_with(&path, SyncPolicy::Group, metrics.clone()).unwrap();
+            for op in &ops[..k as usize] {
+                wal.append(op).unwrap();
+            }
+            assert_eq!(metrics.fsyncs.get(), 0, "appends are buffered");
+            wal.wait_durable(k).unwrap();
+            assert_eq!(metrics.fsyncs.get(), 1);
+            assert_eq!(metrics.group_size.get(), k);
+            wal.wait_durable(1).unwrap();
+            assert_eq!(metrics.fsyncs.get(), 1, "seq 1 was already durable");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn sync_policy_parses_cli_spellings() {
         assert_eq!(SyncPolicy::parse("never"), Some(SyncPolicy::Never));
-        assert_eq!(SyncPolicy::parse("commit"), Some(SyncPolicy::EveryCommit));
-        assert_eq!(SyncPolicy::parse("every-commit"), Some(SyncPolicy::EveryCommit));
-        assert_eq!(SyncPolicy::parse("group"), Some(SyncPolicy::default()));
-        assert_eq!(
-            SyncPolicy::parse("group:32:250"),
-            Some(SyncPolicy::GroupCommit { max_batch: 32, max_delay: Duration::from_micros(250) })
-        );
-        assert_eq!(SyncPolicy::parse("group:0:250"), None);
-        assert_eq!(SyncPolicy::parse("group:x"), None);
-        assert_eq!(SyncPolicy::parse("always"), None);
+        assert_eq!(SyncPolicy::parse("group"), Some(SyncPolicy::Group));
+        assert_eq!(SyncPolicy::default(), SyncPolicy::Group);
+        for removed in ["commit", "every-commit", "group:32:250", "always"] {
+            assert_eq!(SyncPolicy::parse(removed), None, "{removed}");
+        }
     }
 }

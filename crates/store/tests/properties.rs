@@ -287,7 +287,12 @@ proptest! {
         let mut model = Model::default();
         let mut written = Vec::new();
         {
-            let wal = snb_store::wal::Wal::create(&path).unwrap();
+            let wal = snb_store::wal::Wal::create_with(
+                &path,
+                snb_store::SyncPolicy::Never,
+                snb_store::WalMetrics::detached(),
+            )
+            .unwrap();
             for (i, a) in actions.iter().enumerate() {
                 let Some((op, ok)) = to_op(a, i as i64 + 1, &model) else { continue };
                 if ok {

@@ -15,7 +15,6 @@ use snb_store::wal::{replay, SyncPolicy, Wal, WalMetrics};
 use snb_store::Store;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 fn sample_ops() -> &'static [UpdateOp] {
     static OPS: OnceLock<Vec<UpdateOp>> = OnceLock::new();
@@ -35,7 +34,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn write_log(path: &Path, k: usize) {
-    let wal = Wal::create(path).unwrap();
+    let wal = Wal::create_with(path, SyncPolicy::Never, WalMetrics::detached()).unwrap();
     for op in &sample_ops()[..k] {
         wal.append(op).unwrap();
     }
@@ -154,11 +153,7 @@ fn group_commit_acknowledged_commits_survive_a_crash() {
     let n = stream.len().min(200);
     let path = tmp("groupcrash");
 
-    let store = Store::with_wal_policy(
-        &path,
-        SyncPolicy::GroupCommit { max_batch: 16, max_delay: Duration::from_micros(200) },
-    )
-    .unwrap();
+    let store = Store::with_wal_policy(&path, SyncPolicy::default()).unwrap();
     store.bulk_load(&ds);
     for u in &stream[..n] {
         store.apply(&u.op).unwrap(); // acknowledged = durable

@@ -5,13 +5,20 @@
 //! snb rdf      --persons 5000 --out ./data.nt      # N-Triples bulk
 //! snb stats    --persons 5000                      # Table 3-style statistics
 //! snb run      --persons 2000 [--accel N] [--partitions N] [--naive] [--json]
-//!              [--wal PATH] [--sync never|commit|group|group:B:DELAY_US]
+//!              [--wal PATH [--sync never|group]]
 //!              [--connect HOST:PORT[,HOST:PORT…]] [--request-timeout SECS]
 //!              [--trace PATH] [--trace-sample N]
 //!                                                  # full benchmark + disclosure
 //! snb serve    --persons 2000 [--addr HOST:PORT] [--naive] [--shard I/N]
-//!              [--wal PATH] [--sync ...]           # networked SUT (see snb-net)
+//!              [--wal PATH [--sync never|group]]   # networked SUT (see snb-net)
 //! ```
+//!
+//! `--wal` logs every committed update; `--sync` (default `group`) says
+//! whether an update is acknowledged only once its record is fsynced
+//! (`group`, one fsync shared by the commits in flight) or never synced
+//! (`never`). `--sync` without `--wal` is an error, and so are `--wal` and
+//! `--sync` with `--connect`: there the server owns the store, so give them
+//! to `snb serve`.
 //!
 //! `serve` and `run --connect` split the benchmark across the paper's
 //! driver/SUT process boundary: the server owns the store, the driver owns
@@ -51,7 +58,7 @@ struct Args {
     naive: bool,
     json: bool,
     wal: Option<PathBuf>,
-    sync: SyncPolicy,
+    sync: Option<SyncPolicy>,
     addr: String,
     shard: Option<(u32, u32)>,
     connect: Option<String>,
@@ -64,7 +71,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: snb <generate|rdf|stats|run|serve> [--persons N] [--seed N] [--threads N]\n\
          \x20          [--out PATH] [--accel N] [--partitions N] [--naive] [--json]\n\
-         \x20          [--wal PATH] [--sync never|commit|group|group:BATCH:DELAY_US]\n\
+         \x20          [--wal PATH [--sync never|group]]\n\
          \x20          [--addr HOST:PORT] [--shard I/N] [--connect HOST:PORT[,HOST:PORT...]]\n\
          \x20          [--request-timeout SECS] [--trace PATH] [--trace-sample N]"
     );
@@ -85,7 +92,7 @@ fn parse() -> Result<Args, ExitCode> {
         naive: false,
         json: false,
         wal: None,
-        sync: SyncPolicy::default(),
+        sync: None,
         addr: "127.0.0.1:7455".to_string(),
         shard: None,
         connect: None,
@@ -116,10 +123,10 @@ fn parse() -> Result<Args, ExitCode> {
             "--wal" => args.wal = Some(PathBuf::from(value(&rest, &mut i)?)),
             "--sync" => {
                 let spec = value(&rest, &mut i)?;
-                args.sync = SyncPolicy::parse(&spec).ok_or_else(|| {
-                    eprintln!("bad --sync policy: {spec}");
+                args.sync = Some(SyncPolicy::parse(&spec).ok_or_else(|| {
+                    eprintln!("bad --sync policy: {spec} (want never or group)");
                     usage()
-                })?;
+                })?);
             }
             "--addr" => args.addr = value(&rest, &mut i)?,
             "--shard" => {
@@ -148,7 +155,27 @@ fn parse() -> Result<Args, ExitCode> {
             }
         }
     }
+    // A flag the command would ignore is an error, not a silent no-op.
+    if args.connect.is_some() && (args.wal.is_some() || args.sync.is_some()) {
+        let flag = if args.wal.is_some() { "--wal" } else { "--sync" };
+        eprintln!("{flag} does not apply with --connect: the server owns the store");
+        return Err(usage());
+    }
+    if args.sync.is_some() && args.wal.is_none() {
+        eprintln!("--sync needs --wal: without a log there is nothing to sync");
+        return Err(usage());
+    }
     Ok(args)
+}
+
+/// The store `serve` and an in-process `run` own, logged to `--wal` if given.
+fn open_store(args: &Args) -> Arc<Store> {
+    Arc::new(match &args.wal {
+        Some(path) => {
+            Store::with_wal_policy(path, args.sync.unwrap_or_default()).expect("wal create failed")
+        }
+        None => Store::new(),
+    })
 }
 
 fn main() -> ExitCode {
@@ -219,12 +246,7 @@ fn main() -> ExitCode {
                     RemoteConnector::with_config(addr.clone(), net_config).expect("connect failed"),
                 ),
                 None => {
-                    let store = match &args.wal {
-                        Some(path) => Arc::new(
-                            Store::with_wal_policy(path, args.sync).expect("wal create failed"),
-                        ),
-                        None => Arc::new(Store::new()),
-                    };
+                    let store = open_store(&args);
                     store.bulk_load(&ds);
                     let engine = if args.naive { Engine::Naive } else { Engine::Intended };
                     Box::new(StoreConnector::new(store, engine))
@@ -262,12 +284,7 @@ fn main() -> ExitCode {
         }
         "serve" => {
             let ds = generate(config).expect("generation failed");
-            let store = match &args.wal {
-                Some(path) => {
-                    Arc::new(Store::with_wal_policy(path, args.sync).expect("wal create failed"))
-                }
-                None => Arc::new(Store::new()),
-            };
+            let store = open_store(&args);
             let server_config = match args.shard {
                 Some((shard, shards)) => {
                     // Load only this shard's forum slice plus the

@@ -5,7 +5,7 @@ use ldbc_snb::core::update::UpdateOp;
 use ldbc_snb::core::{PersonId, SimTime};
 use ldbc_snb::datagen::{generate, Dataset, GeneratorConfig};
 use ldbc_snb::queries::{complex, Engine};
-use ldbc_snb::store::Store;
+use ldbc_snb::store::{Store, SyncPolicy};
 use std::sync::OnceLock;
 
 fn dataset() -> &'static Dataset {
@@ -67,7 +67,7 @@ fn wal_recovery_restores_exact_state() {
     let stream = ds.update_stream();
     let half = stream.len() / 2;
     {
-        let store = Store::with_wal(&wal_path).unwrap();
+        let store = Store::with_wal_policy(&wal_path, SyncPolicy::Never).unwrap();
         store.bulk_load(ds);
         for u in &stream[..half] {
             store.apply(&u.op).unwrap();
