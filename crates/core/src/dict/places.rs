@@ -21,7 +21,7 @@ pub struct Country {
     pub weight: f64,
     /// Languages spoken (person.languages correlation, Table 1).
     pub languages: &'static [&'static str],
-    /// Range of this country's cities in [`Places::cities`].
+    /// Range of this country's cities in `Places::cities`.
     pub cities: std::ops::Range<CityIdx>,
 }
 

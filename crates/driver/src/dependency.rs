@@ -12,8 +12,7 @@
 //! lower value can appear later) and Local Completion Time (`T_LC`, the
 //! highest completed time below `T_LI`). The [`Gds`] aggregates: `T_GI` is
 //! the minimum `T_LI`, and `T_GC` the maximum `T_LC` strictly below `T_GI`;
-//! exposing `T_LI`/`T_GI` is what lets `T_GC` advance as early as possible
-//! and makes the service composable hierarchically.
+//! exposing `T_LI` is what lets `T_GC` advance as early as possible.
 
 use parking_lot::Mutex;
 use snb_core::time::SimTime;
@@ -429,132 +428,5 @@ mod tests {
             });
         });
         assert_eq!(gds.gct(), SimTime(2000));
-    }
-}
-
-/// What a GDS aggregates over. "The rationale for exposing T_GI is to make
-/// GDS composable. That is, a GDS instance could track other GDS instances
-/// in the same manner as it tracks LDS instances, enabling dependency
-/// tracking in a hierarchical/distributed setting" (§4.2). An [`Lds`]
-/// exposes `T_LI`/`T_LC`; a [`Gds`] exposes `T_GI`/`T_GC` in the same
-/// roles.
-pub trait DependencyNode: Send + Sync {
-    /// Initiation floor: no operation below this time will start later.
-    fn initiation_time(&self) -> SimTime;
-    /// Completion ceiling: every operation at or below this time completed.
-    fn completion_time(&self) -> SimTime;
-}
-
-impl DependencyNode for Lds {
-    fn initiation_time(&self) -> SimTime {
-        self.tli()
-    }
-    fn completion_time(&self) -> SimTime {
-        self.tlc()
-    }
-}
-
-impl DependencyNode for Gds {
-    fn initiation_time(&self) -> SimTime {
-        self.tgi()
-    }
-    fn completion_time(&self) -> SimTime {
-        self.gct()
-    }
-}
-
-/// A dependency service over arbitrary child nodes — LDS instances, whole
-/// GDS instances (one per driver machine in the paper's planned multi-node
-/// deployment), or a mix.
-pub struct HierarchicalGds {
-    children: Vec<Arc<dyn DependencyNode>>,
-    gct_cache: AtomicI64,
-}
-
-impl HierarchicalGds {
-    /// Aggregate the given children.
-    pub fn new(children: Vec<Arc<dyn DependencyNode>>) -> HierarchicalGds {
-        HierarchicalGds { children, gct_cache: AtomicI64::new(0) }
-    }
-
-    /// Global initiation time across children.
-    pub fn tgi(&self) -> SimTime {
-        self.children.iter().map(|c| c.initiation_time()).min().unwrap_or(STREAM_END)
-    }
-
-    /// Global completion time across children (monotone, like [`Gds::gct`]).
-    pub fn gct(&self) -> SimTime {
-        let tgi = self.tgi();
-        let raw = self
-            .children
-            .iter()
-            .map(|c| c.completion_time())
-            .filter(|&t| t < tgi)
-            .max()
-            .unwrap_or(SimTime(0));
-        self.gct_cache.fetch_max(raw.millis(), Ordering::AcqRel);
-        SimTime(self.gct_cache.load(Ordering::Acquire))
-    }
-}
-
-impl DependencyNode for HierarchicalGds {
-    fn initiation_time(&self) -> SimTime {
-        self.tgi()
-    }
-    fn completion_time(&self) -> SimTime {
-        self.gct()
-    }
-}
-
-#[cfg(test)]
-mod hierarchy_tests {
-    use super::*;
-
-    /// Drive the same four streams flat and as a 2x2 hierarchy; the
-    /// hierarchical GCT must never exceed the flat one (it is conservative)
-    /// and must converge to the same final value.
-    #[test]
-    fn hierarchical_tracking_is_safe_and_converges() {
-        let flat = Gds::new(4);
-        let left = Arc::new(Gds::new(2));
-        let right = Arc::new(Gds::new(2));
-        let top = HierarchicalGds::new(vec![
-            Arc::clone(&left) as Arc<dyn DependencyNode>,
-            Arc::clone(&right) as Arc<dyn DependencyNode>,
-        ]);
-
-        let schedule = [(0usize, 10i64), (1, 12), (2, 14), (3, 16), (0, 20), (2, 24)];
-        for &(stream, t) in &schedule {
-            let (sub, local) = if stream < 2 { (&left, stream) } else { (&right, stream - 2) };
-            flat.stream(stream).initiate(SimTime(t));
-            sub.stream(local).initiate(SimTime(t));
-        }
-        for &(stream, t) in &schedule {
-            let (sub, local) = if stream < 2 { (&left, stream) } else { (&right, stream - 2) };
-            flat.stream(stream).complete(SimTime(t));
-            sub.stream(local).complete(SimTime(t));
-            assert!(top.gct() <= flat.gct(), "hierarchy overshot: {} > {}", top.gct(), flat.gct());
-        }
-        for s in 0..4 {
-            flat.stream(s).finish();
-        }
-        for s in 0..2 {
-            left.stream(s).finish();
-            right.stream(s).finish();
-        }
-        assert_eq!(top.gct(), flat.gct());
-        assert_eq!(top.gct(), SimTime(24));
-    }
-
-    #[test]
-    fn three_level_hierarchy_composes() {
-        let leaf = Arc::new(Gds::new(1));
-        let mid =
-            Arc::new(HierarchicalGds::new(vec![Arc::clone(&leaf) as Arc<dyn DependencyNode>]));
-        let top = HierarchicalGds::new(vec![Arc::clone(&mid) as Arc<dyn DependencyNode>]);
-        leaf.stream(0).initiate(SimTime(5));
-        leaf.stream(0).complete(SimTime(5));
-        leaf.stream(0).finish();
-        assert_eq!(top.gct(), SimTime(5));
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! The SNB-Interactive workload driver (§4.2): due-time-scheduled operation
 //! streams with dependency tracking (Local/Global Dependency Services,
-//! Fig. 7), Parallel and Windowed execution modes, per-forum sequential
-//! partitioning, the Table 4 query mix with logarithmic frequency scaling,
-//! the short-read random walk, and latency/throughput metrics with the
-//! steady-state (stable p99) check — "the difficult task of generating a
-//! highly parallel workload [...] on a dataset that by its complex
-//! connected component structure is impossible to partition".
+//! Fig. 7) enforced by the Fig. 8 dependent-execution loop, per-forum
+//! sequential partitioning, the Table 4 query mix with logarithmic
+//! frequency scaling, the short-read random walk, and latency/throughput
+//! metrics with the steady-state (stable p99) check — "the difficult task
+//! of generating a highly parallel workload [...] on a dataset that by its
+//! complex connected component structure is impossible to partition".
 
 pub mod connector;
 pub mod dependency;
@@ -20,4 +20,4 @@ pub use connector::{Connector, OpKind, Operation, SleepConnector, StoreConnector
 pub use metrics::{percentile_sorted, EpochVerdict, KindRecorder, KindStats, Metrics};
 pub use mix::{build_mix, updates_only, WorkItem, TABLE4_FREQUENCIES};
 pub use report::{composition, full_disclosure, full_disclosure_json, Composition, STEADY_FACTOR};
-pub use scheduler::{run, DriverConfig, ExecutionMode, PartitionStats, RunReport};
+pub use scheduler::{run, DriverConfig, PartitionStats, RunReport};

@@ -209,7 +209,6 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
             ("gct_wait_micros", Json::from(p.gct_wait_micros)),
             ("gct_parks", Json::from(p.gct_parks)),
             ("slippage_micros", Json::from(p.slippage_micros)),
-            ("window_batches", Json::from(p.window_batches)),
         ])
     }));
 

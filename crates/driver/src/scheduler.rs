@@ -1,5 +1,5 @@
 //! The parallel workload scheduler (§4.2, "Stream Execution Modes",
-//! "Windowed Execution", "Scalable Dependent Execution").
+//! "Scalable Dependent Execution").
 //!
 //! The workload is split into partitions by each item's partition hint
 //! (forum id for forum-tree operations — the Sequential mode insight that
@@ -25,20 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How operations are scheduled within a partition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExecutionMode {
-    /// Fig. 8 loop: per-operation GCT synchronization.
-    Parallel,
-    /// Windowed Execution: operations are grouped into fixed windows of
-    /// simulation time; the GCT is consulted once per window. Requires the
-    /// window to be at most the dataset's `T_SAFE` (enforced by clamping).
-    Windowed {
-        /// Window length in simulation milliseconds.
-        window_millis: i64,
-    },
-}
-
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -47,8 +33,6 @@ pub struct DriverConfig {
     /// Acceleration factor: simulation time advanced per unit of real time.
     /// `None` replays as fast as possible (throughput mode).
     pub acceleration: Option<f64>,
-    /// Scheduling mode.
-    pub mode: ExecutionMode,
     /// `P`: probability of starting/continuing the short-read random walk
     /// after a complex read (§4, "Simple read-only queries").
     pub short_read_prob: f64,
@@ -63,7 +47,6 @@ impl Default for DriverConfig {
         DriverConfig {
             partitions: 4,
             acceleration: None,
-            mode: ExecutionMode::Parallel,
             short_read_prob: 0.6,
             short_read_decay: 0.15,
             seed: 1,
@@ -90,8 +73,6 @@ pub struct PartitionStats {
     /// Schedule slippage under pacing: accumulated lateness of operations
     /// against their due time, in microseconds (0 in throughput mode).
     pub slippage_micros: u64,
-    /// Windows executed (windowed mode only).
-    pub window_batches: u64,
 }
 
 /// Result of a benchmark run.
@@ -189,8 +170,7 @@ pub fn run(
     let queues = partition_items(items, partitions);
     // Derive the simulation origin from the *minimum* due time, not the
     // first item: an unsorted workload would otherwise make
-    // `due.since(sim_start)` negative, silently corrupting pacing targets
-    // and (via truncating division) windowed-mode window indices.
+    // `due.since(sim_start)` negative, silently corrupting pacing targets.
     let sim_start = items.iter().map(|w| w.due).min().unwrap();
     let sim_end = items.iter().map(|w| w.due).max().unwrap();
     debug_assert!(
@@ -231,7 +211,6 @@ pub fn run(
                         gct_wait_micros: 0,
                         gct_parks: 0,
                         slippage_micros: 0,
-                        window_batches: 0,
                     },
                     walk_counter: (pi as u64) << 40,
                 };
@@ -317,10 +296,7 @@ struct Worker<'a> {
 
 impl Worker<'_> {
     fn run(mut self, queue: Vec<&WorkItem>, out: &Mutex<Vec<PartitionStats>>) -> SnbResult<()> {
-        let result = match self.config.mode {
-            ExecutionMode::Parallel => self.run_parallel(&queue),
-            ExecutionMode::Windowed { window_millis } => self.run_windowed(&queue, window_millis),
-        };
+        let result = self.run_queue(&queue);
         // A failed or aborted partition may hold initiated-but-incomplete
         // operations; abandon() drops them so no other partition deadlocks
         // on a dependency that will never complete. The clean path keeps
@@ -336,7 +312,9 @@ impl Worker<'_> {
         result
     }
 
-    fn run_parallel(&mut self, queue: &[&WorkItem]) -> SnbResult<()> {
+    /// Fig. 8's dependent-execution loop: one GCT synchronization per
+    /// operation that has a dependency.
+    fn run_queue(&mut self, queue: &[&WorkItem]) -> SnbResult<()> {
         for item in queue {
             if self.abort.load(Ordering::Acquire) {
                 break;
@@ -360,49 +338,6 @@ impl Worker<'_> {
             if let Operation::Complex(_) = item.op {
                 self.short_read_walk(outcome)?;
             }
-        }
-        Ok(())
-    }
-
-    fn run_windowed(&mut self, queue: &[&WorkItem], window_millis: i64) -> SnbResult<()> {
-        let window = window_millis.max(1);
-        let mut i = 0;
-        while i < queue.len() {
-            if self.abort.load(Ordering::Acquire) {
-                break;
-            }
-            let w_idx = queue[i].due.since(self.sim_start) / window;
-            let mut j = i;
-            while j < queue.len() && queue[j].due.since(self.sim_start) / window == w_idx {
-                j += 1;
-            }
-            let batch = &queue[i..j];
-            self.stats.window_batches += 1;
-            // Initiate the whole window, then one GCT synchronization for
-            // its maximum dependency — the once-per-window sync that
-            // Windowed Execution buys (§4.2).
-            for item in batch {
-                self.lds.initiate(item.due);
-            }
-            let max_dep = batch.iter().map(|w| w.dep).max().unwrap_or(SimTime(0));
-            if max_dep.millis() > 0 {
-                self.wait_for_gct(max_dep);
-            }
-            self.pace(batch[0].due);
-            if self.abort.load(Ordering::Acquire) {
-                break;
-            }
-            for item in batch {
-                // Per-item root span; the window's single GCT sync and pace
-                // happen outside any item and trace as their own roots.
-                let _op_span = trace::span(op_span_name(item.op.kind()));
-                let outcome = self.execute_timed(&item.op)?;
-                self.lds.complete(item.due);
-                if let Operation::Complex(_) = item.op {
-                    self.short_read_walk(outcome)?;
-                }
-            }
-            i = j;
         }
         Ok(())
     }
@@ -577,21 +512,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("partitions={partitions}: {e}"));
             assert_eq!(report.total_ops, items.len(), "partitions={partitions}");
         }
-    }
-
-    #[test]
-    fn windowed_mode_executes_the_same_operations() {
-        let ds = dataset();
-        let items = mix::updates_only(ds);
-        let store = loaded_store(ds);
-        let conn = StoreConnector::new(store, Engine::Intended);
-        let config = DriverConfig {
-            partitions: 4,
-            mode: ExecutionMode::Windowed { window_millis: ds.config.t_safe_millis },
-            ..DriverConfig::default()
-        };
-        let report = run(&items, &conn, &config).unwrap();
-        assert_eq!(report.total_ops, items.len());
     }
 
     #[test]

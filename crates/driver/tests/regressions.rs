@@ -5,8 +5,7 @@
 //!    kept sleeping toward far-future due times instead of stopping.
 //! 2. `run()` took `sim_start` from the *first* item instead of the
 //!    minimum due time, so an unsorted workload produced negative
-//!    `due.since(sim_start)` offsets — corrupting pacing targets and
-//!    (through truncating division) windowed-mode window indices.
+//!    `due.since(sim_start)` offsets, corrupting pacing targets.
 //! 3. `achieved_acceleration` divided by `wall.as_millis().max(1)`,
 //!    distorting the ratio by up to 1000x for sub-millisecond runs.
 //!
@@ -18,7 +17,7 @@ use snb_core::time::SimTime;
 use snb_core::{PersonId, SnbError, SnbResult};
 use snb_driver::connector::{Connector, OpOutcome, SleepConnector};
 use snb_driver::mix::WorkItem;
-use snb_driver::scheduler::{run, DriverConfig, ExecutionMode};
+use snb_driver::scheduler::{run, DriverConfig};
 use snb_driver::Operation;
 use snb_queries::params::ShortQuery;
 use std::time::{Duration, Instant};
@@ -84,36 +83,30 @@ fn unsorted_input_is_paced_like_sorted() {
     assert!((0.5..=1.1).contains(&ratio), "achieved/target {ratio}");
 }
 
-/// Fix 2 (windowed half): a shuffled workload must execute identically to
-/// the sorted one — same op totals and the same per-partition window
-/// batching — in both execution modes. (Due times are distinct here: items
-/// sharing a due time have no recoverable causal order once the input is
-/// scrambled, so the driver's contract only covers ties that arrive in
-/// causal order.) Pre-fix, `sim_start` came from the shuffled first item,
-/// so earlier items got negative window offsets whose truncating division
-/// merged windows around the origin.
+/// Fix 2 (ordering half): a shuffled workload must execute identically to
+/// the sorted one — same op totals, the same per-partition op counts and
+/// the same simulated span. (Due times are distinct here: items sharing a
+/// due time have no recoverable causal order once the input is scrambled,
+/// so the driver's contract only covers ties that arrive in causal order.)
 #[test]
 fn unsorted_input_runs_identically_to_sorted() {
-    let window = 1_000i64;
     let sorted: Vec<WorkItem> =
-        (0..64).map(|i| short_item(i * window / 2, 0, (i % 4) as u64 + 1)).collect();
+        (0..64).map(|i| short_item(i * 500, 0, (i % 4) as u64 + 1)).collect();
     // Deterministic shuffle: an affine permutation mod 64 (the offset
     // matters — it keeps the minimum due time away from the first slot).
     let unsorted: Vec<WorkItem> = (0..64).map(|i| sorted[(i * 37 + 11) % 64].clone()).collect();
 
-    for mode in [ExecutionMode::Parallel, ExecutionMode::Windowed { window_millis: window }] {
-        let config = DriverConfig { partitions: 4, mode, ..DriverConfig::default() };
-        let conn = SleepConnector::new(Duration::ZERO);
-        let a = run(&sorted, &conn, &config).unwrap();
-        let b = run(&unsorted, &conn, &config).unwrap();
-        assert_eq!(a.total_ops, sorted.len(), "mode {mode:?}");
-        assert_eq!(a.total_ops, b.total_ops, "mode {mode:?}");
-        let batches = |r: &snb_driver::RunReport| {
-            r.partitions.iter().map(|p| (p.partition, p.ops, p.window_batches)).collect::<Vec<_>>()
-        };
-        assert_eq!(batches(&a), batches(&b), "window batching must not depend on input order");
-        assert_eq!(a.sim_span_millis, b.sim_span_millis, "mode {mode:?}");
-    }
+    let config = DriverConfig { partitions: 4, ..DriverConfig::default() };
+    let conn = SleepConnector::new(Duration::ZERO);
+    let a = run(&sorted, &conn, &config).unwrap();
+    let b = run(&unsorted, &conn, &config).unwrap();
+    assert_eq!(a.total_ops, sorted.len());
+    assert_eq!(a.total_ops, b.total_ops);
+    let per_partition = |r: &snb_driver::RunReport| {
+        r.partitions.iter().map(|p| (p.partition, p.ops)).collect::<Vec<_>>()
+    };
+    assert_eq!(per_partition(&a), per_partition(&b), "partitioning must not depend on input order");
+    assert_eq!(a.sim_span_millis, b.sim_span_millis);
 }
 
 /// Fix 3: `achieved_acceleration` must agree with the report's own wall

@@ -1,6 +1,4 @@
-//! [`RemoteConnector`] — the driver side of the wire — and
-//! [`PipelinedClient`], a single-connection v3 client that keeps several
-//! requests in flight.
+//! [`RemoteConnector`] — the driver side of the wire.
 //!
 //! `RemoteConnector` implements [`Connector`] over TCP with a connection
 //! pool sized by demand: each concurrent `execute` checks a connection
@@ -13,12 +11,6 @@
 //! not idempotent, and a timed-out update may well have executed. The
 //! error surfaces to the driver, which aborts the run (the benchmark's
 //! required behavior on SUT failure).
-//!
-//! `PipelinedClient` is the load-generation primitive: `send` queues a
-//! request and returns its correlation id without waiting; `recv` returns
-//! the next completed `(correlation id, response)` in whatever order the
-//! server finished them. The concurrent-load sweep drives hundreds of
-//! these at once.
 
 use crate::codec::{self, Request, Response, NET_MAGIC_V3};
 use crate::metrics::NetMetrics;
@@ -212,7 +204,7 @@ impl RemoteConnector {
             let mut frame = Vec::new();
             let n_in = codec::read_frame(&mut stream, &mut frame)?;
             self.metrics.bytes_in.add(n_in as u64);
-            decode_response(&frame, Some(corr)).map(|(_, response)| response)
+            decode_response(&frame, corr)
         })();
         match result {
             Ok(response) => {
@@ -306,117 +298,17 @@ fn write_request(stream: &mut TcpStream, corr: u64, payload: &[u8]) -> std::io::
     })
 }
 
-/// Split a response frame into the correlation id it answers and the
-/// decoded response. With `sent`, the echoed id must match it — a
+/// Decode a response frame, which must echo the correlation id `sent` — a
 /// mismatch means the connection's request/response pairing is broken.
 /// Any error here is a transport error: the caller poisons the connection.
-fn decode_response(frame: &[u8], sent: Option<u64>) -> std::io::Result<(u64, Response)> {
+fn decode_response(frame: &[u8], sent: u64) -> std::io::Result<Response> {
     let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let (echoed, body) =
         codec::take_corr(frame).ok_or_else(|| invalid("response frame too short".into()))?;
-    if let Some(corr) = sent {
-        if echoed != corr {
-            return Err(invalid(format!("correlation mismatch: sent {corr}, got {echoed}")));
-        }
+    if echoed != sent {
+        return Err(invalid(format!("correlation mismatch: sent {sent}, got {echoed}")));
     }
-    let response =
-        Response::decode(body).ok_or_else(|| invalid("malformed response frame".into()))?;
-    Ok((echoed, response))
-}
-
-/// A single v3 connection with decoupled send and receive halves, for load
-/// generation. Unlike [`RemoteConnector`] (one request in flight per pooled
-/// connection), `PipelinedClient` lets the caller keep a window of requests
-/// outstanding: [`send`](PipelinedClient::send) returns as soon as the
-/// request is written, and [`recv`](PipelinedClient::recv) blocks for the
-/// next response the server finished, identified by correlation id.
-///
-/// Any transport error poisons the client: the connection's framing can no
-/// longer be trusted, so subsequent calls fail fast.
-pub struct PipelinedClient {
-    stream: Stream,
-    next_corr: u64,
-    in_flight: usize,
-    poisoned: bool,
-}
-
-impl PipelinedClient {
-    /// Dial and handshake (v3) with default [`NetConfig`].
-    pub fn connect(addr: impl Into<String>) -> SnbResult<PipelinedClient> {
-        PipelinedClient::with_config(addr, NetConfig::default())
-    }
-
-    /// Dial and handshake (v3) with an explicit config. No connect retries:
-    /// load sweeps want to see dial failures, not paper over them.
-    pub fn with_config(addr: impl Into<String>, config: NetConfig) -> SnbResult<PipelinedClient> {
-        let stream = dial_once(&addr.into(), &config)?;
-        Ok(PipelinedClient { stream, next_corr: 1, in_flight: 0, poisoned: false })
-    }
-
-    /// Requests sent whose responses have not yet been received.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Write one operation to the wire and return its correlation id
-    /// without waiting for the response.
-    pub fn send(&mut self, op: &Operation) -> SnbResult<u64> {
-        let mut payload = Vec::new();
-        codec::encode_execute(op, None, &mut payload);
-        self.send_payload(&payload)
-    }
-
-    /// Write a counters RPC to the wire and return its correlation id.
-    pub fn send_counters(&mut self) -> SnbResult<u64> {
-        let mut payload = Vec::new();
-        Request::Counters.encode(&mut payload);
-        self.send_payload(&payload)
-    }
-
-    fn send_payload(&mut self, payload: &[u8]) -> SnbResult<u64> {
-        self.check_poisoned()?;
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        if let Err(e) = write_request(self.stream.get_mut(), corr, payload) {
-            self.poisoned = true;
-            return Err(SnbError::Io(e));
-        }
-        self.in_flight += 1;
-        Ok(corr)
-    }
-
-    /// Block for the next completed response, in server completion order
-    /// (not send order). Returns the correlation id it answers.
-    pub fn recv(&mut self) -> SnbResult<(u64, Response)> {
-        self.check_poisoned()?;
-        if self.in_flight == 0 {
-            return Err(SnbError::Config("recv with no requests in flight".into()));
-        }
-        let result = (|| -> std::io::Result<(u64, Response)> {
-            let mut frame = Vec::new();
-            codec::read_frame(&mut self.stream, &mut frame)?;
-            decode_response(&frame, None)
-        })();
-        match result {
-            Ok(ok) => {
-                self.in_flight -= 1;
-                Ok(ok)
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Err(SnbError::Io(e))
-            }
-        }
-    }
-
-    fn check_poisoned(&self) -> SnbResult<()> {
-        if self.poisoned {
-            return Err(SnbError::Config(
-                "pipelined connection poisoned by an earlier transport error".into(),
-            ));
-        }
-        Ok(())
-    }
+    Response::decode(body).ok_or_else(|| invalid("malformed response frame".into()))
 }
 
 /// Re-anchor server spans onto the client's clock and file them. The

@@ -259,8 +259,8 @@ impl Response {
                 Response::Partial(partial, seed)
             }
             RESP_GCT => Response::Gct {
-                shard: get_u64(&mut p)? as u32,
-                shards: get_u64(&mut p)? as u32,
+                shard: u32::try_from(get_u64(&mut p)?).ok()?,
+                shards: u32::try_from(get_u64(&mut p)?).ok()?,
                 horizon: get_i64(&mut p)?,
             },
             _ => return None,
@@ -403,7 +403,7 @@ fn get_spans(p: &mut &[u8]) -> Option<Vec<SpanData>> {
             name: get_str(p)?,
             start_us: get_u64(p)?,
             dur_us: get_u64(p)?,
-            tid: get_u64(p)? as u32,
+            tid: u32::try_from(get_u64(p)?).ok()?,
             process: "server",
         });
     }
@@ -581,7 +581,7 @@ fn decode_complex(p: &mut &[u8]) -> Option<ComplexQuery> {
         11 => ComplexQuery::Q11(Q11Params {
             person: PersonId(get_u64(p)?),
             country: get_u64(p)? as usize,
-            max_year: get_i64(p)? as i32,
+            max_year: i32::try_from(get_i64(p)?).ok()?,
         }),
         12 => ComplexQuery::Q12(Q12Params {
             person: PersonId(get_u64(p)?),

@@ -19,8 +19,6 @@
 //! - [`RemoteConnector`] — a pooled client implementing `Connector`
 //!   (`snb run --connect host:port`). Retries connects with bounded
 //!   backoff; never retries a sent request (updates are not idempotent).
-//! - [`PipelinedClient`] — a single-connection windowed client for load
-//!   generation: decoupled send/recv matched by correlation id.
 //!
 //! Both sides keep `net.client.*` / `net.server.*` counters
 //! ([`NetMetrics`]) that feed the full-disclosure report; the counters RPC
@@ -32,7 +30,7 @@ pub mod metrics;
 pub mod router;
 pub mod server;
 
-pub use client::{NetConfig, PipelinedClient, RemoteConnector};
+pub use client::{NetConfig, RemoteConnector};
 pub use codec::{read_frame, write_frame, Request, Response, MAX_FRAME, NET_MAGIC_V3};
 pub use metrics::NetMetrics;
 pub use router::ShardedConnector;

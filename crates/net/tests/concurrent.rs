@@ -9,15 +9,13 @@ use snb_core::update::UpdateOp;
 use snb_core::{PersonId, SnbResult};
 use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome, StoreConnector};
-use snb_net::{
-    codec, PipelinedClient, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC_V3,
-};
+use snb_net::{codec, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC_V3};
 use snb_queries::params::{ComplexQuery, Q2Params, Q7Params, ShortQuery};
 use snb_queries::sharded::Partial;
 use snb_queries::Engine;
 use snb_store::Store;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -60,6 +58,59 @@ fn wait_reaped(server: &Server, deadline: Duration) {
             "connections not reaped: accepted={accepted} closed={closed} open={open}"
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A raw v3 connection whose send and receive halves are decoupled, built
+/// from the public codec alone: any peer may keep many requests in flight
+/// on one connection, and the server must answer each, in whatever order
+/// it finishes them, under the echoed correlation id.
+struct Pipe {
+    stream: TcpStream,
+    next_corr: u64,
+    in_flight: usize,
+}
+
+impl Pipe {
+    fn connect(addr: impl ToSocketAddrs) -> Pipe {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&NET_MAGIC_V3).unwrap();
+        let mut echo = [0u8; 8];
+        stream.read_exact(&mut echo).unwrap();
+        assert_eq!(echo, NET_MAGIC_V3);
+        Pipe { stream, next_corr: 1, in_flight: 0 }
+    }
+
+    /// Write one execute request and return its correlation id without
+    /// waiting for the reply.
+    fn send(&mut self, op: &Operation) -> u64 {
+        self.send_with(|body| codec::encode_execute(op, None, body))
+    }
+
+    fn request_counters(&mut self) -> u64 {
+        self.send_with(|body| Request::Counters.encode(body))
+    }
+
+    fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        let mut payload = Vec::new();
+        codec::put_corr(&mut payload, corr);
+        encode(&mut payload);
+        codec::write_frame(&mut self.stream, &payload).unwrap();
+        self.in_flight += 1;
+        corr
+    }
+
+    /// The next reply the server finished and the correlation id it echoes.
+    fn recv(&mut self) -> (u64, Response) {
+        let mut frame = Vec::new();
+        codec::read_frame(&mut self.stream, &mut frame).unwrap();
+        let (corr, body) = codec::take_corr(&frame).expect("frame carries a correlation id");
+        self.in_flight -= 1;
+        (corr, Response::decode(body).expect("well-formed response"))
     }
 }
 
@@ -108,9 +159,9 @@ fn connection_churn_is_reaped() {
     assert_eq!(server_thread_count(), 1 + WORKERS, "server threads after churn");
 
     // The server still works after all that churn.
-    let mut client = PipelinedClient::connect(addr.to_string()).unwrap();
-    client.send(&Operation::Short(ShortQuery::S1(PersonId(1)))).unwrap();
-    let (_, response) = client.recv().unwrap();
+    let mut client = Pipe::connect(addr);
+    client.send(&Operation::Short(ShortQuery::S1(PersonId(1))));
+    let (_, response) = client.recv();
     assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
 
     server.shutdown();
@@ -125,32 +176,28 @@ fn connection_churn_is_reaped() {
 #[test]
 fn pipelined_requests_match_correlation_ids() {
     let (server, _one_server) = store_server(ServerConfig::default());
-    let mut client = PipelinedClient::connect(server.local_addr().to_string()).unwrap();
+    let mut client = Pipe::connect(server.local_addr());
 
     const K: usize = 32;
     let mut sent = std::collections::BTreeSet::new();
     for i in 0..K {
         let person = PersonId((i % 50) as u64);
         let corr = match i % 4 {
-            0 => client.send(&Operation::Complex(ComplexQuery::Q2(Q2Params {
-                person,
-                max_date: SimTime(i64::MAX),
-            }))),
-            1 => client.send_counters(),
+            0 => client.send(&q2(person)),
+            1 => client.request_counters(),
             _ => client.send(&Operation::Short(match i % 3 {
                 0 => ShortQuery::S1(person),
                 1 => ShortQuery::S2(person),
                 _ => ShortQuery::S3(person),
             })),
-        }
-        .unwrap();
+        };
         assert!(sent.insert(corr), "correlation ids must be unique");
     }
-    assert_eq!(client.in_flight(), K);
+    assert_eq!(client.in_flight, K);
 
     let mut got = std::collections::BTreeSet::new();
     for _ in 0..K {
-        let (corr, response) = client.recv().unwrap();
+        let (corr, response) = client.recv();
         assert!(got.insert(corr), "duplicate response for correlation id {corr}");
         match response {
             Response::Outcome(..) | Response::Counters { .. } => {}
@@ -158,9 +205,50 @@ fn pipelined_requests_match_correlation_ids() {
         }
     }
     assert_eq!(got, sent, "every request answered exactly once");
-    assert_eq!(client.in_flight(), 0);
+    assert_eq!(client.in_flight, 0);
     assert_eq!(server.metrics().inline_requests.get(), K as u64 / 2, "the short reads");
 
+    server.shutdown();
+    server.join();
+}
+
+fn q2(person: PersonId) -> Operation {
+    Operation::Complex(ComplexQuery::Q2(Q2Params { person, max_date: SimTime(i64::MAX) }))
+}
+
+/// One connection puts 400 requests in flight before reading any reply —
+/// far past the server's pipeline cap of 64 — half Q2 (run on the worker
+/// pool) and half S1 (run on the event loop). The excess waits in the
+/// server's pending queue until replies drain; every request is answered
+/// exactly once, with an outcome, and the connection is reaped once the
+/// client hangs up.
+#[test]
+fn one_connection_pipelines_past_the_cap() {
+    const REQUESTS: usize = 400;
+    let (server, _one_server) =
+        store_server(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let mut client = Pipe::connect(server.local_addr());
+
+    let mut sent = std::collections::BTreeSet::new();
+    for i in 0..REQUESTS {
+        let person = PersonId((i % 200) as u64);
+        let op = if i % 2 == 0 { q2(person) } else { Operation::Short(ShortQuery::S1(person)) };
+        sent.insert(client.send(&op));
+    }
+    assert_eq!(client.in_flight, REQUESTS);
+
+    let mut got = std::collections::BTreeSet::new();
+    for _ in 0..REQUESTS {
+        let (corr, response) = client.recv();
+        assert!(got.insert(corr), "duplicate response for correlation id {corr}");
+        assert!(matches!(response, Response::Outcome(..)), "request {corr} answered {response:?}");
+    }
+    assert_eq!(got, sent, "every request answered exactly once");
+    assert_eq!(server.metrics().errors.get(), 0);
+    assert_eq!(server.metrics().inline_requests.get(), REQUESTS as u64 / 2, "the S1s");
+
+    drop(client);
+    wait_reaped(&server, Duration::from_secs(10));
     server.shutdown();
     server.join();
 }
@@ -196,21 +284,21 @@ fn simultaneous_pipelined_clients_see_no_errors_and_are_reaped() {
     const CLIENTS: usize = 32;
     const READS: usize = 50;
     let (server, _one_server) = store_server(ServerConfig::default());
-    let addr = server.local_addr().to_string();
+    let addr = server.local_addr();
     let start = Barrier::new(CLIENTS);
 
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
-            let (addr, start) = (&addr, &start);
+            let start = &start;
             scope.spawn(move || {
-                let mut client = PipelinedClient::connect(addr.clone()).unwrap();
+                let mut client = Pipe::connect(addr);
                 start.wait();
                 for i in 0..READS {
                     let person = PersonId(((c * READS + i) % 200) as u64);
-                    client.send(&Operation::Short(ShortQuery::S1(person))).unwrap();
+                    client.send(&Operation::Short(ShortQuery::S1(person)));
                 }
                 for _ in 0..READS {
-                    let (_, response) = client.recv().unwrap();
+                    let (_, response) = client.recv();
                     assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
                 }
             });
@@ -246,9 +334,9 @@ fn malformed_frame_severs_only_that_connection() {
     let _ = bad.read_to_end(&mut rest);
 
     // A healthy client on the same server is unaffected.
-    let mut good = PipelinedClient::connect(addr.to_string()).unwrap();
-    good.send(&Operation::Short(ShortQuery::S1(PersonId(1)))).unwrap();
-    let (_, response) = good.recv().unwrap();
+    let mut good = Pipe::connect(addr);
+    good.send(&Operation::Short(ShortQuery::S1(PersonId(1))));
+    let (_, response) = good.recv();
     assert!(matches!(response, Response::Outcome(..)));
 
     server.shutdown();
@@ -297,9 +385,9 @@ fn hostile_length_prefix_severs_only_that_connection() {
     let _ = bad.read_to_end(&mut rest);
     assert_eq!(server.metrics().errors.get(), 1);
 
-    let mut good = PipelinedClient::connect(addr.to_string()).unwrap();
-    good.send(&Operation::Short(ShortQuery::S1(PersonId(1)))).unwrap();
-    let (_, response) = good.recv().unwrap();
+    let mut good = Pipe::connect(addr);
+    good.send(&Operation::Short(ShortQuery::S1(PersonId(1))));
+    let (_, response) = good.recv();
     assert!(matches!(response, Response::Outcome(..)));
 
     server.shutdown();
@@ -358,9 +446,9 @@ fn update() -> Operation {
     Operation::Update(UpdateOp::AddPerson(dataset().persons[0].clone()))
 }
 
-fn ask(client: &mut PipelinedClient, op: &Operation) -> Response {
-    client.send(op).unwrap();
-    client.recv().unwrap().1
+fn ask(client: &mut Pipe, op: &Operation) -> Response {
+    client.send(op);
+    client.recv().1
 }
 
 /// A panicking SUT costs the request, not the server, on both paths: the
@@ -372,8 +460,8 @@ fn a_panicking_sut_is_survived_inline_and_on_the_pool() {
     const WORKERS: usize = 2;
     let stub = Stub { panics: true, ..Stub::default() };
     let (server, _one_server) = stub_server(stub, WORKERS);
-    let addr = server.local_addr().to_string();
-    let mut client = PipelinedClient::connect(addr.clone()).unwrap();
+    let addr = server.local_addr();
+    let mut client = Pipe::connect(addr);
 
     for op in [Operation::Short(ShortQuery::S1(PersonId(1))), complex_read()] {
         let response = ask(&mut client, &op);
@@ -382,7 +470,7 @@ fn a_panicking_sut_is_survived_inline_and_on_the_pool() {
     assert_eq!(server.metrics().errors.get(), 2);
 
     let s3 = Operation::Short(ShortQuery::S3(PersonId(1)));
-    let mut fresh = PipelinedClient::connect(addr).unwrap();
+    let mut fresh = Pipe::connect(addr);
     for client in [&mut client, &mut fresh] {
         let response = ask(client, &s3);
         assert!(matches!(response, Response::Outcome(..)), "S3 answered {response:?}");
@@ -484,11 +572,11 @@ fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
     let stub = Stub { update_wait: Some(Duration::from_millis(300)), ..Stub::default() };
     let durable = Arc::clone(&stub.durable);
     let (server, _one_server) = stub_server(stub, WORKERS);
-    let addr = server.local_addr().to_string();
-    let mut writer = PipelinedClient::connect(addr.clone()).unwrap();
-    let mut reader = PipelinedClient::connect(addr).unwrap();
+    let addr = server.local_addr();
+    let mut writer = Pipe::connect(addr);
+    let mut reader = Pipe::connect(addr);
 
-    writer.send(&update()).unwrap();
+    writer.send(&update());
     // A worker records the queue wait as it picks the update up.
     let t0 = Instant::now();
     while server.metrics().queue_micros.count() < 1 {
@@ -505,7 +593,7 @@ fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
     #[cfg(target_os = "linux")]
     assert_eq!(server_thread_count(), 1 + WORKERS, "server threads during a durability wait");
 
-    let (_, response) = writer.recv().unwrap();
+    let (_, response) = writer.recv();
     assert!(durable.load(Ordering::SeqCst), "the update was acknowledged before it was durable");
     assert!(matches!(response, Response::Outcome(..)), "update answered {response:?}");
     assert_eq!(server.metrics().inline_requests.get(), 1, "the S1 alone");
@@ -521,12 +609,12 @@ fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
 fn a_short_read_is_not_blocked_behind_busy_workers() {
     let stub = Stub { complex_sleep: Duration::from_millis(300), ..Stub::default() };
     let (server, _one_server) = stub_server(stub, 2);
-    let addr = server.local_addr().to_string();
-    let mut slow = PipelinedClient::connect(addr.clone()).unwrap();
-    let mut fast = PipelinedClient::connect(addr).unwrap();
+    let addr = server.local_addr();
+    let mut slow = Pipe::connect(addr);
+    let mut fast = Pipe::connect(addr);
 
-    slow.send(&complex_read()).unwrap();
-    slow.send(&complex_read()).unwrap();
+    slow.send(&complex_read());
+    slow.send(&complex_read());
     // A worker records the queue wait as it picks a job up.
     let t0 = Instant::now();
     while server.metrics().queue_micros.count() < 2 {
@@ -541,7 +629,7 @@ fn a_short_read_is_not_blocked_behind_busy_workers() {
     assert!(waited < Duration::from_millis(50), "S1 waited {waited:?} behind the workers");
 
     for _ in 0..2 {
-        assert!(matches!(slow.recv().unwrap().1, Response::Outcome(..)));
+        assert!(matches!(slow.recv().1, Response::Outcome(..)));
     }
     server.shutdown();
     server.join();

@@ -264,6 +264,22 @@ fn codec_rejects_malformed_input() {
     let zero = 0u32.to_le_bytes();
     let mut cursor = &zero[..];
     assert!(codec::read_frame(&mut cursor, &mut Vec::new()).is_err());
+
+    // A field wider on the wire than in memory must fit, not be truncated:
+    // a Gct reply from shard 2^32 would otherwise pass as shard 0.
+    let mut buf = Vec::new();
+    Response::Gct { shard: 0, shards: 2, horizon: 0 }.encode(&mut buf);
+    assert!(Response::decode(&buf).is_some());
+    buf[1..9].copy_from_slice(&(1u64 << 32).to_le_bytes());
+    assert!(Response::decode(&buf).is_none(), "shard past u32 must fail");
+    // Likewise a Q11 year past i32, its last field.
+    let q11 = ComplexQuery::Q11(Q11Params { person: PersonId(1), country: 2, max_year: 2010 });
+    let mut buf = Vec::new();
+    Request::Execute(Operation::Complex(q11), None).encode(&mut buf);
+    assert!(Request::decode(&buf).is_some());
+    let at = buf.len() - 8;
+    buf[at..].copy_from_slice(&(i64::from(i32::MAX) + 1).to_le_bytes());
+    assert!(Request::decode(&buf).is_none(), "max_year past i32 must fail");
 }
 
 /// Acceptance criterion: the full update stream driven through the remote

@@ -23,7 +23,7 @@ pub struct QueryProfile {
     pub versions_walked: AtomicU64,
     /// Rows in final result sets.
     pub result_rows: AtomicU64,
-    /// Times a query reused this thread's [`QueryScratch`]-style workspace
+    /// Times a query reused this thread's `QueryScratch`-style workspace
     /// instead of allocating fresh visited/frontier structures.
     pub scratch_reuses: AtomicU64,
 }

@@ -55,8 +55,7 @@ static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 /// Shared monotonic timebase: nanoseconds since the first tracing call in
 /// this process. One clock for every thread, so spans interleave
 /// correctly. Instrumented stages take nanosecond boundaries so their
-/// histogram sums don't systematically undercount sub-microsecond stages
-/// (see [`nanos_to_micros`]).
+/// histogram sums don't systematically undercount sub-microsecond stages.
 pub fn now_nanos() -> u64 {
     static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
     EPOCH.get_or_init(std::time::Instant::now).elapsed().as_nanos() as u64

@@ -10,7 +10,7 @@
 //! as Y is marked. BFS completes a level before it expands the next, so at
 //! that point every level below Y's is final, and the backward walk from Y
 //! (along strictly decreasing levels) reads only those. The weights come
-//! from one kernel, [`edge_weights`]: each distinct person on the paths
+//! from one kernel, `edge_weights`: each distinct person on the paths
 //! scans their own messages once, and each comment credits the edge to its
 //! parent's author when that edge lies on a path. Weights are integer
 //! half-units, so a shard's partial sums add up exactly.

@@ -1,11 +1,11 @@
 //! # snb-queries
 //!
-//! The SNB-Interactive query workload: the 14 complex read-only queries of
-//! the paper's Appendix, the 7 short read-only queries (profile/post
-//! lookups), and the 8 transactional updates — each over a
-//! [`snb_store::PinnedSnapshot`] (latch pinned once, zero-allocation
-//! borrowing scans), with an intended-plan engine and a scan-based naive
-//! engine (see [`engine`]). Traversals reuse a per-thread [`QueryScratch`]
+//! The SNB-Interactive read workload: the 14 complex read-only queries of
+//! the paper's Appendix and the 7 short read-only queries (profile/post
+//! lookups) — each over a [`snb_store::PinnedSnapshot`] (latch pinned
+//! once, zero-allocation borrowing scans), with an intended-plan engine and
+//! a scan-based naive engine (see [`engine`]). The 8 transactional updates
+//! are applied by the store itself ([`snb_store::Store::apply`]). Traversals reuse a per-thread [`QueryScratch`]
 //! instead of allocating visited sets per query (see [`scratch`]).
 
 pub mod complex;
@@ -15,7 +15,6 @@ pub mod params;
 pub mod scratch;
 pub mod sharded;
 pub mod short;
-pub mod update;
 
 pub use engine::Engine;
 pub use params::{ComplexQuery, ShortQuery};

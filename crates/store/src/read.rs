@@ -229,8 +229,8 @@ impl<'g> PinnedSnapshot<'g> {
 /// Zero-allocation iterator over the visible entries of one index list,
 /// ascending `(date, id)` — a lazy k-way merge of the immutable bulk
 /// prefix (yielded without visibility checks) and the list's ladder runs
-/// (at most one immutable sorted run per level; see
-/// [`crate::tail::IndexTail`]). Versioned run entries are MVCC-filtered as
+/// (at most one immutable sorted run per level; see `IndexTail` in
+/// `tail.rs`). Versioned run entries are MVCC-filtered as
 /// they are reached, so an early-exiting caller pays only for what it
 /// consumed. All accounting is batched locally and flushed once, on drop.
 pub struct DatedIter<'g> {

@@ -235,7 +235,7 @@ impl Store {
     /// Bulk-load all entities created at or before `cut` using `threads`
     /// loader threads, into an empty store.
     ///
-    /// This is the parallel sorted path ([`crate::loader`]): partition
+    /// This is the parallel sorted path (the `loader` module): partition
     /// every id space into contiguous per-thread ranges, build each table
     /// slice and adjacency list on its owning thread, sort every
     /// date-ordered index **once**, and install the lists as immutable bulk
@@ -713,5 +713,36 @@ mod tests {
             .filter(|&i| snap.message(MessageId(i as u64)).is_some())
             .count();
         assert_eq!(visible_msgs, ds.message_count());
+    }
+
+    #[test]
+    fn replaying_the_update_stream_executes_all_eight_types() {
+        let ds = snb_datagen::generate(
+            snb_datagen::GeneratorConfig::with_persons(350).activity(0.5).seed(7),
+        )
+        .unwrap();
+        let s = Store::new();
+        s.bulk_load(&ds);
+        let mut seen = [0usize; 9];
+        for u in ds.update_stream() {
+            s.apply(&u.op).unwrap();
+            seen[u.op.query_number()] += 1;
+        }
+        for (q, &n) in seen.iter().enumerate().skip(1) {
+            assert!(n > 0, "U{q} never executed");
+        }
+    }
+
+    #[test]
+    fn duplicate_update_is_rejected() {
+        let ds =
+            snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(100).activity(0.3))
+                .unwrap();
+        let s = Store::new();
+        s.bulk_load(&ds);
+        let stream = ds.update_stream();
+        let first_person = stream.iter().find(|u| matches!(u.op, UpdateOp::AddPerson(_))).unwrap();
+        s.apply(&first_person.op).unwrap();
+        assert!(s.apply(&first_person.op).is_err());
     }
 }

@@ -1,11 +1,11 @@
 //! Driver correctness under parallel execution: dependency ordering is
-//! never violated, whatever the partitioning or execution mode.
+//! never violated, whatever the partitioning.
 
 use ldbc_snb::core::update::UpdateOp;
 use ldbc_snb::core::SnbResult;
 use ldbc_snb::datagen::{generate, Dataset, GeneratorConfig};
 use ldbc_snb::driver::connector::{OpOutcome, Operation};
-use ldbc_snb::driver::{mix, run, Connector, DriverConfig, ExecutionMode, RunReport, WorkItem};
+use ldbc_snb::driver::{mix, run, Connector, DriverConfig, RunReport, WorkItem};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -145,23 +145,6 @@ fn parallel_mode_never_violates_dependencies() {
             violations.len(),
             violations[0]
         );
-    }
-}
-
-#[test]
-fn windowed_mode_never_violates_dependencies() {
-    let ds = dataset();
-    let items = Arc::new(mix::updates_only(ds));
-    for window in [ds.config.t_safe_millis, ds.config.t_safe_millis / 4] {
-        let conn = Arc::new(OrderValidatingConnector::new(ds));
-        let config = DriverConfig {
-            partitions: 6,
-            mode: ExecutionMode::Windowed { window_millis: window },
-            ..DriverConfig::default()
-        };
-        run_bounded(&items, &conn, &config, &format!("window={window} partitions=6"));
-        let violations = std::mem::take(&mut *conn.violations.lock());
-        assert!(violations.is_empty(), "window={window}: {violations:?}");
     }
 }
 
