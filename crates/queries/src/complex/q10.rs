@@ -199,7 +199,7 @@ mod tests {
         let snap = f.store.pinned();
         let p = params();
         for r in run(&snap, Engine::Intended, &p) {
-            let (_, m, d) = snap.person(r.person).unwrap().birthday.to_ymd();
+            let (_, m, d) = snap.person_ref(r.person).unwrap().birthday.to_ymd();
             assert!((m == p.month && d >= 21) || (m == p.month + 1 && d < 22), "{m}-{d}");
         }
     }
@@ -210,7 +210,7 @@ mod tests {
         let snap = f.store.pinned();
         let p = Q10Params { person: busy_person(f), month: 12 };
         for r in run(&snap, Engine::Intended, &p) {
-            let (_, m, d) = snap.person(r.person).unwrap().birthday.to_ymd();
+            let (_, m, d) = snap.person_ref(r.person).unwrap().birthday.to_ymd();
             assert!((m == 12 && d >= 21) || (m == 1 && d < 22));
         }
     }

@@ -48,7 +48,7 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q11Params) -> Vec<Q11R
     let dicts = Dictionaries::global();
     let mut rows = Vec::new();
     for c in candidates {
-        let Some(person) = snap.person(PersonId(c)) else { continue };
+        let Some(person) = snap.person_ref(PersonId(c)) else { continue };
         for w in &person.work_at {
             let company = dicts.orgs.company(w.company.index());
             if company.country == p.country && w.work_from < p.max_year {
@@ -108,7 +108,7 @@ mod tests {
         assert!(!rows.is_empty(), "populous-country referral should hit");
         for r in &rows {
             assert!(r.work_from < p.max_year);
-            let person = snap.person(r.person).unwrap();
+            let person = snap.person_ref(r.person).unwrap();
             let works_there = person.work_at.iter().any(|w| {
                 dicts.orgs.company(w.company.index()).name == r.company
                     && dicts.orgs.company(w.company.index()).country == p.country

@@ -185,7 +185,7 @@ mod tests {
         let p = params();
         for r in run(&snap, Engine::Intended, &p) {
             assert!(r.x_count > 0 && r.y_count > 0);
-            let home = snap.person(r.person).unwrap().country;
+            let home = snap.person_ref(r.person).unwrap().country;
             assert_ne!(home, p.country_x);
             assert_ne!(home, p.country_y);
         }

@@ -46,7 +46,7 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q7Params) -> Vec<Q7Row
     let mut rows: Vec<Q7Row> = latest
         .into_iter()
         .filter_map(|(liker, (date, msg))| {
-            let lp = snap.person(PersonId(liker))?;
+            let lp = snap.person_ref(PersonId(liker))?;
             let message = snap.message_meta(MessageId(msg))?;
             Some(Q7Row {
                 liker: PersonId(liker),

@@ -39,8 +39,8 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q8Params) -> Vec<Q8Row
     };
     top.into_iter()
         .filter_map(|((Reverse(date), comment), ())| {
-            let row = snap.message(MessageId(comment))?;
-            let author = snap.person(row.author)?;
+            let row = snap.message_ref(MessageId(comment))?;
+            let author = snap.person_ref(row.author)?;
             Some(Q8Row {
                 commenter: row.author,
                 first_name: author.first_name,

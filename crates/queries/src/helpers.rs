@@ -1,6 +1,6 @@
 //! Shared traversal and top-k helpers.
 //!
-//! Traversals run over a [`PinnedSnapshot`]'s zero-allocation iterators
+//! Traversals run over a [`PinnedSnapshot`]'s lazy borrowing iterators
 //! and mark visited persons in the caller's [`QueryScratch`] (dense
 //! epoch-stamped map) instead of building per-query hash sets. They tick
 //! the current [`snb_obs::QueryProfile`] scope (neighbors expanded), so

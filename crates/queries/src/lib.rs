@@ -3,7 +3,7 @@
 //! The SNB-Interactive read workload: the 14 complex read-only queries of
 //! the paper's Appendix and the 7 short read-only queries (profile/post
 //! lookups) — each over a [`snb_store::PinnedSnapshot`] (latch pinned
-//! once, zero-allocation borrowing scans), with an intended-plan engine and
+//! once, lazy borrowing scans), with an intended-plan engine and
 //! a scan-based naive engine (see [`engine`]). The 8 transactional updates
 //! are applied by the store itself ([`snb_store::Store::apply`]). Traversals reuse a per-thread [`QueryScratch`]
 //! instead of allocating visited sets per query (see [`scratch`]).

@@ -34,7 +34,7 @@ pub struct ProfileRow {
 
 /// Run S1.
 pub fn s1_profile(snap: &PinnedSnapshot<'_>, person: PersonId) -> Option<ProfileRow> {
-    let p = snap.person(person)?;
+    let p = snap.person_ref(person)?;
     Some(ProfileRow {
         first_name: p.first_name,
         last_name: p.last_name,
@@ -71,7 +71,7 @@ pub fn s2_recent_messages(snap: &PinnedSnapshot<'_>, person: PersonId) -> Vec<Re
     snap.recent_messages_walk(person, SimTime(i64::MAX))
         .take(S2_LIMIT)
         .filter_map(|(msg, date)| {
-            let row = snap.message(MessageId(msg))?;
+            let row = snap.message_ref(MessageId(msg))?;
             let root = row.reply_info.map(|(_, root)| root).unwrap_or(MessageId(msg));
             let root_author = snap.message_meta(root)?.author;
             let content = row
@@ -102,7 +102,7 @@ pub fn s3_friends(snap: &PinnedSnapshot<'_>, person: PersonId) -> Vec<(PersonId,
 
 /// S4 — message content and creation date.
 pub fn s4_message(snap: &PinnedSnapshot<'_>, message: MessageId) -> Option<(String, SimTime)> {
-    let m = snap.message(message)?;
+    let m = snap.message_ref(message)?;
     let content =
         m.image_file.as_deref().filter(|_| m.content.is_empty()).unwrap_or(&m.content).to_string();
     Some((content, m.creation_date))
@@ -122,8 +122,8 @@ pub fn s6_forum(
     let meta = snap.message_meta(message)?;
     let root = meta.reply_info.map(|(_, r)| r).unwrap_or(message);
     let forum_id = snap.message_meta(root)?.forum;
-    let forum = snap.forum(forum_id)?;
-    Some((forum_id, forum.title, forum.moderator))
+    let forum = snap.forum_ref(forum_id)?;
+    Some((forum_id, forum.title.clone(), forum.moderator))
 }
 
 /// S7 — replies to a message with their authors and a flag telling whether

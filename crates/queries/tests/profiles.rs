@@ -86,3 +86,62 @@ fn queries_outside_a_scope_record_nothing_and_still_work() {
     };
     assert_eq!(rows, rows_in_scope);
 }
+
+/// Store read counters and operator-profile totals after every complex
+/// query's bindings ran on `threads` threads at once, each thread opening
+/// one snapshot per query as the driver does. The profiles are one per
+/// kind, shared by the threads.
+fn counted_run(
+    store: &snb_store::Store,
+    bindings: &snb_params::Bindings,
+    threads: usize,
+) -> (Vec<u64>, Vec<snb_obs::ProfileSnapshot>) {
+    let counters = |s: &snb_store::Store| {
+        let c = s.counters();
+        [&c.versions_walked, &c.versions_skipped, &c.read_fastlane_entries, &c.snapshots]
+            .map(|c| c.get())
+    };
+    let before = counters(store);
+    let profiles: Vec<Arc<QueryProfile>> =
+        (0..=14).map(|_| Arc::new(QueryProfile::new())).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                for (q, profile) in profiles.iter().enumerate().skip(1) {
+                    let _guard = QueryProfile::enter(Arc::clone(profile));
+                    for binding in bindings.all(q) {
+                        let snap = store.pinned();
+                        complex::run_complex(&snap, Engine::Intended, binding);
+                    }
+                }
+            });
+        }
+    });
+    let after = counters(store);
+    let deltas = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    (deltas, profiles.iter().skip(1).map(|p| p.snapshot()).collect())
+}
+
+#[test]
+fn accounting_is_exact_under_two_threads() {
+    let ds = snb_datagen::generate(
+        snb_datagen::GeneratorConfig::with_persons(300).activity(0.5).seed(11),
+    )
+    .unwrap();
+    // Bulk load, then commit the update stream, so reads walk ladder tails
+    // (versions walked) as well as bulk prefixes (fast lane).
+    let store = snb_store::Store::new();
+    store.bulk_load(&ds);
+    for u in ds.update_stream() {
+        store.apply(&u.op).unwrap();
+    }
+    let bindings = snb_params::curated_bindings(&ds, 16);
+    let (one, one_profiles) = counted_run(&store, &bindings, 1);
+    let (two, two_profiles) = counted_run(&store, &bindings, 2);
+    assert!(one[0] > 0 && one[2] > 0, "both lanes are read: {one:?}");
+    assert_eq!(two, one.iter().map(|n| 2 * n).collect::<Vec<_>>(), "store counters");
+    for (q, (a, b)) in one_profiles.iter().zip(&two_profiles).enumerate() {
+        let doubled: Vec<(&str, u64)> = a.fields().iter().map(|&(n, v)| (n, 2 * v)).collect();
+        assert_eq!(b.fields().to_vec(), doubled, "profile of Q{}", q + 1);
+    }
+}

@@ -561,21 +561,18 @@ pub(crate) fn merge_compact(a: &CompactRun, b: &CompactRun) -> CompactRun {
 
 /// Forward cursor: serves entries oldest-first. A plain `Copy` struct —
 /// one cached [`BlockView`]; `peek` is two masked loads, block crossings
-/// re-parse one ~10-byte header. A cursor with no run serves zero or one
-/// inline entries — the shape of a level-0 ladder "run" (a single raw
-/// tail slot), so the k-way merges treat every lane uniformly.
+/// re-parse one ~10-byte header. A cursor with no run is exhausted.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cursor<'a> {
     run: Option<&'a CompactRun>,
     /// Next rank to yield; `[rank, end)` remain.
     rank: u32,
-    /// Rank of the entry memoized in `single` ([`NO_RANK`] = none).
+    /// Rank of the entry memoized in `memo` ([`NO_RANK`] = none).
     cached_rank: u32,
     end: u32,
     view: BlockView,
-    /// The inline entry for run-less lanes, doubling as the decode memo
-    /// for packed runs (`cached_rank` says which rank it holds).
-    single: Entry,
+    /// Decode memo (`cached_rank` says which rank it holds).
+    memo: Entry,
 }
 
 /// `cached_rank` sentinel: nothing memoized.
@@ -590,19 +587,7 @@ impl<'a> Cursor<'a> {
             cached_rank: NO_RANK,
             end: 0,
             view: BlockView::EMPTY,
-            single: ZERO_ENTRY,
-        }
-    }
-
-    /// A one-entry inline lane (level-0 run: one raw tail slot).
-    pub(crate) fn single(e: Entry) -> Cursor<'static> {
-        Cursor {
-            run: None,
-            rank: 0,
-            cached_rank: NO_RANK,
-            end: 1,
-            view: BlockView::EMPTY,
-            single: e,
+            memo: ZERO_ENTRY,
         }
     }
 
@@ -618,7 +603,7 @@ impl<'a> Cursor<'a> {
             cached_rank: NO_RANK,
             end: run.len,
             view: BlockView::EMPTY,
-            single: ZERO_ENTRY,
+            memo: ZERO_ENTRY,
         }
     }
 
@@ -629,12 +614,10 @@ impl<'a> Cursor<'a> {
         if self.rank >= self.end {
             return None;
         }
-        let Some(run) = self.run else {
-            return Some(self.single);
-        };
+        let run = self.run?;
         let r = self.rank as usize;
         if self.cached_rank == self.rank {
-            return Some(self.single);
+            return Some(self.memo);
         }
         let b = (r / BLOCK) as u32;
         if self.view.blk != b {
@@ -644,7 +627,7 @@ impl<'a> Cursor<'a> {
         // Memoize: k-way merges re-peek the same lane head on every
         // rescan, so repeated peeks must not re-decode.
         self.cached_rank = self.rank;
-        self.single = e;
+        self.memo = e;
         Some(e)
     }
 
@@ -660,8 +643,7 @@ impl<'a> Cursor<'a> {
             return 0;
         }
         let Some(run) = self.run else {
-            out[0] = (self.single.id, self.single.date);
-            return 1;
+            return 0;
         };
         let r = self.rank as usize;
         let avail = (self.end - self.rank) as usize;
@@ -706,12 +688,11 @@ pub(crate) struct RevCursor<'a> {
     run: Option<&'a CompactRun>,
     /// Entries `[0, rem)` remain; the next yield is rank `rem - 1`.
     rem: u32,
-    /// Rank of the entry memoized in `single` ([`NO_RANK`] = none).
+    /// Rank of the entry memoized in `memo` ([`NO_RANK`] = none).
     cached_rank: u32,
     view: BlockView,
-    /// The inline entry for run-less lanes, doubling as the decode memo
-    /// for packed runs (`cached_rank` says which rank it holds).
-    single: Entry,
+    /// Decode memo (`cached_rank` says which rank it holds).
+    memo: Entry,
 }
 
 impl<'a> RevCursor<'a> {
@@ -721,13 +702,8 @@ impl<'a> RevCursor<'a> {
             rem: 0,
             cached_rank: NO_RANK,
             view: BlockView::EMPTY,
-            single: ZERO_ENTRY,
+            memo: ZERO_ENTRY,
         }
-    }
-
-    /// A one-entry inline lane.
-    pub(crate) fn single(e: Entry) -> RevCursor<'static> {
-        RevCursor { run: None, rem: 1, cached_rank: NO_RANK, view: BlockView::EMPTY, single: e }
     }
 
     /// A lane over `run`'s entries dated at or before `d`, consumed from
@@ -750,7 +726,7 @@ impl<'a> RevCursor<'a> {
                 rem: run.len,
                 cached_rank: run.len - 1,
                 view: BlockView::EMPTY,
-                single: run.last,
+                memo: run.last,
             };
         }
         let bytes = &run.bytes;
@@ -772,13 +748,13 @@ impl<'a> RevCursor<'a> {
             rem: (block * BLOCK + lo) as u32,
             cached_rank: NO_RANK,
             view: v,
-            single: ZERO_ENTRY,
+            memo: ZERO_ENTRY,
         };
         // Head rank `rem - 1` sits in the block just parsed unless the
         // bound fell on the block edge: decode it into the memo now.
         if lo > 0 {
             c.cached_rank = c.rem - 1;
-            c.single = v.entry(bytes, lo - 1);
+            c.memo = v.entry(bytes, lo - 1);
         }
         c
     }
@@ -790,12 +766,10 @@ impl<'a> RevCursor<'a> {
         if self.rem == 0 {
             return None;
         }
-        let Some(run) = self.run else {
-            return Some(self.single);
-        };
+        let run = self.run?;
         let r = (self.rem - 1) as usize;
         if self.cached_rank == self.rem - 1 {
-            return Some(self.single);
+            return Some(self.memo);
         }
         let b = (r / BLOCK) as u32;
         if self.view.blk != b {
@@ -805,7 +779,7 @@ impl<'a> RevCursor<'a> {
         // Memoize: k-way merges re-peek the same lane head on every
         // rescan, so repeated peeks must not re-decode.
         self.cached_rank = self.rem - 1;
-        self.single = e;
+        self.memo = e;
         Some(e)
     }
 
@@ -818,12 +792,10 @@ impl<'a> RevCursor<'a> {
         if self.rem == 0 {
             return None;
         }
-        let Some(run) = self.run else {
-            return Some((self.single.id, self.single.date));
-        };
+        let run = self.run?;
         let r = (self.rem - 1) as usize;
         if self.cached_rank == self.rem - 1 {
-            return Some((self.single.id, self.single.date));
+            return Some((self.memo.id, self.memo.date));
         }
         let b = (r / BLOCK) as u32;
         if self.view.blk != b {

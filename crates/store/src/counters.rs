@@ -200,10 +200,15 @@ impl MemGauges {
 #[derive(Debug)]
 pub struct StoreCounters {
     registry: Counters,
-    /// Snapshots opened (`store.mvcc.snapshots`).
+    /// Latch-free read snapshots opened (`store.mvcc.snapshots`): pinned
+    /// snapshots never touch a lock — readers see the store through
+    /// release/acquire tail publication alone.
     pub snapshots: Counter,
     /// Version-stamped entries examined by snapshot reads
-    /// (`store.mvcc.versions_walked`) — the MVCC walk length.
+    /// (`store.mvcc.versions_walked`) — the MVCC walk length. This and the
+    /// other two read counters (`versions_skipped`, `read_fastlane_entries`)
+    /// are added when a snapshot drops, so they are exact once the
+    /// snapshots that did the reads have dropped.
     pub versions_walked: Counter,
     /// Entries skipped because they were invisible to the reading snapshot
     /// (`store.mvcc.versions_skipped`).
@@ -217,11 +222,6 @@ pub struct StoreCounters {
     /// pre-PR-5 `store.read.fastpath_entries` to match the "fast lane"
     /// terminology used everywhere else.
     pub read_fastlane_entries: Counter,
-    /// Latch-free read snapshots opened (`store.read.latchfree_reads`):
-    /// pinned snapshots that never touch a lock — readers see the store
-    /// through release/acquire tail publication alone. Replaces the
-    /// pre-latch-free `store.read.guard_pins`.
-    pub read_latchfree: Counter,
     /// Writer stripe-lock acquisitions that found the stripe contended and
     /// had to block (`store.write.shard_conflicts`) — the residual
     /// serialization between shard-colliding transactions.
@@ -277,7 +277,6 @@ impl StoreCounters {
             commits: registry.counter("store.txn.commits"),
             conflicts: registry.counter("store.txn.conflicts"),
             read_fastlane_entries: registry.counter("store.read.fastlane_entries"),
-            read_latchfree: registry.counter("store.read.latchfree_reads"),
             write_shard_conflicts: registry.counter("store.write.shard_conflicts"),
             publish_parks: registry.counter("store.write.publish_parks"),
             watermark_lag: LatencyHistogram::new(),
@@ -345,7 +344,7 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        assert_eq!(names.len(), 30);
+        assert_eq!(names.len(), 29);
         assert!(snap.contains(&("store.mvcc.snapshots", 1)));
         // The store.mem.* gauge family registers eagerly so remote and
         // local disclosures agree on the name set even before a refresh.
@@ -360,7 +359,6 @@ mod tests {
         assert!(names.contains(&"store.mem.bytes_per_message"));
         assert!(names.contains(&"store.read.fastlane_entries"));
         assert!(!names.contains(&"store.read.fastpath_entries"), "pre-PR-5 name must be gone");
-        assert!(names.contains(&"store.read.latchfree_reads"));
         assert!(names.contains(&"store.write.shard_conflicts"));
         assert!(names.contains(&"store.write.publish_parks"));
         assert!(snap.contains(&("store.wal.bytes", 100)));

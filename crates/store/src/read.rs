@@ -3,24 +3,28 @@
 //!
 //! [`PinnedSnapshot`] pins a commit timestamp and reads the shared
 //! [`Tables`] through it. The borrowing iterators ([`DatedIter`],
-//! [`RecentWalk`]) lazily merge a list's published ladder runs
-//! (visibility-filtered as they are reached) with its immutable bulk
-//! prefix; the owned-`Vec` accessors run an independent eager merge of the
-//! same lists ([`merge_ascending`] over [`IndexList::gather_tail`]) that
-//! the property tests compare the iterators against. No atomics live
-//! here: what a reader may touch is decided by the acquire loads inside
-//! [`crate::tail`] and by [`crate::mvcc::visible`].
+//! [`RecentWalk`]) lazily merge a list's immutable bulk prefix, its
+//! published ladder runs and its sorted sub-base remainder, filtering
+//! tail entries for visibility as they are reached; the owned-`Vec`
+//! accessors run an independent eager merge of the same lists
+//! ([`merge_ascending`] over [`IndexList::gather_tail`]) that the property
+//! tests compare the iterators against. No atomics live here: what a
+//! reader may touch is decided by the acquire loads inside [`crate::tail`]
+//! and by [`crate::mvcc::visible`], and read accounting sums into plain
+//! snapshot-local cells that reach [`StoreCounters`] when the snapshot
+//! drops.
 
 use crate::compact::{Cursor, RevCursor, FILL_DATED};
 use crate::counters::StoreCounters;
 use crate::mvcc::{visible, CommitTs};
 use crate::tables::{key, Entry, MessageRow, Tables};
-use crate::tail::{IndexList, LaneSrc, MAX_RUNS};
+use crate::tail::{IndexList, IndexTail, MAX_SINGLES};
 use snb_core::schema::{Forum, Person};
 use snb_core::time::SimTime;
 use snb_core::{ForumId, MessageId, PersonId, TagId};
 use snb_obs::trace::{self, NameId};
 use snb_obs::{tick_index_probes, tick_versions_walked};
+use std::cell::Cell;
 
 /// Trace-span names of the two lazy iterators (recorded on drop, as
 /// children of whatever span the caller has open).
@@ -35,16 +39,60 @@ static SPAN_RECENT_WALK: NameId = NameId::new("store.read.recent_walk");
 /// the snapshot observes exactly the transactions committed before it was
 /// opened, no matter how many commit during the query.
 ///
-/// Accessors hand out references and zero-allocation iterators tied to the
-/// store's immutable segments ([`PinnedSnapshot::friends_iter`],
+/// Accessors hand out references and lazy iterators tied to the store's
+/// immutable segments ([`PinnedSnapshot::friends_iter`],
 /// [`PinnedSnapshot::recent_messages_walk`], [`PinnedSnapshot::person_ref`]
 /// …). The owned-`Vec` accessors beside them ([`PinnedSnapshot::friends`]
 /// …) run an independent eager merge of the same lists; the property tests
 /// compare the iterators against it.
+///
+/// Read accounting (`store.read.fastlane_entries`,
+/// `store.mvcc.versions_walked`, `store.mvcc.versions_skipped`) sums into
+/// the snapshot's own cells and reaches [`StoreCounters`] once, when the
+/// snapshot drops: the store counters are exact once the snapshots that
+/// did the reads have dropped. The cells make a snapshot `Send` but not
+/// `Sync`: each reading thread pins its own.
 pub struct PinnedSnapshot<'a> {
     pub(crate) tables: &'a Tables,
     pub(crate) ts: CommitTs,
     pub(crate) counters: &'a StoreCounters,
+    pub(crate) acct: ReadAcct,
+}
+
+/// A snapshot's read accounting, summed locally (see [`PinnedSnapshot`]).
+#[derive(Default)]
+pub(crate) struct ReadAcct {
+    fast: Cell<u64>,
+    walked: Cell<u64>,
+    skipped: Cell<u64>,
+}
+
+impl ReadAcct {
+    /// Add `fast` bulk-prefix entries and `examined` tail entries (or row
+    /// versions) of which `kept` were visible, and tick the current query
+    /// profile's `versions_walked`.
+    #[inline]
+    fn add(&self, fast: u64, examined: u64, kept: u64) {
+        self.fast.set(self.fast.get() + fast);
+        self.walked.set(self.walked.get() + examined);
+        self.skipped.set(self.skipped.get() + (examined - kept));
+        tick_versions_walked(examined);
+    }
+}
+
+impl Drop for PinnedSnapshot<'_> {
+    fn drop(&mut self) {
+        let (c, a) = (self.counters, &self.acct);
+        for (counter, cell) in [
+            (&c.read_fastlane_entries, &a.fast),
+            (&c.versions_walked, &a.walked),
+            (&c.versions_skipped, &a.skipped),
+        ] {
+            if cell.get() > 0 {
+                counter.add(cell.get());
+            }
+        }
+    }
 }
 
 /// `(entity id, date)` pair yielded by index scans.
@@ -84,19 +132,112 @@ fn merge_ascending(mut prefix: Cursor<'_>, tail: &[Entry], out: &mut Vec<Dated>)
     }
 }
 
-impl<'g> PinnedSnapshot<'g> {
+/// Placeholder for the unused slots of a [`Singles`] lane.
+static NO_ENTRY: Entry = Entry { date: SimTime(0), id: 0, commit: 0 };
+
+/// A tail's sub-base remainder as one lane: its raw slots, borrowed in
+/// place and sorted by `(date, id)`. Entries `[lo, hi)` remain; forward
+/// scans consume from `lo`, reverse walks from `hi`.
+struct Singles<'g> {
+    ents: [&'g Entry; MAX_SINGLES],
+    lo: u8,
+    hi: u8,
+}
+
+impl<'g> Singles<'g> {
+    const EMPTY: Singles<'static> = Singles { ents: [&NO_ENTRY; MAX_SINGLES], lo: 0, hi: 0 };
+
+    /// The remainder of `tail`'s decomposition that `keep` accepts,
+    /// insertion-sorted (at most [`MAX_SINGLES`] entries).
+    fn sorted(
+        tail: &'g IndexTail,
+        slots: std::ops::Range<usize>,
+        keep: impl Fn(&Entry) -> bool,
+    ) -> Singles<'g> {
+        let mut s = Singles::EMPTY;
+        let mut n = 0usize;
+        for i in slots {
+            let e = tail.published_ref(i);
+            if !keep(e) {
+                continue;
+            }
+            let mut j = n;
+            while j > 0 && key(e) < key(s.ents[j - 1]) {
+                s.ents[j] = s.ents[j - 1];
+                j -= 1;
+            }
+            s.ents[j] = e;
+            n += 1;
+        }
+        s.hi = n as u8;
+        s
+    }
+
+    #[inline]
+    fn front(&self) -> Option<&'g Entry> {
+        (self.lo < self.hi).then(|| self.ents[self.lo as usize])
+    }
+
+    #[inline]
+    fn back(&self) -> Option<&'g Entry> {
+        (self.lo < self.hi).then(|| self.ents[self.hi as usize - 1])
+    }
+
+    #[inline]
+    fn remaining(&self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+}
+
+/// One lazy scan's accounting, counted per entry and added to the
+/// snapshot's cells once, on drop (see [`PinnedSnapshot::note_scan`] for
+/// the lane semantics).
+struct Tally<'s> {
+    ts: CommitTs,
+    acct: &'s ReadAcct,
+    fast: u64,
+    examined: u64,
+    kept: u64,
+}
+
+impl<'s> Tally<'s> {
+    fn new(snap: &'s PinnedSnapshot<'_>) -> Tally<'s> {
+        Tally { ts: snap.ts, acct: &snap.acct, fast: 0, examined: 0, kept: 0 }
+    }
+
+    /// Count one reached tail entry; `Some` when it is visible.
+    #[inline]
+    fn filter(&mut self, e: Entry) -> Option<Dated> {
+        self.examined += 1;
+        if visible(e.commit, self.ts) {
+            self.kept += 1;
+            return Some((e.id, e.date));
+        }
+        None
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.acct.add(self.fast, self.examined, self.kept);
+    }
+}
+
+/// Lane-cache sentinels: no lane selected (rescan all heads), the bulk
+/// prefix, the singles lane. Any other value indexes the ladder runs.
+const NO_LANE: usize = usize::MAX;
+const PREFIX: usize = usize::MAX - 1;
+const SINGLES: usize = usize::MAX - 2;
+
+impl PinnedSnapshot<'_> {
     /// Account one keyed point lookup: `examined` when a versioned row was
     /// present, `kept` when it was visible to this snapshot. Ticks the
-    /// store counters and the current query profile (if any).
+    /// snapshot's accounting and the current query profile (if any).
+    #[inline]
     fn note_probe(&self, examined: bool, kept: bool) {
         tick_index_probes(1);
         if examined {
-            let c = self.counters;
-            c.versions_walked.add(1);
-            if !kept {
-                c.versions_skipped.inc();
-            }
-            tick_versions_walked(1);
+            self.acct.add(0, 1, kept as u64);
         }
     }
 
@@ -108,19 +249,11 @@ impl<'g> PinnedSnapshot<'g> {
     /// `store.read.fastlane_entries` (prefix) or
     /// `store.mvcc.versions_walked` (tail).
     /// The eager `Vec` APIs account their whole gathered tail up front;
-    /// the lazy iterators batch per-entry accounting as they go and flush
-    /// it on drop (see [`flush_scan_accounting`]) — an early-exiting
-    /// caller reports only what it actually touched.
+    /// the lazy iterators count per entry as they go and add their totals
+    /// on drop — an early-exiting caller reports only what it actually
+    /// touched.
     fn note_scan(&self, fast: usize, examined: usize, kept: usize) {
-        let c = self.counters;
-        if fast > 0 {
-            c.read_fastlane_entries.add(fast as u64);
-        }
-        if examined > 0 {
-            c.versions_walked.add(examined as u64);
-            c.versions_skipped.add((examined - kept) as u64);
-            tick_versions_walked(examined as u64);
-        }
+        self.acct.add(fast as u64, examined as u64, kept as u64);
     }
 
     /// Materialize a whole index list, ascending `(date, id)`.
@@ -143,98 +276,78 @@ impl<'g> PinnedSnapshot<'g> {
     }
 
     /// Borrowing scan over a whole index list, ascending `(date, id)` —
-    /// lazy: the tail's ladder runs are merged as the iterator is
-    /// consumed, so an early-exiting caller never pays for the rest.
-    fn iter(&self, list: Option<&'g IndexList>) -> DatedIter<'g> {
+    /// lazy: the tail's lanes are merged as the iterator is consumed, so
+    /// an early-exiting caller never pays for the rest.
+    fn iter<'s>(&'s self, list: Option<&'s IndexList>) -> DatedIter<'s> {
         let mut it = DatedIter {
             prefix: Cursor::empty(),
             pbuf: [(0, SimTime(0)); FILL_DATED],
             pbuf_pos: 0,
             pbuf_len: 0,
-            runs: std::array::from_fn(|_| Cursor::empty()),
-            nruns: 0,
+            singles: Singles::EMPTY,
+            runs: Vec::new(),
             cur: NO_LANE,
             bound: (SimTime(0), 0),
-            ts: self.ts,
-            counters: self.counters,
-            fast: 0,
-            examined: 0,
-            kept: 0,
+            tally: Tally::new(self),
             span_start: if trace::tracing_possible() { trace::now_micros().max(1) } else { 0 },
         };
         if let Some(l) = list {
             it.prefix = l.bulk().cursor();
             if let Some(tail) = l.tail() {
-                let mut lanes = [None; MAX_RUNS];
-                let n = tail.decompose(tail.published_len(), &mut lanes);
-                for lane in lanes[..n].iter().flatten() {
-                    it.runs[it.nruns] = match lane {
-                        LaneSrc::Single(e) => Cursor::single(**e),
-                        LaneSrc::Run(r) => r.cursor(),
-                    };
-                    it.nruns += 1;
-                }
+                let (runs, singles) = tail.decompose(tail.published_len());
+                it.runs = runs.map(|r| r.cursor()).collect();
+                it.singles = Singles::sorted(tail, singles, |_| true);
             }
         }
         it
     }
 
     /// Borrowing reverse scan (newest first) over the entries dated at or
-    /// before `max_date` — lazy, same run-merge structure as
+    /// before `max_date` — lazy, same lane structure as
     /// [`PinnedSnapshot::iter`] consumed from the back.
-    fn recent_walk(&self, list: Option<&'g IndexList>, max_date: SimTime) -> RecentWalk<'g> {
+    fn recent_walk<'s>(&'s self, list: Option<&'s IndexList>, max_date: SimTime) -> RecentWalk<'s> {
         let mut w = RecentWalk {
             prefix: RevCursor::empty(),
-            runs: std::array::from_fn(|_| RevCursor::empty()),
-            nruns: 0,
+            singles: Singles::EMPTY,
+            runs: Vec::new(),
             cur: NO_LANE,
             bound: (SimTime(0), 0),
-            ts: self.ts,
-            counters: self.counters,
-            fast: 0,
-            examined: 0,
-            kept: 0,
+            tally: Tally::new(self),
             span_start: if trace::tracing_possible() { trace::now_micros().max(1) } else { 0 },
         };
         if let Some(l) = list {
             w.prefix = RevCursor::to_date_bound(l.bulk(), max_date);
             if let Some(tail) = l.tail() {
-                let mut lanes = [None; MAX_RUNS];
-                let n = tail.decompose(tail.published_len(), &mut lanes);
-                for lane in lanes[..n].iter().flatten() {
-                    let bounded = match lane {
-                        LaneSrc::Single(e) => {
-                            if e.date > max_date {
-                                continue;
-                            }
-                            RevCursor::single(**e)
-                        }
-                        LaneSrc::Run(r) => {
-                            let c = RevCursor::to_date_bound(r, max_date);
-                            if c.remaining() == 0 {
-                                continue;
-                            }
-                            c
-                        }
-                    };
-                    w.runs[w.nruns] = bounded;
-                    w.nruns += 1;
+                let (runs, singles) = tail.decompose(tail.published_len());
+                w.runs = Vec::with_capacity(runs.len());
+                for r in runs {
+                    let c = RevCursor::to_date_bound(r, max_date);
+                    if c.remaining() > 0 {
+                        w.runs.push(c);
+                    }
                 }
+                w.singles = Singles::sorted(tail, singles, |e| e.date <= max_date);
             }
         }
         w
     }
 }
 
-/// Zero-allocation iterator over the visible entries of one index list,
-/// ascending `(date, id)` — a lazy k-way merge of the immutable bulk
-/// prefix (yielded without visibility checks) and the list's ladder runs
-/// (at most one immutable sorted run per level; see `IndexTail` in
-/// `tail.rs`). Versioned run entries are MVCC-filtered as
-/// they are reached, so an early-exiting caller pays only for what it
-/// consumed. All accounting is batched locally and flushed once, on drop.
-pub struct DatedIter<'g> {
-    prefix: Cursor<'g>,
+/// Iterator over the visible entries of one index list, ascending
+/// `(date, id)` — a lazy k-way merge of the immutable bulk prefix (yielded
+/// without visibility checks), the list's ladder runs (at most one
+/// immutable sorted run per level; see `IndexTail` in `tail.rs`) and its
+/// sub-base remainder (at most 15 raw slots, sorted into one lane at
+/// construction). Versioned tail entries are MVCC-filtered as they are
+/// reached, so an early-exiting caller pays only for what it consumed.
+///
+/// Lanes exist only for what the list has: the run cursors live in one
+/// exactly-sized `Vec`, so a list with no materialized run (fewer than 16
+/// tail entries) iterates with no heap allocation and any other list
+/// allocates once. All accounting is counted locally and added to the
+/// snapshot's cells once, on drop.
+pub struct DatedIter<'s> {
+    prefix: Cursor<'s>,
     /// Decoded read-ahead for the prefix lane (prefix entries bypass MVCC,
     /// so only ids and dates are kept). Covers cursor ranks
     /// `[prefix.rank, prefix.rank + (pbuf_len - pbuf_pos))`: serving an
@@ -242,27 +355,21 @@ pub struct DatedIter<'g> {
     pbuf: [Dated; FILL_DATED],
     pbuf_pos: u32,
     pbuf_len: u32,
-    runs: [Cursor<'g>; MAX_RUNS],
-    nruns: usize,
-    /// Lane that yielded last (`nruns` = the prefix, [`NO_LANE`] = must
-    /// rescan). Dates correlate with append order, so the winning lane
-    /// usually wins again: draining it until its head crosses `bound`
-    /// makes the common per-entry cost one comparison, not one per lane.
+    singles: Singles<'s>,
+    runs: Vec<Cursor<'s>>,
+    /// Lane that yielded last ([`PREFIX`], [`SINGLES`], a run index, or
+    /// [`NO_LANE`] = must rescan). Dates correlate with append order, so
+    /// the winning lane usually wins again: draining it until its head
+    /// crosses `bound` makes the common per-entry cost one comparison,
+    /// not one per lane.
     cur: usize,
     /// Smallest head among the *other* lanes when `cur` was selected.
     bound: (SimTime, u64),
-    ts: CommitTs,
-    counters: &'g StoreCounters,
-    fast: u64,
-    examined: u64,
-    kept: u64,
+    tally: Tally<'s>,
     /// Construction time when a trace was live (0 = untraced); the ladder
     /// merge becomes one `store.read.ladder_merge` span on drop.
     span_start: u64,
 }
-
-/// Lane-cache sentinel: no lane selected, rescan all heads.
-const NO_LANE: usize = usize::MAX;
 
 impl DatedIter<'_> {
     /// The prefix lane's head, served from the read-ahead buffer —
@@ -293,13 +400,35 @@ impl DatedIter<'_> {
 impl Iterator for DatedIter<'_> {
     type Item = Dated;
 
+    /// Inlined into the caller's loop: a list with no tail lanes — the
+    /// common case on a bulk-heavy store — is served straight from the
+    /// prefix read-ahead; a refill and the lane merge run out of line.
+    #[inline]
     fn next(&mut self) -> Option<Dated> {
-        // Lists with no ladder tail — the common case on a bulk-heavy
-        // store — are a plain prefix scan: skip the lane machinery.
-        if self.nruns == 0 {
+        if self.pbuf_pos < self.pbuf_len && self.singles.hi == 0 && self.runs.is_empty() {
+            let d = self.pbuf[self.pbuf_pos as usize];
+            self.prefix_advance();
+            self.tally.fast += 1;
+            return Some(d);
+        }
+        self.next_slow()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // Prefix entries are always visible; tail entries may be filtered.
+        let tail: usize =
+            self.singles.remaining() + self.runs.iter().map(|r| r.remaining()).sum::<usize>();
+        (self.prefix.remaining(), Some(self.prefix.remaining() + tail))
+    }
+}
+
+impl DatedIter<'_> {
+    /// [`Iterator::next`] past the inlined read-ahead hit.
+    fn next_slow(&mut self) -> Option<Dated> {
+        if self.singles.hi == 0 && self.runs.is_empty() {
             let (id, date) = self.prefix_head()?;
             self.prefix_advance();
-            self.fast += 1;
+            self.tally.fast += 1;
             return Some((id, date));
         }
         loop {
@@ -307,24 +436,28 @@ impl Iterator for DatedIter<'_> {
                 // Rescan every lane head; the runner-up key becomes the
                 // bound the winner may drain up to. The bulk prefix is
                 // considered first and wins ties, matching the eager
-                // merge (run-vs-run ties are identical `(date, id)`
+                // merge (tail-vs-tail ties are identical `(date, id)`
                 // tuples either way).
                 let inf = (SimTime(i64::MAX), u64::MAX);
                 let (mut best, mut best_key, mut second) = (NO_LANE, inf, inf);
+                let mut consider = |lane: usize, k: (SimTime, u64)| {
+                    if best == NO_LANE || k < best_key {
+                        second = best_key;
+                        best = lane;
+                        best_key = k;
+                    } else if k < second {
+                        second = k;
+                    }
+                };
                 if let Some((id, date)) = self.prefix_head() {
-                    best = self.nruns;
-                    best_key = (date, id);
+                    consider(PREFIX, (date, id));
                 }
-                for i in 0..self.nruns {
-                    if let Some(h) = self.runs[i].peek() {
-                        let k = key(&h);
-                        if best == NO_LANE || k < best_key {
-                            second = best_key;
-                            best = i;
-                            best_key = k;
-                        } else if k < second {
-                            second = k;
-                        }
+                if let Some(e) = self.singles.front() {
+                    consider(SINGLES, key(e));
+                }
+                for (i, run) in self.runs.iter_mut().enumerate() {
+                    if let Some(h) = run.peek() {
+                        consider(i, key(&h));
                     }
                 }
                 if best == NO_LANE {
@@ -333,85 +466,66 @@ impl Iterator for DatedIter<'_> {
                 self.cur = best;
                 self.bound = second;
             }
-            if self.cur == self.nruns {
-                // Draining the prefix lane: commit-free decode, no MVCC.
-                match self.prefix_head() {
+            match self.cur {
+                PREFIX => match self.prefix_head() {
+                    // Draining the prefix lane: commit-free decode, no MVCC.
                     Some((id, date)) if (date, id) <= self.bound => {
                         self.prefix_advance();
-                        self.fast += 1;
+                        self.tally.fast += 1;
                         return Some((id, date));
                     }
-                    _ => {
-                        self.cur = NO_LANE;
-                        continue;
+                    _ => self.cur = NO_LANE,
+                },
+                SINGLES => match self.singles.front() {
+                    Some(&e) if key(&e) <= self.bound => {
+                        self.singles.lo += 1;
+                        if let Some(d) = self.tally.filter(e) {
+                            return Some(d);
+                        }
                     }
-                }
-            }
-            match self.runs[self.cur].peek() {
-                Some(e) if key(&e) <= self.bound => {
-                    self.runs[self.cur].advance();
-                    self.examined += 1;
-                    if visible(e.commit, self.ts) {
-                        self.kept += 1;
-                        return Some((e.id, e.date));
+                    _ => self.cur = NO_LANE,
+                },
+                i => match self.runs[i].peek() {
+                    Some(e) if key(&e) <= self.bound => {
+                        self.runs[i].advance();
+                        if let Some(d) = self.tally.filter(e) {
+                            return Some(d);
+                        }
+                        // Invisible: skip and keep draining this lane.
                     }
-                    // Invisible: skip and keep draining this lane.
-                }
-                _ => self.cur = NO_LANE, // exhausted or crossed the bound
+                    _ => self.cur = NO_LANE, // exhausted or crossed the bound
+                },
             }
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Prefix entries are always visible; run entries may be filtered.
-        let tail: usize = self.runs[..self.nruns].iter().map(|r| r.remaining()).sum();
-        (self.prefix.remaining(), Some(self.prefix.remaining() + tail))
     }
 }
 
 impl Drop for DatedIter<'_> {
     fn drop(&mut self) {
-        flush_scan_accounting(self.counters, self.fast, self.examined, self.kept);
         if self.span_start != 0 {
             trace::record_stage(&SPAN_LADDER_MERGE, self.span_start, trace::now_micros());
         }
     }
 }
 
-/// Flush an iterator's locally batched scan accounting (see
-/// [`PinnedSnapshot::note_scan`] for the lane semantics).
-fn flush_scan_accounting(c: &StoreCounters, fast: u64, examined: u64, kept: u64) {
-    if fast > 0 {
-        c.read_fastlane_entries.add(fast);
-    }
-    if examined > 0 {
-        c.versions_walked.add(examined);
-        c.versions_skipped.add(examined - kept);
-        tick_versions_walked(examined);
-    }
-}
-
-/// Zero-allocation reverse scan (newest first) over the entries of one
-/// date-ordered index list at or before a date bound — the borrowing form
-/// of the "top-k most recent before date" primitive. Same lazy run-merge
-/// structure and accounting split as [`DatedIter`], but every lane is
-/// consumed from the back (each run was date-bounded at construction).
-pub struct RecentWalk<'g> {
+/// Reverse scan (newest first) over the entries of one date-ordered index
+/// list at or before a date bound — the borrowing form of the "top-k most
+/// recent before date" primitive. Same lazy lane structure, allocation
+/// rule and accounting as [`DatedIter`], but every lane is consumed from
+/// the back (each was date-bounded at construction).
+pub struct RecentWalk<'s> {
     /// Remaining bulk-prefix entries, already bounded to `<= max_date`.
-    prefix: RevCursor<'g>,
+    prefix: RevCursor<'s>,
+    /// The sub-base remainder entries dated `<= max_date`.
+    singles: Singles<'s>,
     /// Remaining ladder runs, each bounded to `<= max_date`, non-empty at
     /// construction.
-    runs: [RevCursor<'g>; MAX_RUNS],
-    nruns: usize,
+    runs: Vec<RevCursor<'s>>,
     /// Lane cache, mirrored from [`DatedIter`] (largest key wins here).
     cur: usize,
     /// Largest tail key among the *other* lanes when `cur` was selected.
     bound: (SimTime, u64),
-    ts: CommitTs,
-    counters: &'g StoreCounters,
-    fast: u64,
-    examined: u64,
-    kept: u64,
+    tally: Tally<'s>,
     /// As in [`DatedIter`]: trace-span begin, 0 = untraced.
     span_start: u64,
 }
@@ -419,32 +533,52 @@ pub struct RecentWalk<'g> {
 impl Iterator for RecentWalk<'_> {
     type Item = Dated;
 
+    /// Inlined into the caller's loop: with no tail lanes (the common
+    /// case) this is a pure backward prefix scan; the lane merge runs out
+    /// of line.
+    #[inline]
     fn next(&mut self) -> Option<Dated> {
-        // No ladder tail (the common case): a pure backward prefix scan.
-        if self.nruns == 0 {
+        if self.singles.hi == 0 && self.runs.is_empty() {
             let (id, date) = self.prefix.peek_back_dated()?;
             self.prefix.advance_back();
-            self.fast += 1;
+            self.tally.fast += 1;
             return Some((id, date));
         }
+        self.merge_next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let tail: usize =
+            self.singles.remaining() + self.runs.iter().map(|r| r.remaining()).sum::<usize>();
+        (self.prefix.remaining(), Some(self.prefix.remaining() + tail))
+    }
+}
+
+impl RecentWalk<'_> {
+    /// The k-way lane merge behind [`Iterator::next`].
+    fn merge_next(&mut self) -> Option<Dated> {
         loop {
             if self.cur == NO_LANE {
                 let ninf = (SimTime(i64::MIN), 0u64);
                 let (mut best, mut best_key, mut second) = (NO_LANE, ninf, ninf);
+                let mut consider = |lane: usize, k: (SimTime, u64)| {
+                    if best == NO_LANE || k > best_key {
+                        second = best_key;
+                        best = lane;
+                        best_key = k;
+                    } else if k > second {
+                        second = k;
+                    }
+                };
                 if let Some((id, date)) = self.prefix.peek_back_dated() {
-                    best = self.nruns;
-                    best_key = (date, id);
+                    consider(PREFIX, (date, id));
                 }
-                for i in 0..self.nruns {
-                    if let Some(t) = self.runs[i].peek_back() {
-                        let k = key(&t);
-                        if best == NO_LANE || k > best_key {
-                            second = best_key;
-                            best = i;
-                            best_key = k;
-                        } else if k > second {
-                            second = k;
-                        }
+                if let Some(e) = self.singles.back() {
+                    consider(SINGLES, key(e));
+                }
+                for (i, run) in self.runs.iter_mut().enumerate() {
+                    if let Some(t) = run.peek_back() {
+                        consider(i, key(&t));
                     }
                 }
                 if best == NO_LANE {
@@ -453,43 +587,41 @@ impl Iterator for RecentWalk<'_> {
                 self.cur = best;
                 self.bound = second;
             }
-            if self.cur == self.nruns {
-                // Draining the prefix lane: commit-free decode, no MVCC.
-                match self.prefix.peek_back_dated() {
+            match self.cur {
+                PREFIX => match self.prefix.peek_back_dated() {
+                    // Draining the prefix lane: commit-free decode, no MVCC.
                     Some((id, date)) if (date, id) >= self.bound => {
                         self.prefix.advance_back();
-                        self.fast += 1;
+                        self.tally.fast += 1;
                         return Some((id, date));
                     }
-                    _ => {
-                        self.cur = NO_LANE;
-                        continue;
+                    _ => self.cur = NO_LANE,
+                },
+                SINGLES => match self.singles.back() {
+                    Some(&e) if key(&e) >= self.bound => {
+                        self.singles.hi -= 1;
+                        if let Some(d) = self.tally.filter(e) {
+                            return Some(d);
+                        }
                     }
-                }
-            }
-            match self.runs[self.cur].peek_back() {
-                Some(e) if key(&e) >= self.bound => {
-                    self.runs[self.cur].advance_back();
-                    self.examined += 1;
-                    if visible(e.commit, self.ts) {
-                        self.kept += 1;
-                        return Some((e.id, e.date));
+                    _ => self.cur = NO_LANE,
+                },
+                i => match self.runs[i].peek_back() {
+                    Some(e) if key(&e) >= self.bound => {
+                        self.runs[i].advance_back();
+                        if let Some(d) = self.tally.filter(e) {
+                            return Some(d);
+                        }
                     }
-                }
-                _ => self.cur = NO_LANE,
+                    _ => self.cur = NO_LANE,
+                },
             }
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let tail: usize = self.runs[..self.nruns].iter().map(|r| r.remaining()).sum();
-        (self.prefix.remaining(), Some(self.prefix.remaining() + tail))
     }
 }
 
 impl Drop for RecentWalk<'_> {
     fn drop(&mut self) {
-        flush_scan_accounting(self.counters, self.fast, self.examined, self.kept);
         if self.span_start != 0 {
             trace::record_stage(&SPAN_RECENT_WALK, self.span_start, trace::now_micros());
         }
@@ -503,6 +635,7 @@ impl PinnedSnapshot<'_> {
     }
 
     /// Person by id, if visible — borrowed from the store's segments.
+    #[inline]
     pub fn person_ref(&self, id: PersonId) -> Option<&Person> {
         let slot = self.tables.persons.get(id.index());
         let vis = slot.filter(|v| visible(v.commit, self.ts));
@@ -511,6 +644,7 @@ impl PinnedSnapshot<'_> {
     }
 
     /// Forum by id, if visible — borrowed from the store's segments.
+    #[inline]
     pub fn forum_ref(&self, id: ForumId) -> Option<&Forum> {
         let slot = self.tables.forums.get(id.index());
         let vis = slot.filter(|v| visible(v.commit, self.ts));
@@ -519,6 +653,7 @@ impl PinnedSnapshot<'_> {
     }
 
     /// Full message row, if visible — borrowed from the store's segments.
+    #[inline]
     pub fn message_ref(&self, id: MessageId) -> Option<&MessageRow> {
         let slot = self.tables.messages.get(id.index());
         let vis = slot.filter(|v| visible(v.commit, self.ts));
@@ -526,22 +661,8 @@ impl PinnedSnapshot<'_> {
         vis.map(|v| &v.row)
     }
 
-    /// Person by id, if visible (cloned row).
-    pub fn person(&self, id: PersonId) -> Option<Person> {
-        self.person_ref(id).cloned()
-    }
-
-    /// Forum by id, if visible (cloned row).
-    pub fn forum(&self, id: ForumId) -> Option<Forum> {
-        self.forum_ref(id).cloned()
-    }
-
-    /// Full message row (content included), if visible (cloned row).
-    pub fn message(&self, id: MessageId) -> Option<MessageRow> {
-        self.message_ref(id).cloned()
-    }
-
     /// Fixed-size message header, if visible.
+    #[inline]
     pub fn message_meta(&self, id: MessageId) -> Option<MessageMeta> {
         self.message_ref(id).map(|row| MessageMeta {
             author: row.author,
@@ -572,14 +693,14 @@ impl PinnedSnapshot<'_> {
         self.tables.messages.high()
     }
 
-    /// Friends of `id`, ascending by date — zero-allocation on bulk-only
-    /// lists (a non-empty published tail is gathered once up front).
+    /// Friends of `id`, ascending by date. Like every `*_iter` scan, it
+    /// allocates only when the list's tail holds a ladder run (see
+    /// [`DatedIter`]).
     pub fn friends_iter(&self, id: PersonId) -> DatedIter<'_> {
         self.iter(self.tables.knows.get(id.index()))
     }
 
-    /// Messages authored by `id`, ascending by date — zero-allocation on
-    /// bulk-only lists.
+    /// Messages authored by `id`, ascending by date.
     pub fn messages_of_iter(&self, id: PersonId) -> DatedIter<'_> {
         self.iter(self.tables.person_messages.get(id.index()))
     }
@@ -592,38 +713,32 @@ impl PinnedSnapshot<'_> {
         self.iter(self.tables.person_posts.get(id.index()))
     }
 
-    /// Posts in forum `id`, ascending by date — zero-allocation on
-    /// bulk-only lists.
+    /// Posts in forum `id`, ascending by date.
     pub fn posts_in_forum_iter(&self, id: ForumId) -> DatedIter<'_> {
         self.iter(self.tables.forum_posts.get(id.index()))
     }
 
-    /// Members of forum `id` with join dates — zero-allocation on
-    /// bulk-only lists.
+    /// Members of forum `id` with join dates.
     pub fn members_of_iter(&self, id: ForumId) -> DatedIter<'_> {
         self.iter(self.tables.forum_members.get(id.index()))
     }
 
-    /// Forums `id` has joined, with join dates — zero-allocation on
-    /// bulk-only lists.
+    /// Forums `id` has joined, with join dates.
     pub fn forums_of_iter(&self, id: PersonId) -> DatedIter<'_> {
         self.iter(self.tables.person_forums.get(id.index()))
     }
 
-    /// Direct replies to message `id`, ascending by date — zero-allocation
-    /// on bulk-only lists.
+    /// Direct replies to message `id`, ascending by date.
     pub fn replies_of_iter(&self, id: MessageId) -> DatedIter<'_> {
         self.iter(self.tables.message_replies.get(id.index()))
     }
 
-    /// Likes on message `id` as `(person, like date)` — zero-allocation on
-    /// bulk-only lists.
+    /// Likes on message `id` as `(person, like date)`.
     pub fn likes_of_iter(&self, id: MessageId) -> DatedIter<'_> {
         self.iter(self.tables.message_likes.get(id.index()))
     }
 
-    /// Likes given by person `id` as `(message, like date)` —
-    /// zero-allocation on bulk-only lists.
+    /// Likes given by person `id` as `(message, like date)`.
     pub fn likes_by_iter(&self, id: PersonId) -> DatedIter<'_> {
         self.iter(self.tables.person_likes.get(id.index()))
     }
@@ -744,9 +859,156 @@ impl PinnedSnapshot<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::{Dated, DatedIter, PinnedSnapshot, RecentWalk};
     use crate::store::Store;
+    use crate::tables::tests::post;
+    use crate::tables::{key, Entry};
     use snb_core::time::SimTime;
-    use snb_core::PersonId;
+    use snb_core::update::UpdateOp;
+    use snb_core::{ForumId, PersonId};
+    use snb_obs::QueryProfile;
+    use std::sync::Arc;
+
+    #[test]
+    fn iterators_fit_in_one_kib() {
+        assert!(std::mem::size_of::<DatedIter<'_>>() <= 1024);
+        assert!(std::mem::size_of::<RecentWalk<'_>>() <= 1024);
+    }
+
+    /// `versions_walked` ticked by `f`, read through a profile scope.
+    fn walked_in(f: impl FnOnce()) -> u64 {
+        let profile = Arc::new(QueryProfile::new());
+        {
+            let _guard = QueryProfile::enter(Arc::clone(&profile));
+            f();
+        }
+        profile.snapshot().versions_walked
+    }
+
+    /// Check every lazy scan of `p`'s message list against the owned-`Vec`
+    /// oracle, forward and newest-first under several date bounds, and
+    /// that each scan walks exactly the tail entries it reached (`tail` is
+    /// the published raw tail, visible or not). Returns the versions
+    /// walked by all of it, oracle included.
+    fn check_lanes(
+        snap: &PinnedSnapshot<'_>,
+        p: PersonId,
+        tail: &[Entry],
+        bounds: &[SimTime],
+    ) -> u64 {
+        let reached =
+            |pred: &dyn Fn(&Entry) -> bool| tail.iter().filter(|e| pred(e)).count() as u64;
+        let mut oracle = Vec::new();
+        let mut total = walked_in(|| oracle = snap.messages_of(p));
+        let mut all = Vec::new();
+        let w = walked_in(|| all = snap.messages_of_iter(p).collect::<Vec<_>>());
+        assert_eq!(all, oracle, "full forward scan");
+        assert_eq!(w, tail.len() as u64, "a full scan reaches every tail entry");
+        total += w;
+        for k in 0..=5usize {
+            let mut got = Vec::new();
+            let w = walked_in(|| got = snap.messages_of_iter(p).take(k).collect::<Vec<_>>());
+            assert_eq!(got, oracle[..k.min(oracle.len())], "forward take({k})");
+            let want = match got.last() {
+                _ if k == 0 => 0,
+                Some(&(id, d)) if got.len() == k => reached(&|e| key(e) <= (d, id)),
+                _ => tail.len() as u64,
+            };
+            assert_eq!(w, want, "forward take({k}) walked");
+            total += w;
+        }
+        for &max in bounds {
+            let newest: Vec<Dated> =
+                oracle.iter().rev().filter(|&&(_, d)| d <= max).copied().collect();
+            for k in 0..=5usize {
+                let mut got = Vec::new();
+                let w = walked_in(|| {
+                    got = snap.recent_messages_walk(p, max).take(k).collect::<Vec<_>>()
+                });
+                assert_eq!(got, newest[..k.min(newest.len())], "walk to {max:?}, take({k})");
+                let want = match got.last() {
+                    _ if k == 0 => 0,
+                    Some(&(id, d)) if got.len() == k => {
+                        reached(&|e| e.date <= max && key(e) >= (d, id))
+                    }
+                    _ => reached(&|e| e.date <= max),
+                };
+                assert_eq!(w, want, "walk to {max:?}, take({k}) walked");
+                total += w;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn tail_lanes_match_the_owned_oracle_at_every_length() {
+        let ds =
+            snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(60).activity(0.4))
+                .unwrap();
+        let s = Store::new();
+        s.bulk_load(&ds);
+        // The person with the most bulk messages, any forum, and the span
+        // of the person's bulk message dates.
+        let (p, forum, first_id, lo, hi) = {
+            let snap = s.pinned();
+            let p = (0..snap.person_slots() as u64)
+                .map(PersonId)
+                .max_by_key(|&p| snap.messages_of(p).len())
+                .unwrap();
+            let dates = snap.messages_of(p);
+            assert!(dates.len() >= 2, "the person needs a bulk prefix");
+            let forum = (0..snap.forum_slots() as u64)
+                .map(ForumId)
+                .find(|&f| snap.forum_ref(f).is_some())
+                .unwrap();
+            (p, forum, snap.message_slots() as u64, dates[0].1 .0, dates[dates.len() - 1].1 .0)
+        };
+        // Appended dates scramble over and around the bulk span; every
+        // fifth repeats the date of an earlier tail entry, so ties break
+        // on the id.
+        let span = hi - lo + 1;
+        let date = |i: u64| -> i64 {
+            let j = if i % 5 == 4 { i - 3 } else { i };
+            lo - span / 4 + ((j * 7919) % 151) as i64 * (span * 3 / 2) / 151
+        };
+        let bounds = [SimTime(i64::MAX), SimTime(lo), SimTime((lo + hi) / 2), SimTime(date(7))];
+        let raw_tail = |snap: &PinnedSnapshot<'_>| -> Vec<Entry> {
+            let list = snap.tables.person_messages.get(p.index()).unwrap();
+            list.tail()
+                .map_or(Vec::new(), |t| (0..t.published_len()).map(|i| t.published(i)).collect())
+        };
+        let append = |i: u64| {
+            s.apply(&UpdateOp::AddPost(post(first_id + i, p.raw(), forum.raw(), date(i)))).unwrap();
+        };
+
+        // Tail lengths 0..=70 cross the base runs at 16, 32, 48 and 64:
+        // each length is checked when pinned, with its tail all visible.
+        const N: u64 = 70;
+        let before = s.counters().versions_walked.get();
+        let mut held = Vec::new();
+        let mut walked = 0u64;
+        for len in 0..=N {
+            let snap = s.pinned();
+            walked += check_lanes(&snap, p, &raw_tail(&snap), &bounds);
+            held.push(snap);
+            if len < N {
+                append(len);
+            }
+        }
+        // Then again, once the tail has grown past every pin: the newer
+        // entries are reached and filtered out.
+        for i in N..2 * N {
+            append(i);
+        }
+        let tail = raw_tail(&held[0]);
+        assert_eq!(tail.len() as u64, 2 * N);
+        for snap in &held {
+            walked += check_lanes(snap, p, &tail, &bounds);
+        }
+        drop(held);
+        // Every one of those walks reached the store counter, exactly.
+        assert_eq!(s.counters().versions_walked.get() - before, walked);
+    }
 
     #[test]
     fn borrowing_iterators_match_owned_reads() {
@@ -770,11 +1032,12 @@ mod tests {
                 snap.recent_messages_walk(p, SimTime(i64::MAX)).take(5).collect::<Vec<_>>()
             );
             assert_eq!(
-                format!("{:?}", snap.person(p)),
+                format!("{:?}", snap.person_ref(p)),
                 format!("{:?}", snap.person_ref(p).cloned())
             );
         }
-        assert!(s.counters().read_latchfree.get() >= 1);
+        drop(snap);
+        assert!(s.counters().snapshots.get() >= 1);
         assert!(s.counters().read_fastlane_entries.get() > 0, "bulk prefix must be exercised");
     }
 
@@ -792,6 +1055,7 @@ mod tests {
         for i in 0..pinned.person_slots() as u64 {
             total += pinned.friends_iter(PersonId(i)).count();
         }
+        drop(pinned);
         assert!(total > 0);
         // A purely bulk-loaded store serves everything from the fast lane.
         assert_eq!(s.counters().versions_walked.get(), walked_before);

@@ -429,7 +429,6 @@ impl Store {
     /// its snapshot timestamp.
     pub fn pinned(&self) -> PinnedSnapshot<'_> {
         self.counters.snapshots.inc();
-        self.counters.read_latchfree.inc();
         if trace::tracing_possible() {
             // Instant marker: the pin itself is one acquire load, so the
             // span records *when* the snapshot was taken, not a duration.
@@ -440,6 +439,7 @@ impl Store {
             tables: &self.tables,
             ts: self.clock.snapshot_ts(),
             counters: &self.counters,
+            acct: Default::default(),
         }
     }
 }
@@ -463,7 +463,7 @@ mod tests {
         }))
         .unwrap();
         let snap = s.pinned();
-        assert_eq!(snap.person(PersonId(0)).unwrap().creation_date, SimTime(10));
+        assert_eq!(snap.person_ref(PersonId(0)).unwrap().creation_date, SimTime(10));
         assert_eq!(snap.friends(PersonId(0)).len(), 1);
         assert!(snap.are_friends(PersonId(1), PersonId(0)));
     }
@@ -474,8 +474,8 @@ mod tests {
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
         let snap = s.pinned();
         s.apply(&UpdateOp::AddPerson(person(1, 20))).unwrap();
-        assert!(snap.person(PersonId(1)).is_none(), "later commit leaked into snapshot");
-        assert!(s.pinned().person(PersonId(1)).is_some());
+        assert!(snap.person_ref(PersonId(1)).is_none(), "later commit leaked into snapshot");
+        assert!(s.pinned().person_ref(PersonId(1)).is_some());
     }
 
     #[test]
@@ -501,22 +501,25 @@ mod tests {
         // examined, one skipped version.
         let walked_before = s.counters().versions_walked.get();
         let skipped_before = s.counters().versions_skipped.get();
+        // Read counters reach the store when the snapshot drops.
         assert!(early.friends(PersonId(0)).is_empty());
+        drop(early);
         assert_eq!(s.counters().versions_walked.get(), walked_before + 1);
         assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
 
         // A fresh snapshot sees it: examined but not skipped.
         let now = s.pinned();
         assert_eq!(now.friends(PersonId(0)).len(), 1);
-        assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
 
         // Point probes count index probes via the profile scope.
         let profile = std::sync::Arc::new(snb_obs::QueryProfile::new());
         {
             let _guard = snb_obs::QueryProfile::enter(std::sync::Arc::clone(&profile));
-            assert!(now.person(PersonId(0)).is_some());
+            assert!(now.person_ref(PersonId(0)).is_some());
             now.friends(PersonId(0));
         }
+        drop(now);
+        assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
         let snap = profile.snapshot();
         assert_eq!(snap.index_probes, 1);
         assert_eq!(snap.versions_walked, 2);
@@ -599,7 +602,7 @@ mod tests {
             let m = MessageId(i);
             assert_eq!(ss.replies_of(m), sp.replies_of(m), "replies of {m}");
             assert_eq!(ss.likes_of(m), sp.likes_of(m), "likes of {m}");
-            let (a, b) = (ss.message(m), sp.message(m));
+            let (a, b) = (ss.message_ref(m), sp.message_ref(m));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "row of {m}");
         }
         for i in 0..ss.forum_slots() as u64 {
@@ -620,7 +623,7 @@ mod tests {
         assert!(pin.person_ref(PersonId(1)).is_none(), "pin must stay frozen at its ts");
         assert!(pin.person_ref(PersonId(0)).is_some());
         assert!(s.pinned().person_ref(PersonId(1)).is_some());
-        assert_eq!(s.counters().read_latchfree.get(), 2);
+        assert_eq!(s.counters().snapshots.get(), 2);
     }
 
     #[test]
@@ -664,7 +667,7 @@ mod tests {
         let _ = s.apply(&UpdateOp::AddPost(post(0, 0, 5, 50)));
         let snap = s.pinned();
         assert_eq!(snap.ts(), before, "failed txn must not advance the clock");
-        assert!(snap.message(MessageId(0)).is_none());
+        assert!(snap.message_ref(MessageId(0)).is_none());
     }
 
     #[test]
@@ -677,8 +680,9 @@ mod tests {
         let snap = s.pinned();
         let bulk_persons =
             ds.persons.iter().filter(|p| p.creation_date <= ds.config.update_split).count();
-        let visible_persons =
-            (0..snap.person_slots()).filter(|&i| snap.person(PersonId(i as u64)).is_some()).count();
+        let visible_persons = (0..snap.person_slots())
+            .filter(|&i| snap.person_ref(PersonId(i as u64)).is_some())
+            .count();
         assert_eq!(visible_persons, bulk_persons);
     }
 
@@ -706,11 +710,12 @@ mod tests {
             s.apply(&u.op).unwrap_or_else(|e| panic!("replay failed on {}: {e}", u.op.name()));
         }
         let snap = s.pinned();
-        let visible_persons =
-            (0..snap.person_slots()).filter(|&i| snap.person(PersonId(i as u64)).is_some()).count();
+        let visible_persons = (0..snap.person_slots())
+            .filter(|&i| snap.person_ref(PersonId(i as u64)).is_some())
+            .count();
         assert_eq!(visible_persons, ds.persons.len());
         let visible_msgs = (0..snap.message_slots())
-            .filter(|&i| snap.message(MessageId(i as u64)).is_some())
+            .filter(|&i| snap.message_ref(MessageId(i as u64)).is_some())
             .count();
         assert_eq!(visible_msgs, ds.message_count());
     }

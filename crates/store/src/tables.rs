@@ -515,7 +515,7 @@ pub(crate) mod tests {
         assert_eq!(snap.replies_of(MessageId(0)).len(), 1);
         assert_eq!(snap.likes_of(MessageId(0)).first(), Some(&(0, SimTime(30))));
         assert_eq!(snap.likes_by(PersonId(0)).first(), Some(&(0, SimTime(30))));
-        let msg = snap.message(MessageId(1)).unwrap();
+        let msg = snap.message_ref(MessageId(1)).unwrap();
         assert!(msg.is_comment());
         assert_eq!(msg.reply_info, Some((MessageId(0), MessageId(0))));
     }

@@ -25,13 +25,14 @@
 //!   it, [`crate::loader`] installs into it.
 //! - [`IndexList`]: `from_bulk`, `bulk`, `push`, `tail`, `tail_len`,
 //!   `len`, `mem`, `gather_tail`.
-//! - [`IndexTail`]: `published_len`, `published`, `decompose` (with
-//!   [`LaneSrc`] and [`MAX_RUNS`]) — what the lazy iterators in
-//!   [`crate::read`] merge.
+//! - [`IndexTail`]: `published_len`, `published`, `published_ref`,
+//!   `decompose` (with [`LadderRuns`] and [`MAX_SINGLES`]) — what the lazy
+//!   iterators in [`crate::read`] merge.
 
 use crate::compact::{merge_compact, CompactRun};
 use crate::mvcc::{visible, CommitTs, BULK_TS};
 use crate::tables::{key, Entry};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -176,19 +177,18 @@ impl TailSlots {
 const LADDER_LEVELS: usize = 27;
 /// Lowest *materialized* ladder level. Levels below it are never built:
 /// the newest `p mod 2^LADDER_BASE` tail entries are served straight from
-/// the raw slot array as single-entry lanes instead. Retained low-level
+/// the raw slot array, sorted into one lane per read. Retained low-level
 /// runs were where the ladder's `O(t log t)` memory actually lived — every
 /// tail entry used to be copied into a 2-run, a 4-run and an 8-run that
 /// are all kept forever for pinned readers, and at ~10-14 encoded bytes
 /// per entry per level those three levels cost more than the whole bulk
-/// index. Skipping them trades at most `2^LADDER_BASE - 1` extra
-/// decode-free lanes per read for a third of total index memory, and the
-/// newest entries — what "most recent" walks consume first — now need no
+/// index. Skipping them trades a sort of at most `2^LADDER_BASE - 1`
+/// borrowed slots per read for a third of total index memory, and the
+/// newest entries — what "most recent" walks consume first — need no
 /// decode at all.
 const LADDER_BASE: usize = 4;
-/// Most lanes one decomposition can produce: one run per materialized
-/// level plus up to `2^LADDER_BASE - 1` raw singles.
-pub(crate) const MAX_RUNS: usize = LADDER_LEVELS - LADDER_BASE + (1 << LADDER_BASE) - 1;
+/// Most raw entries in the sub-base remainder of a decomposition.
+pub(crate) const MAX_SINGLES: usize = (1 << LADDER_BASE) - 1;
 
 /// One ladder level: run `j` of level `k` is the sorted copy of raw tail
 /// entries `[j << k, (j + 1) << k)`, stored delta-encoded (see
@@ -197,14 +197,40 @@ pub(crate) const MAX_RUNS: usize = LADDER_LEVELS - LADDER_BASE + (1 << LADDER_BA
 /// them naturally.
 type RunLevel = SegVec<CompactRun, 2, 26>;
 
-/// One lane of a decomposed tail: either a single raw slot (a level-0
-/// "run" borrows its entry straight from the slot array) or a compact
-/// ladder run that lanes decode through cursors.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LaneSrc<'t> {
-    Single(&'t Entry),
-    Run(&'t CompactRun),
+/// The materialized ladder runs of one decomposition, largest first (see
+/// [`IndexTail::decompose`]); an exact-size iterator, so a reader sizes
+/// its lane storage in one allocation.
+pub(crate) struct LadderRuns<'t> {
+    tail: &'t IndexTail,
+    /// Set bits = levels still to yield.
+    rem: usize,
+    /// First raw entry the next run covers.
+    offset: usize,
 }
+
+impl<'t> Iterator for LadderRuns<'t> {
+    type Item = &'t CompactRun;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'t CompactRun> {
+        if self.rem == 0 {
+            return None;
+        }
+        let k = (usize::BITS - 1 - self.rem.leading_zeros()) as usize;
+        let level = self.tail.levels[k - 1].get().expect("published ladder level missing");
+        let run = level.get_published(self.offset >> k).expect("published ladder run missing");
+        self.offset += 1usize << k;
+        self.rem &= !(1usize << k);
+        Some(run)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.rem.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for LadderRuns<'_> {}
 
 /// The published tail of an [`IndexList`]: an append-only raw slot array
 /// plus a *merge ladder* of immutable sorted runs (Bentley–Saxe binary
@@ -219,9 +245,9 @@ pub(crate) enum LaneSrc<'t> {
 /// using the older decomposition untouched. This is what lets the
 /// borrowing iterators stay **lazy**: instead of eagerly copying and
 /// sorting the visible tail per read, they k-way-merge at most one
-/// immutable run per level (≤ [`MAX_RUNS`] cursors) and pay only for the
-/// entries actually consumed, with zero per-read allocation — the same
-/// cost class as the old sorted-in-place list, without its write latch.
+/// immutable run per level plus one lane of at most [`MAX_SINGLES`] raw
+/// slots, and pay only for the entries actually consumed — the same cost
+/// class as the old sorted-in-place list, without its write latch.
 ///
 /// The price is write-side: the ladder costs `O(log n)` amortized copy
 /// work per append (one `O(n)` carry when the length crosses a power of
@@ -290,37 +316,22 @@ impl IndexTail {
         self.slots.high.store(len, Ordering::Release);
     }
 
-    /// The sorted-run decomposition of the published prefix `p`: at most
-    /// one run per level, descending sizes, together covering raw entries
-    /// `[0, p)` exactly. Every returned run was fully built before `p`
-    /// was published.
+    /// Raw entry `i` in append order, borrowed (below a published length).
     #[inline]
-    pub(crate) fn decompose<'t>(
-        &'t self,
-        p: usize,
-        out: &mut [Option<LaneSrc<'t>>; MAX_RUNS],
-    ) -> usize {
-        let mut n = 0usize;
-        let mut offset = 0usize;
-        // Materialized runs cover the largest base-aligned prefix.
-        let mut rem = p & !((1usize << LADDER_BASE) - 1);
-        while rem != 0 {
-            let k = (usize::BITS - 1 - rem.leading_zeros()) as usize;
-            let level = self.levels[k - 1].get().expect("published ladder level missing");
-            out[n] = Some(LaneSrc::Run(
-                level.get_published(offset >> k).expect("published ladder run missing"),
-            ));
-            n += 1;
-            offset += 1usize << k;
-            rem &= !(1usize << k);
-        }
-        // The sub-base remainder — the newest entries — straight from the
-        // raw slots, one decode-free lane each.
-        for i in offset..p {
-            out[n] = Some(LaneSrc::Single(self.slots.published_ref(i)));
-            n += 1;
-        }
-        n
+    pub(crate) fn published_ref(&self, i: usize) -> &Entry {
+        self.slots.published_ref(i)
+    }
+
+    /// The decomposition of the published prefix `p`: the sorted ladder
+    /// runs (at most one per materialized level, descending sizes)
+    /// covering the largest base-aligned prefix, and the raw slot range of
+    /// the sub-base remainder — the newest, at most [`MAX_SINGLES`],
+    /// entries, in append order. Together they cover raw entries `[0, p)`
+    /// exactly; every run was fully built before `p` was published.
+    #[inline]
+    pub(crate) fn decompose(&self, p: usize) -> (LadderRuns<'_>, Range<usize>) {
+        let aligned = p & !MAX_SINGLES;
+        (LadderRuns { tail: self, rem: aligned, offset: 0 }, aligned..p)
     }
 
     /// Resident bytes of the ladder itself for the published prefix: the
@@ -524,23 +535,15 @@ mod tests {
             let p = tail.published_len();
             assert_eq!(p, i + 1);
             for q in 1..=p {
-                let mut lanes = [None; MAX_RUNS];
-                let n = tail.decompose(q, &mut lanes);
-                // One run per set bit at or above the base level, one
-                // raw single lane per sub-base entry.
-                let base_mask = (1usize << LADDER_BASE) - 1;
-                let expect = (q & !base_mask).count_ones() as usize + (q & base_mask);
-                assert_eq!(n, expect, "lane count for {q}");
-                // Decode every lane (single raw slot or compact run) and
-                // check sortedness and exact coverage of the first q
-                // entries.
-                let decoded: Vec<Vec<Entry>> = lanes[..n]
-                    .iter()
-                    .map(|lane| match lane.expect("decompose fills the first n lanes") {
-                        LaneSrc::Single(e) => vec![*e],
-                        LaneSrc::Run(r) => r.to_vec(),
-                    })
-                    .collect();
+                let (runs, singles) = tail.decompose(q);
+                // One run per set bit at or above the base level, one raw
+                // slot per sub-base entry.
+                assert_eq!(runs.len(), (q & !MAX_SINGLES).count_ones() as usize, "runs of {q}");
+                assert_eq!(singles.len(), q & MAX_SINGLES, "singles of {q}");
+                // Decode every run and read every single, then check
+                // sortedness and exact coverage of the first q entries.
+                let mut decoded: Vec<Vec<Entry>> = runs.map(|r| r.to_vec()).collect();
+                decoded.extend(singles.map(|i| vec![*tail.published_ref(i)]));
                 let mut covered = 0usize;
                 for r in &decoded {
                     assert!(r.windows(2).all(|w| key(&w[0]) <= key(&w[1])), "run unsorted");

@@ -206,13 +206,13 @@ proptest! {
         // Final-state equivalence.
         let snap = store.pinned();
         for id in 0..12u64 {
-            prop_assert_eq!(snap.person(PersonId(id)).is_some(), model.persons.contains(&id));
+            prop_assert_eq!(snap.person_ref(PersonId(id)).is_some(), model.persons.contains(&id));
         }
         for f in 0..8u64 {
-            prop_assert_eq!(snap.forum(ForumId(f)).is_some(), model.forums.contains(&f));
+            prop_assert_eq!(snap.forum_ref(ForumId(f)).is_some(), model.forums.contains(&f));
         }
         for m in 0..30u64 {
-            prop_assert_eq!(snap.message(MessageId(m)).is_some(), model.message_exists(m));
+            prop_assert_eq!(snap.message_ref(MessageId(m)).is_some(), model.message_exists(m));
         }
         for &(a, b) in &model.knows {
             prop_assert!(snap.are_friends(PersonId(a), PersonId(b)));
@@ -249,14 +249,14 @@ proptest! {
         for (snap, frozen) in &snapshots {
             for id in 0..12u64 {
                 prop_assert_eq!(
-                    snap.person(PersonId(id)).is_some(),
+                    snap.person_ref(PersonId(id)).is_some(),
                     frozen.persons.contains(&id),
                     "person {} visibility drifted",
                     id
                 );
             }
             for m in 0..30u64 {
-                prop_assert_eq!(snap.message(MessageId(m)).is_some(), frozen.message_exists(m));
+                prop_assert_eq!(snap.message_ref(MessageId(m)).is_some(), frozen.message_exists(m));
             }
             for a in 0..12u64 {
                 let friends: HashSet<u64> =

@@ -209,7 +209,7 @@ fn parallel_bulk_load_is_deterministic_across_thread_counts() {
             let m = MessageId(i);
             assert_eq!(sn.replies_of(m), rs.replies_of(m));
             assert_eq!(sn.likes_of(m), rs.likes_of(m));
-            let (a, b) = (sn.message(m), rs.message(m));
+            let (a, b) = (sn.message_ref(m), rs.message_ref(m));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "row {m} at {threads} threads");
         }
         for i in 0..rs.forum_slots() as u64 {
