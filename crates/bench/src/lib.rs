@@ -14,7 +14,8 @@ use snb_queries::{complex, ComplexQuery, Engine};
 use snb_store::Store;
 use std::time::{Duration, Instant};
 
-/// Standard bench scale: ~SF0.1 in the paper's persons-per-SF mapping.
+/// Standard bench scale: ≈ SF0.33 under the persons-per-SF mapping stated
+/// in EXPERIMENTS.md ("Scale mapping").
 pub const BENCH_PERSONS: u64 = 2_000;
 
 /// Generate a dataset of `persons` with bench-appropriate settings.

@@ -69,7 +69,7 @@ pub struct OpOutcome {
 /// query's anchor person authored *on this shard*, with its creation
 /// date. A sharded router takes the `(date, id)`-max candidate across
 /// shards, which reproduces exactly the seed a single-process
-/// [`StoreConnector`] derives (`recent_messages_of` walks newest-first
+/// [`StoreConnector`] derives (`recent_messages_walk` goes newest-first
 /// under the same `(date, id)` order), so the driver's short-read walk is
 /// deployment-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,9 +233,9 @@ impl Connector for StoreConnector {
                 let seed_message = match q {
                     ComplexQuery::Q1(_) | ComplexQuery::Q11(_) | ComplexQuery::Q13(_) => None,
                     _ => person.and_then(|p| {
-                        snap.recent_messages_of(p, snb_core::SimTime(i64::MAX), 1)
-                            .first()
-                            .map(|&(m, _)| MessageId(m))
+                        snap.recent_messages_walk(p, snb_core::SimTime(i64::MAX))
+                            .next()
+                            .map(|(m, _)| MessageId(m))
                     }),
                 };
                 Ok(OpOutcome { rows, seed_person: person, seed_message })
@@ -246,18 +246,18 @@ impl Connector for StoreConnector {
                 let (seed_person, seed_message) = match *s {
                     ShortQuery::S2(p) => {
                         let m = snap
-                            .recent_messages_of(p, snb_core::SimTime(i64::MAX), 1)
-                            .first()
-                            .map(|&(m, _)| MessageId(m));
+                            .recent_messages_walk(p, snb_core::SimTime(i64::MAX))
+                            .next()
+                            .map(|(m, _)| MessageId(m));
                         (Some(p), m)
                     }
                     ShortQuery::S3(p) => {
-                        let f = snap.friends(p).first().map(|&(f, _)| PersonId(f));
+                        let f = snap.friends_iter(p).next().map(|(f, _)| PersonId(f));
                         (f, None)
                     }
                     ShortQuery::S5(m) => (snap.message_meta(m).map(|meta| meta.author), Some(m)),
                     ShortQuery::S7(m) => {
-                        let r = snap.replies_of(m).first().map(|&(r, _)| MessageId(r));
+                        let r = snap.replies_of_iter(m).next().map(|(r, _)| MessageId(r));
                         (None, r.or(Some(m)))
                     }
                     ShortQuery::S1(p) => (Some(p), None),
@@ -292,9 +292,9 @@ impl Connector for StoreConnector {
             _ => None,
         };
         let seed = anchor.and_then(|p| {
-            snap.recent_messages_of(p, SimTime(i64::MAX), 1)
-                .first()
-                .map(|&(m, date)| (MessageId(m), date))
+            snap.recent_messages_walk(p, SimTime(i64::MAX))
+                .next()
+                .map(|(m, date)| (MessageId(m), date))
         });
         Ok(PartialOutcome { partial, seed })
     }

@@ -13,6 +13,7 @@ use crate::connector::{Connector, OpKind, Operation};
 use crate::dependency::Gds;
 use crate::metrics::{KindRecorder, Metrics};
 use crate::mix::WorkItem;
+use crate::report::STEADY_FACTOR;
 use parking_lot::Mutex;
 use snb_core::rng::{Rng, Stream};
 use snb_core::time::SimTime;
@@ -91,7 +92,8 @@ pub struct RunReport {
     /// Achieved acceleration: simulation time / real time.
     pub achieved_acceleration: f64,
     /// Whether complex-read p99 latencies stayed stable (steady state),
-    /// judged per wall-clock epoch.
+    /// judged per wall-clock epoch with [`STEADY_FACTOR`], the factor the
+    /// disclosure's per-epoch verdicts use.
     pub steady: bool,
     /// Per-partition scheduler accounting, sorted by partition index.
     pub partitions: Vec<PartitionStats>,
@@ -233,7 +235,7 @@ pub fn run(
     let wall = start.elapsed();
     let total_ops = metrics.total_ops();
     let sim_span_millis = sim_end.since(sim_start);
-    let steady = metrics.complex_reads_steady(4.0);
+    let steady = metrics.complex_reads_steady(STEADY_FACTOR);
     let mut partitions = partition_stats.into_inner();
     partitions.sort_by_key(|s| s.partition);
     Ok(RunReport {

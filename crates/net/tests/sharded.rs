@@ -54,7 +54,7 @@ fn shard_digest(store: &Store, map: ShardMap, shard: u32) -> String {
         let Some(person) = snap.person_ref(id) else { continue };
         write!(d, "P{p}={}|{}|{};", person.first_name, person.last_name, person.creation_date.0)
             .unwrap();
-        for (f, date) in snap.friends(id) {
+        for (f, date) in snap.friends_iter(id) {
             write!(d, "K{f}@{};", date.0).unwrap();
         }
     }
@@ -66,10 +66,10 @@ fn shard_digest(store: &Store, map: ShardMap, shard: u32) -> String {
         let Some(forum) = snap.forum_ref(id) else { continue };
         write!(d, "F{f}={}|{}|{};", forum.title, forum.moderator.raw(), forum.creation_date.0)
             .unwrap();
-        for (m, date) in snap.members_of(id) {
+        for (m, date) in snap.members_of_iter(id) {
             write!(d, "M{m}@{};", date.0).unwrap();
         }
-        for (p, date) in snap.posts_in_forum(id) {
+        for (p, date) in snap.posts_in_forum_iter(id) {
             write!(d, "T{p}@{};", date.0).unwrap();
         }
     }
@@ -88,10 +88,10 @@ fn shard_digest(store: &Store, map: ShardMap, shard: u32) -> String {
             row.reply_info
         )
         .unwrap();
-        for (r, date) in snap.replies_of(id) {
+        for (r, date) in snap.replies_of_iter(id) {
             write!(d, "R{r}@{};", date.0).unwrap();
         }
-        for (l, date) in snap.likes_of(id) {
+        for (l, date) in snap.likes_of_iter(id) {
             write!(d, "L{l}@{};", date.0).unwrap();
         }
     }

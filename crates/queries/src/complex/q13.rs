@@ -155,7 +155,7 @@ mod tests {
         let f = fixture();
         let snap = f.store.pinned();
         let x = busy_person(f);
-        let (friend, _) = snap.friends(x)[0];
+        let (friend, _) = snap.friends_iter(x).next().unwrap();
         let p = Q13Params { person_x: x, person_y: PersonId(friend) };
         assert_eq!(run(&snap, Engine::Intended, &p), 1);
         assert_eq!(run(&snap, Engine::Naive, &p), 1);
@@ -166,7 +166,7 @@ mod tests {
         let f = fixture();
         let snap = f.store.pinned();
         if let Some(loner) =
-            f.ds.persons.iter().map(|p| p.id).find(|&id| snap.friends(id).is_empty())
+            f.ds.persons.iter().map(|p| p.id).find(|&id| snap.friends_iter(id).next().is_none())
         {
             let p = Q13Params { person_x: busy_person(f), person_y: loner };
             assert_eq!(run(&snap, Engine::Intended, &p), -1);

@@ -168,7 +168,8 @@ mod tests {
         // no results at all.
         let f = fixture();
         let snap = f.store.pinned();
-        let loner = f.ds.persons.iter().map(|p| p.id).find(|&id| snap.friends(id).is_empty());
+        let loner =
+            f.ds.persons.iter().map(|p| p.id).find(|&id| snap.friends_iter(id).next().is_none());
         if let Some(loner) = loner {
             let p = Q4Params {
                 person: loner,

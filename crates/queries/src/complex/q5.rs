@@ -70,8 +70,7 @@ fn intended(snap: &PinnedSnapshot<'_>, p: &Q5Params) -> Vec<(u64, u32)> {
         let mut joined: Vec<u64> = Vec::new();
         for &c in sx.one.iter().chain(sx.two.iter()) {
             joined.clear();
-            joined
-                .extend(snap.forums_of_after(PersonId(c), p.min_date).into_iter().map(|(f, _)| f));
+            joined.extend(snap.forums_of_after_iter(PersonId(c), p.min_date).map(|(f, _)| f));
             if joined.is_empty() {
                 continue;
             }
@@ -200,14 +199,12 @@ mod tests {
                 sx.one.iter().chain(sx.two.iter()).copied().collect()
             });
             let joined_after: HashSet<u64> = snap
-                .members_of(ForumId(forum))
-                .into_iter()
+                .members_of_iter(ForumId(forum))
                 .filter(|&(m, join)| join > p.min_date && circle.contains(&m))
                 .map(|(m, _)| m)
                 .collect();
             let recount = snap
-                .posts_in_forum(ForumId(forum))
-                .into_iter()
+                .posts_in_forum_iter(ForumId(forum))
                 .filter(|&(post, _)| {
                     snap.message_meta(MessageId(post))
                         .is_some_and(|meta| joined_after.contains(&meta.author.raw()))

@@ -500,28 +500,25 @@ fn q3_counts_in_window_messages_applied_after_the_bulk_load() {
     .unwrap();
     let store = Store::new();
     store.bulk_load(&ds);
-    let (p, c, start) = {
-        let snap = store.pinned();
-        (0..ds.persons.len() as u64)
-            .flat_map(|p| snap.friends(PersonId(p)).into_iter().map(move |(c, _)| (p, c)))
-            .find_map(|(p, c)| {
-                let msgs = snap.messages_of(PersonId(c));
-                let start = msgs.get(msgs.len() / 2)?.1;
-                (msgs.len() >= 3 && msgs.last()?.1.millis() > start.millis() + DAY_MS)
-                    .then_some((p, c, start))
-            })
-            .expect("a friend with messages spread over more than a day")
-    };
+    let bulk_snap = store.pinned();
+    let (p, c, start) = (0..ds.persons.len() as u64)
+        .flat_map(|p| bulk_snap.friends_iter(PersonId(p)).map(move |(c, _)| (p, c)))
+        .find_map(|(p, c)| {
+            let msgs = bulk_snap.messages_of_iter(PersonId(c)).collect::<Vec<_>>();
+            let start = msgs.get(msgs.len() / 2)?.1;
+            (msgs.len() >= 3 && msgs.last()?.1.millis() > start.millis() + DAY_MS)
+                .then_some((p, c, start))
+        })
+        .expect("a friend with messages spread over more than a day");
+    drop(bulk_snap);
     let end = start.plus_days(1);
     let home = ds.persons[c as usize].country;
     let mut foreign = (0..).filter(|&k| k != home);
     let (x, y) = (foreign.next().unwrap(), foreign.next().unwrap());
     let ids = ds.posts.iter().map(|m| m.id).chain(ds.comments.iter().map(|m| m.id));
     let next_id = ids.map(|id| id.raw()).max().unwrap() + 1;
-    for (i, (t, country)) in [(start.millis() + 1, x), (start.millis() + 2, y), (end.millis(), x)]
-        .into_iter()
-        .enumerate()
-    {
+    let applied = [(start.millis() + 1, x), (start.millis() + 2, y), (end.millis(), x)];
+    for (i, (t, country)) in applied.into_iter().enumerate() {
         store
             .apply(&UpdateOp::AddPost(post(
                 next_id + i as u64,
@@ -534,10 +531,17 @@ fn q3_counts_in_window_messages_applied_after_the_bulk_load() {
             .unwrap();
     }
     let snap = store.pinned();
-    // Expected counts from the eager owned-`Vec` merge, not the iterator.
+    // Expected counts from the dataset and the applied posts, not the
+    // store: `c`'s bulk-loaded messages plus the three above.
+    let split = ds.config.update_split;
+    let posts = ds.posts.iter().map(|m| (m.author, m.creation_date, m.country));
+    let comments = ds.comments.iter().map(|m| (m.author, m.creation_date, m.country));
+    let bulk = posts
+        .chain(comments)
+        .filter(|&(a, d, _)| a == PersonId(c) && d <= split)
+        .map(|(_, d, country)| (d, country));
     let (mut ex, mut ey) = (0, 0);
-    for (m, date) in snap.messages_of(PersonId(c)) {
-        let country = snap.message_meta(MessageId(m)).unwrap().country as usize;
+    for (date, country) in bulk.chain(applied.map(|(t, country)| (SimTime(t), country))) {
         if date >= start && date < end {
             ex += u32::from(country == x);
             ey += u32::from(country == y);

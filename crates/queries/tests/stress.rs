@@ -259,21 +259,53 @@ fn concurrent_writers_and_pinned_readers() {
     assert_eq!(a.message_slots(), b.message_slots());
     for i in 0..a.person_slots() as u64 {
         let p = PersonId(i);
-        assert_eq!(a.friends(p), b.friends(p), "friends of {p}");
-        assert_eq!(a.messages_of(p), b.messages_of(p), "messages of {p}");
-        assert_eq!(a.forums_of(p), b.forums_of(p), "forums of {p}");
-        assert_eq!(a.likes_by(p), b.likes_by(p), "likes by {p}");
+        assert_eq!(
+            a.friends_iter(p).collect::<Vec<_>>(),
+            b.friends_iter(p).collect::<Vec<_>>(),
+            "friends of {p}"
+        );
+        assert_eq!(
+            a.messages_of_iter(p).collect::<Vec<_>>(),
+            b.messages_of_iter(p).collect::<Vec<_>>(),
+            "messages of {p}"
+        );
+        assert_eq!(
+            a.forums_of_iter(p).collect::<Vec<_>>(),
+            b.forums_of_iter(p).collect::<Vec<_>>(),
+            "forums of {p}"
+        );
+        assert_eq!(
+            a.likes_by_iter(p).collect::<Vec<_>>(),
+            b.likes_by_iter(p).collect::<Vec<_>>(),
+            "likes by {p}"
+        );
         assert_eq!(format!("{:?}", a.person_ref(p)), format!("{:?}", b.person_ref(p)));
     }
     for i in 0..a.forum_slots() as u64 {
         let f = ForumId(i);
-        assert_eq!(a.posts_in_forum(f), b.posts_in_forum(f), "posts in {f}");
-        assert_eq!(a.members_of(f), b.members_of(f), "members of {f}");
+        assert_eq!(
+            a.posts_in_forum_iter(f).collect::<Vec<_>>(),
+            b.posts_in_forum_iter(f).collect::<Vec<_>>(),
+            "posts in {f}"
+        );
+        assert_eq!(
+            a.members_of_iter(f).collect::<Vec<_>>(),
+            b.members_of_iter(f).collect::<Vec<_>>(),
+            "members of {f}"
+        );
     }
     for i in 0..a.message_slots() as u64 {
         let m = MessageId(i);
-        assert_eq!(a.replies_of(m), b.replies_of(m), "replies of {m}");
-        assert_eq!(a.likes_of(m), b.likes_of(m), "likes of {m}");
+        assert_eq!(
+            a.replies_of_iter(m).collect::<Vec<_>>(),
+            b.replies_of_iter(m).collect::<Vec<_>>(),
+            "replies of {m}"
+        );
+        assert_eq!(
+            a.likes_of_iter(m).collect::<Vec<_>>(),
+            b.likes_of_iter(m).collect::<Vec<_>>(),
+            "likes of {m}"
+        );
         assert_eq!(format!("{:?}", a.message_ref(m)), format!("{:?}", b.message_ref(m)));
     }
     // And the three stressed queries agree on the final states too.

@@ -464,7 +464,7 @@ mod tests {
         .unwrap();
         let snap = s.pinned();
         assert_eq!(snap.person_ref(PersonId(0)).unwrap().creation_date, SimTime(10));
-        assert_eq!(snap.friends(PersonId(0)).len(), 1);
+        assert_eq!(snap.friends_iter(PersonId(0)).count(), 1);
         assert!(snap.are_friends(PersonId(1), PersonId(0)));
     }
 
@@ -502,21 +502,21 @@ mod tests {
         let walked_before = s.counters().versions_walked.get();
         let skipped_before = s.counters().versions_skipped.get();
         // Read counters reach the store when the snapshot drops.
-        assert!(early.friends(PersonId(0)).is_empty());
+        assert!(early.friends_iter(PersonId(0)).next().is_none());
         drop(early);
         assert_eq!(s.counters().versions_walked.get(), walked_before + 1);
         assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
 
         // A fresh snapshot sees it: examined but not skipped.
         let now = s.pinned();
-        assert_eq!(now.friends(PersonId(0)).len(), 1);
+        assert_eq!(now.friends_iter(PersonId(0)).count(), 1);
 
         // Point probes count index probes via the profile scope.
         let profile = std::sync::Arc::new(snb_obs::QueryProfile::new());
         {
             let _guard = snb_obs::QueryProfile::enter(std::sync::Arc::clone(&profile));
             assert!(now.person_ref(PersonId(0)).is_some());
-            now.friends(PersonId(0));
+            assert_eq!(now.friends_iter(PersonId(0)).count(), 1);
         }
         drop(now);
         assert_eq!(s.counters().versions_skipped.get(), skipped_before + 1);
@@ -593,22 +593,54 @@ mod tests {
         assert_eq!(ss.message_slots(), sp.message_slots());
         for i in 0..ss.person_slots() as u64 {
             let p = PersonId(i);
-            assert_eq!(ss.friends(p), sp.friends(p), "friends of {p}");
-            assert_eq!(ss.messages_of(p), sp.messages_of(p), "messages of {p}");
-            assert_eq!(ss.forums_of(p), sp.forums_of(p), "forums of {p}");
-            assert_eq!(ss.likes_by(p), sp.likes_by(p), "likes by {p}");
+            assert_eq!(
+                ss.friends_iter(p).collect::<Vec<_>>(),
+                sp.friends_iter(p).collect::<Vec<_>>(),
+                "friends of {p}"
+            );
+            assert_eq!(
+                ss.messages_of_iter(p).collect::<Vec<_>>(),
+                sp.messages_of_iter(p).collect::<Vec<_>>(),
+                "messages of {p}"
+            );
+            assert_eq!(
+                ss.forums_of_iter(p).collect::<Vec<_>>(),
+                sp.forums_of_iter(p).collect::<Vec<_>>(),
+                "forums of {p}"
+            );
+            assert_eq!(
+                ss.likes_by_iter(p).collect::<Vec<_>>(),
+                sp.likes_by_iter(p).collect::<Vec<_>>(),
+                "likes by {p}"
+            );
         }
         for i in 0..ss.message_slots() as u64 {
             let m = MessageId(i);
-            assert_eq!(ss.replies_of(m), sp.replies_of(m), "replies of {m}");
-            assert_eq!(ss.likes_of(m), sp.likes_of(m), "likes of {m}");
+            assert_eq!(
+                ss.replies_of_iter(m).collect::<Vec<_>>(),
+                sp.replies_of_iter(m).collect::<Vec<_>>(),
+                "replies of {m}"
+            );
+            assert_eq!(
+                ss.likes_of_iter(m).collect::<Vec<_>>(),
+                sp.likes_of_iter(m).collect::<Vec<_>>(),
+                "likes of {m}"
+            );
             let (a, b) = (ss.message_ref(m), sp.message_ref(m));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "row of {m}");
         }
         for i in 0..ss.forum_slots() as u64 {
             let f = ForumId(i);
-            assert_eq!(ss.posts_in_forum(f), sp.posts_in_forum(f), "posts in {f}");
-            assert_eq!(ss.members_of(f), sp.members_of(f), "members of {f}");
+            assert_eq!(
+                ss.posts_in_forum_iter(f).collect::<Vec<_>>(),
+                sp.posts_in_forum_iter(f).collect::<Vec<_>>(),
+                "posts in {f}"
+            );
+            assert_eq!(
+                ss.members_of_iter(f).collect::<Vec<_>>(),
+                sp.members_of_iter(f).collect::<Vec<_>>(),
+                "members of {f}"
+            );
         }
     }
 

@@ -476,13 +476,12 @@ pub(crate) mod tests {
         s.apply(&UpdateOp::AddPost(post(0, 0, 0, 30))).unwrap();
         s.apply(&UpdateOp::AddPost(post(2, 0, 0, 40))).unwrap();
         let snap = s.pinned();
-        let dates: Vec<i64> =
-            snap.messages_of(PersonId(0)).iter().map(|(_, d)| d.millis()).collect();
+        let dates: Vec<i64> = snap.messages_of_iter(PersonId(0)).map(|(_, d)| d.millis()).collect();
         assert_eq!(dates, vec![30, 40, 50]);
         let recent: Vec<u64> = snap
-            .recent_messages_of(PersonId(0), SimTime(i64::MAX), 10)
-            .iter()
-            .map(|&(m, _)| m)
+            .recent_messages_walk(PersonId(0), SimTime(i64::MAX))
+            .take(10)
+            .map(|(m, _)| m)
             .collect();
         assert_eq!(recent, vec![1, 2, 0]);
     }
@@ -512,9 +511,9 @@ pub(crate) mod tests {
         }))
         .unwrap();
         let snap = s.pinned();
-        assert_eq!(snap.replies_of(MessageId(0)).len(), 1);
-        assert_eq!(snap.likes_of(MessageId(0)).first(), Some(&(0, SimTime(30))));
-        assert_eq!(snap.likes_by(PersonId(0)).first(), Some(&(0, SimTime(30))));
+        assert_eq!(snap.replies_of_iter(MessageId(0)).count(), 1);
+        assert_eq!(snap.likes_of_iter(MessageId(0)).next(), Some((0, SimTime(30))));
+        assert_eq!(snap.likes_by_iter(PersonId(0)).next(), Some((0, SimTime(30))));
         let msg = snap.message_ref(MessageId(1)).unwrap();
         assert!(msg.is_comment());
         assert_eq!(msg.reply_info, Some((MessageId(0), MessageId(0))));

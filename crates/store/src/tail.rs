@@ -24,13 +24,13 @@
 //!   `install` — [`crate::tables`] builds the entity and index tables from
 //!   it, [`crate::loader`] installs into it.
 //! - [`IndexList`]: `from_bulk`, `bulk`, `push`, `tail`, `tail_len`,
-//!   `len`, `mem`, `gather_tail`.
+//!   `len`, `mem`.
 //! - [`IndexTail`]: `published_len`, `published`, `published_ref`,
 //!   `decompose` (with [`LadderRuns`] and [`MAX_SINGLES`]) — what the lazy
 //!   iterators in [`crate::read`] merge.
 
 use crate::compact::{merge_compact, CompactRun};
-use crate::mvcc::{visible, CommitTs, BULK_TS};
+use crate::mvcc::BULK_TS;
 use crate::tables::{key, Entry};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -360,11 +360,10 @@ impl IndexTail {
 ///
 /// The raw tail is not kept sorted — writers only ever append and publish
 /// the new length with a release store, so readers never race a memmove.
-/// Order is recovered two ways: the borrowing iterators lazily merge the
-/// tail's [`IndexTail`] ladder runs (zero allocation, pay-per-entry), and
-/// the materializing `Vec` APIs eagerly [`IndexList::gather_tail`] the
-/// raw slots and sort the (typically tiny) batch. A list with an empty
-/// tail costs readers nothing beyond one acquire load either way.
+/// Order is recovered by the borrowing iterators, which lazily merge the
+/// tail's [`IndexTail`] ladder runs and its sorted sub-base remainder
+/// (pay-per-entry). A list with an empty tail costs readers nothing
+/// beyond one acquire load.
 #[derive(Debug, Default)]
 pub(crate) struct IndexList {
     bulk: CompactRun,
@@ -425,48 +424,12 @@ impl IndexList {
         }
         (run_bytes, run_entries, tail_bytes)
     }
-
-    /// Gather the tail entries passing `pred` that are visible at `ts`
-    /// into `out`, sorted by `(date, id)`. Returns `(examined, kept)`:
-    /// tail entries examined, and of those the visible ones kept. Every
-    /// tail entry is a versioned commit (bulk entries live only in the
-    /// prefix). Entries rejected by `pred` are uncounted (a date-bounded
-    /// scan never touched them in the sorted representation). Allocates
-    /// nothing when the tail is empty.
-    pub(crate) fn gather_tail<F: Fn(&Entry) -> bool>(
-        &self,
-        ts: CommitTs,
-        pred: F,
-        out: &mut Vec<Entry>,
-    ) -> (usize, usize) {
-        let Some(tail) = self.tail() else {
-            return (0, 0);
-        };
-        let n = tail.published_len();
-        if n == 0 {
-            return (0, 0);
-        }
-        out.reserve(n);
-        let (mut examined, mut kept) = (0usize, 0usize);
-        for i in 0..n {
-            let e = tail.published(i);
-            if !pred(&e) {
-                continue;
-            }
-            examined += 1;
-            if visible(e.commit, ts) {
-                kept += 1;
-                out.push(e);
-            }
-        }
-        out.sort_unstable_by_key(key);
-        (examined, kept)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mvcc::CommitTs;
     use snb_core::time::SimTime;
 
     #[test]
@@ -489,33 +452,30 @@ mod tests {
     }
 
     #[test]
-    fn index_list_tail_publication_and_merge() {
+    fn index_list_tail_publication() {
         let list = IndexList::from_bulk(vec![
             Entry { date: SimTime(10), id: 0, commit: BULK_TS },
             Entry { date: SimTime(30), id: 1, commit: BULK_TS },
         ]);
         assert_eq!(list.bulk().len(), 2);
+        assert_eq!(list.tail_len(), 0);
         // Appends never disturb the immutable bulk prefix: committed
         // entries, one dated *inside* the prefix, all land in the
-        // published tail.
+        // published tail, in append order (the read side sorts and
+        // filters them; see `read::tests`).
         list.push(Entry { date: SimTime(20), id: 2, commit: 4 });
         list.push(Entry { date: SimTime(40), id: 3, commit: 5 });
         list.push(Entry { date: SimTime(15), id: 4, commit: 6 });
         assert_eq!(list.bulk().len(), 2);
+        assert_eq!(list.bulk().to_vec().iter().map(|e| e.id).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(list.tail_len(), 3);
         assert_eq!(list.len(), 5);
-
-        // At ts 5 the commit-6 entry is invisible; gather sorts the rest.
-        let mut out = Vec::new();
-        let (examined, kept) = list.gather_tail(5, |_| true, &mut out);
-        assert_eq!((examined, kept), (3, 2));
-        assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2, 3]);
-
-        // At ts 6 all three are visible, sorted by (date, id).
-        out.clear();
-        let (examined, kept) = list.gather_tail(6, |_| true, &mut out);
-        assert_eq!((examined, kept), (3, 3));
-        assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![4, 2, 3]);
+        let tail = list.tail().unwrap();
+        let raw: Vec<(u64, CommitTs)> = (0..tail.published_len())
+            .map(|i| tail.published(i))
+            .map(|e| (e.id, e.commit))
+            .collect();
+        assert_eq!(raw, vec![(2, 4), (3, 5), (4, 6)]);
     }
 
     #[test]

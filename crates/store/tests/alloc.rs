@@ -1,6 +1,6 @@
-//! Heap allocations of the lazy scans: a list with no materialized ladder
-//! run (fewer than 16 tail entries) iterates with none, and any other
-//! list allocates at most once per iterator. Counted by a global
+//! Heap allocations of the lazy scans, bounded or not: a list with no
+//! materialized ladder run (fewer than 16 tail entries) iterates with
+//! none, and any other list allocates at most once per iterator. Counted by a global
 //! allocator that counts only on threads that asked it to.
 
 use snb_core::time::SimTime;
@@ -42,8 +42,9 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|a| a.replace(None)).unwrap()
 }
 
-/// Allocations of each of the three scans of `p`, each drained to the end.
-fn scan_allocs(snap: &PinnedSnapshot<'_>, p: PersonId) -> [u64; 3] {
+/// Allocations of each of the four scans of `p`, each drained to the end;
+/// the bounded one keeps the forums joined after `after`.
+fn scan_allocs(snap: &PinnedSnapshot<'_>, p: PersonId, after: SimTime) -> [u64; 4] {
     [
         allocs_in(|| {
             black_box(snap.friends_iter(p).count());
@@ -54,6 +55,9 @@ fn scan_allocs(snap: &PinnedSnapshot<'_>, p: PersonId) -> [u64; 3] {
         allocs_in(|| {
             black_box(snap.recent_messages_walk(p, SimTime(i64::MAX)).count());
         }),
+        allocs_in(|| {
+            black_box(snap.forums_of_after_iter(p, after).count());
+        }),
     ]
 }
 
@@ -61,13 +65,19 @@ fn dataset() -> snb_datagen::Dataset {
     snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(200).activity(0.5)).unwrap()
 }
 
+/// A bound inside the bulk span, so the bounded scan seeks into it.
+fn mid_bulk(ds: &snb_datagen::Dataset) -> SimTime {
+    SimTime(SimTime::SIM_START.0 + (ds.config.update_split.0 - SimTime::SIM_START.0) / 2)
+}
+
 #[test]
 fn scans_of_a_bulk_only_store_never_allocate() {
+    let ds = dataset();
     let store = Store::new();
-    store.bulk_load(&dataset());
+    store.bulk_load(&ds);
     let snap = store.pinned();
     for i in 0..snap.person_slots() as u64 {
-        assert_eq!(scan_allocs(&snap, PersonId(i)), [0, 0, 0], "person {i}");
+        assert_eq!(scan_allocs(&snap, PersonId(i), mid_bulk(&ds)), [0; 4], "person {i}");
     }
 }
 
@@ -76,8 +86,9 @@ fn scans_allocate_only_for_a_ladder_run_and_then_once() {
     let ds = dataset();
     let store = Store::new();
     store.bulk_load(&ds);
-    // Tail lengths of each person's friends and messages lists.
-    let (mut knows, mut messages) = (HashMap::<u64, usize>::new(), HashMap::<u64, usize>::new());
+    // Tail lengths of each person's friends, messages and forums lists.
+    let (mut knows, mut messages, mut forums) =
+        (HashMap::<u64, usize>::new(), HashMap::<u64, usize>::new(), HashMap::<u64, usize>::new());
     for u in ds.update_stream() {
         store.apply(&u.op).unwrap();
         match &u.op {
@@ -87,15 +98,16 @@ fn scans_allocate_only_for_a_ladder_run_and_then_once() {
             }
             UpdateOp::AddPost(p) => *messages.entry(p.author.raw()).or_default() += 1,
             UpdateOp::AddComment(c) => *messages.entry(c.author.raw()).or_default() += 1,
+            UpdateOp::AddMembership(m) => *forums.entry(m.person.raw()).or_default() += 1,
             _ => {}
         }
     }
     let snap = store.pinned();
     let (mut short_tails, mut long_tails) = (0, 0);
     for i in 0..snap.person_slots() as u64 {
-        let [friends, msgs, walk] = scan_allocs(&snap, PersonId(i));
-        let tails = [knows.get(&i), messages.get(&i), messages.get(&i)].map(|n| *n.unwrap_or(&0));
-        for (allocs, tail) in [friends, msgs, walk].into_iter().zip(tails) {
+        let allocs = scan_allocs(&snap, PersonId(i), mid_bulk(&ds));
+        let tails = [&knows, &messages, &messages, &forums].map(|t| *t.get(&i).unwrap_or(&0));
+        for (allocs, tail) in allocs.into_iter().zip(tails) {
             if tail < 16 {
                 assert_eq!(allocs, 0, "person {i}: a tail of {tail} has no ladder run");
                 short_tails += usize::from(tail > 0);

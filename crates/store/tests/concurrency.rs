@@ -118,9 +118,9 @@ fn friend_lists_are_stable_within_a_snapshot() {
             while !done.load(Ordering::Acquire) {
                 let snap = store.pinned();
                 for p in (0..200u64).step_by(17) {
-                    let a = snap.friends(PersonId(p));
+                    let a = snap.friends_iter(PersonId(p)).collect::<Vec<_>>();
                     std::thread::yield_now(); // give the writer a window
-                    let b = snap.friends(PersonId(p));
+                    let b = snap.friends_iter(PersonId(p)).collect::<Vec<_>>();
                     assert_eq!(a, b, "snapshot view of person {p} changed mid-read");
                 }
             }
@@ -218,7 +218,11 @@ mod striped {
         assert_eq!(a.person_slots(), b.person_slots());
         for i in 0..a.person_slots() as u64 {
             let p = PersonId(i);
-            assert_eq!(a.friends(p), b.friends(p), "friends of {p}");
+            assert_eq!(
+                a.friends_iter(p).collect::<Vec<_>>(),
+                b.friends_iter(p).collect::<Vec<_>>(),
+                "friends of {p}"
+            );
             assert_eq!(format!("{:?}", a.person_ref(p)), format!("{:?}", b.person_ref(p)));
         }
     }

@@ -176,8 +176,11 @@ fn group_commit_acknowledged_commits_survive_a_crash() {
     assert_eq!(sr.message_slots(), sf.message_slots());
     for i in 0..sf.person_slots() as u64 {
         let p = PersonId(i);
-        assert_eq!(sr.friends(p), sf.friends(p));
-        assert_eq!(sr.messages_of(p), sf.messages_of(p));
+        assert_eq!(sr.friends_iter(p).collect::<Vec<_>>(), sf.friends_iter(p).collect::<Vec<_>>());
+        assert_eq!(
+            sr.messages_of_iter(p).collect::<Vec<_>>(),
+            sf.messages_of_iter(p).collect::<Vec<_>>()
+        );
     }
     std::fs::remove_file(&path).unwrap();
 }
@@ -200,22 +203,47 @@ fn parallel_bulk_load_is_deterministic_across_thread_counts() {
         assert_eq!(sn.message_slots(), rs.message_slots(), "{threads} threads");
         for i in 0..rs.person_slots() as u64 {
             let p = PersonId(i);
-            assert_eq!(sn.friends(p), rs.friends(p), "friends of {p} at {threads} threads");
-            assert_eq!(sn.messages_of(p), rs.messages_of(p));
-            assert_eq!(sn.forums_of(p), rs.forums_of(p));
-            assert_eq!(sn.likes_by(p), rs.likes_by(p));
+            assert_eq!(
+                sn.friends_iter(p).collect::<Vec<_>>(),
+                rs.friends_iter(p).collect::<Vec<_>>(),
+                "friends of {p} at {threads} threads"
+            );
+            assert_eq!(
+                sn.messages_of_iter(p).collect::<Vec<_>>(),
+                rs.messages_of_iter(p).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                sn.forums_of_iter(p).collect::<Vec<_>>(),
+                rs.forums_of_iter(p).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                sn.likes_by_iter(p).collect::<Vec<_>>(),
+                rs.likes_by_iter(p).collect::<Vec<_>>()
+            );
         }
         for i in 0..rs.message_slots() as u64 {
             let m = MessageId(i);
-            assert_eq!(sn.replies_of(m), rs.replies_of(m));
-            assert_eq!(sn.likes_of(m), rs.likes_of(m));
+            assert_eq!(
+                sn.replies_of_iter(m).collect::<Vec<_>>(),
+                rs.replies_of_iter(m).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                sn.likes_of_iter(m).collect::<Vec<_>>(),
+                rs.likes_of_iter(m).collect::<Vec<_>>()
+            );
             let (a, b) = (sn.message_ref(m), rs.message_ref(m));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "row {m} at {threads} threads");
         }
         for i in 0..rs.forum_slots() as u64 {
             let f = ForumId(i);
-            assert_eq!(sn.posts_in_forum(f), rs.posts_in_forum(f));
-            assert_eq!(sn.members_of(f), rs.members_of(f));
+            assert_eq!(
+                sn.posts_in_forum_iter(f).collect::<Vec<_>>(),
+                rs.posts_in_forum_iter(f).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                sn.members_of_iter(f).collect::<Vec<_>>(),
+                rs.members_of_iter(f).collect::<Vec<_>>()
+            );
         }
     }
 }

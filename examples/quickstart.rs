@@ -39,13 +39,14 @@ fn main() {
     // 4. Query: who is the best-connected person, and what's new in their
     //    feed?
     let snap = store.pinned();
-    let busiest = (0..stats.persons).map(PersonId).max_by_key(|&p| snap.friends(p).len()).unwrap();
+    let busiest =
+        (0..stats.persons).map(PersonId).max_by_key(|&p| snap.friends_iter(p).count()).unwrap();
     let profile = short::s1_profile(&snap, busiest).unwrap();
     println!(
         "\nbusiest person: {} {} ({} friends)",
         profile.first_name,
         profile.last_name,
-        snap.friends(busiest).len()
+        snap.friends_iter(busiest).count()
     );
 
     let feed = complex::q2::run(

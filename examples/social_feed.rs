@@ -20,8 +20,10 @@ fn main() {
     let snap = store.pinned();
 
     // The "logged-in user": someone with a decent circle.
-    let me =
-        (0..ds.persons.len() as u64).map(PersonId).max_by_key(|&p| snap.friends(p).len()).unwrap();
+    let me = (0..ds.persons.len() as u64)
+        .map(PersonId)
+        .max_by_key(|&p| snap.friends_iter(p).count())
+        .unwrap();
     let profile = short::s1_profile(&snap, me).unwrap();
     println!(
         "logged in as {} {} from city #{}",

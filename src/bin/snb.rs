@@ -81,6 +81,10 @@ fn usage() -> ExitCode {
 fn parse() -> Result<Args, ExitCode> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or_else(usage)?;
+    if !["generate", "rdf", "stats", "run", "serve"].contains(&command.as_str()) {
+        eprintln!("unknown command: {command}");
+        return Err(usage());
+    }
     let mut args = Args {
         command,
         persons: 1_000,
@@ -183,16 +187,23 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
+    // Every command starts from the generated dataset; a config the
+    // generator rejects (e.g. `--persons 0`) is a rejected flag.
     let config = GeneratorConfig::with_persons(args.persons).seed(args.seed).threads(args.threads);
+    let ds = match generate(config) {
+        Ok(ds) => ds,
+        Err(e) => {
+            eprintln!("bad generator flags: {e}");
+            return usage();
+        }
+    };
     match args.command.as_str() {
         "generate" => {
-            let ds = generate(config).expect("generation failed");
             let rows = serializer::write_csv(&ds, &args.out).expect("csv write failed");
             println!("wrote {} rows of bulk CSV + update stream to {}", rows, args.out.display());
             ExitCode::SUCCESS
         }
         "rdf" => {
-            let ds = generate(config).expect("generation failed");
             let out =
                 if args.out.extension().is_some() { args.out } else { args.out.join("data.nt") };
             if let Some(parent) = out.parent() {
@@ -204,7 +215,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "stats" => {
-            let ds = generate(config).expect("generation failed");
             let s = ds.stats();
             println!("persons:  {}", s.persons);
             println!("friends:  {} (directed rows)", s.friends);
@@ -216,7 +226,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            let ds = generate(config).expect("generation failed");
             let bindings = curated_bindings(&ds, 16);
             let items = build_mix(&ds, &bindings);
             let net_config = NetConfig {
@@ -283,7 +292,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "serve" => {
-            let ds = generate(config).expect("generation failed");
             let store = open_store(&args);
             let server_config = match args.shard {
                 Some((shard, shards)) => {
@@ -328,6 +336,6 @@ fn main() -> ExitCode {
             server.join();
             ExitCode::SUCCESS
         }
-        _ => usage(),
+        _ => unreachable!("parse rejects unknown commands"),
     }
 }

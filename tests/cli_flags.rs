@@ -1,7 +1,9 @@
 //! `snb` rejects flags it would otherwise ignore: `--sync` with no `--wal`,
 //! `--wal`/`--sync` next to `--connect` (the server owns the store), and
 //! every `--sync` spelling other than `never` and `group`. Each case exits
-//! with status 2 before generating anything, naming the offending flag.
+//! with status 2 before generating anything, naming the offending flag. A
+//! config the generator rejects exits 2 as well, with its error, not a
+//! panic.
 
 use std::process::Command;
 
@@ -33,6 +35,19 @@ fn flags_the_command_would_ignore_exit_2_and_name_the_flag() {
         assert!(stderr.contains("bad --sync policy"), "{stderr}");
     }
     assert!(!std::path::Path::new(wal).exists(), "a rejected command must not create its WAL");
+}
+
+#[test]
+fn a_config_the_generator_rejects_exits_2_without_a_panic() {
+    for command in ["generate", "rdf", "stats", "run", "serve"] {
+        let (code, stderr) = snb(&[command, "--persons", "0"]);
+        assert_eq!(code, Some(2), "snb {command} --persons 0 must exit 2; stderr: {stderr}");
+        assert!(stderr.contains("need at least 2 persons"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let (code, stderr) = snb(&["frobnicate", "--persons", "0"]);
+    assert_eq!(code, Some(2), "an unknown command must exit 2; stderr: {stderr}");
+    assert!(stderr.contains("unknown command: frobnicate"), "{stderr}");
 }
 
 #[test]

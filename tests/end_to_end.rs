@@ -34,9 +34,21 @@ fn bulk_plus_updates_equals_full_load() {
     assert_eq!(sa.message_slots(), sb.message_slots());
     for i in 0..ds.persons.len() as u64 {
         let p = PersonId(i);
-        assert_eq!(sa.friends(p), sb.friends(p), "friend list of {p}");
-        assert_eq!(sa.messages_of(p), sb.messages_of(p), "messages of {p}");
-        assert_eq!(sa.likes_by(p), sb.likes_by(p), "likes by {p}");
+        assert_eq!(
+            sa.friends_iter(p).collect::<Vec<_>>(),
+            sb.friends_iter(p).collect::<Vec<_>>(),
+            "friend list of {p}"
+        );
+        assert_eq!(
+            sa.messages_of_iter(p).collect::<Vec<_>>(),
+            sb.messages_of_iter(p).collect::<Vec<_>>(),
+            "messages of {p}"
+        );
+        assert_eq!(
+            sa.likes_by_iter(p).collect::<Vec<_>>(),
+            sb.likes_by_iter(p).collect::<Vec<_>>(),
+            "likes by {p}"
+        );
     }
 }
 
@@ -90,8 +102,11 @@ fn wal_recovery_restores_exact_state() {
     let sf = reference.pinned();
     for i in (0..ds.persons.len() as u64).step_by(7) {
         let p = PersonId(i);
-        assert_eq!(sr.friends(p), sf.friends(p));
-        assert_eq!(sr.messages_of(p), sf.messages_of(p));
+        assert_eq!(sr.friends_iter(p).collect::<Vec<_>>(), sf.friends_iter(p).collect::<Vec<_>>());
+        assert_eq!(
+            sr.messages_of_iter(p).collect::<Vec<_>>(),
+            sf.messages_of_iter(p).collect::<Vec<_>>()
+        );
     }
     // And it keeps accepting the remaining updates.
     for u in &stream[half..] {
