@@ -3,8 +3,17 @@
 //! Given a person's `firstName`, return up to 20 people with the same first
 //! name, sorted by increasing distance (max 3) from a given person, then by
 //! last name, then by id; include workplaces and places of study.
+//!
+//! Intended plan: from two hops and the name. `load_two_hop` marks the
+//! circle; the matches at distance 1 and 2 are the persons of `sx.one` and
+//! `sx.two` with that first name. Only when there are fewer than 20 of
+//! those can distance 3 reach the result, and a distance-3 match is an
+//! unmarked person with that first name who has a friend at level 2: one
+//! scan of the person table, filtered by name before any adjacency is
+//! read, finds them. No level-2 list is ever expanded.
 
 use crate::engine::Engine;
+use crate::helpers::load_two_hop;
 use crate::params::Q1Params;
 use crate::scratch::{with_scratch, QueryScratch};
 use snb_core::dict::Dictionaries;
@@ -37,37 +46,41 @@ pub struct Q1Row {
 /// Execute Q1.
 pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q1Params) -> Vec<Q1Row> {
     let matches = with_scratch(|sx| match engine {
-        Engine::Intended => bfs_collect(snap, sx, p),
+        Engine::Intended => intended_collect(snap, sx, p),
         Engine::Naive => naive_collect(snap, sx, p),
     });
     materialize(snap, matches)
 }
 
-/// Intended plan: level-wise BFS out of the start person; stop expanding
-/// once a full level has completed with ≥ 20 matches (deeper levels cannot
-/// displace shallower ones in the ordering).
-fn bfs_collect(snap: &PinnedSnapshot<'_>, sx: &mut QueryScratch, p: &Q1Params) -> Vec<(u64, u32)> {
-    sx.begin(snap.person_slots());
-    sx.mark(p.person.raw(), 0);
-    let mut frontier = vec![p.person.raw()];
-    let mut matches = Vec::new();
-    for depth in 1..=MAX_DISTANCE {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for (v, _) in snap.friends_iter(PersonId(u)) {
-                if sx.mark(v, depth) {
-                    next.push(v);
-                    if snap.person_ref(PersonId(v)).is_some_and(|pr| pr.first_name == p.first_name)
-                    {
-                        matches.push((v, depth));
-                    }
-                }
+/// Intended plan: the name-matching persons of the marked 2-hop circle,
+/// then — only if they are fewer than [`LIMIT`] — the unmarked persons with
+/// the name and a friend at level 2 (distance 3). Deeper levels cannot
+/// displace shallower ones in the ordering, so a full level of ≥ 20 ends
+/// the search.
+fn intended_collect(
+    snap: &PinnedSnapshot<'_>,
+    sx: &mut QueryScratch,
+    p: &Q1Params,
+) -> Vec<(u64, u32)> {
+    load_two_hop(snap, sx, p.person);
+    let named =
+        |v: u64| snap.person_ref(PersonId(v)).is_some_and(|pr| pr.first_name == p.first_name);
+    let mut matches: Vec<(u64, u32)> = Vec::new();
+    for (level, ring) in [(1, &sx.one), (2, &sx.two)] {
+        if matches.len() >= LIMIT {
+            return matches;
+        }
+        matches.extend(ring.iter().filter(|&&v| named(v)).map(|&v| (v, level)));
+    }
+    if matches.len() < LIMIT {
+        for v in 0..snap.person_slots() as u64 {
+            if !sx.is_marked(v)
+                && named(v)
+                && snap.friends_iter(PersonId(v)).any(|(f, _)| sx.level_of(f) == Some(2))
+            {
+                matches.push((v, MAX_DISTANCE));
             }
         }
-        if matches.len() >= LIMIT {
-            break;
-        }
-        frontier = next;
     }
     matches
 }

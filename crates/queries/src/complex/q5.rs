@@ -10,10 +10,13 @@
 //! Intended plan: the count is driven from the person side. For each 2-hop
 //! candidate, a date-range scan of their join index gives the few forums
 //! they joined after `min_date`; when there are any, one scan of the
-//! candidate's own posts counts each post whose forum is in that set.
-//! Counts live in the scratch's dense per-forum counters, and a forum that
-//! was joined but got no posts still yields a count-0 row. Ranking runs
-//! over forum ids; only the returned rows fetch their title.
+//! candidate's own posts counts each post whose forum is in that set. The
+//! set is a dense per-forum stamp in the scratch: stamping the joined
+//! forums with the candidate's number makes membership one array probe
+//! per post, with no sort and no search. Counts live in the scratch's
+//! dense per-forum counters, and a forum that was joined but got no posts
+//! still yields a count-0 row. Ranking selects the top 20 forum ids and
+//! sorts only those; only the returned rows fetch their title.
 
 use crate::engine::Engine;
 use crate::helpers::load_two_hop;
@@ -46,6 +49,10 @@ pub fn run(snap: &PinnedSnapshot<'_>, engine: Engine, p: &Q5Params) -> Vec<Q5Row
     };
     let mut ranked: Vec<(Reverse<u32>, u64)> =
         counts.into_iter().map(|(forum, count)| (Reverse(count), forum)).collect();
+    if ranked.len() > LIMIT {
+        ranked.select_nth_unstable(LIMIT);
+        ranked.truncate(LIMIT);
+    }
     ranked.sort_unstable();
     ranked
         .into_iter()
@@ -66,30 +73,31 @@ fn intended(snap: &PinnedSnapshot<'_>, p: &Q5Params) -> Vec<(u64, u32)> {
         load_two_hop(snap, sx, p.person);
         // `counts[f]` is 0 while forum `f` has no row, else 1 + its count.
         let mut counts = std::mem::take(&mut sx.forum_counts);
+        let mut joined = std::mem::take(&mut sx.forum_set);
         let mut touched: Vec<u64> = Vec::new();
-        let mut joined: Vec<u64> = Vec::new();
         for &c in sx.one.iter().chain(sx.two.iter()) {
             joined.clear();
-            joined.extend(snap.forums_of_after_iter(PersonId(c), p.min_date).map(|(f, _)| f));
-            if joined.is_empty() {
-                continue;
-            }
-            joined.sort_unstable();
-            for &f in &joined {
+            let mut joined_any = false;
+            for (f, _) in snap.forums_of_after_iter(PersonId(c), p.min_date) {
                 let f = f as usize;
                 if f >= counts.len() {
                     counts.resize(f + 1, 0);
                 }
+                joined.insert(f);
+                joined_any = true;
                 if counts[f] == 0 {
                     counts[f] = 1;
                     touched.push(f as u64);
                 }
             }
+            if !joined_any {
+                continue;
+            }
             for (post, _) in snap.posts_of_iter(PersonId(c)) {
                 let Some(meta) = snap.message_meta(MessageId(post)) else { continue };
-                let forum = meta.forum.raw();
-                if joined.binary_search(&forum).is_ok() {
-                    counts[forum as usize] += 1;
+                let forum = meta.forum.index();
+                if joined.contains(forum) {
+                    counts[forum] += 1;
                 }
             }
         }
@@ -101,6 +109,7 @@ fn intended(snap: &PinnedSnapshot<'_>, p: &Q5Params) -> Vec<(u64, u32)> {
             })
             .collect();
         sx.forum_counts = counts;
+        sx.forum_set = joined;
         out
     })
 }

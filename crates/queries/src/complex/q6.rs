@@ -3,13 +3,21 @@
 //! Given a start person and a tag, find the other tags that occur together
 //! with it on posts created by the person's friends and friends-of-friends.
 //! Top 10 by post count, then tag name.
+//!
+//! Intended plan: driven from the tag side. Mark the 2-hop circle in the
+//! scratch, then walk the tag's post list (`posts_with_tag_iter`) and keep
+//! the posts whose author is at level 1 or 2, counting their other tags.
+//! A tag carries far fewer posts than the circle writes (at 10 000 persons
+//! 1.9–29 k against 36–38 k on the curated bindings), so the plan touches
+//! only rows that can count. On a shard the tag's list holds only the
+//! posts that shard owns, so the per-shard counts add up.
 
 use crate::engine::Engine;
 use crate::helpers::{load_two_hop, rank_tags};
 use crate::params::Q6Params;
 use crate::scratch::with_scratch;
 use snb_core::dict::Dictionaries;
-use snb_core::{MessageId, PersonId};
+use snb_core::{MessageId, TagId};
 use snb_store::PinnedSnapshot;
 use std::collections::HashMap;
 
@@ -48,34 +56,26 @@ pub(crate) fn rank(counts: HashMap<u64, u32>) -> Vec<(u64, u32)> {
     rank_tags(counts, LIMIT)
 }
 
-fn count_post(
-    snap: &PinnedSnapshot<'_>,
-    msg: MessageId,
-    anchor: u64,
-    counts: &mut HashMap<u64, u32>,
-) {
-    let tags = snap.message_tags(msg);
-    if tags.iter().any(|t| t.raw() == anchor) {
-        for t in tags {
-            if t.raw() != anchor {
-                *counts.entry(t.raw()).or_default() += 1;
-            }
+/// Count each tag of a post that carries `anchor`, other than `anchor`.
+fn count_other_tags(tags: &[TagId], anchor: u64, counts: &mut HashMap<u64, u32>) {
+    for t in tags {
+        if t.raw() != anchor {
+            *counts.entry(t.raw()).or_default() += 1;
         }
     }
 }
 
-/// Intended: traverse the 2-hop circle, scan each candidate's posts via
-/// the posts-only covering index — every yielded entry is a post, so the
-/// per-message row probe (one random access into the fat message table
-/// just to discard replies, formerly the dominant cost of this query) is
-/// gone entirely.
+/// Intended: mark the 2-hop circle, then one row probe per post of the
+/// tag, keeping those whose author the circle marks at level 1 or 2.
 fn intended(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, u32> {
     let mut counts = HashMap::new();
+    let anchor = p.tag as u64;
     with_scratch(|sx| {
         load_two_hop(snap, sx, p.person);
-        for &c in sx.one.iter().chain(sx.two.iter()) {
-            for (msg, _) in snap.posts_of_iter(PersonId(c)) {
-                count_post(snap, MessageId(msg), p.tag as u64, &mut counts);
+        for (msg, _) in snap.posts_with_tag_iter(TagId(anchor)) {
+            let Some(row) = snap.message_ref(MessageId(msg)) else { continue };
+            if matches!(sx.level_of(row.author.raw()), Some(1 | 2)) {
+                count_other_tags(&row.tags, anchor, &mut counts);
             }
         }
     });
@@ -92,7 +92,10 @@ fn naive(snap: &PinnedSnapshot<'_>, p: &Q6Params) -> HashMap<u64, u32> {
             let Some(meta) = snap.message_meta(id) else { continue };
             // Level probe (1 = friend, 2 = FoF) replaces the circle copy.
             if meta.reply_info.is_none() && matches!(sx.level_of(meta.author.raw()), Some(1 | 2)) {
-                count_post(snap, id, p.tag as u64, &mut counts);
+                let tags = snap.message_tags(id);
+                if tags.iter().any(|t| t.raw() == p.tag as u64) {
+                    count_other_tags(tags, p.tag as u64, &mut counts);
+                }
             }
         }
     });

@@ -41,6 +41,8 @@ pub struct QueryScratch {
     /// queries: the user resets every slot it touched before returning, so
     /// `begin` leaves them alone.
     pub(crate) forum_counts: Vec<u32>,
+    /// Dense per-forum set (Q5: the forums one candidate joined).
+    pub(crate) forum_set: ForumSet,
     used: bool,
 }
 
@@ -96,6 +98,43 @@ impl QueryScratch {
     }
 }
 
+/// A set of forum ids stamped into a dense array: forum `f` is in the set
+/// iff `stamp[f]` equals the current epoch, so [`ForumSet::clear`] is an
+/// epoch bump and membership is one array probe — no sort, no search.
+#[derive(Debug, Default)]
+pub(crate) struct ForumSet {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl ForumSet {
+    /// Empty the set (call before the first use too: epoch 0 is never
+    /// current).
+    pub(crate) fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // u32 wraparound, as in `QueryScratch::begin`.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Add forum index `f`.
+    #[inline]
+    pub(crate) fn insert(&mut self, f: usize) {
+        if f >= self.stamp.len() {
+            self.stamp.resize(f + 1, 0);
+        }
+        self.stamp[f] = self.epoch;
+    }
+
+    /// Whether forum index `f` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, f: usize) -> bool {
+        self.stamp.get(f) == Some(&self.epoch)
+    }
+}
+
 thread_local! {
     static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
@@ -132,6 +171,18 @@ mod tests {
         sx.begin(8);
         assert!(!sx.is_marked(3), "epoch bump clears the map");
         assert_eq!(sx.level_of(3), None);
+    }
+
+    #[test]
+    fn forum_set_clears_by_epoch() {
+        let mut set = ForumSet::default();
+        set.clear();
+        assert!(!set.contains(0), "a fresh slot is not in the set");
+        set.insert(5);
+        assert!(set.contains(5));
+        assert!(!set.contains(4) && !set.contains(99));
+        set.clear();
+        assert!(!set.contains(5), "clear empties the set");
     }
 
     #[test]

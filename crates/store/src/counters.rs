@@ -7,6 +7,7 @@
 //! export.
 
 use crate::stats::StorageStats;
+use crate::tables::{INDEXES, RUN_BYTES_GAUGES};
 use crate::wal::WalMetrics;
 use snb_obs::{Counter, Counters, Gauge, HistogramSnapshot, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,20 +112,9 @@ impl StripeTelemetry {
     }
 }
 
-/// Index-table order shared by [`MemGauges::run_bytes`] and the store's
-/// per-index footprint walk — the two sides `debug_assert` against each
-/// other at refresh time so names can't drift.
-pub const MEM_INDEX_NAMES: [&str; 9] = [
-    "knows",
-    "person_messages",
-    "person_posts",
-    "forum_posts",
-    "forum_members",
-    "person_forums",
-    "message_replies",
-    "message_likes",
-    "person_likes",
-];
+/// Every index table's name, in the order of [`MemGauges::run_bytes`]
+/// (the store's one list of index tables).
+pub use crate::tables::INDEX_NAMES as MEM_INDEX_NAMES;
 
 /// The `store.mem.*` gauge family: real measured memory, refreshed on
 /// demand (a full walk of the tables is too expensive per write, so
@@ -138,7 +128,7 @@ pub struct MemGauges {
     /// Compact run bytes per index table (`store.mem.run_bytes.<index>`,
     /// ordered as [`MEM_INDEX_NAMES`]): bulk prefix + ladder runs, anchors
     /// + delta streams.
-    pub run_bytes: [Gauge; 9],
+    pub run_bytes: [Gauge; INDEXES],
     /// Raw (uncompressed) tail slot bytes across all indexes
     /// (`store.mem.tail_bytes`).
     pub tail_bytes: Gauge,
@@ -159,19 +149,8 @@ pub struct MemGauges {
 
 impl MemGauges {
     fn new(registry: &Counters) -> MemGauges {
-        const RUN_NAMES: [&str; 9] = [
-            "store.mem.run_bytes.knows",
-            "store.mem.run_bytes.person_messages",
-            "store.mem.run_bytes.person_posts",
-            "store.mem.run_bytes.forum_posts",
-            "store.mem.run_bytes.forum_members",
-            "store.mem.run_bytes.person_forums",
-            "store.mem.run_bytes.message_replies",
-            "store.mem.run_bytes.message_likes",
-            "store.mem.run_bytes.person_likes",
-        ];
         MemGauges {
-            run_bytes: std::array::from_fn(|i| registry.gauge(RUN_NAMES[i])),
+            run_bytes: RUN_BYTES_GAUGES.map(|name| registry.gauge(name)),
             tail_bytes: registry.gauge("store.mem.tail_bytes"),
             entity_bytes: registry.gauge("store.mem.entity_bytes"),
             dict_bytes: registry.gauge("store.mem.dict_bytes"),
@@ -183,9 +162,8 @@ impl MemGauges {
 
     /// Overwrite every gauge from a fresh [`StorageStats`] walk.
     pub(crate) fn refresh(&self, stats: &StorageStats, dict_bytes: usize) {
-        for (i, (name, f)) in stats.per_index.iter().enumerate() {
-            debug_assert_eq!(*name, MEM_INDEX_NAMES[i], "gauge/footprint order drift");
-            self.run_bytes[i].set(f.run_bytes as u64);
+        for (gauge, (_, f)) in self.run_bytes.iter().zip(&stats.per_index) {
+            gauge.set(f.run_bytes as u64);
         }
         self.tail_bytes.set(stats.index.tail_bytes as u64);
         self.entity_bytes.set(stats.entity_bytes as u64);
@@ -344,7 +322,7 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        assert_eq!(names.len(), 29);
+        assert_eq!(names.len(), 30);
         assert!(snap.contains(&("store.mvcc.snapshots", 1)));
         // The store.mem.* gauge family registers eagerly so remote and
         // local disclosures agree on the name set even before a refresh.

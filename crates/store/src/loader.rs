@@ -27,7 +27,9 @@
 //! the workspace end-to-end suite).
 
 use crate::mvcc::BULK_TS;
-use crate::tables::{comment_row, post_row, Entry, IndexTable, MessageRow, Tables, Versioned};
+use crate::tables::{
+    comment_row, distinct_tags, post_row, Entry, IndexTable, MessageRow, Tables, Versioned,
+};
 use crate::tail::IndexList;
 use snb_core::schema::{Forum, Person};
 use snb_core::shard::ShardMap;
@@ -93,6 +95,7 @@ struct Plan {
     forum_members: Vec<u32>,
     message_replies: Vec<u32>,
     message_likes: Vec<u32>,
+    tag_posts: Vec<u32>,
 }
 
 fn bump(slot: &mut usize, idx: usize) {
@@ -143,6 +146,9 @@ fn plan(ds: &Dataset, cut: SimTime, sel: Option<&ShardSel>) -> Plan {
         tick(&mut s.forum_posts, p.forum.index());
         tick(&mut s.person_messages, p.author.index());
         tick(&mut s.person_posts, p.author.index());
+        for t in distinct_tags(&p.tags) {
+            tick(&mut s.tag_posts, t.index());
+        }
         let i = p.id.index();
         bump(&mut s.messages, i);
         ensure(&mut s.message_replies, i);
@@ -186,6 +192,7 @@ struct Shard {
     message_replies: Vec<Vec<Entry>>,
     message_likes: Vec<Vec<Entry>>,
     person_likes: Vec<Vec<Entry>>,
+    tag_posts: Vec<Vec<Entry>>,
 }
 
 fn entry(date: SimTime, id: u64) -> Entry {
@@ -218,6 +225,7 @@ fn build_shard(
     let messages_r = range_of(s.messages, threads, t);
     let message_replies_r = range_of(s.message_replies.len(), threads, t);
     let message_likes_r = range_of(s.message_likes.len(), threads, t);
+    let tag_posts_r = range_of(s.tag_posts.len(), threads, t);
 
     let mut sh = Shard {
         persons: vec![None; persons_r.len()],
@@ -232,6 +240,7 @@ fn build_shard(
         message_replies: with_caps(&s.message_replies[message_replies_r.clone()]),
         message_likes: with_caps(&s.message_likes[message_likes_r.clone()]),
         person_likes: with_caps(&s.person_likes[person_likes_r.clone()]),
+        tag_posts: with_caps(&s.tag_posts[tag_posts_r.clone()]),
     };
 
     for p in ds.persons.iter().filter(|p| p.creation_date <= cut) {
@@ -276,6 +285,12 @@ fn build_shard(
         }
         if person_posts_r.contains(&a) {
             sh.person_posts[a - person_posts_r.start].push(entry(p.creation_date, p.id.raw()));
+        }
+        for tag in distinct_tags(&p.tags) {
+            let g = tag.index();
+            if tag_posts_r.contains(&g) {
+                sh.tag_posts[g - tag_posts_r.start].push(entry(p.creation_date, p.id.raw()));
+            }
         }
         let i = p.id.index();
         if messages_r.contains(&i) {
@@ -325,7 +340,8 @@ fn build_shard(
         .chain(sh.person_forums.iter_mut())
         .chain(sh.message_replies.iter_mut())
         .chain(sh.message_likes.iter_mut())
-        .chain(sh.person_likes.iter_mut());
+        .chain(sh.person_likes.iter_mut())
+        .chain(sh.tag_posts.iter_mut());
     for list in lists {
         list.sort_unstable_by_key(|e| (e.date, e.id));
     }
@@ -402,6 +418,7 @@ fn install_shard(tables: &Tables, sh: Shard, s: &Plan, threads: usize, t: usize)
         range_of(s.person_likes.len(), threads, t).start,
         sh.person_likes,
     );
+    put_lists(&tables.tag_posts, range_of(s.tag_posts.len(), threads, t).start, sh.tag_posts);
 }
 
 /// Build `ds` (entities dated at or before `cut`) straight into `tables`
@@ -458,4 +475,5 @@ pub(crate) fn build_into_sharded(
     tables.message_replies.bump(s.message_replies.len());
     tables.message_likes.bump(s.message_likes.len());
     tables.person_likes.bump(s.person_likes.len());
+    tables.tag_posts.bump(s.tag_posts.len());
 }

@@ -678,11 +678,17 @@ impl PinnedSnapshot<'_> {
     }
 
     /// Posts (no comments) authored by `id`, ascending by date — the
-    /// covering index behind the Q6/Q10 circle scans: every entry is a
+    /// covering index behind the Q5/Q10 circle scans: every entry is a
     /// visible post, so consumers skip the per-message row probe that a
     /// `messages_of_iter` + reply filter would pay.
     pub fn posts_of_iter(&self, id: PersonId) -> DatedIter<'_> {
         self.iter(self.tables.person_posts.get(id.index()), None)
+    }
+
+    /// Posts (no comments) carrying tag `id`, ascending by date — the
+    /// index behind Q6: a tag's posts are far fewer than a 2-hop circle's.
+    pub fn posts_with_tag_iter(&self, id: TagId) -> DatedIter<'_> {
+        self.iter(self.tables.tag_posts.get(id.index()), None)
     }
 
     /// Posts in forum `id`, ascending by date.

@@ -60,7 +60,8 @@ pub(crate) struct RawSizes {
     pub forum_bytes: usize,
     pub messages: usize,
     pub message_bytes: usize,
-    /// `(index name, footprint)` for each of the nine index tables.
+    /// `(index name, footprint)` for each index table, ordered as
+    /// [`crate::counters::MEM_INDEX_NAMES`].
     pub per_index: Vec<(&'static str, IndexFootprint)>,
 }
 
@@ -87,7 +88,7 @@ pub struct StorageStats {
     /// Measured per-index footprints (compact runs vs the uncompressed
     /// oracle), by index name.
     pub per_index: Vec<(&'static str, IndexFootprint)>,
-    /// All nine index tables folded together.
+    /// All index tables folded together.
     pub index: IndexFootprint,
     /// Entity-row heap bytes (persons + forums + messages, including
     /// string content).
@@ -174,6 +175,7 @@ pub(crate) fn from_raw(raw: RawSizes) -> StorageStats {
     let message_replies = foot("message_replies");
     let message_likes = foot("message_likes");
     let person_likes = foot("person_likes");
+    let tag_posts = foot("tag_posts");
 
     let likes_bytes = message_likes.bytes() + person_likes.bytes();
     let membership_bytes = forum_members.bytes() + person_forums.bytes();
@@ -216,8 +218,9 @@ pub(crate) fn from_raw(raw: RawSizes) -> StorageStats {
         },
     ];
     tables.sort_by_key(|t| std::cmp::Reverse(t.bytes));
-    let total_bytes =
-        tables.iter().map(|t| t.bytes + t.largest_index.1).sum::<usize>() + message_replies.bytes();
+    let total_bytes = tables.iter().map(|t| t.bytes + t.largest_index.1).sum::<usize>()
+        + message_replies.bytes()
+        + tag_posts.bytes();
     let mut index = IndexFootprint::default();
     for &(_, f) in &raw.per_index {
         index.merge(f);

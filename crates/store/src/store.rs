@@ -61,59 +61,33 @@ fn stripe_of(raw: u64) -> usize {
     (raw as usize) & (STRIPES - 1)
 }
 
-/// The stripes an update writes to, sorted ascending and deduplicated —
-/// locking in ascending order makes overlapping writers deadlock-free.
-/// Validation-only reads (e.g. a comment's forum or root post) take no
-/// stripe: latch-free readers don't either, and a miss is equivalent to
-/// serializing before the in-flight dependency.
-fn stripe_set(op: &UpdateOp) -> ([usize; 3], usize) {
-    let mut s = [0usize; 3];
-    let n = match op {
-        UpdateOp::AddPerson(p) => {
-            s[0] = stripe_of(p.id.raw());
-            1
-        }
-        UpdateOp::AddFriendship(k) => {
-            s[0] = stripe_of(k.a.raw());
-            s[1] = stripe_of(k.b.raw());
-            2
-        }
-        UpdateOp::AddForum(f) => {
-            s[0] = stripe_of(f.id.raw());
-            1
-        }
-        UpdateOp::AddMembership(m) => {
-            s[0] = stripe_of(m.person.raw());
-            s[1] = stripe_of(m.forum.raw());
-            2
-        }
-        UpdateOp::AddPost(p) => {
-            s[0] = stripe_of(p.author.raw());
-            s[1] = stripe_of(p.forum.raw());
-            s[2] = stripe_of(p.id.raw());
-            3
-        }
-        UpdateOp::AddComment(c) => {
-            s[0] = stripe_of(c.author.raw());
-            s[1] = stripe_of(c.reply_to.raw());
-            s[2] = stripe_of(c.id.raw());
-            3
-        }
+/// The stripes an update writes to, as a bitmask: bit `i` set = stripe
+/// `i` locked. Iterating the set bits low to high locks in ascending order
+/// with duplicates merged, which makes overlapping writers deadlock-free;
+/// a post also writes one `tag_posts` list per tag, so its set has no
+/// fixed size. Validation-only reads (e.g. a comment's forum or root post)
+/// take no stripe: latch-free readers don't either, and a miss is
+/// equivalent to serializing before the in-flight dependency.
+fn stripe_set(op: &UpdateOp) -> u64 {
+    const _: () = assert!(STRIPES <= 64, "the stripe set is a u64 bitmask");
+    fn mask(ids: impl IntoIterator<Item = u64>) -> u64 {
+        ids.into_iter().fold(0, |m, id| m | 1 << stripe_of(id))
+    }
+    match op {
+        UpdateOp::AddPerson(p) => mask([p.id.raw()]),
+        UpdateOp::AddFriendship(k) => mask([k.a.raw(), k.b.raw()]),
+        UpdateOp::AddForum(f) => mask([f.id.raw()]),
+        UpdateOp::AddMembership(m) => mask([m.person.raw(), m.forum.raw()]),
+        UpdateOp::AddPost(p) => mask(
+            [p.author.raw(), p.forum.raw(), p.id.raw()]
+                .into_iter()
+                .chain(p.tags.iter().map(|t| t.raw())),
+        ),
+        UpdateOp::AddComment(c) => mask([c.author.raw(), c.reply_to.raw(), c.id.raw()]),
         UpdateOp::AddPostLike(l) | UpdateOp::AddCommentLike(l) => {
-            s[0] = stripe_of(l.person.raw());
-            s[1] = stripe_of(l.message.raw());
-            2
-        }
-    };
-    s[..n].sort_unstable();
-    let mut m = 1;
-    for i in 1..n {
-        if s[i] != s[m - 1] {
-            s[m] = s[i];
-            m += 1;
+            mask([l.person.raw(), l.message.raw()])
         }
     }
-    (s, m)
 }
 
 /// Default bulk-load parallelism: the machine's cores, capped — loading is
@@ -387,9 +361,11 @@ impl Store {
     /// the per-stripe heatmap that separates "one hot stripe" from
     /// "uniform collision pressure".
     fn lock_stripes(&self, op: &UpdateOp) -> Vec<MutexGuard<'_, ()>> {
-        let (set, n) = stripe_set(op);
-        let mut guards = Vec::with_capacity(n);
-        for &i in &set[..n] {
+        let mut set = stripe_set(op);
+        let mut guards = Vec::with_capacity(set.count_ones() as usize);
+        while set != 0 {
+            let i = set.trailing_zeros() as usize;
+            set &= set - 1;
             match self.stripes[i].try_lock() {
                 Some(g) => guards.push(g),
                 None => {
@@ -450,6 +426,15 @@ mod tests {
     use crate::tables::tests::{forum, person, post};
     use snb_core::schema::Knows;
     use snb_core::{ForumId, MessageId, PersonId};
+
+    #[test]
+    fn a_post_locks_the_stripes_of_its_tags() {
+        let mut p = post(1, 2, 3, 10);
+        // Tag 69 shares stripe 5 with tag 5: one lock, taken once.
+        p.tags = vec![snb_core::TagId(40), snb_core::TagId(5), snb_core::TagId(69)];
+        let want = [1u64, 2, 3, 5, 40].iter().fold(0u64, |m, s| m | 1 << s);
+        assert_eq!(stripe_set(&UpdateOp::AddPost(p)), want);
+    }
 
     #[test]
     fn insert_and_read_roundtrip() {

@@ -8,6 +8,9 @@
 //! - per-person messages ordered by creation date (Q2, Q8, Q9, S2)
 //! - per-forum posts and members, per-person forum joins (Q5, S6)
 //! - reply trees (Q8, Q12, S7) and like edges in both directions (Q7)
+//! - per-tag posts (Q6)
+//!
+//! [`INDEX_NAMES`] lists them in the one order every per-index report uses.
 //!
 //! Date-ordered index entries make the "top-20 most recent before date"
 //! pattern — the backbone of half the complex reads — a reverse scan with
@@ -97,7 +100,7 @@ pub(crate) struct Tables {
     /// per-person authored messages; Entry.id = message.
     pub(crate) person_messages: IndexTable,
     /// per-person authored posts only (no comments); Entry.id = message.
-    /// A covering index for the "posts by circle" queries (Q6, Q10):
+    /// A covering index for the "posts by circle" scans (Q5, Q10):
     /// without it they scan `person_messages` and pay one random probe
     /// into the fat message table per entry just to discard replies —
     /// measured as the dominant cost of the complex mix.
@@ -114,6 +117,58 @@ pub(crate) struct Tables {
     pub(crate) message_likes: IndexTable,
     /// per-person given likes; Entry.id = liked message.
     pub(crate) person_likes: IndexTable,
+    /// per-tag posts (no comments), one entry per distinct tag of each
+    /// post; Entry.id = message. Drives Q6 from the tag side: a tag's list
+    /// is far shorter than the posts of a 2-hop circle.
+    pub(crate) tag_posts: IndexTable,
+}
+
+/// Declares the one ordered list of index tables. [`INDEX_NAMES`], the
+/// `store.mem.run_bytes.<index>` gauge names and [`Tables::index_tables`]
+/// all expand from the same field list, so they cannot drift.
+macro_rules! index_tables {
+    ($($field:ident),* $(,)?) => {
+        /// Every index table's name (its field name in the store's
+        /// tables), in the order of every per-index report: storage
+        /// footprints and the `store.mem.run_bytes.<index>` gauges.
+        pub const INDEX_NAMES: [&str; INDEXES] = [$(stringify!($field)),*];
+
+        /// The `store.mem.run_bytes.<index>` gauge names, ordered as
+        /// [`INDEX_NAMES`].
+        pub(crate) const RUN_BYTES_GAUGES: [&str; INDEXES] =
+            [$(concat!("store.mem.run_bytes.", stringify!($field))),*];
+
+        impl Tables {
+            /// The index tables, ordered as [`INDEX_NAMES`].
+            fn index_tables(&self) -> [&IndexTable; INDEXES] {
+                [$(&self.$field),*]
+            }
+        }
+    };
+}
+
+/// Number of index tables.
+pub const INDEXES: usize = 10;
+
+index_tables!(
+    knows,
+    person_messages,
+    person_posts,
+    forum_posts,
+    forum_members,
+    person_forums,
+    message_replies,
+    message_likes,
+    person_likes,
+    tag_posts,
+);
+
+/// The distinct tags of a post, first occurrence first. An update that
+/// names a tag twice (updates also arrive over the wire and from a WAL)
+/// still enters that tag's `tag_posts` list once, as Q6 counts a post
+/// once; the insert path and the bulk loader both use it.
+pub(crate) fn distinct_tags(tags: &[TagId]) -> impl Iterator<Item = TagId> + '_ {
+    tags.iter().enumerate().filter(|&(i, t)| !tags[..i].contains(t)).map(|(_, &t)| t)
 }
 
 impl Tables {
@@ -131,6 +186,7 @@ impl Tables {
             message_replies: SegVec::new(),
             message_likes: SegVec::new(),
             person_likes: SegVec::new(),
+            tag_posts: SegVec::new(),
         }
     }
 
@@ -272,6 +328,13 @@ impl Tables {
             id: p.id.raw(),
             commit: ts,
         });
+        for t in distinct_tags(&p.tags) {
+            Self::list(&self.tag_posts, t.index()).push(Entry {
+                date: p.creation_date,
+                id: p.id.raw(),
+                commit: ts,
+            });
+        }
         self.insert_message_row(p.id, post_row(p), ts);
     }
 
@@ -297,9 +360,10 @@ impl Tables {
         });
     }
 
-    /// `(name, measured footprint)` for each of the nine index tables:
-    /// compact run bytes, raw tail bytes, and the uncompressed-oracle cost
-    /// of the same runs (see [`crate::stats::IndexFootprint`]).
+    /// `(name, measured footprint)` for each index table, ordered as
+    /// [`INDEX_NAMES`]: compact run bytes, raw tail bytes, and the
+    /// uncompressed-oracle cost of the same runs (see
+    /// [`crate::stats::IndexFootprint`]).
     fn index_footprints(&self) -> Vec<(&'static str, crate::stats::IndexFootprint)> {
         let foot = |t: &IndexTable| {
             let mut f = crate::stats::IndexFootprint::default();
@@ -314,17 +378,7 @@ impl Tables {
             }
             f
         };
-        vec![
-            ("knows", foot(&self.knows)),
-            ("person_messages", foot(&self.person_messages)),
-            ("person_posts", foot(&self.person_posts)),
-            ("forum_posts", foot(&self.forum_posts)),
-            ("forum_members", foot(&self.forum_members)),
-            ("person_forums", foot(&self.person_forums)),
-            ("message_replies", foot(&self.message_replies)),
-            ("message_likes", foot(&self.message_likes)),
-            ("person_likes", foot(&self.person_likes)),
-        ]
+        INDEX_NAMES.into_iter().zip(self.index_tables()).map(|(name, t)| (name, foot(t))).collect()
     }
 
     /// Raw element counts and byte sizes per table for storage statistics.
@@ -484,6 +538,20 @@ pub(crate) mod tests {
             .map(|(m, _)| m)
             .collect();
         assert_eq!(recent, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn a_post_enters_each_tag_list_once() {
+        let s = Store::new();
+        s.apply(&UpdateOp::AddPerson(person(0, 1))).unwrap();
+        s.apply(&UpdateOp::AddForum(forum(0, 0, 2))).unwrap();
+        let mut p = post(0, 0, 0, 10);
+        p.tags = vec![TagId(3), TagId(7), TagId(3)];
+        s.apply(&UpdateOp::AddPost(p)).unwrap();
+        let snap = s.pinned();
+        assert_eq!(snap.posts_with_tag_iter(TagId(3)).collect::<Vec<_>>(), [(0, SimTime(10))]);
+        assert_eq!(snap.posts_with_tag_iter(TagId(7)).count(), 1);
+        assert_eq!(snap.posts_with_tag_iter(TagId(1)).count(), 0);
     }
 
     #[test]

@@ -342,7 +342,7 @@ fn mixed_dataset() -> &'static (snb_datagen::Dataset, Vec<ScheduledUpdate>) {
 /// entries, sorted once every input is in.
 type Lists = HashMap<u64, Vec<(SimTime, u64)>>;
 
-/// The nine index lists a store holds after `bulk_load` and an applied
+/// The ten index lists a store holds after `bulk_load` and an applied
 /// update prefix, assembled straight from the dataset and the ops as plain
 /// `(date, id)`-sorted vectors — the pre-compact representation. It
 /// shares nothing with the store: no bulk decoder, no tail slots, no
@@ -358,6 +358,7 @@ struct ListModel {
     forum_members: Lists,
     message_replies: Lists,
     message_likes: Lists,
+    tag_posts: Lists,
 }
 
 fn add(lists: &mut Lists, owner: u64, date: SimTime, id: u64) {
@@ -368,21 +369,37 @@ impl ListModel {
     /// Everything the loader takes (created at or before the update
     /// split), plus exactly the ops in `applied`.
     fn new(ds: &snb_datagen::Dataset, applied: &[ScheduledUpdate]) -> ListModel {
+        ListModel::of_forums(ds, applied, |_| true)
+    }
+
+    /// [`ListModel::new`] with the bulk-loaded forum-rooted activity
+    /// restricted to the forums `owned` accepts — a shard's slice:
+    /// memberships, posts and comments by their forum, likes by their
+    /// message's forum. `applied` is taken whole.
+    fn of_forums(
+        ds: &snb_datagen::Dataset,
+        applied: &[ScheduledUpdate],
+        owned: impl Fn(ForumId) -> bool,
+    ) -> ListModel {
         let split = ds.config.update_split;
         let mut m = ListModel::default();
         for k in ds.knows.iter().filter(|k| k.creation_date <= split) {
             m.knows(k);
         }
-        for f in ds.memberships.iter().filter(|f| f.join_date <= split) {
+        for f in ds.memberships.iter().filter(|f| f.join_date <= split && owned(f.forum)) {
             m.membership(f);
         }
-        for p in ds.posts.iter().filter(|p| p.creation_date <= split) {
+        for p in ds.posts.iter().filter(|p| p.creation_date <= split && owned(p.forum)) {
             m.post(p);
         }
-        for c in ds.comments.iter().filter(|c| c.creation_date <= split) {
+        for c in ds.comments.iter().filter(|c| c.creation_date <= split && owned(c.forum)) {
             m.comment(c);
         }
-        for l in ds.likes.iter().filter(|l| l.creation_date <= split) {
+        for l in ds
+            .likes
+            .iter()
+            .filter(|l| l.creation_date <= split && owned(ds.forum_of_message(l.message)))
+        {
             m.like(l);
         }
         for u in applied {
@@ -405,6 +422,7 @@ impl ListModel {
             &mut m.forum_members,
             &mut m.message_replies,
             &mut m.message_likes,
+            &mut m.tag_posts,
         ] {
             for list in lists.values_mut() {
                 list.sort_unstable();
@@ -427,6 +445,23 @@ impl ListModel {
         add(&mut self.forum_posts, p.forum.raw(), p.creation_date, p.id.raw());
         add(&mut self.person_posts, p.author.raw(), p.creation_date, p.id.raw());
         add(&mut self.person_messages, p.author.raw(), p.creation_date, p.id.raw());
+        let distinct: std::collections::BTreeSet<u64> = p.tags.iter().map(|t| t.raw()).collect();
+        for tag in distinct {
+            add(&mut self.tag_posts, tag, p.creation_date, p.id.raw());
+        }
+    }
+
+    /// `posts_with_tag_iter` for every tag the dictionary has (and one
+    /// past it) equals the model's list.
+    fn check_tag_posts(&self, snap: &snb_store::PinnedSnapshot<'_>, what: &str) {
+        let tags = snb_core::dict::Dictionaries::global().tags.tag_count() as u64;
+        let mut nonempty = 0;
+        for t in 0..=tags {
+            let got: Vec<_> = snap.posts_with_tag_iter(TagId(t)).collect();
+            nonempty += usize::from(!got.is_empty());
+            assert_eq!(got, dated(&self.tag_posts, t), "{what}: posts with tag {t}");
+        }
+        assert!(nonempty > 0, "{what}: no tag has posts");
     }
 
     fn comment(&mut self, c: &Comment) {
@@ -532,7 +567,45 @@ proptest! {
                 dated(&model.message_likes, m)
             );
         }
+        model.check_tag_posts(&snap, &format!("{prefix_pct} % of the stream applied"));
     }
+}
+
+/// `posts_with_tag_iter` equals the tag lists built straight from the
+/// dataset on every way a store is built: a bulk load, each slice of a
+/// 2-shard load (only the posts of the forums the shard owns), and a store
+/// recovered from its WAL (the index rebuilt by replaying `apply`). The
+/// property above covers a bulk load plus a random update prefix.
+#[test]
+fn tag_posts_match_the_dataset_on_every_load_path() {
+    let (ds, stream) = mixed_dataset();
+
+    let bulk = Store::new();
+    bulk.bulk_load(ds);
+    ListModel::new(ds, &[]).check_tag_posts(&bulk.pinned(), "bulk load");
+
+    let map = snb_core::shard::ShardMap::new(2);
+    for shard in 0..2 {
+        let slice = Store::new();
+        slice.bulk_load_sharded(ds, ds.config.update_split, 2, map, shard);
+        ListModel::of_forums(ds, &[], |f| map.owns_forum(f, shard))
+            .check_tag_posts(&slice.pinned(), &format!("shard {shard} of 2"));
+    }
+
+    let path = std::env::temp_dir().join(format!("snb-tag-posts-{}.wal", std::process::id()));
+    let applied = &stream[..stream.len() * 2 / 3];
+    {
+        let logged = Store::with_wal_policy(&path, snb_store::SyncPolicy::Never).unwrap();
+        logged.bulk_load(ds);
+        for u in applied {
+            logged.apply(&u.op).unwrap();
+        }
+        logged.flush_wal().unwrap();
+    }
+    let (recovered, report) = Store::recover(ds, &path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(report.replayed as usize, applied.len());
+    ListModel::new(ds, applied).check_tag_posts(&recovered.pinned(), "recovered from the WAL");
 }
 
 /// Highest entity id used by [`mixed_dataset`] plus one: synthetic ops
