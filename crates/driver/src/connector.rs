@@ -9,6 +9,7 @@
 
 use snb_core::update::UpdateOp;
 use snb_core::{MessageId, PersonId, SimTime, SnbError, SnbResult};
+use snb_obs::trace::NameId;
 use snb_obs::HistogramSnapshot;
 use snb_queries::params::{ComplexQuery, ShortQuery};
 use snb_queries::sharded::Partial;
@@ -38,6 +39,78 @@ pub enum OpKind {
     Complex(usize),
     /// Short read Si.
     Short(usize),
+}
+
+/// Each kind's root span name, in [`OpKind::index`] order. `--trace`
+/// consumers read these names; [`OpKind::label`] is the part after `op.`.
+static SPAN_NAMES: [NameId; OpKind::COUNT] = [
+    NameId::new("op.Q1"),
+    NameId::new("op.Q2"),
+    NameId::new("op.Q3"),
+    NameId::new("op.Q4"),
+    NameId::new("op.Q5"),
+    NameId::new("op.Q6"),
+    NameId::new("op.Q7"),
+    NameId::new("op.Q8"),
+    NameId::new("op.Q9"),
+    NameId::new("op.Q10"),
+    NameId::new("op.Q11"),
+    NameId::new("op.Q12"),
+    NameId::new("op.Q13"),
+    NameId::new("op.Q14"),
+    NameId::new("op.S1"),
+    NameId::new("op.S2"),
+    NameId::new("op.S3"),
+    NameId::new("op.S4"),
+    NameId::new("op.S5"),
+    NameId::new("op.S6"),
+    NameId::new("op.S7"),
+    NameId::new("op.U1"),
+    NameId::new("op.U2"),
+    NameId::new("op.U3"),
+    NameId::new("op.U4"),
+    NameId::new("op.U5"),
+    NameId::new("op.U6"),
+    NameId::new("op.U7"),
+    NameId::new("op.U8"),
+];
+
+impl OpKind {
+    /// Number of kinds: Q1–Q14, S1–S7 and U1–U8.
+    pub const COUNT: usize = 29;
+
+    /// Dense index: Q1–Q14 → 0–13, S1–S7 → 14–20, U1–U8 → 21–28, so
+    /// ascending index is the report order. Panics on a number outside
+    /// the workload.
+    pub fn index(self) -> usize {
+        let (first, n, len) = match self {
+            OpKind::Complex(n) => (0, n, 14),
+            OpKind::Short(n) => (14, n, 7),
+            OpKind::Update(n) => (21, n, 8),
+        };
+        assert!((1..=len).contains(&n), "{self:?} is not an SNB-Interactive operation");
+        first + n - 1
+    }
+
+    /// The kind at a dense index; the inverse of [`OpKind::index`].
+    pub fn from_index(i: usize) -> OpKind {
+        match i {
+            0..14 => OpKind::Complex(i + 1),
+            14..21 => OpKind::Short(i - 13),
+            21..29 => OpKind::Update(i - 20),
+            _ => panic!("kind index {i} is out of range"),
+        }
+    }
+
+    /// `Q1` … `Q14`, `S1` … `S7`, `U1` … `U8`.
+    pub fn label(self) -> &'static str {
+        &self.span_name().name()["op.".len()..]
+    }
+
+    /// The root span of one operation of this kind: `op.` + its label.
+    pub fn span_name(self) -> &'static NameId {
+        &SPAN_NAMES[self.index()]
+    }
 }
 
 impl Operation {
@@ -374,6 +447,24 @@ mod tests {
         assert_eq!(q.kind(), OpKind::Complex(7));
         let s = Operation::Short(ShortQuery::S4(MessageId(2)));
         assert_eq!(s.kind(), OpKind::Short(4));
+    }
+
+    #[test]
+    fn kind_index_is_dense_and_labels_match_span_names() {
+        for i in 0..OpKind::COUNT {
+            let kind = OpKind::from_index(i);
+            assert_eq!(kind.index(), i);
+            assert_eq!(kind.span_name().name(), format!("op.{}", kind.label()));
+        }
+        assert_eq!(OpKind::Complex(14).label(), "Q14");
+        assert_eq!(OpKind::Short(1).index(), 14);
+        assert_eq!(OpKind::Update(8).label(), "U8");
+    }
+
+    #[test]
+    #[should_panic(expected = "not an SNB-Interactive operation")]
+    fn kind_outside_the_workload_has_no_index() {
+        OpKind::Short(8).index();
     }
 
     #[test]

@@ -1,37 +1,27 @@
 //! Latency and throughput metrics.
 //!
 //! The benchmark metric is the sustained acceleration factor (simulation
-//! time / real time), with the requirement that "latencies of the complex
-//! read-only queries are stable as measured by a maximum latency on the
-//! 99th percentile" (§4, Rules and Metrics). The recorder keeps one
-//! lock-free [`LatencyHistogram`] per operation kind (bounded relative
-//! error, no per-sample allocation) plus, for the complex reads, an
-//! [`EpochSeries`] of wall-clock windows so the steady-state verdict is
-//! judged on *time* order — not on the order in which worker threads happen
-//! to publish their samples. Each kind also carries a shared
-//! [`QueryProfile`] so operator counters (rows scanned, index probes,
-//! neighbors expanded, version walks) aggregate per query kind.
+//! time / real time). Whether the run sustained it is judged by the
+//! scheduler (the spec's on-time rule, see [`crate::scheduler`]); this
+//! module records what each operation cost. [`Metrics`] is one fixed table
+//! with a [`KindRecorder`] per operation kind, indexed by
+//! [`OpKind::index`]: a lock-free [`LatencyHistogram`] of nanoseconds
+//! (bounded relative error, exact count, sum and max, no per-sample
+//! allocation) and a shared [`QueryProfile`], so operator counters (rows
+//! scanned, index probes, neighbors expanded, version walks) aggregate per
+//! query kind.
 
 use crate::connector::OpKind;
-use parking_lot::Mutex;
-use snb_obs::{EpochSeries, LatencyHistogram, ProfileSnapshot, QueryProfile};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use snb_obs::{LatencyHistogram, ProfileSnapshot, QueryProfile};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Default wall-clock epoch length for the steady-state series: 500 ms.
-pub const DEFAULT_EPOCH_MICROS: u64 = 500_000;
-/// Default number of epoch slots (covers 32 s; later samples clamp into the
-/// last slot, which only makes the steady-state check stricter).
-pub const DEFAULT_EPOCH_SLOTS: usize = 64;
+use std::time::Duration;
 
 /// Aggregated statistics for one operation kind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KindStats {
     /// Number of executions.
     pub count: usize,
-    /// Mean latency (exact: from the summed total, not the histogram).
+    /// Mean latency (exact to the nanosecond: from the histogram's sum).
     pub mean: Duration,
     /// Median latency (histogram estimate, relative error ≤ 1/16).
     pub p50: Duration,
@@ -45,52 +35,22 @@ pub struct KindStats {
     pub total: Duration,
 }
 
-/// Per-epoch steady-state verdict for one complex-read kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochVerdict {
-    /// Epoch index (wall-clock window number since run start).
-    pub epoch: usize,
-    /// Samples recorded in this epoch.
-    pub count: u64,
-    /// p99 latency of this epoch, in microseconds.
-    pub p99_micros: u64,
-    /// Whether this epoch's p99 stayed within `factor ×` the baseline
-    /// (the first non-empty epoch). The baseline epoch itself is `true`.
-    pub ok: bool,
-}
-
-/// Per-kind recorder: latency histogram + wall-clock epochs + operator
-/// profile. All recording paths are lock-free.
-#[derive(Debug)]
+/// Per-kind recorder: latency histogram + operator profile. Recording is
+/// lock-free. Aligned to two cache lines so that partitions recording
+/// different kinds do not contend on the histograms' inline count, sum and
+/// max, which sit next to each other in the [`Metrics`] table.
+#[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct KindRecorder {
     hist: LatencyHistogram,
-    /// Present for complex reads only — that is the class the steady-state
-    /// rule is defined over.
-    epochs: Option<EpochSeries>,
-    total_micros: AtomicU64,
     profile: Arc<QueryProfile>,
 }
 
 impl KindRecorder {
-    fn new(kind: OpKind, epoch_micros: u64, epoch_slots: usize) -> KindRecorder {
-        KindRecorder {
-            hist: LatencyHistogram::new(),
-            epochs: matches!(kind, OpKind::Complex(_))
-                .then(|| EpochSeries::new(epoch_micros, epoch_slots)),
-            total_micros: AtomicU64::new(0),
-            profile: Arc::new(QueryProfile::new()),
-        }
-    }
-
-    /// Record one execution: `elapsed_micros` is wall time since run start
-    /// (selects the epoch), `latency_micros` the operation latency.
+    /// Record one execution's latency in nanoseconds.
     #[inline]
-    pub fn record(&self, elapsed_micros: u64, latency_micros: u64) {
-        self.hist.record(latency_micros);
-        self.total_micros.fetch_add(latency_micros, Ordering::Relaxed);
-        if let Some(epochs) = &self.epochs {
-            epochs.record(elapsed_micros, latency_micros);
-        }
+    pub fn record(&self, latency_nanos: u64) {
+        self.hist.record(latency_nanos);
     }
 
     /// The operator profile shared by every execution of this kind; install
@@ -99,26 +59,18 @@ impl KindRecorder {
         &self.profile
     }
 
-    /// The latency histogram.
+    /// The latency histogram, in nanoseconds.
     pub fn histogram(&self) -> &LatencyHistogram {
         &self.hist
     }
-
-    /// The wall-clock epoch series (complex reads only).
-    pub fn epochs(&self) -> Option<&EpochSeries> {
-        self.epochs.as_ref()
-    }
 }
 
-/// Thread-safe latency recorder. The registry lock is touched only when a
-/// kind is first seen (or by reporting); the hot path is atomic increments
-/// on the per-kind recorder.
+/// Thread-safe latency recorder: one [`KindRecorder`] per [`OpKind`],
+/// allocated up front, so recording is an index into the table and one
+/// histogram record.
 #[derive(Debug)]
 pub struct Metrics {
-    start: Instant,
-    epoch_micros: u64,
-    epoch_slots: usize,
-    recorders: Mutex<HashMap<OpKind, Arc<KindRecorder>>>,
+    kinds: [KindRecorder; OpKind::COUNT],
 }
 
 impl Default for Metrics {
@@ -128,135 +80,58 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Fresh recorder with the default epoch geometry.
+    /// Fresh recorder with every kind empty.
     pub fn new() -> Metrics {
-        Metrics::with_epochs(DEFAULT_EPOCH_MICROS, DEFAULT_EPOCH_SLOTS)
+        Metrics { kinds: std::array::from_fn(|_| KindRecorder::default()) }
     }
 
-    /// Fresh recorder with explicit epoch geometry (mostly for tests).
-    pub fn with_epochs(epoch_micros: u64, epoch_slots: usize) -> Metrics {
-        Metrics {
-            start: Instant::now(),
-            epoch_micros,
-            epoch_slots,
-            recorders: Mutex::new(HashMap::new()),
-        }
+    /// The recorder for a kind.
+    pub fn recorder(&self, kind: OpKind) -> &KindRecorder {
+        &self.kinds[kind.index()]
     }
 
-    /// The shared recorder for a kind, creating it on first use. Workers
-    /// cache the returned `Arc` so steady-state recording never touches the
-    /// registry lock.
-    pub fn recorder(&self, kind: OpKind) -> Arc<KindRecorder> {
-        let mut g = self.recorders.lock();
-        Arc::clone(g.entry(kind).or_insert_with(|| {
-            Arc::new(KindRecorder::new(kind, self.epoch_micros, self.epoch_slots))
-        }))
-    }
-
-    /// Record one execution at the current wall-clock offset.
+    /// Record one execution.
     pub fn record(&self, kind: OpKind, latency: Duration) {
-        let elapsed = self.start.elapsed().as_micros() as u64;
-        self.recorder(kind).record(elapsed, latency.as_micros() as u64);
-    }
-
-    /// Record one execution at an explicit wall-clock offset (deterministic
-    /// replay for tests and offline ingestion).
-    pub fn record_at(&self, kind: OpKind, elapsed_micros: u64, latency_micros: u64) {
-        self.recorder(kind).record(elapsed_micros, latency_micros);
+        self.recorder(kind).record(latency.as_nanos() as u64);
     }
 
     /// Total recorded operations.
     pub fn total_ops(&self) -> usize {
-        self.recorders.lock().values().map(|r| r.hist.count() as usize).sum()
+        self.kinds.iter().map(|r| r.hist.count() as usize).sum()
     }
 
     /// Statistics for one kind, if any samples exist.
     pub fn stats(&self, kind: OpKind) -> Option<KindStats> {
-        let rec = self.recorders.lock().get(&kind).cloned()?;
-        let count = rec.hist.count();
+        let hist = &self.recorder(kind).hist;
+        let count = hist.count();
         if count == 0 {
             return None;
         }
-        let q = |p: f64| Duration::from_micros(rec.hist.value_at_quantile(p));
-        let total = rec.total_micros.load(Ordering::Relaxed);
+        let q = |p: f64| Duration::from_nanos(hist.value_at_quantile(p));
+        let total = hist.sum();
         Some(KindStats {
             count: count as usize,
-            mean: Duration::from_micros(total / count),
+            mean: Duration::from_nanos(total / count),
             p50: q(0.50),
             p95: q(0.95),
             p99: q(0.99),
-            max: Duration::from_micros(rec.hist.max()),
-            total: Duration::from_micros(total),
+            max: Duration::from_nanos(hist.max()),
+            total: Duration::from_nanos(total),
         })
     }
 
-    /// Aggregated operator counters for one kind, if any were recorded.
+    /// Aggregated operator counters for one kind, if it has samples.
     pub fn profile(&self, kind: OpKind) -> Option<ProfileSnapshot> {
-        let rec = self.recorders.lock().get(&kind).cloned()?;
-        Some(rec.profile.snapshot())
+        let rec = self.recorder(kind);
+        (!rec.hist.is_empty()).then(|| rec.profile.snapshot())
     }
 
-    /// All kinds with samples, sorted for stable reporting.
+    /// All kinds with samples, in [`OpKind::index`] order.
     pub fn kinds(&self) -> Vec<OpKind> {
-        let g = self.recorders.lock();
-        let mut kinds: Vec<OpKind> =
-            g.iter().filter(|(_, r)| r.hist.count() > 0).map(|(k, _)| *k).collect();
-        kinds.sort_by_key(|k| match *k {
-            OpKind::Complex(n) => (0, n),
-            OpKind::Short(n) => (1, n),
-            OpKind::Update(n) => (2, n),
-        });
-        kinds
-    }
-
-    /// Per-epoch steady-state verdicts for every complex-read kind with at
-    /// least two non-empty wall-clock epochs. The baseline is the first
-    /// non-empty epoch's p99; a later epoch fails if its p99 exceeds
-    /// `factor ×` the baseline.
-    pub fn epoch_verdicts(&self, factor: f64) -> Vec<(OpKind, Vec<EpochVerdict>)> {
-        let recorders: Vec<(OpKind, Arc<KindRecorder>)> = {
-            let g = self.recorders.lock();
-            let mut v: Vec<(OpKind, Arc<KindRecorder>)> =
-                g.iter().map(|(k, r)| (*k, Arc::clone(r))).collect();
-            v.sort_by_key(|(k, _)| match *k {
-                OpKind::Complex(n) => n,
-                _ => usize::MAX,
-            });
-            v
-        };
-        let mut out = Vec::new();
-        for (kind, rec) in recorders {
-            let Some(epochs) = rec.epochs() else { continue };
-            let windows = epochs.non_empty();
-            if windows.len() < 2 || epochs.count() < 8 {
-                continue; // not enough time spread to judge
-            }
-            let baseline = windows[0].1.value_at_quantile(0.99).max(1);
-            let verdicts: Vec<EpochVerdict> = windows
-                .iter()
-                .enumerate()
-                .map(|(i, (epoch, hist))| {
-                    let p99 = hist.value_at_quantile(0.99);
-                    EpochVerdict {
-                        epoch: *epoch,
-                        count: hist.count(),
-                        p99_micros: p99,
-                        ok: i == 0 || p99 as f64 <= factor * baseline as f64,
-                    }
-                })
-                .collect();
-            out.push((kind, verdicts));
-        }
-        out
-    }
-
-    /// Latency-stability check over the complex reads: for each kind, the
-    /// p99 of every later wall-clock epoch must stay within `factor ×` the
-    /// p99 of the first non-empty epoch (steady state, §4). Judged on time
-    /// windows, so the order in which worker threads interleave their
-    /// recordings cannot change the verdict.
-    pub fn complex_reads_steady(&self, factor: f64) -> bool {
-        self.epoch_verdicts(factor).iter().all(|(_, verdicts)| verdicts.iter().all(|v| v.ok))
+        (0..OpKind::COUNT)
+            .filter(|&i| !self.kinds[i].hist.is_empty())
+            .map(OpKind::from_index)
+            .collect()
     }
 }
 
@@ -284,9 +159,10 @@ mod tests {
         }
         let s = m.stats(OpKind::Complex(2)).unwrap();
         assert_eq!(s.count, 100);
-        // Mean, max and total are exact; percentiles carry the histogram's
-        // bounded relative error (≤ 1/16 of the value).
-        assert_eq!(s.mean, Duration::from_micros(50));
+        // Mean, max and total are exact to the nanosecond (the mean of
+        // 1..=100 µs is 50.5 µs); percentiles carry the histogram's bounded
+        // relative error (≤ 1/16 of the value).
+        assert_eq!(s.mean, Duration::from_nanos(50_500));
         assert_eq!(s.max, Duration::from_micros(100));
         assert_eq!(s.total, Duration::from_micros(5050));
         let close = |got: Duration, exact: u64| {
@@ -308,6 +184,19 @@ mod tests {
     }
 
     #[test]
+    fn sub_microsecond_latencies_are_not_truncated() {
+        let m = Metrics::new();
+        for nanos in [300u64, 400, 500] {
+            m.record(OpKind::Short(1), Duration::from_nanos(nanos));
+        }
+        let s = m.stats(OpKind::Short(1)).unwrap();
+        assert_eq!(s.mean, Duration::from_nanos(400));
+        assert_eq!(s.total, Duration::from_nanos(1_200));
+        assert!(s.p50 >= Duration::from_nanos(400) && s.p50 <= Duration::from_nanos(425));
+        assert_eq!(s.max, Duration::from_nanos(500));
+    }
+
+    #[test]
     fn percentile_sorted_is_nearest_rank() {
         let sorted: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile_sorted(&sorted, 0.50), 50);
@@ -322,54 +211,6 @@ mod tests {
     #[cfg(debug_assertions)]
     fn percentile_sorted_rejects_unsorted_input_in_debug() {
         percentile_sorted(&[3, 1, 2], 0.5);
-    }
-
-    #[test]
-    fn steady_state_detects_degradation_across_epochs() {
-        let m = Metrics::with_epochs(1_000_000, 8);
-        // Epoch 0: fast. Epoch 1: 10× slower — a genuine degradation.
-        for _ in 0..50 {
-            m.record_at(OpKind::Complex(9), 0, 100);
-        }
-        assert!(m.complex_reads_steady(2.0), "single epoch cannot fail");
-        for _ in 0..50 {
-            m.record_at(OpKind::Complex(9), 1_000_000, 1_000);
-        }
-        assert!(!m.complex_reads_steady(2.0));
-        let verdicts = m.epoch_verdicts(2.0);
-        assert_eq!(verdicts.len(), 1);
-        let (kind, epochs) = &verdicts[0];
-        assert_eq!(*kind, OpKind::Complex(9));
-        assert_eq!(epochs.len(), 2);
-        assert!(epochs[0].ok && !epochs[1].ok);
-    }
-
-    #[test]
-    fn steady_state_is_immune_to_merge_order() {
-        // Regression: the old recorder concatenated per-worker sample
-        // batches and split the vector in half, so a fast worker publishing
-        // before a slow one looked like degradation even when both ran at a
-        // constant rate for the whole run. Judged on wall-clock epochs the
-        // same recordings are steady.
-        let m = Metrics::with_epochs(1_000_000, 8);
-        // Worker A (fast ops, whole run) publishes first...
-        for epoch in [0u64, 1] {
-            for _ in 0..25 {
-                m.record_at(OpKind::Complex(3), epoch * 1_000_000, 100);
-            }
-        }
-        // ...then worker B (slow ops, whole run).
-        for epoch in [0u64, 1] {
-            for _ in 0..25 {
-                m.record_at(OpKind::Complex(3), epoch * 1_000_000, 1_000);
-            }
-        }
-        // Old verdict: first half p99=100, second half p99=1000 → "degraded".
-        // Both epochs contain the same latency mix → actually steady.
-        assert!(m.complex_reads_steady(2.0));
-        for (_, verdicts) in m.epoch_verdicts(2.0) {
-            assert!(verdicts.iter().all(|v| v.ok));
-        }
     }
 
     #[test]
@@ -389,6 +230,7 @@ mod tests {
     fn per_kind_profiles_aggregate_operator_ticks() {
         let m = Metrics::new();
         let rec = m.recorder(OpKind::Complex(5));
+        rec.record(1);
         {
             let _guard = QueryProfile::enter(Arc::clone(rec.profile()));
             snb_obs::tick_rows_scanned(7);
@@ -405,9 +247,9 @@ mod tests {
         let m = Metrics::new();
         let a = m.recorder(OpKind::Short(2));
         let b = m.recorder(OpKind::Short(2));
-        assert!(Arc::ptr_eq(&a, &b));
-        a.record(0, 10);
-        b.record(0, 20);
+        assert!(std::ptr::eq(a, b));
+        a.record(10);
+        b.record(20);
         assert_eq!(m.stats(OpKind::Short(2)).unwrap().count, 2);
         assert_eq!(m.total_ops(), 2);
     }

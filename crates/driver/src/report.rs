@@ -6,19 +6,15 @@
 //! This module renders a [`crate::scheduler::RunReport`] into that
 //! disclosure: the headline acceleration factor plus the per-query latency
 //! table, the workload composition against the §4 target CPU split
-//! (10 % updates / 50 % complex / 40 % short), the steady-state verdict,
+//! (10 % updates / 50 % complex / 40 % short), the on-time verdict,
 //! scheduler accounting, and store counters. [`full_disclosure_json`]
 //! emits the same data machine-readable (schema documented in DESIGN.md).
 
 use crate::connector::OpKind;
-use crate::scheduler::RunReport;
+use crate::scheduler::{RunReport, LATE_AFTER, ON_TIME_SHARE};
 use snb_obs::Json;
 use std::fmt::Write as _;
 use std::time::Duration;
-
-/// Steady-state factor used by reports: a later epoch's p99 may exceed the
-/// baseline epoch's p99 by at most this factor.
-pub const STEADY_FACTOR: f64 = 4.0;
 
 /// Workload-composition summary by operation class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,12 +50,20 @@ pub fn composition(report: &RunReport) -> Composition {
     }
 }
 
-fn kind_label(kind: OpKind) -> String {
-    match kind {
-        OpKind::Complex(n) => format!("Q{n}"),
-        OpKind::Short(n) => format!("S{n}"),
-        OpKind::Update(n) => format!("U{n}"),
-    }
+/// The on-time share of the scheduled operations and the verdict, or
+/// `n/a` in throughput mode.
+fn on_time_line(report: &RunReport) -> String {
+    let Some(on_time) = report.on_time else { return "n/a (throughput mode)".into() };
+    let late: u64 = report.partitions.iter().map(|p| p.late_ops).sum();
+    let share = 1.0 - late as f64 / report.scheduled_ops as f64;
+    format!(
+        "{:.2}% of {} scheduled ops started within {:?} (≥ {:.0}% required): {}",
+        100.0 * share,
+        report.scheduled_ops,
+        LATE_AFTER,
+        100.0 * ON_TIME_SHARE,
+        if on_time { "sustained" } else { "FELL BEHIND" }
+    )
 }
 
 /// Render the full-disclosure report as plain text.
@@ -74,11 +78,7 @@ pub fn full_disclosure(report: &RunReport) -> String {
         "acceleration factor:   {:.2} (simulation time / real time)",
         report.achieved_acceleration
     );
-    let _ = writeln!(
-        out,
-        "steady-state p99:      {}",
-        if report.steady { "stable" } else { "DEGRADED" }
-    );
+    let _ = writeln!(out, "on time:               {}", on_time_line(report));
 
     let c = composition(report);
     let _ = writeln!(out, "\ntime composition (target 10% / 50% / 40%):");
@@ -98,7 +98,7 @@ pub fn full_disclosure(report: &RunReport) -> String {
         let _ = writeln!(
             out,
             "  {:<6} {:>8} {:>12} {:>12} {:>12} {:>12}",
-            kind_label(kind),
+            kind.label(),
             s.count,
             f(s.mean),
             f(s.p50),
@@ -110,14 +110,20 @@ pub fn full_disclosure(report: &RunReport) -> String {
     let _ = writeln!(out, "\nscheduler (per partition):");
     let _ = writeln!(
         out,
-        "  {:<10} {:>8} {:>10} {:>14} {:>10} {:>14}",
-        "partition", "ops", "gct waits", "gct wait (µs)", "gct parks", "slippage (µs)"
+        "  {:<10} {:>8} {:>10} {:>14} {:>10} {:>14} {:>8}",
+        "partition", "ops", "gct waits", "gct wait (µs)", "gct parks", "slippage (µs)", "late"
     );
     for p in &report.partitions {
         let _ = writeln!(
             out,
-            "  {:<10} {:>8} {:>10} {:>14} {:>10} {:>14}",
-            p.partition, p.ops, p.gct_waits, p.gct_wait_micros, p.gct_parks, p.slippage_micros
+            "  {:<10} {:>8} {:>10} {:>14} {:>10} {:>14} {:>8}",
+            p.partition,
+            p.ops,
+            p.gct_waits,
+            p.gct_wait_micros,
+            p.gct_parks,
+            p.slippage_micros,
+            p.late_ops
         );
     }
 
@@ -158,9 +164,6 @@ pub fn full_disclosure(report: &RunReport) -> String {
 /// Render the full-disclosure report as JSON (schema in DESIGN.md).
 pub fn full_disclosure_json(report: &RunReport) -> Json {
     let comp = composition(report);
-    // Per-kind epoch verdicts for the complex reads, keyed by kind.
-    let verdicts: std::collections::HashMap<OpKind, Vec<crate::metrics::EpochVerdict>> =
-        report.metrics.epoch_verdicts(STEADY_FACTOR).into_iter().collect();
 
     let queries: Vec<Json> = report
         .metrics
@@ -169,32 +172,19 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
         .map(|kind| {
             let s = report.metrics.stats(kind).expect("kind has stats");
             let mut q = Json::obj([
-                ("kind", Json::from(kind_label(kind))),
+                ("kind", Json::from(kind.label())),
                 ("count", Json::from(s.count)),
-                ("total_micros", Json::from(s.total.as_micros() as u64)),
-                ("mean_micros", Json::from(s.mean.as_micros() as u64)),
-                ("p50_micros", Json::from(s.p50.as_micros() as u64)),
-                ("p95_micros", Json::from(s.p95.as_micros() as u64)),
-                ("p99_micros", Json::from(s.p99.as_micros() as u64)),
-                ("max_micros", Json::from(s.max.as_micros() as u64)),
+                ("total_nanos", Json::from(s.total.as_nanos() as u64)),
+                ("mean_nanos", Json::from(s.mean.as_nanos() as u64)),
+                ("p50_nanos", Json::from(s.p50.as_nanos() as u64)),
+                ("p95_nanos", Json::from(s.p95.as_nanos() as u64)),
+                ("p99_nanos", Json::from(s.p99.as_nanos() as u64)),
+                ("max_nanos", Json::from(s.max.as_nanos() as u64)),
             ]);
             if let Some(profile) = report.metrics.profile(kind) {
                 q.push_field(
                     "operators",
                     Json::obj(profile.fields().map(|(name, value)| (name, Json::from(value)))),
-                );
-            }
-            if let Some(epochs) = verdicts.get(&kind) {
-                q.push_field(
-                    "epochs",
-                    Json::arr(epochs.iter().map(|e| {
-                        Json::obj([
-                            ("epoch", Json::from(e.epoch)),
-                            ("count", Json::from(e.count)),
-                            ("p99_micros", Json::from(e.p99_micros)),
-                            ("steady", Json::from(e.ok)),
-                        ])
-                    })),
                 );
             }
             q
@@ -209,6 +199,7 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
             ("gct_wait_micros", Json::from(p.gct_wait_micros)),
             ("gct_parks", Json::from(p.gct_parks)),
             ("slippage_micros", Json::from(p.slippage_micros)),
+            ("late_ops", Json::from(p.late_ops)),
         ])
     }));
 
@@ -242,15 +233,15 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
     }));
 
     Json::obj([
-        ("schema_version", Json::from(2u64)),
+        ("schema_version", Json::from(3u64)),
         ("benchmark", Json::from("ldbc-snb-interactive")),
         ("total_ops", Json::from(report.total_ops)),
         ("wall_micros", Json::from(report.wall.as_micros() as u64)),
         ("ops_per_second", Json::from(report.ops_per_second)),
         ("sim_span_millis", Json::from(report.sim_span_millis)),
         ("achieved_acceleration", Json::from(report.achieved_acceleration)),
-        ("steady", Json::from(report.steady)),
-        ("steady_factor", Json::from(STEADY_FACTOR)),
+        ("scheduled_ops", Json::from(report.scheduled_ops)),
+        ("on_time", Json::from(report.on_time)),
         (
             "composition",
             Json::obj([
@@ -303,6 +294,7 @@ mod tests {
         let text = full_disclosure(&report);
         assert!(text.contains("full disclosure"));
         assert!(text.contains("acceleration factor"));
+        assert!(text.contains("on time:               n/a"));
         assert!(text.contains("time composition"));
         assert!(text.contains("per-query breakdown"));
         assert!(text.contains("scheduler (per partition)"));
@@ -327,7 +319,12 @@ mod tests {
         assert!(text.contains("\"rows_scanned\""));
         assert!(text.contains("\"store.mvcc.versions_walked\""));
         assert!(text.contains("\"gct_wait_micros\""));
-        assert!(text.contains("\"schema_version\": 2"));
+        assert!(text.contains("\"schema_version\": 3"));
+        assert!(text.contains("\"p50_nanos\""));
+        // Throughput mode schedules nothing: the verdict is there, and null.
+        assert!(text.contains("\"on_time\": null"), "{text}");
+        assert!(!text.contains("\"epochs\""));
+        assert!(!text.contains("\"steady"));
         assert!(text.contains("\"stage_histograms\""));
         assert!(text.contains("\"store.stage.publish_wait_nanos\""));
         assert!(text.contains("\"store.wal.fsync_micros\""));

@@ -129,6 +129,23 @@ fn achieved_acceleration_is_precise_for_short_runs() {
     );
 }
 
+/// The on-time rule: a paced run whose operations take longer than their
+/// schedule allows falls further behind with every operation. Once more
+/// than 5 % of the scheduled operations start over a second late, the run
+/// did not sustain its acceleration, whatever its latencies looked like.
+#[test]
+fn paced_run_that_falls_behind_is_not_on_time() {
+    // 60 ops due 1 ms apart at accel 1, each taking 25 ms: op k starts
+    // ≈ 24k ms late, so ops 42..60 (30 %) are past the 1 s bound.
+    let items: Vec<WorkItem> = (0..60).map(|i| short_item(i, 0, 1)).collect();
+    let conn = SleepConnector::new(Duration::from_millis(25));
+    let config = DriverConfig { partitions: 1, acceleration: Some(1.0), ..DriverConfig::default() };
+    let report = run(&items, &conn, &config).unwrap();
+    let late: u64 = report.partitions.iter().map(|p| p.late_ops).sum();
+    assert!(late >= 15, "late ops {late}");
+    assert_eq!(report.on_time, Some(false));
+}
+
 /// PR 5 satellite: with the store's global write latch replaced by striped
 /// shard locks, completions ring the GCT signal from many threads at once,
 /// and the old `notify_all`-per-completion stormed every parked partition

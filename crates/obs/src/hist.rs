@@ -8,14 +8,16 @@ const LINEAR_MAX: u64 = 16;
 /// width of 1/16 (≤ 6.25% quantile error).
 const SUB_BITS: u32 = 4;
 const SUB_BUCKETS: usize = 1 << SUB_BITS;
-/// Highest octave with its own buckets; values at 2^40 and above (≈ 12.7
-/// days in microseconds) clamp into the final bucket.
+/// Highest octave with its own buckets; values at 2^40 and above (≈ 18
+/// minutes in nanoseconds) clamp into the final bucket, and `max` stays
+/// exact.
 const MAX_OCTAVE: u32 = 39;
 const NUM_BUCKETS: usize =
     LINEAR_MAX as usize + (MAX_OCTAVE as usize - SUB_BITS as usize + 1) * SUB_BUCKETS;
 
 /// A log-linear (HDR-style) histogram of `u64` samples, typically
-/// microseconds.
+/// nanoseconds; the unit is the recorder's, and names that export one say
+/// it (`_nanos`, `_micros`).
 ///
 /// Small values (< 16) get exact buckets; larger values share an octave
 /// split into 16 sub-buckets, bounding relative quantile error at 1/16.

@@ -10,9 +10,6 @@
 //!   buckets. Recording is a handful of relaxed atomic adds — no allocation,
 //!   no locks — so it can sit on the driver's hot path. Streaming quantiles
 //!   (p50/p95/p99), exact mean/max, and lossless merging.
-//! - [`EpochSeries`]: wall-clock bucketed histograms so steady-state is
-//!   judged on *time order*, independent of which worker thread's samples
-//!   merged first.
 //! - [`Counters`] / [`Counter`]: a registry of named atomic counters with
 //!   `#[inline]` increments, snapshotted in sorted name order. Names follow
 //!   `layer.subsystem.metric` (e.g. `store.mvcc.versions_walked`).
@@ -29,14 +26,12 @@
 //!   and Chrome `trace_event` export. One relaxed load when disabled.
 
 mod counters;
-mod epoch;
 mod hist;
 mod json;
 mod profile;
 pub mod trace;
 
 pub use counters::{Counter, Counters, Gauge};
-pub use epoch::EpochSeries;
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use json::Json;
 pub use profile::{

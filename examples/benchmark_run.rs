@@ -9,7 +9,7 @@
 //! ```
 
 use ldbc_snb::datagen::{generate, GeneratorConfig};
-use ldbc_snb::driver::{build_mix, run, DriverConfig, OpKind, StoreConnector};
+use ldbc_snb::driver::{build_mix, run, DriverConfig, StoreConnector};
 use ldbc_snb::params::curated_bindings;
 use ldbc_snb::queries::Engine;
 use ldbc_snb::store::Store;
@@ -46,16 +46,16 @@ fn main() {
     println!("operations executed:  {}", report.total_ops);
     println!("throughput:           {:.0} ops/s", report.ops_per_second);
     println!("achieved acceleration:{:.0}x (target {accel:.0}x)", report.achieved_acceleration);
-    println!("steady p99:           {}", if report.steady { "yes" } else { "no" });
+    let on_time = match report.on_time {
+        Some(true) => "yes",
+        Some(false) => "no",
+        None => "n/a",
+    };
+    println!("on time (spec rule):  {on_time}");
 
     println!("\nper-kind latencies (mean / p99):");
     for kind in report.metrics.kinds() {
         let s = report.metrics.stats(kind).unwrap();
-        let label = match kind {
-            OpKind::Complex(n) => format!("Q{n}"),
-            OpKind::Short(n) => format!("S{n}"),
-            OpKind::Update(n) => format!("U{n}"),
-        };
-        println!("  {label:>4}  n={:<6} {:>10.0?} / {:>10.0?}", s.count, s.mean, s.p99);
+        println!("  {:>4}  n={:<6} {:>10.1?} / {:>10.1?}", kind.label(), s.count, s.mean, s.p99);
     }
 }
