@@ -288,8 +288,13 @@ impl Connector for StoreConnector {
         match op {
             Operation::Update(u) => {
                 self.store.apply(u)?;
-                if matches!(u, UpdateOp::AddPerson(_) | UpdateOp::AddFriendship(_)) {
-                    self.replicated_horizon.fetch_max(u.creation_date().0, Ordering::Release);
+                // Inside the measured window: load first, and pay the RMW
+                // only when this update raises the horizon.
+                let date = u.creation_date().0;
+                if matches!(u, UpdateOp::AddPerson(_) | UpdateOp::AddFriendship(_))
+                    && date > self.replicated_horizon.load(Ordering::Relaxed)
+                {
+                    self.replicated_horizon.fetch_max(date, Ordering::Release);
                 }
                 Ok(OpOutcome { rows: 1, ..Default::default() })
             }

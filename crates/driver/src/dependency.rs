@@ -306,8 +306,13 @@ impl Gds {
             .filter(|&tlc| tlc < tgi)
             .max()
             .unwrap_or(SimTime(0));
-        self.gct_cache.fetch_max(raw.millis(), Ordering::AcqRel);
-        SimTime(self.gct_cache.load(Ordering::Acquire))
+        // Every dependent op of every partition asks: only a raise pays
+        // the RMW, so the common call leaves the cache line shared.
+        let cached = self.gct_cache.load(Ordering::Acquire);
+        if raw.millis() <= cached {
+            return SimTime(cached);
+        }
+        SimTime(self.gct_cache.fetch_max(raw.millis(), Ordering::AcqRel).max(raw.millis()))
     }
 }
 

@@ -50,19 +50,26 @@ pub fn composition(report: &RunReport) -> Composition {
     }
 }
 
-/// The on-time share of the scheduled operations and the verdict, or
-/// `n/a` in throughput mode.
+/// The on-time share of the scheduled operations, the verdict and the
+/// achieved share of the target acceleration, or `n/a` in throughput mode.
+/// The ratio sits next to the verdict because a run that ends less than
+/// [`LATE_AFTER`] behind passes the rule however far below target it ran.
 fn on_time_line(report: &RunReport) -> String {
-    let Some(on_time) = report.on_time else { return "n/a (throughput mode)".into() };
+    let (Some(on_time), Some(target)) = (report.on_time, report.target_acceleration) else {
+        return "n/a (throughput mode)".into();
+    };
     let late: u64 = report.partitions.iter().map(|p| p.late_ops).sum();
     let share = 1.0 - late as f64 / report.scheduled_ops as f64;
     format!(
-        "{:.2}% of {} scheduled ops started within {:?} (≥ {:.0}% required): {}",
+        "{:.2}% of {} scheduled ops started within {:?} (≥ {:.0}% required): {}; \
+         achieved ÷ target acceleration = {:.2} (target {:.2})",
         100.0 * share,
         report.scheduled_ops,
         LATE_AFTER,
         100.0 * ON_TIME_SHARE,
-        if on_time { "sustained" } else { "FELL BEHIND" }
+        if on_time { "sustained" } else { "FELL BEHIND" },
+        report.achieved_acceleration / target,
+        target
     )
 }
 
@@ -111,7 +118,7 @@ pub fn full_disclosure(report: &RunReport) -> String {
     let _ = writeln!(
         out,
         "  {:<10} {:>8} {:>10} {:>14} {:>10} {:>14} {:>8}",
-        "partition", "ops", "gct waits", "gct wait (µs)", "gct parks", "slippage (µs)", "late"
+        "partition", "ops", "gct waits", "gct wait (µs)", "gct parks", "max late (µs)", "late"
     );
     for p in &report.partitions {
         let _ = writeln!(
@@ -122,7 +129,7 @@ pub fn full_disclosure(report: &RunReport) -> String {
             p.gct_waits,
             p.gct_wait_micros,
             p.gct_parks,
-            p.slippage_micros,
+            p.max_lateness_micros,
             p.late_ops
         );
     }
@@ -198,7 +205,7 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
             ("gct_waits", Json::from(p.gct_waits)),
             ("gct_wait_micros", Json::from(p.gct_wait_micros)),
             ("gct_parks", Json::from(p.gct_parks)),
-            ("slippage_micros", Json::from(p.slippage_micros)),
+            ("max_lateness_micros", Json::from(p.max_lateness_micros)),
             ("late_ops", Json::from(p.late_ops)),
         ])
     }));
@@ -233,7 +240,7 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
     }));
 
     Json::obj([
-        ("schema_version", Json::from(3u64)),
+        ("schema_version", Json::from(4u64)),
         ("benchmark", Json::from("ldbc-snb-interactive")),
         ("total_ops", Json::from(report.total_ops)),
         ("wall_micros", Json::from(report.wall.as_micros() as u64)),
@@ -241,6 +248,7 @@ pub fn full_disclosure_json(report: &RunReport) -> Json {
         ("sim_span_millis", Json::from(report.sim_span_millis)),
         ("achieved_acceleration", Json::from(report.achieved_acceleration)),
         ("scheduled_ops", Json::from(report.scheduled_ops)),
+        ("target_acceleration", Json::from(report.target_acceleration)),
         ("on_time", Json::from(report.on_time)),
         (
             "composition",
@@ -319,10 +327,13 @@ mod tests {
         assert!(text.contains("\"rows_scanned\""));
         assert!(text.contains("\"store.mvcc.versions_walked\""));
         assert!(text.contains("\"gct_wait_micros\""));
-        assert!(text.contains("\"schema_version\": 3"));
+        assert!(text.contains("\"schema_version\": 4"));
         assert!(text.contains("\"p50_nanos\""));
         // Throughput mode schedules nothing: the verdict is there, and null.
         assert!(text.contains("\"on_time\": null"), "{text}");
+        assert!(text.contains("\"target_acceleration\": null"), "{text}");
+        assert!(text.contains("\"max_lateness_micros\""));
+        assert!(!text.contains("slippage"));
         assert!(!text.contains("\"epochs\""));
         assert!(!text.contains("\"steady"));
         assert!(text.contains("\"stage_histograms\""));

@@ -146,6 +146,42 @@ fn paced_run_that_falls_behind_is_not_on_time() {
     assert_eq!(report.on_time, Some(false));
 }
 
+/// A paced run that ends less than a second behind its schedule passes the
+/// on-time rule however far below its target acceleration it ran, so the
+/// report must carry the target and print the achieved share next to the
+/// verdict. Its per-partition lateness is a maximum, not a sum over
+/// operations: it can never exceed the run's wall time.
+#[test]
+fn paced_run_slightly_behind_reports_its_acceleration_shortfall() {
+    // 40 ops due 1 ms apart at accel 1 (39 ms of schedule), each taking
+    // 5 ms: op k starts ≈ 4k ms late, the last ≈ 160 ms — all on time,
+    // while the run reaches about a fifth of its target.
+    let items: Vec<WorkItem> = (0..40).map(|i| short_item(i, 0, 1)).collect();
+    let conn = SleepConnector::new(Duration::from_millis(5));
+    let config = DriverConfig { partitions: 1, acceleration: Some(1.0), ..DriverConfig::default() };
+    let report = run(&items, &conn, &config).unwrap();
+    assert_eq!(report.on_time, Some(true));
+    assert_eq!(report.target_acceleration, Some(1.0));
+    let ratio = report.achieved_acceleration / 1.0;
+    assert!(ratio < 0.5, "achieved ÷ target {ratio}");
+    let text = snb_driver::full_disclosure(&report);
+    let line = text.lines().find(|l| l.starts_with("on time:")).unwrap();
+    assert!(line.contains("sustained"), "{line}");
+    assert!(line.contains(&format!("achieved ÷ target acceleration = {ratio:.2}")), "{line}");
+    let json = snb_driver::full_disclosure_json(&report).render_pretty(2);
+    assert!(json.contains("\"target_acceleration\": 1"), "{json}");
+
+    let wall = report.wall.as_micros() as u64;
+    for p in &report.partitions {
+        assert!(p.max_lateness_micros > 0, "the run fell behind");
+        assert!(
+            p.max_lateness_micros <= wall,
+            "max lateness {} > wall {wall}",
+            p.max_lateness_micros
+        );
+    }
+}
+
 /// PR 5 satellite: with the store's global write latch replaced by striped
 /// shard locks, completions ring the GCT signal from many threads at once,
 /// and the old `notify_all`-per-completion stormed every parked partition

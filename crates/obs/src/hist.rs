@@ -22,7 +22,9 @@ const NUM_BUCKETS: usize =
 /// Small values (< 16) get exact buckets; larger values share an octave
 /// split into 16 sub-buckets, bounding relative quantile error at 1/16.
 /// Recording is wait-free — four relaxed atomic RMWs, no allocation — so
-/// one histogram can be shared across worker threads. Count, sum and max
+/// one histogram can be shared across worker threads; a histogram with one
+/// writer thread records with plain loads and stores instead
+/// ([`LatencyHistogram::record_single_writer`]). Count, sum and max
 /// are tracked exactly; only quantiles are bucket-approximate.
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
@@ -103,6 +105,26 @@ impl LatencyHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Record one sample into a histogram that only the calling thread
+    /// ever writes: each word is a relaxed `load` then `store`, with no
+    /// locked read-modify-write. Readers on other threads may run
+    /// concurrently and see each word's latest store. Two threads calling
+    /// this on one histogram at once lose samples (every access stays
+    /// atomic, so nothing worse happens); shared histograms use
+    /// [`LatencyHistogram::record`].
+    #[inline]
+    pub fn record_single_writer(&self, value: u64) {
+        let bump = |cell: &AtomicU64, by: u64| {
+            cell.store(cell.load(Ordering::Relaxed).wrapping_add(by), Ordering::Relaxed)
+        };
+        bump(&self.buckets[bucket_index(value)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum, value);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
@@ -446,6 +468,16 @@ mod tests {
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(snap.value_at_quantile(q), live.value_at_quantile(q), "q={q}");
         }
+    }
+
+    #[test]
+    fn single_writer_recording_matches_shared_recording() {
+        let (shared, single) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for v in samples(5, 3000, 50).into_iter().chain([0, u64::MAX]) {
+            shared.record(v);
+            single.record_single_writer(v);
+        }
+        assert_eq!(single.snapshot(), shared.snapshot());
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn concurrent_writers_and_pinned_readers() {
         // Writers are the first WRITERS spawned handles; the scope joins
         // everything, so flip `done` once all writer ops are visible.
         let total_ops: usize = streams.iter().map(Vec::len).sum();
-        while (store.counters().commits.get() as usize) < total_ops {
+        while (store.counters().commits() as usize) < total_ops {
             std::thread::yield_now();
         }
         done.store(true, Ordering::Release);

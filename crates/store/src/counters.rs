@@ -2,16 +2,21 @@
 //!
 //! One [`StoreCounters`] instance lives in each [`crate::Store`]; hot paths
 //! hold pre-registered [`Counter`] handles so recording is a single relaxed
-//! atomic add. Names follow the workspace `layer.subsystem.metric`
+//! atomic add. Commit telemetry goes further: every writer thread records
+//! into its own [`WriterShard`] with plain loads and stores, and readers
+//! merge the shards. Names follow the workspace `layer.subsystem.metric`
 //! convention so they land sorted and greppable in the full-disclosure
 //! export.
 
 use crate::stats::StorageStats;
 use crate::tables::{INDEXES, RUN_BYTES_GAUGES};
 use crate::wal::WalMetrics;
+use parking_lot::Mutex;
 use snb_obs::{Counter, Counters, Gauge, HistogramSnapshot, LatencyHistogram};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 /// Stripes in the writer lock map (shared with `store.rs`; also the length
 /// of the per-stripe telemetry arrays below).
@@ -22,16 +27,18 @@ pub const STRIPES: usize = 64;
 /// samples keep the histogram sums exact. Stages tile `Store::apply` end-to-end (stage sums ≈
 /// measured op latency), so the full-disclosure table can attribute
 /// multi-writer collapse to a specific stage instead of an aggregate
-/// "writes got slower".
+/// "writes got slower". Each [`WriterShard`] holds one set;
+/// [`StoreCounters::histogram_snapshots`] merges them.
 #[derive(Debug, Default)]
 pub struct StageHistograms {
-    /// Time blocked acquiring the op's stripe locks
-    /// (`store.stage.stripe_wait_nanos`).
+    /// Time blocked on contended stripe locks; 0 when every stripe was
+    /// free (`store.stage.stripe_wait_nanos`).
     pub stripe_wait: LatencyHistogram,
-    /// Pre-image validation under the stripe locks
-    /// (`store.stage.validate_nanos`).
+    /// Pre-image validation under the stripe locks, plus the uncontended
+    /// lock acquisitions before it (`store.stage.validate_nanos`).
     pub validate: LatencyHistogram,
-    /// WAL record append, excluding fsync (`store.stage.wal_append_nanos`).
+    /// WAL record append, excluding fsync; 0 without a WAL
+    /// (`store.stage.wal_append_nanos`).
     pub wal_append: LatencyHistogram,
     /// CommitClock timestamp reservation (`store.stage.reserve_nanos`).
     pub reserve: LatencyHistogram,
@@ -39,12 +46,14 @@ pub struct StageHistograms {
     /// (`store.stage.apply_nanos`).
     pub apply: LatencyHistogram,
     /// Out-of-order publication on the CommitClock: marking the commit in
-    /// the publication ring, helping the watermark advance, and (rarely)
-    /// parking for ring-wraparound room
+    /// the publication ring, helping the watermark advance, (rarely)
+    /// parking for ring-wraparound room, releasing the stripe locks and —
+    /// without a WAL — recording the earlier stages
     /// (`store.stage.publish_wait_nanos`).
     pub publish_wait: LatencyHistogram,
-    /// Group-commit durability wait after publish, outside the stripe
-    /// locks (`store.stage.durable_wait_nanos`).
+    /// Behind a WAL: recording the earlier stages, then the group-commit
+    /// durability wait, outside the stripe locks; 0 without a WAL
+    /// (`store.stage.durable_wait_nanos`).
     pub durable_wait: LatencyHistogram,
     /// Stripe-held time of transactions *rejected* by validation
     /// (`store.stage.validate_failed_nanos`). Deliberately outside
@@ -54,19 +63,60 @@ pub struct StageHistograms {
     pub validate_failed: LatencyHistogram,
 }
 
+/// The committed-path stages' histogram names, in pipeline order.
+const STAGE_NAMES: [&str; 7] = [
+    "store.stage.stripe_wait_nanos",
+    "store.stage.validate_nanos",
+    "store.stage.wal_append_nanos",
+    "store.stage.reserve_nanos",
+    "store.stage.apply_nanos",
+    "store.stage.publish_wait_nanos",
+    "store.stage.durable_wait_nanos",
+];
+
 impl StageHistograms {
     /// `(name, histogram)` for each stage, in pipeline order.
     pub fn named(&self) -> [(&'static str, &LatencyHistogram); 7] {
-        [
-            ("store.stage.stripe_wait_nanos", &self.stripe_wait),
-            ("store.stage.validate_nanos", &self.validate),
-            ("store.stage.wal_append_nanos", &self.wal_append),
-            ("store.stage.reserve_nanos", &self.reserve),
-            ("store.stage.apply_nanos", &self.apply),
-            ("store.stage.publish_wait_nanos", &self.publish_wait),
-            ("store.stage.durable_wait_nanos", &self.durable_wait),
-        ]
+        let hists = [
+            &self.stripe_wait,
+            &self.validate,
+            &self.wal_append,
+            &self.reserve,
+            &self.apply,
+            &self.publish_wait,
+            &self.durable_wait,
+        ];
+        std::array::from_fn(|i| (STAGE_NAMES[i], hists[i]))
     }
+}
+
+/// One writer thread's commit telemetry in one store: the stage
+/// histograms and the watermark-lag distribution. Only its own thread
+/// writes it, with [`LatencyHistogram::record_single_writer`], so a commit
+/// makes no locked read-modify-write on telemetry, and the 128-byte
+/// alignment keeps its inline words off every other writer's lines. The
+/// number of commits is the number of `apply` samples.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct WriterShard {
+    /// This writer's stage samples.
+    pub stages: StageHistograms,
+    /// Watermark lag observed at this writer's publishes
+    /// (`store.write.watermark_lag`): how many earlier reservations were
+    /// still unpublished, i.e. how far out of order commits complete.
+    /// Samples are timestamp counts, not nanoseconds.
+    pub watermark_lag: LatencyHistogram,
+}
+
+/// Source of [`StoreCounters`] ids: unique for the process's lifetime, so a
+/// thread's cached shard can never be mistaken for one of a later store
+/// that happens to reuse a dropped store's address.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The calling thread's shard in the store it committed to last, keyed
+    /// by that store's id.
+    static LAST_SHARD: RefCell<Option<(u64, Arc<WriterShard>)>> = const { RefCell::new(None) };
 }
 
 /// Per-stripe contention telemetry: how often each of the [`STRIPES`]
@@ -191,8 +241,6 @@ pub struct StoreCounters {
     /// Entries skipped because they were invisible to the reading snapshot
     /// (`store.mvcc.versions_skipped`).
     pub versions_skipped: Counter,
-    /// Committed transactions (`store.txn.commits`).
-    pub commits: Counter,
     /// Transactions rejected by validation (`store.txn.conflicts`).
     pub conflicts: Counter,
     /// Index entries served from the bulk-prefix fast lane — no `visible()`
@@ -209,11 +257,6 @@ pub struct StoreCounters {
     /// than the ring capacity ahead of the visibility watermark — a
     /// straggler-pathology signal, not a steady-state cost.
     pub publish_parks: Counter,
-    /// Watermark lag observed at publish (`store.write.watermark_lag`):
-    /// how many earlier reservations were still unpublished when each
-    /// commit published, i.e. how far out of order commits complete.
-    /// Samples are timestamp counts, not nanoseconds.
-    pub watermark_lag: LatencyHistogram,
     /// WAL records appended (`store.wal.appends`).
     pub wal_appends: Counter,
     /// WAL bytes written including record headers (`store.wal.bytes`).
@@ -231,8 +274,12 @@ pub struct StoreCounters {
     pub wal_recovery_truncated_bytes: Counter,
     /// WAL fsync latency distribution, in microseconds.
     pub wal_fsync_micros: Arc<LatencyHistogram>,
-    /// Write-pipeline stage latency breakdown (see [`StageHistograms`]).
-    pub stages: StageHistograms,
+    /// Every writer thread's [`WriterShard`], by thread: stage
+    /// histograms, watermark lag and the commit count
+    /// (`store.txn.commits`). Registered on a thread's first commit.
+    writers: Mutex<Vec<(ThreadId, Arc<WriterShard>)>>,
+    /// This instance's process-unique id, the key of `LAST_SHARD`.
+    id: u64,
     /// Per-stripe conflict heatmap + acquire-wait distributions.
     pub stripes: StripeTelemetry,
     /// Measured memory gauges (see [`MemGauges`]).
@@ -252,12 +299,10 @@ impl StoreCounters {
             snapshots: registry.counter("store.mvcc.snapshots"),
             versions_walked: registry.counter("store.mvcc.versions_walked"),
             versions_skipped: registry.counter("store.mvcc.versions_skipped"),
-            commits: registry.counter("store.txn.commits"),
             conflicts: registry.counter("store.txn.conflicts"),
             read_fastlane_entries: registry.counter("store.read.fastlane_entries"),
             write_shard_conflicts: registry.counter("store.write.shard_conflicts"),
             publish_parks: registry.counter("store.write.publish_parks"),
-            watermark_lag: LatencyHistogram::new(),
             wal_appends: registry.counter("store.wal.appends"),
             wal_bytes: registry.counter("store.wal.bytes"),
             wal_fsyncs: registry.counter("store.wal.fsyncs"),
@@ -265,11 +310,68 @@ impl StoreCounters {
             wal_sync_errors: registry.counter("store.wal.sync_errors"),
             wal_recovery_truncated_bytes: registry.counter("store.wal.recovery_truncated_bytes"),
             wal_fsync_micros: Arc::new(LatencyHistogram::new()),
-            stages: StageHistograms::default(),
+            writers: Mutex::new(Vec::new()),
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             stripes: StripeTelemetry::default(),
             mem: MemGauges::new(&registry),
             registry,
         }
+    }
+
+    /// Run `f` on the calling thread's [`WriterShard`] of this store. The
+    /// first call on a thread registers its shard; later calls find it in a
+    /// thread-local cache without a lock. A thread that alternates between
+    /// stores misses that one-entry cache and finds its existing shard in
+    /// the registry, so the registry holds one shard per writer thread.
+    #[inline]
+    pub fn with_writer<R>(&self, f: impl FnOnce(&WriterShard) -> R) -> R {
+        LAST_SHARD.with(|last| {
+            let mut last = last.borrow_mut();
+            match &*last {
+                Some((id, shard)) if *id == self.id => f(shard),
+                _ => f(&last.insert((self.id, self.writer_shard())).1),
+            }
+        })
+    }
+
+    /// The calling thread's registered shard, registering one if it has
+    /// none yet.
+    #[cold]
+    fn writer_shard(&self) -> Arc<WriterShard> {
+        let me = std::thread::current().id();
+        let mut writers = self.writers.lock();
+        if let Some((_, shard)) = writers.iter().find(|(t, _)| *t == me) {
+            return Arc::clone(shard);
+        }
+        let shard = Arc::new(WriterShard::default());
+        writers.push((me, Arc::clone(&shard)));
+        shard
+    }
+
+    /// Writer threads that have recorded into this store.
+    pub fn writer_shards(&self) -> usize {
+        self.writers.lock().len()
+    }
+
+    /// Committed transactions (`store.txn.commits`): the `apply` samples
+    /// summed over every writer's shard.
+    pub fn commits(&self) -> u64 {
+        self.writers.lock().iter().map(|(_, w)| w.stages.apply.count()).sum()
+    }
+
+    /// `pick`'s histogram merged over every writer's shard.
+    fn merged(&self, pick: impl Fn(&WriterShard) -> &LatencyHistogram) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::default();
+        for (_, w) in self.writers.lock().iter() {
+            merged.merge(&pick(w).snapshot());
+        }
+        merged
+    }
+
+    /// The seven committed-path stages, in pipeline order, each merged
+    /// over every writer's shard.
+    pub fn stage_snapshots(&self) -> [(&'static str, HistogramSnapshot); 7] {
+        std::array::from_fn(|i| (STAGE_NAMES[i], self.merged(|w| w.stages.named()[i].1)))
     }
 
     /// Every store-side latency distribution by name: the seven write
@@ -279,12 +381,12 @@ impl StoreCounters {
     /// export and the counters RPC ship.
     pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
         let mut out: Vec<(String, HistogramSnapshot)> =
-            self.stages.named().iter().map(|(name, h)| (name.to_string(), h.snapshot())).collect();
+            self.stage_snapshots().into_iter().map(|(name, h)| (name.to_string(), h)).collect();
         out.push((
             "store.stage.validate_failed_nanos".to_string(),
-            self.stages.validate_failed.snapshot(),
+            self.merged(|w| &w.stages.validate_failed),
         ));
-        out.push(("store.write.watermark_lag".to_string(), self.watermark_lag.snapshot()));
+        out.push(("store.write.watermark_lag".to_string(), self.merged(|w| &w.watermark_lag)));
         out.push(("store.wal.fsync_micros".to_string(), self.wal_fsync_micros.snapshot()));
         out.push(("store.stripe.wait_nanos".to_string(), self.stripes.merged_wait()));
         out
@@ -302,9 +404,13 @@ impl StoreCounters {
         }
     }
 
-    /// Current values in sorted name order.
+    /// Current values in sorted name order, `store.txn.commits` included.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.registry.snapshot()
+        const COMMITS: &str = "store.txn.commits";
+        let mut snap = self.registry.snapshot();
+        let at = snap.partition_point(|&(name, _)| name < COMMITS);
+        snap.insert(at, (COMMITS, self.commits()));
+        snap
     }
 }
 
@@ -345,9 +451,11 @@ mod tests {
     #[test]
     fn histogram_snapshots_cover_stages_wal_and_stripes() {
         let c = StoreCounters::new();
-        c.stages.publish_wait.record(120);
-        c.stages.validate_failed.record(90);
-        c.watermark_lag.record(3);
+        c.with_writer(|w| {
+            w.stages.publish_wait.record_single_writer(120);
+            w.stages.validate_failed.record_single_writer(90);
+            w.watermark_lag.record_single_writer(3);
+        });
         c.stripes.note_conflict(3, 55);
         c.stripes.note_conflict(3, 70);
         c.stripes.note_conflict(9, 10);

@@ -34,3 +34,19 @@ pub use store::{RecoveryReport, Store};
 pub use tables::MessageRow;
 pub use update_codec::{decode_update, encode_update};
 pub use wal::{Replay, SyncPolicy, Wal, WalMetrics};
+
+/// `T` alone on its own 128-byte line pair (adjacent-line prefetch pulls
+/// lines in 128-byte pairs), so writers of neighbouring words never
+/// invalidate each other's copy.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}

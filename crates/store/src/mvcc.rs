@@ -34,6 +34,7 @@
 //! [`PUBLICATION_RING`] timestamps ahead of the watermark parks on a
 //! condvar until the slot it needs has been absorbed.
 
+use crate::Padded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -69,11 +70,13 @@ pub struct Publication {
 #[derive(Debug)]
 pub struct CommitClock {
     /// The visibility watermark: every timestamp `≤ latest` is published,
-    /// so readers snapshotting `latest` see only whole transactions.
-    latest: AtomicU64,
+    /// so readers snapshotting `latest` see only whole transactions. On
+    /// its own line: every reader loads it, and `reserve`'s RMW on `next`
+    /// must not invalidate it.
+    latest: Padded<AtomicU64>,
     /// Next timestamp to hand out (≥ latest + 1; they differ while write
     /// transactions are in flight).
-    next: AtomicU64,
+    next: Padded<AtomicU64>,
     /// Publication ring: slot `ts & (PUBLICATION_RING - 1)` holds `ts`
     /// once that timestamp's rows are all in place. Storing the full
     /// timestamp (not a flag) makes stale occupants harmless: the
@@ -93,8 +96,8 @@ pub struct CommitClock {
 impl Default for CommitClock {
     fn default() -> Self {
         CommitClock {
-            latest: AtomicU64::new(BULK_TS),
-            next: AtomicU64::new(BULK_TS + 1),
+            latest: Padded(AtomicU64::new(BULK_TS)),
+            next: Padded(AtomicU64::new(BULK_TS + 1)),
             ring: (0..PUBLICATION_RING).map(|_| AtomicU64::new(BULK_TS)).collect(),
             waiters: AtomicU64::new(0),
             park: Mutex::new(()),

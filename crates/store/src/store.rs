@@ -30,6 +30,7 @@ use crate::mvcc::CommitClock;
 use crate::read::PinnedSnapshot;
 use crate::tables::Tables;
 use crate::wal::{SyncPolicy, Wal};
+use crate::Padded;
 use parking_lot::{Mutex, MutexGuard};
 use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
@@ -40,8 +41,8 @@ use std::path::Path;
 // Write-lock striping width (`STRIPES`, declared next to the per-stripe
 // telemetry in `counters.rs` so the lock map and the heatmap can't drift).
 // Power of two so the stripe map is a mask; 64 stripes keep the collision
-// probability of two random ids ~1.6% while the whole lock array stays one
-// cache page.
+// probability of two random ids ~1.6%, and at one 128-byte line pair per
+// lock the whole array is 8 KiB.
 
 /// Trace-span names for the write-pipeline stages and the read pin
 /// ([`trace::record_stage`] attaches these as children of whatever span the
@@ -114,8 +115,9 @@ pub struct RecoveryReport {
 pub struct Store {
     tables: Tables,
     /// Striped writer locks; an update locks only the stripes covering the
-    /// ids it writes, in ascending order (deadlock-free).
-    stripes: [Mutex<()>; STRIPES],
+    /// ids it writes, in ascending order (deadlock-free). Each on its own
+    /// line, so writers on different stripes never share one.
+    stripes: [Padded<Mutex<()>>; STRIPES],
     clock: CommitClock,
     wal: Option<Wal>,
     counters: StoreCounters,
@@ -132,7 +134,7 @@ impl Store {
     pub fn new() -> Store {
         Store {
             tables: Tables::new(),
-            stripes: std::array::from_fn(|_| Mutex::new(())),
+            stripes: std::array::from_fn(|_| Padded(Mutex::new(()))),
             clock: CommitClock::new(),
             wal: None,
             counters: StoreCounters::new(),
@@ -278,39 +280,47 @@ impl Store {
     /// a descheduled writer delays only the watermark, never other
     /// committers.
     pub fn apply(&self, op: &UpdateOp) -> SnbResult<()> {
-        // Stage boundaries double as histogram samples and (when a trace
-        // is live) causal child spans of the caller's op span. The seven
-        // stages tile the committed path end-to-end. Failed validations
-        // record their stripe wait plus a `validate_failed` sample (kept
-        // out of the committed-path tiling), so contention burned before a
-        // conflict still shows up in the attribution exactly when
-        // conflicts spike.
+        // Stage boundaries double as histogram samples in this thread's
+        // writer shard and (when a trace is live) causal child spans of
+        // the caller's op span. The seven stages tile the committed path
+        // end-to-end, but the clock is read only where a stage does work:
+        // five times in memory (entry, after validate, after reserve,
+        // after insert, after publish), seven behind a WAL (plus after the
+        // append and after the durable wait). `stripe_wait` is the time
+        // blocked on contended stripes, measured where `lock_stripes`
+        // blocks; a stage with nothing to do records 0, so every stage
+        // samples every commit. Failed validations record their stripe
+        // wait plus a `validate_failed` sample (kept out of the
+        // committed-path tiling), so contention burned before a conflict
+        // still shows up in the attribution exactly when conflicts spike.
         let t0 = trace::now_nanos();
-        let guards = self.lock_stripes(op);
+        let (guards, blocked) = self.lock_stripes(op);
+        let validated = self.tables.validate(op);
         let t1 = trace::now_nanos();
-        if let Err(e) = self.tables.validate(op) {
-            let t_failed = trace::now_nanos();
+        let locked = t0 + blocked;
+        if let Err(e) = validated {
             self.counters.conflicts.inc();
-            let st = &self.counters.stages;
-            st.stripe_wait.record(t1 - t0);
-            st.validate_failed.record(t_failed - t1);
+            self.counters.with_writer(|w| {
+                w.stages.stripe_wait.record_single_writer(blocked);
+                w.stages.validate_failed.record_single_writer(t1 - locked);
+            });
             if trace::tracing_possible() {
-                trace::record_stage(&SPAN_STRIPE_WAIT, t0 / 1_000, t1 / 1_000);
-                trace::record_stage(&SPAN_VALIDATE_FAILED, t1 / 1_000, t_failed / 1_000);
+                trace::record_stage(&SPAN_STRIPE_WAIT, t0 / 1_000, locked / 1_000);
+                trace::record_stage(&SPAN_VALIDATE_FAILED, locked / 1_000, t1 / 1_000);
             }
             return Err(e);
         }
-        let t2 = trace::now_nanos();
-        let mut logged = None;
-        if let Some(wal) = &self.wal {
-            let appended = wal.append(op)?;
-            self.counters.wal_appends.inc();
-            self.counters.wal_bytes.add(appended.bytes);
-            logged = Some((wal, appended.seq));
-        }
-        let t3 = trace::now_nanos();
+        let (logged, t2) = match &self.wal {
+            Some(wal) => {
+                let appended = wal.append(op)?;
+                self.counters.wal_appends.inc();
+                self.counters.wal_bytes.add(appended.bytes);
+                (Some((wal, appended.seq)), trace::now_nanos())
+            }
+            None => (None, t1),
+        };
         let ts = self.clock.reserve();
-        let t4 = trace::now_nanos();
+        let t3 = trace::now_nanos();
         match op {
             UpdateOp::AddPerson(p) => self.tables.insert_person(p.clone(), ts),
             UpdateOp::AddPostLike(l) | UpdateOp::AddCommentLike(l) => {
@@ -322,47 +332,59 @@ impl Store {
             UpdateOp::AddComment(c) => self.tables.insert_comment(c, ts),
             UpdateOp::AddFriendship(k) => self.tables.insert_knows(k, ts),
         }
-        let t5 = trace::now_nanos();
+        let t4 = trace::now_nanos();
         let publication = self.clock.publish(ts);
-        let t6 = trace::now_nanos();
-        self.counters.commits.inc();
         drop(guards);
         self.counters.publish_parks.add(publication.parked);
-        self.counters.watermark_lag.record(publication.lag);
-        let st = &self.counters.stages;
-        st.stripe_wait.record(t1 - t0);
-        st.validate.record(t2 - t1);
-        st.wal_append.record(t3 - t2);
-        st.reserve.record(t4 - t3);
-        st.apply.record(t5 - t4);
-        st.publish_wait.record(t6 - t5);
+        // Record before the next clock read, so the bookkeeping falls in
+        // `publish_wait` (in memory) or `durable_wait` (behind a WAL)
+        // instead of outside the tiling; only the last one or two samples
+        // land after it.
+        let (t5, t6) = self.counters.with_writer(|w| {
+            let st = &w.stages;
+            st.stripe_wait.record_single_writer(blocked);
+            st.validate.record_single_writer(t1 - locked);
+            st.wal_append.record_single_writer(t2 - t1);
+            st.reserve.record_single_writer(t3 - t2);
+            st.apply.record_single_writer(t4 - t3);
+            w.watermark_lag.record_single_writer(publication.lag);
+            let t5 = trace::now_nanos();
+            st.publish_wait.record_single_writer(t5 - t4);
+            // The durable horizon is cumulative, and a no-sync WAL returns
+            // at once; either way the commit's `durable_wait` stage closes
+            // here.
+            let t6 = match logged {
+                Some((wal, seq)) => {
+                    wal.wait_durable(seq)?;
+                    trace::now_nanos()
+                }
+                None => t5,
+            };
+            st.durable_wait.record_single_writer(t6 - t5);
+            SnbResult::Ok((t5, t6))
+        })?;
         if trace::tracing_possible() {
-            trace::record_stage(&SPAN_STRIPE_WAIT, t0 / 1_000, t1 / 1_000);
-            trace::record_stage(&SPAN_VALIDATE, t1 / 1_000, t2 / 1_000);
-            trace::record_stage(&SPAN_WAL_APPEND, t2 / 1_000, t3 / 1_000);
-            trace::record_stage(&SPAN_RESERVE, t3 / 1_000, t4 / 1_000);
-            trace::record_stage(&SPAN_APPLY, t4 / 1_000, t5 / 1_000);
-            trace::record_stage(&SPAN_PUBLISH_WAIT, t5 / 1_000, t6 / 1_000);
+            trace::record_stage(&SPAN_STRIPE_WAIT, t0 / 1_000, locked / 1_000);
+            trace::record_stage(&SPAN_VALIDATE, locked / 1_000, t1 / 1_000);
+            trace::record_stage(&SPAN_WAL_APPEND, t1 / 1_000, t2 / 1_000);
+            trace::record_stage(&SPAN_RESERVE, t2 / 1_000, t3 / 1_000);
+            trace::record_stage(&SPAN_APPLY, t3 / 1_000, t4 / 1_000);
+            trace::record_stage(&SPAN_PUBLISH_WAIT, t4 / 1_000, t5 / 1_000);
+            trace::record_stage(&SPAN_DURABLE_WAIT, t5 / 1_000, t6 / 1_000);
         }
-        // The durable horizon is cumulative, and a no-sync WAL returns at
-        // once; either way the commit's `durable_wait` stage closes here.
-        if let Some((wal, seq)) = logged {
-            wal.wait_durable(seq)?;
-        }
-        let t7 = trace::now_nanos();
-        st.durable_wait.record(t7 - t6);
-        trace::record_stage(&SPAN_DURABLE_WAIT, t6 / 1_000, t7 / 1_000);
         Ok(())
     }
 
-    /// Lock the stripes `op` writes to, ascending. A contended stripe is
-    /// counted in `store.write.shard_conflicts` before blocking, and the
-    /// time spent blocked lands in that stripe's acquire-wait histogram —
-    /// the per-stripe heatmap that separates "one hot stripe" from
-    /// "uniform collision pressure".
-    fn lock_stripes(&self, op: &UpdateOp) -> Vec<MutexGuard<'_, ()>> {
+    /// Lock the stripes `op` writes to, ascending, and return the guards
+    /// with the nanoseconds spent blocked. Only a contended stripe reads
+    /// the clock: it is counted in `store.write.shard_conflicts` before
+    /// blocking, and the time spent blocked lands in that stripe's
+    /// acquire-wait histogram — the per-stripe heatmap that separates "one
+    /// hot stripe" from "uniform collision pressure".
+    fn lock_stripes(&self, op: &UpdateOp) -> (Vec<MutexGuard<'_, ()>>, u64) {
         let mut set = stripe_set(op);
         let mut guards = Vec::with_capacity(set.count_ones() as usize);
+        let mut blocked = 0;
         while set != 0 {
             let i = set.trailing_zeros() as usize;
             set &= set - 1;
@@ -370,14 +392,16 @@ impl Store {
                 Some(g) => guards.push(g),
                 None => {
                     self.counters.write_shard_conflicts.inc();
-                    let blocked = trace::now_nanos();
+                    let since = trace::now_nanos();
                     let g = self.stripes[i].lock();
-                    self.counters.stripes.note_conflict(i, trace::now_nanos() - blocked);
+                    let waited = trace::now_nanos() - since;
+                    self.counters.stripes.note_conflict(i, waited);
+                    blocked += waited;
                     guards.push(g);
                 }
             }
         }
-        guards
+        (guards, blocked)
     }
 
     /// Whether [`Store::apply`] may block before it returns: behind a WAL
@@ -470,7 +494,7 @@ mod tests {
         s.apply(&UpdateOp::AddPerson(person(1, 20))).unwrap();
         // Conflict: duplicate person.
         let _ = s.apply(&UpdateOp::AddPerson(person(0, 10)));
-        assert_eq!(s.counters().commits.get(), 2);
+        assert_eq!(s.counters().commits(), 2);
         assert_eq!(s.counters().conflicts.get(), 1);
 
         let early = s.pinned();
@@ -548,7 +572,8 @@ mod tests {
         let s = Store::new();
         assert!(!s.commits_block());
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
-        assert_eq!(s.counters().stages.durable_wait.count(), 1, "the stage samples every commit");
+        let [.., (_, durable)] = s.counters().stage_snapshots();
+        assert_eq!(durable.count, 1, "the stage samples every commit");
 
         for (policy, blocks) in [(SyncPolicy::Never, false), (SyncPolicy::Group, true)] {
             let path = std::env::temp_dir()
@@ -657,7 +682,7 @@ mod tests {
             ops.push(UpdateOp::AddPerson(person(i, i as i64)));
             ops.push(UpdateOp::AddPost(post(i, i, 0, i as i64 + 1)));
         }
-        let stage_sum = || s.counters().stages.named().iter().map(|(_, h)| h.sum()).sum::<u64>();
+        let stage_sum = || s.counters().stage_snapshots().iter().map(|(_, h)| h.sum).sum::<u64>();
         let warmup = stage_sum();
         let t0 = std::time::Instant::now();
         for op in &ops {
@@ -671,8 +696,8 @@ mod tests {
             "stage sums ({stage_sum}ns) must reconcile with measured apply wall time \
              ({wall_nanos:.0}ns); ratio {ratio:.3}"
         );
-        for (name, h) in s.counters().stages.named() {
-            assert_eq!(h.count(), s.counters().commits.get(), "{name} must sample every commit");
+        for (name, h) in s.counters().stage_snapshots() {
+            assert_eq!(h.count, s.counters().commits(), "{name} must sample every commit");
         }
     }
 

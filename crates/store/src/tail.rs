@@ -107,9 +107,14 @@ impl<T, const B: u32, const N: usize> SegVec<T, B, N> {
 
     /// Raise the published bound to at least `n` (slots below it read as
     /// absent until installed, exactly like the old `ensure`d `None`s).
+    /// Most calls find the bound already there (every push to an existing
+    /// list bumps), so they load and leave the line shared; only a raise
+    /// pays the RMW.
     #[inline]
     pub(crate) fn bump(&self, n: usize) {
-        self.high.fetch_max(n, Ordering::AcqRel);
+        if self.high.load(Ordering::Acquire) < n {
+            self.high.fetch_max(n, Ordering::AcqRel);
+        }
     }
 
     /// Published bound of the id space (the `*_slots()` scan limit).

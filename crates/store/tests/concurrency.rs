@@ -200,7 +200,7 @@ mod striped {
             }
         });
         let total: usize = streams.iter().map(Vec::len).sum();
-        assert_eq!(concurrent.counters().commits.get() as usize, total);
+        assert_eq!(concurrent.counters().commits() as usize, total);
         assert_eq!(concurrent.counters().conflicts.get(), 0);
         // `store.write.shard_conflicts` is timing-dependent (usually zero
         // on a single hardware thread): read, don't assert.
@@ -224,6 +224,74 @@ mod striped {
                 "friends of {p}"
             );
             assert_eq!(format!("{:?}", a.person_ref(p)), format!("{:?}", b.person_ref(p)));
+        }
+    }
+
+    /// Writer `w`'s stream over ids of its own: persons `w·1000 + i`, each
+    /// befriending the one before it.
+    fn disjoint_stream(w: u64) -> Vec<UpdateOp> {
+        let base = w * 1_000;
+        let mut ops = Vec::new();
+        for i in 0..64u64 {
+            ops.push(UpdateOp::AddPerson(person(base + i, i as i64)));
+            if i > 0 {
+                ops.push(UpdateOp::AddFriendship(Knows {
+                    a: PersonId(base + i - 1),
+                    b: PersonId(base + i),
+                    creation_date: SimTime(100 + i as i64),
+                }));
+            }
+        }
+        ops
+    }
+
+    /// Each writer thread records its commits into its own shard, and
+    /// readers merge the shards: four threads committing disjoint streams
+    /// into one store give every committed-path stage, the watermark lag
+    /// and `store.txn.commits` exactly one sample per commit. A thread
+    /// that alternates between two stores keeps one shard in each.
+    #[test]
+    fn writer_shards_merge_to_exact_counts() {
+        const W: u64 = 4;
+        let streams: Vec<Vec<UpdateOp>> = (0..W).map(disjoint_stream).collect();
+        let store = Store::new();
+        let start = Barrier::new(W as usize);
+        std::thread::scope(|scope| {
+            for ops in &streams {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for op in ops {
+                        store.apply(op).unwrap();
+                    }
+                });
+            }
+        });
+        let total = streams.iter().map(Vec::len).sum::<usize>() as u64;
+        let c = store.counters();
+        assert_eq!(c.writer_shards(), W as usize, "one shard per writer thread");
+        assert_eq!(c.commits(), total);
+        for (name, h) in c.stage_snapshots() {
+            assert_eq!(h.count, total, "{name} must count every commit once");
+        }
+        let hists = c.histogram_snapshots();
+        let lag = &hists.iter().find(|(n, _)| n == "store.write.watermark_lag").unwrap().1;
+        assert_eq!(lag.count, total);
+        let snapshot = c.snapshot();
+        assert!(snapshot.contains(&("store.txn.commits", total)), "{snapshot:?}");
+
+        let (a, b) = (Store::new(), Store::new());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..16u64 {
+                    a.apply(&UpdateOp::AddPerson(person(i, i as i64))).unwrap();
+                    b.apply(&UpdateOp::AddPerson(person(i, i as i64))).unwrap();
+                }
+            });
+        });
+        for s in [&a, &b] {
+            assert_eq!(s.counters().writer_shards(), 1, "alternating must not grow the registry");
+            assert_eq!(s.counters().commits(), 16);
         }
     }
 
@@ -266,7 +334,7 @@ mod striped {
                 std::thread::yield_now();
             }
         });
-        assert_eq!(store.counters().commits.get(), 256);
+        assert_eq!(store.counters().commits(), 256);
         assert!(store.counters().snapshots.get() > 0);
     }
 }
@@ -416,7 +484,7 @@ mod watermark {
                     std::thread::yield_now();
                 }
             });
-            prop_assert_eq!(store.counters().commits.get(), total);
+            prop_assert_eq!(store.counters().commits(), total);
 
             let serial = Store::new();
             for w in 0..writers as u64 {

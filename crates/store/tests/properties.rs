@@ -715,8 +715,8 @@ proptest! {
         }
 
         prop_assert_eq!(
-            concurrent.counters().commits.get(),
-            serial.counters().commits.get()
+            concurrent.counters().commits(),
+            serial.counters().commits()
         );
         let a = concurrent.pinned();
         let b = serial.pinned();
