@@ -16,6 +16,7 @@ pub mod metrics;
 pub mod mix;
 pub mod report;
 pub mod scheduler;
+mod wake;
 
 pub use connector::{Connector, OpKind, Operation, SleepConnector, StoreConnector};
 pub use metrics::{percentile_sorted, KindRecorder, KindStats, Metrics};

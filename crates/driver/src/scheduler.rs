@@ -16,10 +16,9 @@
 //! operations started on time.
 
 use crate::connector::{Connector, Operation};
-use crate::dependency::Gds;
+use crate::dependency::{Gds, Lds};
 use crate::metrics::Metrics;
 use crate::mix::WorkItem;
-use parking_lot::Mutex;
 use snb_core::rng::{Rng, Stream};
 use snb_core::time::SimTime;
 use snb_core::{SnbError, SnbResult};
@@ -67,7 +66,7 @@ impl Default for DriverConfig {
 }
 
 /// Scheduler-side runtime accounting for one partition thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionStats {
     /// Partition index.
     pub partition: usize,
@@ -80,7 +79,8 @@ pub struct PartitionStats {
     /// Condvar parks inside GCT waits: long waits escalate from a brief
     /// spin/yield to parking on the GDS wake signal, so a blocked partition
     /// does not burn a core while its dependency is paced far in the
-    /// future.
+    /// future. A wait whose dependency is met under the signal lock does not
+    /// park and does not count.
     pub gct_parks: u64,
     /// The largest lateness of a scheduled operation against its due
     /// time, in microseconds — the number the on-time rule compares with
@@ -118,7 +118,7 @@ pub struct RunReport {
     /// started within [`LATE_AFTER`] of their due time. `None` in
     /// throughput mode, where nothing is scheduled.
     pub on_time: Option<bool>,
-    /// Per-partition scheduler accounting, sorted by partition index.
+    /// Per-partition scheduler accounting, in partition order.
     pub partitions: Vec<PartitionStats>,
     /// Connector-side runtime counters (e.g. the store's MVCC/WAL
     /// counters), captured when the run finished.
@@ -158,60 +158,41 @@ pub fn run(
     let gds = Gds::new(partitions);
     let metrics = Metrics::new();
     let abort = AtomicBool::new(false);
-    let first_error: Mutex<Option<SnbError>> = Mutex::new(None);
-    let partition_stats: Mutex<Vec<PartitionStats>> = Mutex::new(Vec::new());
     let start = Instant::now();
 
-    std::thread::scope(|scope| {
-        for (pi, queue) in queues.into_iter().enumerate() {
-            let gds = &gds;
-            let metrics = &metrics;
-            let abort = &abort;
-            let first_error = &first_error;
-            let partition_stats = &partition_stats;
-            let config = config.clone();
-            scope.spawn(move || {
+    let outcomes: Vec<(PartitionStats, SnbResult<()>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = queues
+            .into_iter()
+            .enumerate()
+            .map(|(pi, queue)| {
                 let worker = Worker {
-                    lds: gds.stream(pi).clone(),
-                    gds,
+                    lds: gds.stream(pi),
+                    gds: &gds,
                     connector,
-                    config: &config,
+                    config,
                     sim_start,
                     start,
-                    abort,
-                    metrics,
-                    stats: PartitionStats {
-                        partition: pi,
-                        ops: 0,
-                        gct_waits: 0,
-                        gct_wait_micros: 0,
-                        gct_parks: 0,
-                        max_lateness_micros: 0,
-                        late_ops: 0,
-                    },
+                    abort: &abort,
+                    metrics: &metrics,
+                    stats: PartitionStats { partition: pi, ..PartitionStats::default() },
                     walk_counter: (pi as u64) << 40,
                 };
-                if let Err(e) = worker.run(queue, partition_stats) {
-                    abort.store(true, Ordering::Release);
-                    first_error.lock().get_or_insert(e);
-                    // Waiters park on the GCT signal; wake ALL of them
-                    // (bypassing the wake-batch cap) so every partition
-                    // observes the abort flag instead of sleeping out its
-                    // timeout.
-                    gds.signal().notify_all();
-                }
-            });
-        }
+                scope.spawn(move || worker.run(queue))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
 
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
+    let partitions = outcomes
+        .into_iter()
+        .map(|(stats, outcome)| outcome.map(|()| stats))
+        .collect::<SnbResult<Vec<_>>>()?;
     let wall = start.elapsed();
     let total_ops = metrics.total_ops();
     let sim_span_millis = sim_end.since(sim_start);
-    let mut partitions = partition_stats.into_inner();
-    partitions.sort_by_key(|s| s.partition);
     let late: u64 = partitions.iter().map(|p| p.late_ops).sum();
     let on_time = config
         .acceleration
@@ -261,7 +242,7 @@ fn partition_items(items: &[WorkItem], partitions: usize) -> Vec<Vec<&WorkItem>>
 }
 
 struct Worker<'a> {
-    lds: std::sync::Arc<crate::dependency::Lds>,
+    lds: &'a Lds,
     gds: &'a Gds,
     connector: &'a dyn Connector,
     config: &'a DriverConfig,
@@ -274,21 +255,19 @@ struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    fn run(mut self, queue: Vec<&WorkItem>, out: &Mutex<Vec<PartitionStats>>) -> SnbResult<()> {
+    /// Run the queue, then finish the stream whatever the outcome, so no
+    /// other partition waits on an operation that will never complete.
+    fn run(mut self, queue: Vec<&WorkItem>) -> (PartitionStats, SnbResult<()>) {
         let result = self.run_queue(&queue);
-        // A failed or aborted partition may hold initiated-but-incomplete
-        // operations; abandon() drops them so no other partition deadlocks
-        // on a dependency that will never complete. The clean path keeps
-        // finish()'s stricter everything-completed invariant.
-        if result.is_ok() && !self.abort.load(Ordering::Acquire) {
-            self.lds.finish();
-        } else {
-            self.lds.abandon();
+        self.lds.finish();
+        if result.is_err() {
+            self.abort.store(true, Ordering::Release);
+            // Waiters park on the GCT signal; wake ALL of them (bypassing
+            // the wake-batch cap) so every partition observes the abort flag
+            // instead of sleeping out its timeout.
+            self.gds.signal().notify_all();
         }
-        // Publish scheduler accounting regardless of outcome (latencies are
-        // recorded directly into the shared per-kind recorders).
-        out.lock().push(self.stats);
-        result
+        (self.stats, result)
     }
 
     /// Fig. 8's dependent-execution loop: one GCT synchronization per
@@ -344,13 +323,13 @@ impl Worker<'_> {
                 // Long wait (a paced dependency can be far in the future):
                 // park on the GDS wake signal instead of burning a core,
                 // which would starve co-scheduled partitions on small
-                // machines. Woken by any stream's completion/finish and on
+                // machines. Woken by any stream's initiate/finish and on
                 // abort; the cap bounds the cost of a lost wakeup.
-                self.stats.gct_parks += 1;
-                self.gds.signal().wait_until(
+                let parked = self.gds.signal().wait_until(
                     || self.gds.gct() >= dep || self.abort.load(Ordering::Acquire),
                     Duration::from_millis(1),
                 );
+                self.stats.gct_parks += u64::from(parked);
             }
         }
         self.stats.gct_waits += 1;

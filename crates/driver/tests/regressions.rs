@@ -58,6 +58,49 @@ fn failed_accelerated_run_terminates_promptly() {
     assert!(wall < Duration::from_secs(5), "abort must interrupt pacing, took {wall:?}");
 }
 
+/// A connector that fails the operation of person 1 after `delay` (so the
+/// other partitions are most likely already in their dependency waits; the
+/// run must end either way) and runs every other operation.
+struct FailsPersonOne {
+    delay: Duration,
+}
+
+impl Connector for FailsPersonOne {
+    fn execute(&self, op: &Operation) -> SnbResult<OpOutcome> {
+        match op {
+            Operation::Short(ShortQuery::S1(PersonId(1))) => {
+                std::thread::sleep(self.delay);
+                Err(SnbError::Constraint("injected failure".into()))
+            }
+            _ => Ok(OpOutcome::default()),
+        }
+    }
+}
+
+/// In throughput mode, a partition that fails executing the operation due
+/// at 100 must release a partition blocked on `dep = 100`: finishing its
+/// stream drops the operation that will never complete, and the abort wakes
+/// every waiter. `run` returns the failure instead of waiting forever.
+#[test]
+fn failure_releases_a_partition_waiting_on_its_dependency() {
+    let items = vec![short_item(100, 0, 1), short_item(200, 100, 2)];
+    let config = DriverConfig { partitions: 2, ..DriverConfig::default() };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let t0 = Instant::now();
+    let runner = std::thread::spawn(move || {
+        let conn = FailsPersonOne { delay: Duration::from_millis(100) };
+        let _ = tx.send(run(&items, &conn, &config).map(|_| ()));
+    });
+    // A hung run fails here instead of hanging the test binary.
+    let result = rx.recv_timeout(Duration::from_secs(10)).expect("run must not hang");
+    runner.join().expect("the run thread returns after sending");
+    assert!(
+        matches!(&result, Err(SnbError::Constraint(m)) if m == "injected failure"),
+        "{result:?}"
+    );
+    assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+}
+
 /// Fix 2 (pacing half): an unsorted workload whose *first* item carries the
 /// maximum due time must still be paced over the full simulated span. The
 /// pre-fix scheduler took `sim_start` from the first item, making every
