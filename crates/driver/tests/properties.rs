@@ -155,4 +155,30 @@ proptest! {
             prop_assert_eq!(gds.gct(), SimTime(global_max.unwrap_or(0)));
         }
     }
+
+    /// One stream on its own: `T_LI` and `T_LC` never move back over its
+    /// whole life, and once it finishes `T_LC` is the last due time it
+    /// completed, with an operation dropped in flight not counted.
+    #[test]
+    fn tli_tlc_are_monotone((dues, stop) in stream_strategy()) {
+        let gds = Gds::new(1);
+        let lds = gds.stream(0);
+        let mut last = (lds.tli(), lds.tlc());
+        let mut completed = 0i64;
+        for step in script(&dues, stop) {
+            match step {
+                Step::Initiate(t) => lds.initiate(SimTime(t)),
+                Step::Complete(t) => {
+                    lds.complete(SimTime(t));
+                    completed = t;
+                }
+                Step::Finish => lds.finish(),
+            }
+            prop_assert!(lds.tli() >= last.0, "T_LI fell after {:?}", step);
+            prop_assert!(lds.tlc() >= last.1, "T_LC fell after {:?}", step);
+            last = (lds.tli(), lds.tlc());
+        }
+        prop_assert_eq!(lds.tli(), STREAM_END);
+        prop_assert_eq!(lds.tlc(), SimTime(completed));
+    }
 }
