@@ -254,19 +254,39 @@ struct Worker<'a> {
     walk_counter: u64,
 }
 
-impl Worker<'_> {
-    /// Run the queue, then finish the stream whatever the outcome, so no
-    /// other partition waits on an operation that will never complete.
-    fn run(mut self, queue: Vec<&WorkItem>) -> (PartitionStats, SnbResult<()>) {
-        let result = self.run_queue(&queue);
+/// Finishes a partition's stream however its worker leaves — returning,
+/// or unwinding out of a panicking connector — so no other partition waits
+/// on an operation that will never complete. After an error or during a
+/// panic it also aborts the run.
+struct StreamExit<'a> {
+    lds: &'a Lds,
+    gds: &'a Gds,
+    abort: &'a AtomicBool,
+    failed: bool,
+}
+
+impl Drop for StreamExit<'_> {
+    fn drop(&mut self) {
         self.lds.finish();
-        if result.is_err() {
+        if self.failed || std::thread::panicking() {
             self.abort.store(true, Ordering::Release);
             // Waiters park on the GCT signal; wake ALL of them (bypassing
             // the wake-batch cap) so every partition observes the abort flag
             // instead of sleeping out its timeout.
             self.gds.signal().notify_all();
         }
+    }
+}
+
+impl Worker<'_> {
+    /// Run the queue; the stream is finished on every way out (see
+    /// [`StreamExit`]).
+    fn run(mut self, queue: Vec<&WorkItem>) -> (PartitionStats, SnbResult<()>) {
+        let mut exit =
+            StreamExit { lds: self.lds, gds: self.gds, abort: self.abort, failed: false };
+        let result = self.run_queue(&queue);
+        exit.failed = result.is_err();
+        drop(exit);
         (self.stats, result)
     }
 

@@ -20,6 +20,7 @@ use snb_driver::mix::WorkItem;
 use snb_driver::scheduler::{run, DriverConfig};
 use snb_driver::Operation;
 use snb_queries::params::ShortQuery;
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
 /// A connector that fails every operation immediately.
@@ -60,9 +61,11 @@ fn failed_accelerated_run_terminates_promptly() {
 
 /// A connector that fails the operation of person 1 after `delay` (so the
 /// other partitions are most likely already in their dependency waits; the
-/// run must end either way) and runs every other operation.
+/// run must end either way) — by returning an error, or with `panics` by
+/// panicking — and runs every other operation.
 struct FailsPersonOne {
     delay: Duration,
+    panics: bool,
 }
 
 impl Connector for FailsPersonOne {
@@ -70,6 +73,7 @@ impl Connector for FailsPersonOne {
         match op {
             Operation::Short(ShortQuery::S1(PersonId(1))) => {
                 std::thread::sleep(self.delay);
+                assert!(!self.panics, "injected panic");
                 Err(SnbError::Constraint("injected failure".into()))
             }
             _ => Ok(OpOutcome::default()),
@@ -80,25 +84,36 @@ impl Connector for FailsPersonOne {
 /// In throughput mode, a partition that fails executing the operation due
 /// at 100 must release a partition blocked on `dep = 100`: finishing its
 /// stream drops the operation that will never complete, and the abort wakes
-/// every waiter. `run` returns the failure instead of waiting forever.
+/// every waiter. `run` returns the failure instead of waiting forever — or,
+/// when the connector panics, unwinds with the panic.
 #[test]
 fn failure_releases_a_partition_waiting_on_its_dependency() {
-    let items = vec![short_item(100, 0, 1), short_item(200, 100, 2)];
-    let config = DriverConfig { partitions: 2, ..DriverConfig::default() };
-    let (tx, rx) = std::sync::mpsc::channel();
-    let t0 = Instant::now();
-    let runner = std::thread::spawn(move || {
-        let conn = FailsPersonOne { delay: Duration::from_millis(100) };
-        let _ = tx.send(run(&items, &conn, &config).map(|_| ()));
-    });
-    // A hung run fails here instead of hanging the test binary.
-    let result = rx.recv_timeout(Duration::from_secs(10)).expect("run must not hang");
-    runner.join().expect("the run thread returns after sending");
-    assert!(
-        matches!(&result, Err(SnbError::Constraint(m)) if m == "injected failure"),
-        "{result:?}"
-    );
-    assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+    for panics in [false, true] {
+        let items = vec![short_item(100, 0, 1), short_item(200, 100, 2)];
+        let config = DriverConfig { partitions: 2, ..DriverConfig::default() };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t0 = Instant::now();
+        let runner = std::thread::spawn(move || {
+            let conn = FailsPersonOne { delay: Duration::from_millis(100), panics };
+            let _ = tx.send(run(&items, &conn, &config).map(|_| ()));
+        });
+        // A hung run fails here instead of hanging the test binary.
+        let result = rx.recv_timeout(Duration::from_secs(10));
+        if panics {
+            // The unwind drops the sender unsent and reaches the join.
+            let unwound = matches!(result, Err(RecvTimeoutError::Disconnected));
+            assert!(unwound, "run must unwind, not hang: {result:?}");
+            assert!(runner.join().is_err(), "the connector's panic reaches the caller");
+        } else {
+            let result = result.expect("run must not hang");
+            runner.join().expect("the run thread returns after sending");
+            assert!(
+                matches!(&result, Err(SnbError::Constraint(m)) if m == "injected failure"),
+                "{result:?}"
+            );
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+    }
 }
 
 /// Fix 2 (pacing half): an unsorted workload whose *first* item carries the

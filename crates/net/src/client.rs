@@ -2,17 +2,16 @@
 //!
 //! `RemoteConnector` implements [`Connector`] over TCP with a connection
 //! pool sized by demand: each concurrent `execute` checks a connection
-//! out, so a driver with P partitions settles on at most P connections. It
-//! speaks protocol v3 (every request carries a correlation id, verified on
-//! the response) but keeps one request outstanding per checked-out
-//! connection — the driver's dependency-execution loop is synchronous per
-//! partition. Connect failures are retried with bounded exponential
-//! backoff; a request that has been *sent* is NEVER retried — updates are
-//! not idempotent, and a timed-out update may well have executed. The
-//! error surfaces to the driver, which aborts the run (the benchmark's
-//! required behavior on SUT failure).
+//! out, so a driver with P partitions settles on at most P connections.
+//! Each checked-out connection carries one request and then waits for its
+//! response, as the driver's dependency-execution loop does per partition
+//! and as the server requires. Connect failures are retried with bounded
+//! exponential backoff; a request that has been *sent* is NEVER retried —
+//! updates are not idempotent, and a timed-out update may well have
+//! executed. The error surfaces to the driver, which aborts the run (the
+//! benchmark's required behavior on SUT failure).
 
-use crate::codec::{self, Request, Response, NET_MAGIC_V3};
+use crate::codec::{self, Request, Response, NET_MAGIC};
 use crate::metrics::NetMetrics;
 use snb_core::{MessageId, SimTime, SnbError, SnbResult};
 use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome};
@@ -20,7 +19,7 @@ use snb_obs::trace::{self, NameId, SpanData, SpanGuard};
 use snb_obs::HistogramSnapshot;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -29,31 +28,15 @@ use std::time::{Duration, Instant};
 /// through `get_mut()`, one `write_all` per frame.
 pub(crate) type Stream = BufReader<TcpStream>;
 
-/// Client-side timeouts and retry policy.
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Per-address TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Read/write timeout for one request round trip.
-    pub request_timeout: Duration,
-    /// Additional dial attempts after a failed connect (0 = fail fast).
-    pub connect_retries: u32,
-    /// Base sleep before the first retry; the ceiling doubles per
-    /// subsequent retry and each actual sleep is jittered (see
-    /// [`backoff_schedule`]).
-    pub retry_backoff: Duration,
-}
-
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig {
-            connect_timeout: Duration::from_secs(2),
-            request_timeout: Duration::from_secs(10),
-            connect_retries: 3,
-            retry_backoff: Duration::from_millis(50),
-        }
-    }
-}
+/// Per-address TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Dial attempts after a failed connect.
+const CONNECT_RETRIES: u32 = 3;
+/// Base sleep before the first dial retry (see [`backoff_schedule`]).
+const RETRY_BACKOFF: Duration = Duration::from_millis(50);
+/// Read/write timeout for one request round trip unless the caller sets
+/// one.
+pub(crate) const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What the counters RPC returns: named counter values plus named
 /// histogram snapshots (SUT and `net.server.*` merged).
@@ -62,30 +45,30 @@ pub type RemoteCounters = (Vec<(String, u64)>, Vec<(String, HistogramSnapshot)>)
 /// A pooled TCP client implementing the driver's [`Connector`] trait.
 pub struct RemoteConnector {
     addr: String,
-    config: NetConfig,
+    request_timeout: Duration,
     pool: Mutex<Vec<Stream>>,
     ever_connected: AtomicBool,
-    /// v3 correlation ids, unique across the whole pool so a response
-    /// surfacing on the wrong connection can never be mistaken for ours.
-    next_corr: AtomicU64,
     metrics: NetMetrics,
 }
 
 impl RemoteConnector {
-    /// Connect with default [`NetConfig`]. Dials one connection eagerly so
-    /// an unreachable server fails here, not mid-run.
+    /// Connect with the default 10 s request timeout. Dials one connection
+    /// eagerly so an unreachable server fails here, not mid-run.
     pub fn connect(addr: impl Into<String>) -> SnbResult<RemoteConnector> {
-        RemoteConnector::with_config(addr, NetConfig::default())
+        RemoteConnector::with_request_timeout(addr, REQUEST_TIMEOUT)
     }
 
-    /// Connect with an explicit config (see [`RemoteConnector::connect`]).
-    pub fn with_config(addr: impl Into<String>, config: NetConfig) -> SnbResult<RemoteConnector> {
+    /// Connect with the read/write timeout for one round trip (see
+    /// [`RemoteConnector::connect`]).
+    pub fn with_request_timeout(
+        addr: impl Into<String>,
+        request_timeout: Duration,
+    ) -> SnbResult<RemoteConnector> {
         let client = RemoteConnector {
             addr: addr.into(),
-            config,
+            request_timeout,
             pool: Mutex::new(Vec::new()),
             ever_connected: AtomicBool::new(false),
-            next_corr: AtomicU64::new(1),
             metrics: NetMetrics::new("client"),
         };
         let conn = client.dial()?;
@@ -125,11 +108,9 @@ impl RemoteConnector {
     /// Dial with bounded retry + jittered exponential backoff. Only
     /// *connecting* is retried; requests never are.
     fn dial(&self) -> SnbResult<Stream> {
-        let schedule =
-            backoff_schedule(self.config.retry_backoff, self.config.connect_retries, dial_seed());
-        let mut sleeps = schedule.into_iter();
+        let mut sleeps = backoff_schedule(RETRY_BACKOFF, CONNECT_RETRIES, dial_seed()).into_iter();
         loop {
-            match dial_once(&self.addr, &self.config) {
+            match dial_once(&self.addr, self.request_timeout) {
                 Ok(stream) => {
                     self.metrics.connections.inc();
                     if self.ever_connected.swap(true, Ordering::Relaxed) {
@@ -165,8 +146,8 @@ impl RemoteConnector {
     /// never reached the wire leaves no sample).
     fn request(&self, payload: &[u8]) -> SnbResult<Response> {
         let started = Instant::now();
-        let (stream, corr) = self.start_request(payload)?;
-        let result = self.finish_request(stream, corr);
+        let stream = self.start_request(payload)?;
+        let result = self.finish_request(stream);
         self.metrics.request_micros.record(started.elapsed().as_micros() as u64);
         result
     }
@@ -178,14 +159,13 @@ impl RemoteConnector {
     /// shard before reading from any, overlapping the shards' execution.
     /// On a write error the connection is dropped (poisoned), never
     /// returned to the pool.
-    pub(crate) fn start_request(&self, payload: &[u8]) -> SnbResult<(Stream, u64)> {
+    pub(crate) fn start_request(&self, payload: &[u8]) -> SnbResult<Stream> {
         let mut stream = self.checkout()?;
         self.metrics.requests.inc();
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        match write_request(stream.get_mut(), corr, payload) {
+        match codec::write_frame(stream.get_mut(), payload) {
             Ok(n) => {
                 self.metrics.bytes_out.add(n as u64);
-                Ok((stream, corr))
+                Ok(stream)
             }
             Err(e) => {
                 self.metrics.errors.inc();
@@ -197,14 +177,17 @@ impl RemoteConnector {
 
     /// Second half: read the response for a request started with
     /// [`start_request`](Self::start_request). A healthy exchange returns
-    /// the connection to the pool; any transport error poisons it — the
-    /// request reached the server, so it must not be replayed.
-    pub(crate) fn finish_request(&self, mut stream: Stream, corr: u64) -> SnbResult<Response> {
+    /// the connection to the pool; any transport error, or a reply that
+    /// does not decode, poisons it — the request reached the server, so it
+    /// must not be replayed.
+    pub(crate) fn finish_request(&self, mut stream: Stream) -> SnbResult<Response> {
         let result = (|| -> std::io::Result<Response> {
             let mut frame = Vec::new();
             let n_in = codec::read_frame(&mut stream, &mut frame)?;
             self.metrics.bytes_in.add(n_in as u64);
-            decode_response(&frame, corr)
+            Response::decode(&frame).ok_or_else(|| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response frame")
+            })
         })();
         match result {
             Ok(response) => {
@@ -250,36 +233,34 @@ fn dial_seed() -> u64 {
     }
 }
 
-/// Perform the client half of the v3 handshake on a fresh stream: apply
+/// Perform the client half of the handshake on a fresh stream: apply
 /// timeouts, disable Nagle, send our magic, and require the server to echo
 /// it. The read buffer goes on only after the echo, so it can hold nothing
 /// but response frames.
-fn handshake_v3(mut stream: TcpStream, config: &NetConfig, addr: &str) -> SnbResult<Stream> {
+fn handshake(mut stream: TcpStream, request_timeout: Duration, addr: &str) -> SnbResult<Stream> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.request_timeout))?;
-    stream.set_write_timeout(Some(config.request_timeout))?;
-    stream.write_all(&NET_MAGIC_V3)?;
+    stream.set_read_timeout(Some(request_timeout))?;
+    stream.set_write_timeout(Some(request_timeout))?;
+    stream.write_all(&NET_MAGIC)?;
     let mut echo = [0u8; 8];
     stream.read_exact(&mut echo)?;
-    if echo != NET_MAGIC_V3 {
-        return Err(SnbError::Config(format!(
-            "{addr} is not an snb-net v3 server (bad handshake)"
-        )));
+    if echo != NET_MAGIC {
+        return Err(SnbError::Config(format!("{addr} is not an snb-net server (bad handshake)")));
     }
     Ok(BufReader::new(stream))
 }
 
 /// One dial attempt: resolve `addr`, connect to the first address that
-/// accepts within the connect timeout, and run the v3 handshake on it.
-fn dial_once(addr: &str, config: &NetConfig) -> SnbResult<Stream> {
+/// accepts within the connect timeout, and run the handshake on it.
+fn dial_once(addr: &str, request_timeout: Duration) -> SnbResult<Stream> {
     let addrs: Vec<SocketAddr> = addr
         .to_socket_addrs()
         .map_err(|e| SnbError::Config(format!("cannot resolve {addr}: {e}")))?
         .collect();
     let mut last_err: Option<std::io::Error> = None;
     for sock in addrs {
-        match TcpStream::connect_timeout(&sock, config.connect_timeout) {
-            Ok(stream) => return handshake_v3(stream, config, addr),
+        match TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT) {
+            Ok(stream) => return handshake(stream, request_timeout, addr),
             Err(e) => last_err = Some(e),
         }
     }
@@ -287,28 +268,6 @@ fn dial_once(addr: &str, config: &NetConfig) -> SnbResult<Stream> {
         last_err
             .unwrap_or_else(|| std::io::Error::other(format!("{addr} resolved to no addresses"))),
     ))
-}
-
-/// Frame `payload` under correlation id `corr` and write it with one
-/// `write_all`; returns the bytes put on the wire.
-fn write_request(stream: &mut TcpStream, corr: u64, payload: &[u8]) -> std::io::Result<usize> {
-    codec::write_frame_with(stream, |frame| {
-        codec::put_corr(frame, corr);
-        frame.extend_from_slice(payload);
-    })
-}
-
-/// Decode a response frame, which must echo the correlation id `sent` — a
-/// mismatch means the connection's request/response pairing is broken.
-/// Any error here is a transport error: the caller poisons the connection.
-fn decode_response(frame: &[u8], sent: u64) -> std::io::Result<Response> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let (echoed, body) =
-        codec::take_corr(frame).ok_or_else(|| invalid("response frame too short".into()))?;
-    if echoed != sent {
-        return Err(invalid(format!("correlation mismatch: sent {sent}, got {echoed}")));
-    }
-    Response::decode(body).ok_or_else(|| invalid("malformed response frame".into()))
 }
 
 /// Re-anchor server spans onto the client's clock and file them. The

@@ -1,18 +1,14 @@
 //! Wire encoding: length-prefixed binary frames over a byte stream.
 //!
 //! One frame is `u32 little-endian payload length | payload`. A connection
-//! opens with an 8-byte magic handshake ([`NET_MAGIC_V3`]) sent by the
-//! client and echoed by the server; after that the client sends
-//! [`Request`] frames and reads one [`Response`] frame per request. Update
+//! opens with an 8-byte magic handshake ([`NET_MAGIC`]) sent by the client
+//! and echoed by the server; after that the client sends a [`Request`]
+//! frame and reads its [`Response`] frame, one request at a time. Update
 //! operations reuse the WAL's versioned `UpdateOp` codec
 //! ([`snb_store::encode_update`]) so the workspace has a single binary
 //! encoding for mutations, on disk and on the wire; query parameters are
-//! encoded field-by-field here.
-//!
-//! Every frame payload carries a `u64` correlation id ahead of the message
-//! ([`put_corr`] / [`take_corr`]) so a client may keep several requests in
-//! flight per connection and match responses arriving out of order. The
-//! server severs a connection that opens with any other magic.
+//! encoded field-by-field here. The server severs a connection that opens
+//! with any other magic.
 
 use snb_core::time::SimTime;
 use snb_core::{MessageId, PersonId, SnbError};
@@ -27,23 +23,10 @@ use snb_queries::sharded::{GroupRow, MergedRow, Partial};
 use std::io::{self, Read, Write};
 
 /// The handshake magic, sent by the client and echoed by the server. The
-/// digit versions the protocol: v3 framing prefixes every request and
-/// response payload with a `u64` little-endian **correlation id** so a
-/// client may pipeline several requests on one connection and match
-/// responses that the server completes out of order.
-pub const NET_MAGIC_V3: [u8; 8] = *b"SNBNET3\0";
-
-/// Prepend a correlation id to a frame payload under construction.
-pub fn put_corr(buf: &mut Vec<u8>, corr: u64) {
-    put_u64(buf, corr);
-}
-
-/// Split a frame payload into its correlation id and the message bytes
-/// that follow it.
-pub fn take_corr(p: &[u8]) -> Option<(u64, &[u8])> {
-    let (bytes, rest) = p.split_first_chunk::<8>()?;
-    Some((u64::from_le_bytes(*bytes), rest))
-}
+/// digit versions the protocol: version 4 frames carry the message alone,
+/// one request and its response at a time, where version 3 prefixed each
+/// payload with a correlation id.
+pub const NET_MAGIC: [u8; 8] = *b"SNBNET4\0";
 
 /// Maximum accepted frame payload (16 MiB): large enough for any counters
 /// dump, small enough that a corrupt length prefix cannot OOM the peer.
@@ -657,30 +640,21 @@ pub(crate) fn put_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -
     len + 4
 }
 
-/// Build one frame from what `payload` appends and write it with a single
-/// `write_all`, so on a `TCP_NODELAY` socket the prefix and the payload
-/// leave in one segment. Returns the number of bytes put on the wire
-/// (payload + 4-byte length prefix) for byte accounting.
-pub(crate) fn write_frame_with(
-    w: &mut impl Write,
-    payload: impl FnOnce(&mut Vec<u8>),
-) -> io::Result<usize> {
-    let mut frame = Vec::new();
-    let n = put_frame(&mut frame, payload);
-    if n == 4 || n - 4 > MAX_FRAME {
+/// Write one frame holding `payload` with a single `write_all`, so on a
+/// `TCP_NODELAY` socket the prefix and the payload leave in one segment.
+/// Returns the number of bytes put on the wire (payload + 4-byte length
+/// prefix) for byte accounting.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
+    if payload.is_empty() || payload.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame payload of {} bytes out of range", n - 4),
+            format!("frame payload of {} bytes out of range", payload.len()),
         ));
     }
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    put_frame(&mut frame, |buf| buf.extend_from_slice(payload));
     w.write_all(&frame)?;
-    Ok(n)
-}
-
-/// Write one frame holding `payload` with a single `write_all`. Returns
-/// the number of bytes put on the wire (payload + 4-byte length prefix).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
-    write_frame_with(w, |buf| buf.extend_from_slice(payload))
+    Ok(frame.len())
 }
 
 /// Read one frame into `buf` (reusing its capacity). Returns the number of

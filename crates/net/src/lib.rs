@@ -8,14 +8,13 @@
 //!
 //! - [`codec`] — length-prefixed binary frames; updates reuse the WAL's
 //!   `UpdateOp` encoding, so the workspace has one binary codec for
-//!   mutations on disk and on the wire. Every frame payload is prefixed
-//!   with a correlation id so responses can complete out of order.
+//!   mutations on disk and on the wire. A connection carries one request
+//!   and its response at a time.
 //! - [`Server`] — a nonblocking readiness-loop TCP server (epoll-backed;
 //!   short reads run on the loop thread, slow requests on a fixed worker
-//!   pool) wrapping any [`snb_driver::Connector`]
-//!   (`snb serve`). Pipelines up to 64 requests per connection;
-//!   per-connection write queues are bounded and exert backpressure by
-//!   pausing reads.
+//!   pool) wrapping any [`snb_driver::Connector`] (`snb serve`). It reads
+//!   a connection's next request only after answering the last one, so a
+//!   peer that writes ahead is held back by its own socket buffer.
 //! - [`RemoteConnector`] — a pooled client implementing `Connector`
 //!   (`snb run --connect host:port`). Retries connects with bounded
 //!   backoff; never retries a sent request (updates are not idempotent).
@@ -30,8 +29,8 @@ pub mod metrics;
 pub mod router;
 pub mod server;
 
-pub use client::{NetConfig, RemoteConnector};
-pub use codec::{read_frame, write_frame, Request, Response, MAX_FRAME, NET_MAGIC_V3};
+pub use client::RemoteConnector;
+pub use codec::{read_frame, write_frame, Request, Response, MAX_FRAME, NET_MAGIC};
 pub use metrics::NetMetrics;
 pub use router::ShardedConnector;
 pub use server::{Server, ServerConfig};

@@ -15,7 +15,7 @@
 //!   message's forum, resolved through a message → shard directory seeded
 //!   from the dataset and learned from routed AddPost/AddComment.
 //! * **Scatterable reads** (the other eleven complex queries and S2) fan
-//!   out as v3 `Partial` requests — written to *every* shard before
+//!   out as `Partial` requests — written to *every* shard before
 //!   reading from *any*, so the shards execute concurrently — and the
 //!   exact client-side merge (`snb_queries::sharded`) reassembles the
 //!   global answer.
@@ -34,7 +34,7 @@
 //! replayed — one dead shard poisons its connection, surfaces an error,
 //! and fails the run promptly (the benchmark's required behavior).
 
-use crate::client::{NetConfig, RemoteConnector};
+use crate::client::{RemoteConnector, REQUEST_TIMEOUT};
 use crate::codec::{self, Response};
 use snb_core::shard::ShardMap;
 use snb_core::update::UpdateOp;
@@ -46,6 +46,7 @@ use snb_queries::sharded::{self, Partial};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::RwLock;
+use std::time::Duration;
 
 /// A [`Connector`] that routes the interactive workload across N shard
 /// servers and merges scattered reads exactly (see module docs).
@@ -63,25 +64,27 @@ pub struct ShardedConnector {
 }
 
 impl ShardedConnector {
-    /// Connect to one server per address with default [`NetConfig`].
+    /// Connect to one server per address with the default 10 s request
+    /// timeout.
     pub fn connect<S: AsRef<str>>(addrs: &[S]) -> SnbResult<ShardedConnector> {
-        ShardedConnector::with_config(addrs, NetConfig::default())
+        ShardedConnector::with_request_timeout(addrs, REQUEST_TIMEOUT)
     }
 
-    /// Connect with an explicit config. Each server's GCT RPC must report
+    /// Connect with the read/write timeout for one round trip to any
+    /// shard. Each server's GCT RPC must report
     /// the shard identity its position implies — shard i of N at
     /// `addrs[i]` — so a mis-ordered address list or a server loaded with
     /// the wrong slice fails here, not with silently partial answers.
-    pub fn with_config<S: AsRef<str>>(
+    pub fn with_request_timeout<S: AsRef<str>>(
         addrs: &[S],
-        config: NetConfig,
+        request_timeout: Duration,
     ) -> SnbResult<ShardedConnector> {
         if addrs.is_empty() {
             return Err(SnbError::Config("sharded connector needs at least one address".into()));
         }
         let shards = addrs
             .iter()
-            .map(|a| RemoteConnector::with_config(a.as_ref(), config.clone()))
+            .map(|a| RemoteConnector::with_request_timeout(a.as_ref(), request_timeout))
             .collect::<SnbResult<Vec<_>>>()?;
         let want = shards.len() as u32;
         for (i, shard) in shards.iter().enumerate() {
@@ -218,8 +221,8 @@ impl ShardedConnector {
         let mut parts = Vec::with_capacity(self.shards.len());
         // `in_flight` is a prefix of `shards`: zip pairs each started
         // request with the shard it went to.
-        for (shard, (stream, corr)) in self.shards.iter().zip(in_flight) {
-            match shard.finish_request(stream, corr) {
+        for (shard, stream) in self.shards.iter().zip(in_flight) {
+            match shard.finish_request(stream) {
                 Ok(Response::Partial(p, seed)) => parts.push((p, seed)),
                 Ok(Response::Error(e)) => first_err = first_err.or(Some(e)),
                 Ok(_) => {

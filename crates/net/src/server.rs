@@ -22,21 +22,20 @@
 //!
 //! Per-connection state machine: `handshake → frame-read → execute →
 //! frame-write`. The handshake accepts the one protocol magic
-//! ([`codec::NET_MAGIC_V3`]) and severs anything else. Peers may
-//! **pipeline** — every frame carries a `u64` correlation id, pooled
-//! requests fan out to the workers, and responses are written back in
-//! completion order with their ids, so out-of-order completion is fine.
-//!
-//! Flow control is bounded end to end: per-connection write queues have a
-//! byte limit, and a connection over its limit (or over its pipeline cap)
-//! stops being read — **backpressure** instead of unbounded buffering.
-//! Connection state lives in a slab keyed by poller token and is reaped
-//! the moment a connection dies, so accept/close churn cannot leak fds,
-//! buffers, or threads (the leak the old thread-per-connection server had:
-//! it pushed every stream clone and `JoinHandle` into vectors that only
-//! drained at shutdown).
+//! ([`codec::NET_MAGIC`]) and severs anything else. The protocol is strict
+//! request/response: a connection has at most one request executing, and
+//! its next frame is parsed only once the reply to the previous one is
+//! flushed. Read interest is on only in that idle state, so a peer that
+//! writes ahead is answered one frame at a time, in order, while the
+//! kernel's socket buffer holds what it sent early. A connection therefore
+//! buffers at most one read chunk plus one partial frame inbound and one
+//! reply frame outbound. Connection state lives in a slab keyed by poller
+//! token and is reaped the moment a connection dies, so accept/close churn
+//! cannot leak fds, buffers, or threads (the leak the old
+//! thread-per-connection server had: it pushed every stream clone and
+//! `JoinHandle` into vectors that only drained at shutdown).
 
-use crate::codec::{self, Request, Response, MAX_FRAME, NET_MAGIC_V3};
+use crate::codec::{self, Request, Response, MAX_FRAME, NET_MAGIC};
 use crate::metrics::NetMetrics;
 use snb_core::{SnbError, SnbResult};
 use snb_driver::connector::{Connector, Operation};
@@ -50,15 +49,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Maximum requests in flight per connection. Parsed requests past this
-/// cap wait in the connection's pending queue, and the connection stops
-/// being read while the queue is full.
-const MAX_PIPELINE: usize = 64;
-/// Per-connection write-queue byte limit. A connection over the limit gets
-/// no new dispatches and is not read until the queue drains below it —
-/// slow readers stall themselves, not the server.
-const WRITE_BUF_LIMIT: usize = 4 << 20;
 
 /// Worker-pool size and shard identity of one server.
 #[derive(Debug, Clone)]
@@ -103,7 +93,6 @@ pub struct Server {
 /// meantime is recognized and dropped instead of hitting a reused slot.
 struct Job {
     token: u64,
-    corr: u64,
     request: Request,
     /// When the loop parsed the request, for `queue_micros`.
     parsed: Instant,
@@ -257,7 +246,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         shared.metrics.queue_micros.record(job.parsed.elapsed().as_micros() as u64);
         let mut frame = Vec::new();
-        serve_request(shared, job.corr, job.request, &mut frame);
+        serve_request(shared, job.request, &mut frame);
         shared
             .completions
             .lock()
@@ -318,10 +307,10 @@ fn runs_inline(request: &Request, inline_updates: bool) -> bool {
 }
 
 /// Execute one request and append its fully framed response
-/// (`len | corr | payload`) to `out`; returns the frame's length. Never
+/// (`len | payload`) to `out`; returns the frame's length. Never
 /// panics outward: a panicking connector becomes an error response, and
 /// the worker — or the event loop — lives on.
-fn serve_request(shared: &Shared, corr: u64, request: Request, out: &mut Vec<u8>) -> usize {
+fn serve_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> usize {
     shared.metrics.requests.inc();
     let started = Instant::now();
     let response = match request {
@@ -376,18 +365,9 @@ fn serve_request(shared: &Shared, corr: u64, request: Request, out: &mut Vec<u8>
             horizon: shared.connector.gct_horizon(),
         },
     };
-    let n = put_response(out, corr, &response);
+    let n = codec::put_frame(out, |frame| response.encode(frame));
     shared.metrics.request_micros.record(started.elapsed().as_micros() as u64);
     n
-}
-
-/// Append a response frame to `out`: 4-byte length prefix, the correlation
-/// id, then the encoded response. Returns the frame's length.
-fn put_response(out: &mut Vec<u8>, corr: u64, response: &Response) -> usize {
-    codec::put_frame(out, |frame| {
-        codec::put_corr(frame, corr);
-        response.encode(frame);
-    })
 }
 
 fn merged_counters(shared: &Shared) -> Vec<(String, u64)> {
@@ -422,8 +402,9 @@ const KEY_BASE: usize = 1;
 /// backstop, not a polling interval.
 const WAIT_BACKSTOP: Duration = Duration::from_millis(250);
 
-/// Read chunk size per `read` call; reads repeat until one comes back
-/// short.
+/// Read chunk size: one `read` per readiness event. A connection reads only
+/// while it holds no complete frame, so this bounds its inbound buffer to
+/// one chunk plus one partial frame.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-connection state machine.
@@ -432,22 +413,16 @@ struct Conn {
     gen: u32,
     /// The peer's magic was received, accepted and echoed.
     handshaken: bool,
-    /// Handshake bytes accumulated so far (the magic may arrive split).
-    hs: [u8; 8],
-    hs_len: usize,
     /// Inbound bytes: the unparsed window is `rbuf[rpos..]`.
     rbuf: Vec<u8>,
     rpos: usize,
     /// Outbound bytes: the unflushed window is `wbuf[wpos..]`.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Parsed requests, with their correlation id and parse time, waiting
-    /// for dispatch (pipeline cap/backpressure).
-    pending: VecDeque<(u64, Request, Instant)>,
-    /// Requests dispatched to the pool whose responses are still owed.
-    in_flight: usize,
-    /// The peer hung up or sent garbage: read no more, finish what is owed,
-    /// then close.
+    /// The connection's request is on the worker pool; its reply is owed.
+    busy: bool,
+    /// The peer hung up or sent garbage: read no more, answer the frames
+    /// already read, then close.
     read_closed: bool,
 }
 
@@ -457,14 +432,11 @@ impl Conn {
             stream,
             gen,
             handshaken: false,
-            hs: [0u8; 8],
-            hs_len: 0,
             rbuf: Vec::with_capacity(8 * 1024),
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
-            pending: VecDeque::new(),
-            in_flight: 0,
+            busy: false,
             read_closed: false,
         }
     }
@@ -477,9 +449,10 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
-    /// Everything owed has been delivered and the peer is gone.
-    fn drained(&self) -> bool {
-        self.read_closed && self.in_flight == 0 && self.pending.is_empty() && self.unflushed() == 0
+    /// No request executing and no reply waiting to be written: the only
+    /// state in which the next frame is parsed.
+    fn idle(&self) -> bool {
+        !self.busy && self.unflushed() == 0
     }
 }
 
@@ -592,37 +565,28 @@ impl EventLoop {
         if event.readable && !self.read_into_conn(slot) {
             return; // hard error: connection already closed
         }
-        if !self.parse_frames(slot) {
-            return;
-        }
-        self.after_progress(slot); // dispatches newly parsed requests
+        self.after_progress(slot);
     }
 
-    /// Pull everything the socket has into `rbuf`. Returns false when the
+    /// Read one chunk from the socket into `rbuf`, first dropping the bytes
+    /// already parsed. An idle connection only: a hangup is reported as
+    /// readable even while a reply is owed. Returns false when the
     /// connection was closed on a hard error.
     fn read_into_conn(&mut self, slot: usize) -> bool {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
-        if conn.read_closed {
+        if conn.read_closed || !conn.idle() {
             return true;
         }
+        conn.rbuf.drain(..conn.rpos);
+        conn.rpos = 0;
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    // A short read took everything the socket held: skip
-                    // the read that would only say `WouldBlock`. Interest
-                    // is level-triggered, so bytes arriving after this
-                    // fire again once `after_progress` re-arms it.
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Ok(0) => conn.read_closed = true,
+                Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+                // Interest is level-triggered: bytes left in the socket
+                // fire again once `after_progress` re-arms it.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.shared.metrics.errors.inc();
@@ -630,129 +594,83 @@ impl EventLoop {
                     return false;
                 }
             }
+            return true;
         }
-        true
     }
 
-    /// Parse the handshake and every complete frame out of `rbuf` into the
-    /// pending queue. Returns false when the connection was closed.
-    fn parse_frames(&mut self, slot: usize) -> bool {
+    /// Accept the handshake, then take the next complete frame out of
+    /// `rbuf` and decode it. `None` means nothing to start: no complete
+    /// frame yet, a handshake echo or error reply to flush first, or a peer
+    /// that broke the protocol and was severed.
+    fn parse_next(&mut self, slot: usize) -> Option<Request> {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
+        let window = &conn.rbuf[conn.rpos..];
 
         // Handshake: the client speaks first; echo the magic back.
         if !conn.handshaken {
-            let window = conn.rbuf.len() - conn.rpos;
-            let take = (8 - conn.hs_len).min(window);
-            conn.hs[conn.hs_len..conn.hs_len + take]
-                .copy_from_slice(&conn.rbuf[conn.rpos..conn.rpos + take]);
-            conn.hs_len += take;
-            conn.rpos += take;
-            if conn.hs_len < 8 {
-                return true; // wait for the rest of the magic
-            }
-            if conn.hs != NET_MAGIC_V3 {
+            let magic = window.first_chunk::<8>()?; // the magic may arrive split
+            if *magic != NET_MAGIC {
                 self.shared.metrics.errors.inc();
                 self.close_conn(slot);
-                return false;
+                return None;
             }
             conn.handshaken = true;
-            conn.wbuf.extend_from_slice(&NET_MAGIC_V3);
+            conn.rpos += 8;
+            conn.wbuf.extend_from_slice(&NET_MAGIC);
             self.shared.metrics.bytes_in.add(8);
             self.shared.metrics.bytes_out.add(8);
+            return None; // flush the echo before the first frame
         }
 
-        let parsed = Instant::now();
-        loop {
-            let conn = self.conns[slot].as_mut().expect("checked by caller");
-            let window = &conn.rbuf[conn.rpos..];
-            if window.len() < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes(window[..4].try_into().expect("4 bytes")) as usize;
-            if len == 0 || len > MAX_FRAME {
-                // No trustworthy stream position remains; sever.
-                self.shared.metrics.errors.inc();
-                self.close_conn(slot);
-                return false;
-            }
-            if window.len() < 4 + len {
-                break; // frame still arriving
-            }
-            let payload = &window[4..4 + len];
-            // A payload too short for its id falls out as undecodable below.
-            let (corr, body) = codec::take_corr(payload).unwrap_or((0, &[]));
-            let decoded = Request::decode(body);
-            conn.rpos += 4 + len;
-            self.shared.metrics.bytes_in.add((4 + len) as u64);
-            match decoded {
-                Some(request) => conn.pending.push_back((corr, request, parsed)),
-                None => {
-                    // A frame we could not decode leaves no trustworthy
-                    // stream position; report once, then sever after the
-                    // reply (and anything already owed) is flushed.
-                    self.shared.metrics.errors.inc();
-                    let n = put_response(
-                        &mut conn.wbuf,
-                        corr,
-                        &Response::Error(SnbError::Config("malformed request frame".into())),
-                    );
-                    self.shared.metrics.bytes_out.add(n as u64);
-                    conn.pending.clear();
-                    conn.read_closed = true;
-                    break;
-                }
-            }
+        let prefix = window.first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len == 0 || len > MAX_FRAME {
+            // No trustworthy stream position remains; sever.
+            self.shared.metrics.errors.inc();
+            self.close_conn(slot);
+            return None;
         }
-
-        // Compact the consumed prefix once it dominates the buffer.
-        let conn = self.conns[slot].as_mut().expect("checked by caller");
-        if conn.rpos == conn.rbuf.len() {
+        if window.len() < 4 + len {
+            return None; // frame still arriving
+        }
+        let decoded = Request::decode(&window[4..4 + len]);
+        conn.rpos += 4 + len;
+        self.shared.metrics.bytes_in.add((4 + len) as u64);
+        if decoded.is_none() {
+            // A frame we could not decode leaves no trustworthy stream
+            // position; reply once, then sever after the reply is flushed.
+            self.shared.metrics.errors.inc();
+            let error = Response::Error(SnbError::Config("malformed request frame".into()));
+            let n = codec::put_frame(&mut conn.wbuf, |frame| error.encode(frame));
+            self.shared.metrics.bytes_out.add(n as u64);
             conn.rbuf.clear();
             conn.rpos = 0;
-        } else if conn.rpos > 64 * 1024 {
-            conn.rbuf.drain(..conn.rpos);
-            conn.rpos = 0;
+            conn.read_closed = true;
         }
-        true
+        decoded
     }
 
-    /// Take parsed requests off the pending queue in order, bounded by the
-    /// pipeline cap and by write-queue backpressure. Inline requests are
-    /// served here, their frames appended to the write queue; the rest go
-    /// to the worker pool. Returns whether any frame was queued.
-    fn dispatch(&mut self, slot: usize) -> bool {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return false;
-        };
-        let mut queued = false;
-        while conn.in_flight < MAX_PIPELINE && conn.unflushed() < WRITE_BUF_LIMIT {
-            let Some((corr, request, parsed)) = conn.pending.pop_front() else {
-                break;
-            };
-            if runs_inline(&request, self.shared.inline_updates) {
-                self.shared.metrics.inline_requests.inc();
-                let n = serve_request(&self.shared, corr, request, &mut conn.wbuf);
-                self.shared.metrics.bytes_out.add(n as u64);
-                queued = true;
-                continue;
-            }
-            conn.in_flight += 1;
-            self.shared.metrics.pipeline_depth.inc();
-            self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner()).push_back(Job {
-                token: conn.token(slot),
-                corr,
-                request,
-                parsed,
-            });
-            // One job wakes one worker; waking them all would send every
-            // other one straight back to sleep.
-            self.shared.jobs_ready.notify_one();
+    /// Serve an inline request into the connection's write buffer, or hand
+    /// it to the worker pool and mark the connection busy.
+    fn start(&mut self, slot: usize, request: Request) {
+        let conn = self.conns[slot].as_mut().expect("checked by caller");
+        if runs_inline(&request, self.shared.inline_updates) {
+            self.shared.metrics.inline_requests.inc();
+            let n = serve_request(&self.shared, request, &mut conn.wbuf);
+            self.shared.metrics.bytes_out.add(n as u64);
+            return;
         }
-        queued
+        conn.busy = true;
+        self.shared.metrics.pipeline_depth.inc();
+        let job = Job { token: conn.token(slot), request, parsed: Instant::now() };
+        self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner()).push_back(job);
+        // One job wakes one worker; waking them all would send every other
+        // one straight back to sleep.
+        self.shared.jobs_ready.notify_one();
     }
 
-    /// Append completed responses to their connections' write queues and
-    /// keep those connections moving.
+    /// Queue each completed reply on its connection and keep that
+    /// connection moving.
     fn drain_completions(&mut self) {
         let completions =
             std::mem::take(&mut *self.shared.completions.lock().unwrap_or_else(|e| e.into_inner()));
@@ -766,57 +684,56 @@ impl EventLoop {
             if conn.gen != gen {
                 continue; // slot recycled: response belongs to a dead peer
             }
-            conn.in_flight -= 1;
+            conn.busy = false;
             self.shared.metrics.bytes_out.add(completion.frame.len() as u64);
             conn.wbuf.extend_from_slice(&completion.frame);
             self.after_progress(slot);
         }
     }
 
-    /// Flush what can be written, dispatch anything the flush unblocked,
-    /// then either close a drained connection or re-arm its poller
-    /// interest to match what it still needs.
+    /// Flush the reply, and while the connection is idle start the next
+    /// request already read; then close a connection whose peer is gone
+    /// and is owed nothing, or re-arm its poller interest: write while a
+    /// reply is unflushed, read while idle, nothing while busy.
     fn after_progress(&mut self, slot: usize) {
-        if !self.flush(slot) {
-            return;
-        }
-        // A drained write queue may clear backpressure on the pending
-        // queue: dispatch here, or a window-limited client waiting for
-        // responses before sending more would deadlock. Inline replies are
-        // flushed in this same turn, and that flush may clear more.
-        while self.dispatch(slot) {
+        loop {
             if !self.flush(slot) {
                 return;
             }
+            if !self.conns[slot].as_ref().expect("flush kept it open").idle() {
+                break;
+            }
+            let Some(request) = self.parse_next(slot) else {
+                match &self.conns[slot] {
+                    None => return, // severed for breaking the protocol
+                    Some(conn) if conn.idle() => break,
+                    Some(_) => continue, // flush the echo or error reply first
+                }
+            };
+            self.start(slot, request);
         }
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.drained() {
-            self.close_conn(slot);
+        let conn = self.conns[slot].as_ref().expect("still open");
+        if conn.busy {
+            // Left disarmed since the one-shot event that started the
+            // request, so a hangup cannot wake the loop over and over; the
+            // completion re-arms it.
             return;
         }
-        let conn = self.conns[slot].as_ref().expect("just checked");
-        let want_read = !conn.read_closed
-            && conn.pending.len() < MAX_PIPELINE
-            && conn.unflushed() < WRITE_BUF_LIMIT;
-        let want_write = conn.unflushed() > 0;
         let key = slot + KEY_BASE;
-        let interest = match (want_read, want_write) {
-            (true, true) => polling::Event::all(key),
-            (true, false) => polling::Event::readable(key),
-            (false, true) => polling::Event::writable(key),
-            // Fully backpressured or half-closed with work in flight:
-            // completions re-arm via after_progress.
-            (false, false) => polling::Event::none(key),
+        let interest = if conn.unflushed() > 0 {
+            polling::Event::writable(key)
+        } else if conn.read_closed {
+            return self.close_conn(slot);
+        } else {
+            polling::Event::readable(key)
         };
         if self.shared.poller.modify(&conn.stream, interest).is_err() {
             self.close_conn(slot);
         }
     }
 
-    /// Write as much of the queue as the socket accepts. Returns false
-    /// when the connection was closed on a hard error.
+    /// Write as much of the reply as the socket accepts. Returns false when
+    /// the connection was closed on a hard error.
     fn flush(&mut self, slot: usize) -> bool {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return false;
@@ -829,7 +746,7 @@ impl EventLoop {
                     return false;
                 }
                 Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.shared.metrics.errors.inc();
@@ -838,13 +755,8 @@ impl EventLoop {
                 }
             }
         }
-        if conn.wpos == conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-        } else if conn.wpos > 256 * 1024 {
-            conn.wbuf.drain(..conn.wpos);
-            conn.wpos = 0;
-        }
+        conn.wbuf.clear();
+        conn.wpos = 0;
         true
     }
 
@@ -861,9 +773,10 @@ impl EventLoop {
         self.shared.metrics.open_conns.dec();
         self.gens[slot] = self.gens[slot].wrapping_add(1);
         self.free.push(slot);
-        // In-flight jobs for this conn finish in the pool and are dropped
-        // by the generation check in drain_completions; `pipeline_depth`
-        // is decremented there, so the gauge stays balanced.
+        // A request of this conn still on the pool finishes there and is
+        // dropped by the generation check in drain_completions;
+        // `pipeline_depth` is decremented there, so the gauge stays
+        // balanced.
         drop(conn);
     }
 }

@@ -1,15 +1,15 @@
-//! Readiness-loop server tests: connection churn must not leak, pipelined
-//! requests must come back matched by correlation id, a peer with any
-//! other handshake magic must be severed, each request must run on the
-//! thread the dispatch rule picks for it, and an update that blocks must
-//! be answered only once it is done, without the loop waiting for it.
+//! Readiness-loop server tests: connection churn must not leak, requests a
+//! peer writes ahead must be answered one by one in the order sent, a peer
+//! with any other handshake magic must be severed, each request must run
+//! on the thread the dispatch rule picks for it, and an update that blocks
+//! must be answered only once it is done, without the loop waiting for it.
 
 use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
 use snb_core::{PersonId, SnbResult};
 use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome, StoreConnector};
-use snb_net::{codec, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC_V3};
+use snb_net::{codec, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC};
 use snb_queries::params::{ComplexQuery, Q2Params, Q7Params, ShortQuery};
 use snb_queries::sharded::Partial;
 use snb_queries::Engine;
@@ -61,14 +61,12 @@ fn wait_reaped(server: &Server, deadline: Duration) {
     }
 }
 
-/// A raw v3 connection whose send and receive halves are decoupled, built
-/// from the public codec alone: any peer may keep many requests in flight
-/// on one connection, and the server must answer each, in whatever order
-/// it finishes them, under the echoed correlation id.
+/// A raw connection whose send and receive halves are decoupled, built
+/// from the public codec alone: a peer may write several requests before
+/// reading, and the server must answer them one at a time, in the order
+/// they were sent.
 struct Pipe {
     stream: TcpStream,
-    next_corr: u64,
-    in_flight: usize,
 }
 
 impl Pipe {
@@ -76,41 +74,29 @@ impl Pipe {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream.set_nodelay(true).unwrap();
-        stream.write_all(&NET_MAGIC_V3).unwrap();
+        stream.write_all(&NET_MAGIC).unwrap();
         let mut echo = [0u8; 8];
         stream.read_exact(&mut echo).unwrap();
-        assert_eq!(echo, NET_MAGIC_V3);
-        Pipe { stream, next_corr: 1, in_flight: 0 }
+        assert_eq!(echo, NET_MAGIC);
+        Pipe { stream }
     }
 
-    /// Write one execute request and return its correlation id without
-    /// waiting for the reply.
-    fn send(&mut self, op: &Operation) -> u64 {
-        self.send_with(|body| codec::encode_execute(op, None, body))
+    /// Write one execute request without waiting for the reply.
+    fn send(&mut self, op: &Operation) {
+        self.send_request(&Request::Execute(op.clone(), None));
     }
 
-    fn request_counters(&mut self) -> u64 {
-        self.send_with(|body| Request::Counters.encode(body))
-    }
-
-    fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
-        let corr = self.next_corr;
-        self.next_corr += 1;
+    fn send_request(&mut self, request: &Request) {
         let mut payload = Vec::new();
-        codec::put_corr(&mut payload, corr);
-        encode(&mut payload);
+        request.encode(&mut payload);
         codec::write_frame(&mut self.stream, &payload).unwrap();
-        self.in_flight += 1;
-        corr
     }
 
-    /// The next reply the server finished and the correlation id it echoes.
-    fn recv(&mut self) -> (u64, Response) {
+    /// The next reply on the connection.
+    fn recv(&mut self) -> Response {
         let mut frame = Vec::new();
         codec::read_frame(&mut self.stream, &mut frame).unwrap();
-        let (corr, body) = codec::take_corr(&frame).expect("frame carries a correlation id");
-        self.in_flight -= 1;
-        (corr, Response::decode(body).expect("well-formed response"))
+        Response::decode(&frame).expect("well-formed response")
     }
 }
 
@@ -143,10 +129,10 @@ fn connection_churn_is_reaped() {
         let mut stream = TcpStream::connect(addr).unwrap();
         if i % 3 != 0 {
             // Full handshake, then hang up without sending a request.
-            stream.write_all(&NET_MAGIC_V3).unwrap();
+            stream.write_all(&NET_MAGIC).unwrap();
             let mut echo = [0u8; 8];
             stream.read_exact(&mut echo).unwrap();
-            assert_eq!(echo, NET_MAGIC_V3);
+            assert_eq!(echo, NET_MAGIC);
         }
         // else: drop mid-handshake; the server sees EOF before any magic.
         drop(stream);
@@ -161,53 +147,48 @@ fn connection_churn_is_reaped() {
     // The server still works after all that churn.
     let mut client = Pipe::connect(addr);
     client.send(&Operation::Short(ShortQuery::S1(PersonId(1))));
-    let (_, response) = client.recv();
+    let response = client.recv();
     assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
 
     server.shutdown();
     server.join();
 }
 
-/// Satellite: K pipelined requests on one connection all complete, and
-/// every response's correlation id matches one request — regardless of the
-/// order the server finished them in. Short reads, answered on the event
-/// loop, are interleaved with complex reads and counters dumps, answered
-/// by the pool.
+/// One connection writes 200 requests before reading any reply, cycling
+/// a Q2 (run on the worker pool), an S1 (inline), a counters dump (pool)
+/// and a Gct probe (inline). The server answers them one at a time, so the
+/// replies come back in exactly that cycle — an inline reply never
+/// overtakes a pooled one — and none is an error.
 #[test]
-fn pipelined_requests_match_correlation_ids() {
-    let (server, _one_server) = store_server(ServerConfig::default());
+fn a_peer_writing_ahead_is_answered_in_order() {
+    const REQUESTS: usize = 200;
+    let (server, _one_server) =
+        store_server(ServerConfig { workers: 2, ..ServerConfig::default() });
     let mut client = Pipe::connect(server.local_addr());
 
-    const K: usize = 32;
-    let mut sent = std::collections::BTreeSet::new();
-    for i in 0..K {
-        let person = PersonId((i % 50) as u64);
-        let corr = match i % 4 {
-            0 => client.send(&q2(person)),
-            1 => client.request_counters(),
-            _ => client.send(&Operation::Short(match i % 3 {
-                0 => ShortQuery::S1(person),
-                1 => ShortQuery::S2(person),
-                _ => ShortQuery::S3(person),
-            })),
+    for i in 0..REQUESTS {
+        let person = PersonId((i % 200) as u64);
+        client.send_request(&match i % 4 {
+            0 => Request::Execute(q2(person), None),
+            1 => Request::Execute(Operation::Short(ShortQuery::S1(person)), None),
+            2 => Request::Counters,
+            _ => Request::Gct,
+        });
+    }
+    for i in 0..REQUESTS {
+        let response = client.recv();
+        let in_order = match i % 4 {
+            0 | 1 => matches!(response, Response::Outcome(..)),
+            2 => matches!(response, Response::Counters { .. }),
+            _ => matches!(response, Response::Gct { .. }),
         };
-        assert!(sent.insert(corr), "correlation ids must be unique");
+        assert!(in_order, "reply {i} is {response:?}");
     }
-    assert_eq!(client.in_flight, K);
+    assert_eq!(server.metrics().errors.get(), 0);
+    assert_eq!(server.metrics().inline_requests.get(), REQUESTS as u64 / 2, "the S1s and Gcts");
 
-    let mut got = std::collections::BTreeSet::new();
-    for _ in 0..K {
-        let (corr, response) = client.recv();
-        assert!(got.insert(corr), "duplicate response for correlation id {corr}");
-        match response {
-            Response::Outcome(..) | Response::Counters { .. } => {}
-            other => panic!("pipelined request failed: {other:?}"),
-        }
-    }
-    assert_eq!(got, sent, "every request answered exactly once");
-    assert_eq!(client.in_flight, 0);
-    assert_eq!(server.metrics().inline_requests.get(), K as u64 / 2, "the short reads");
-
+    drop(client);
+    wait_reaped(&server, Duration::from_secs(10));
     server.shutdown();
     server.join();
 }
@@ -216,50 +197,13 @@ fn q2(person: PersonId) -> Operation {
     Operation::Complex(ComplexQuery::Q2(Q2Params { person, max_date: SimTime(i64::MAX) }))
 }
 
-/// One connection puts 400 requests in flight before reading any reply —
-/// far past the server's pipeline cap of 64 — half Q2 (run on the worker
-/// pool) and half S1 (run on the event loop). The excess waits in the
-/// server's pending queue until replies drain; every request is answered
-/// exactly once, with an outcome, and the connection is reaped once the
-/// client hangs up.
-#[test]
-fn one_connection_pipelines_past_the_cap() {
-    const REQUESTS: usize = 400;
-    let (server, _one_server) =
-        store_server(ServerConfig { workers: 2, ..ServerConfig::default() });
-    let mut client = Pipe::connect(server.local_addr());
-
-    let mut sent = std::collections::BTreeSet::new();
-    for i in 0..REQUESTS {
-        let person = PersonId((i % 200) as u64);
-        let op = if i % 2 == 0 { q2(person) } else { Operation::Short(ShortQuery::S1(person)) };
-        sent.insert(client.send(&op));
-    }
-    assert_eq!(client.in_flight, REQUESTS);
-
-    let mut got = std::collections::BTreeSet::new();
-    for _ in 0..REQUESTS {
-        let (corr, response) = client.recv();
-        assert!(got.insert(corr), "duplicate response for correlation id {corr}");
-        assert!(matches!(response, Response::Outcome(..)), "request {corr} answered {response:?}");
-    }
-    assert_eq!(got, sent, "every request answered exactly once");
-    assert_eq!(server.metrics().errors.get(), 0);
-    assert_eq!(server.metrics().inline_requests.get(), REQUESTS as u64 / 2, "the S1s");
-
-    drop(client);
-    wait_reaped(&server, Duration::from_secs(10));
-    server.shutdown();
-    server.join();
-}
-
-/// The retired v2 magic is severed without an echo and counted as a
-/// protocol error, exactly like any other unknown magic.
+/// The retired v2 and v3 magics are severed without an echo and counted as
+/// protocol errors, exactly like any other unknown magic.
 #[test]
 fn unknown_magic_is_severed() {
     let (server, _one_server) = store_server(ServerConfig::default());
 
-    for (i, magic) in [*b"SNBNET2\0", *b"GET / HT"].iter().enumerate() {
+    for (i, magic) in [*b"SNBNET2\0", *b"SNBNET3\0", *b"GET / HT"].iter().enumerate() {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream.write_all(magic).unwrap();
@@ -276,11 +220,12 @@ fn unknown_magic_is_severed() {
     server.join();
 }
 
-/// 32 clients connect, then all at once pipeline 50 short reads each:
-/// every request is answered without an error, and once the clients hang
-/// up the server has reaped every connection it accepted.
+/// 32 clients connect, then all at once write 50 short reads each before
+/// reading the replies: every request is answered without an error, and
+/// once the clients hang up the server has reaped every connection it
+/// accepted.
 #[test]
-fn simultaneous_pipelined_clients_see_no_errors_and_are_reaped() {
+fn simultaneous_clients_see_no_errors_and_are_reaped() {
     const CLIENTS: usize = 32;
     const READS: usize = 50;
     let (server, _one_server) = store_server(ServerConfig::default());
@@ -298,7 +243,7 @@ fn simultaneous_pipelined_clients_see_no_errors_and_are_reaped() {
                     client.send(&Operation::Short(ShortQuery::S1(person)));
                 }
                 for _ in 0..READS {
-                    let (_, response) = client.recv();
+                    let response = client.recv();
                     assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
                 }
             });
@@ -323,7 +268,7 @@ fn malformed_frame_severs_only_that_connection() {
 
     let mut bad = TcpStream::connect(addr).unwrap();
     bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    bad.write_all(&NET_MAGIC_V3).unwrap();
+    bad.write_all(&NET_MAGIC).unwrap();
     let mut echo = [0u8; 8];
     bad.read_exact(&mut echo).unwrap();
     // Well-framed garbage: valid length prefix, junk payload.
@@ -336,7 +281,7 @@ fn malformed_frame_severs_only_that_connection() {
     // A healthy client on the same server is unaffected.
     let mut good = Pipe::connect(addr);
     good.send(&Operation::Short(ShortQuery::S1(PersonId(1))));
-    let (_, response) = good.recv();
+    let response = good.recv();
     assert!(matches!(response, Response::Outcome(..)));
 
     server.shutdown();
@@ -374,20 +319,17 @@ fn hostile_length_prefix_severs_only_that_connection() {
 
     let mut bad = TcpStream::connect(addr).unwrap();
     bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    bad.write_all(&NET_MAGIC_V3).unwrap();
+    bad.write_all(&NET_MAGIC).unwrap();
     let mut echo = [0u8; 8];
     bad.read_exact(&mut echo).unwrap();
-    let mut payload = Vec::new();
-    codec::put_corr(&mut payload, 1);
-    payload.extend(hostile_add_person());
-    codec::write_frame(&mut bad, &payload).unwrap();
+    codec::write_frame(&mut bad, &hostile_add_person()).unwrap();
     let mut rest = Vec::new();
     let _ = bad.read_to_end(&mut rest);
     assert_eq!(server.metrics().errors.get(), 1);
 
     let mut good = Pipe::connect(addr);
     good.send(&Operation::Short(ShortQuery::S1(PersonId(1))));
-    let (_, response) = good.recv();
+    let response = good.recv();
     assert!(matches!(response, Response::Outcome(..)));
 
     server.shutdown();
@@ -448,7 +390,7 @@ fn update() -> Operation {
 
 fn ask(client: &mut Pipe, op: &Operation) -> Response {
     client.send(op);
-    client.recv().1
+    client.recv()
 }
 
 /// A panicking SUT costs the request, not the server, on both paths: the
@@ -593,7 +535,7 @@ fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
     #[cfg(target_os = "linux")]
     assert_eq!(server_thread_count(), 1 + WORKERS, "server threads during a durability wait");
 
-    let (_, response) = writer.recv();
+    let response = writer.recv();
     assert!(durable.load(Ordering::SeqCst), "the update was acknowledged before it was durable");
     assert!(matches!(response, Response::Outcome(..)), "update answered {response:?}");
     assert_eq!(server.metrics().inline_requests.get(), 1, "the S1 alone");
@@ -603,18 +545,19 @@ fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
 }
 
 /// A short read does not wait behind slow requests: while two 300 ms
-/// complex reads hold both workers, an S1 on another connection is
+/// complex reads from two other connections hold both workers, an S1 is
 /// answered from the event loop at once.
 #[test]
 fn a_short_read_is_not_blocked_behind_busy_workers() {
     let stub = Stub { complex_sleep: Duration::from_millis(300), ..Stub::default() };
     let (server, _one_server) = stub_server(stub, 2);
     let addr = server.local_addr();
-    let mut slow = Pipe::connect(addr);
+    let mut slow = [Pipe::connect(addr), Pipe::connect(addr)];
     let mut fast = Pipe::connect(addr);
 
-    slow.send(&complex_read());
-    slow.send(&complex_read());
+    for client in &mut slow {
+        client.send(&complex_read());
+    }
     // A worker records the queue wait as it picks a job up.
     let t0 = Instant::now();
     while server.metrics().queue_micros.count() < 2 {
@@ -628,8 +571,8 @@ fn a_short_read_is_not_blocked_behind_busy_workers() {
     assert!(matches!(response, Response::Outcome(..)), "S1 answered {response:?}");
     assert!(waited < Duration::from_millis(50), "S1 waited {waited:?} behind the workers");
 
-    for _ in 0..2 {
-        assert!(matches!(slow.recv().1, Response::Outcome(..)));
+    for client in &mut slow {
+        assert!(matches!(client.recv(), Response::Outcome(..)));
     }
     server.shutdown();
     server.join();

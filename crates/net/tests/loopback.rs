@@ -9,7 +9,7 @@ use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Connector, OpOutcome, Operation, SleepConnector, StoreConnector};
 use snb_driver::mix::{self, WorkItem};
 use snb_driver::scheduler::{run, DriverConfig};
-use snb_net::{codec, NetConfig, RemoteConnector, Request, Response, Server};
+use snb_net::{codec, RemoteConnector, Request, Response, Server};
 use snb_queries::params::{
     ComplexQuery, Q10Params, Q11Params, Q12Params, Q13Params, Q14Params, Q1Params, Q2Params,
     Q3Params, Q4Params, Q5Params, Q6Params, Q7Params, Q8Params, Q9Params, ShortQuery,
@@ -472,14 +472,9 @@ fn server_death_mid_run_fails_driver_promptly() {
     let server =
         Server::bind("127.0.0.1:0", Arc::new(SleepConnector::new(Duration::from_millis(2))))
             .unwrap();
-    let remote = RemoteConnector::with_config(
+    let remote = RemoteConnector::with_request_timeout(
         server.local_addr().to_string(),
-        NetConfig {
-            request_timeout: Duration::from_secs(2),
-            connect_retries: 1,
-            retry_backoff: Duration::from_millis(20),
-            ..NetConfig::default()
-        },
+        Duration::from_secs(2),
     )
     .unwrap();
 
@@ -518,16 +513,15 @@ fn server_death_mid_run_fails_driver_promptly() {
     );
 }
 
-/// A peer that answers with the wrong correlation id breaks the
-/// connection's request/response pairing: the client must surface a
-/// transport error, count it, and never hand that stream to another
-/// request.
+/// A peer whose reply does not decode leaves the connection with no
+/// trustworthy stream position: the client must surface a transport
+/// error, count it, and never hand that stream to another request.
 #[test]
-fn correlation_mismatch_poisons_the_connection() {
+fn an_undecodable_reply_poisons_the_connection() {
     use std::io::{Read, Write};
 
-    // Stub v3 peer: echoes the handshake magic, then answers every request
-    // with a well-formed response under `corr + 1`.
+    // Stub peer: echoes the handshake magic, then answers every request
+    // with a well-framed reply whose response tag does not exist.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let peer = std::thread::spawn(move || {
@@ -542,11 +536,7 @@ fn correlation_mismatch_poisons_the_connection() {
                     stream.write_all(&magic).unwrap();
                     let mut frame = Vec::new();
                     while codec::read_frame(&mut stream, &mut frame).is_ok() {
-                        let (corr, _) = codec::take_corr(&frame).unwrap();
-                        let mut reply = Vec::new();
-                        codec::put_corr(&mut reply, corr + 1);
-                        Response::Outcome(OpOutcome::default(), Vec::new()).encode(&mut reply);
-                        codec::write_frame(&mut stream, &reply).unwrap();
+                        codec::write_frame(&mut stream, &[0xFF]).unwrap();
                     }
                 })
             })

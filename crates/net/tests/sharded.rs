@@ -12,7 +12,7 @@ use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Connector, Operation, StoreConnector};
 use snb_driver::mix;
 use snb_driver::scheduler::{run, DriverConfig};
-use snb_net::{NetConfig, RemoteConnector, Server, ServerConfig, ShardedConnector};
+use snb_net::{RemoteConnector, Server, ServerConfig, ShardedConnector};
 use snb_queries::params::{
     ComplexQuery, Q10Params, Q12Params, Q14Params, Q2Params, Q3Params, Q4Params, Q5Params,
     Q6Params, Q7Params, Q8Params, Q9Params, ShortQuery,
@@ -303,9 +303,7 @@ fn failed_scatter_drains_the_shards_it_already_wrote_to() {
     let (server0, _store0) = shard_server(ds, map, 0);
     let (server1, _store1) = shard_server(ds, map, 1);
     let addrs = [server0.local_addr().to_string(), server1.local_addr().to_string()];
-    // Fail fast on the dead shard: no connect retries.
-    let config = NetConfig { connect_retries: 0, ..NetConfig::default() };
-    let router = ShardedConnector::with_config(&addrs, config).unwrap();
+    let router = ShardedConnector::connect(&addrs).unwrap();
 
     let shard0 = |name: &str| -> u64 {
         let name = format!("shard0.net.client.{name}");

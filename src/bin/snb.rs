@@ -38,7 +38,7 @@ use ldbc_snb::datagen::{generate, serializer, GeneratorConfig};
 use ldbc_snb::driver::{
     build_mix, full_disclosure, full_disclosure_json, run, Connector, DriverConfig, StoreConnector,
 };
-use ldbc_snb::net::{NetConfig, RemoteConnector, Server, ServerConfig, ShardedConnector};
+use ldbc_snb::net::{RemoteConnector, Server, ServerConfig, ShardedConnector};
 use ldbc_snb::params::curated_bindings;
 use ldbc_snb::queries::Engine;
 use ldbc_snb::store::{Store, SyncPolicy};
@@ -228,10 +228,7 @@ fn main() -> ExitCode {
         "run" => {
             let bindings = curated_bindings(&ds, 16);
             let items = build_mix(&ds, &bindings);
-            let net_config = NetConfig {
-                request_timeout: Duration::from_secs_f64(args.request_timeout),
-                ..NetConfig::default()
-            };
+            let request_timeout = Duration::from_secs_f64(args.request_timeout);
             // Kept when driving a sharded SUT, for the post-run GCT
             // dependency-visibility verification.
             let mut sharded: Option<Arc<ShardedConnector>> = None;
@@ -242,7 +239,7 @@ fn main() -> ExitCode {
                     let addrs: Vec<&str> =
                         spec.split(',').map(str::trim).filter(|a| !a.is_empty()).collect();
                     let router = Arc::new(
-                        ShardedConnector::with_config(&addrs, net_config)
+                        ShardedConnector::with_request_timeout(&addrs, request_timeout)
                             .expect("sharded connect failed"),
                     );
                     router.seed_routes(ds.message_routes());
@@ -252,7 +249,8 @@ fn main() -> ExitCode {
                 // Networked SUT: the workload crosses the wire; the server
                 // (started with the same --persons/--seed) owns the store.
                 Some(addr) => Box::new(
-                    RemoteConnector::with_config(addr.clone(), net_config).expect("connect failed"),
+                    RemoteConnector::with_request_timeout(addr.clone(), request_timeout)
+                        .expect("connect failed"),
                 ),
                 None => {
                     let store = open_store(&args);
