@@ -10,11 +10,11 @@
 //!   `UpdateOp` encoding, so the workspace has one binary codec for
 //!   mutations on disk and on the wire. A connection carries one request
 //!   and its response at a time.
-//! - [`Server`] — a nonblocking readiness-loop TCP server (epoll-backed;
-//!   short reads run on the loop thread, slow requests on a fixed worker
-//!   pool) wrapping any [`snb_driver::Connector`] (`snb serve`). It reads
-//!   a connection's next request only after answering the last one, so a
-//!   peer that writes ahead is held back by its own socket buffer.
+//! - [`Server`] — a blocking TCP server with one thread per connection,
+//!   each request running on its connection's thread, wrapping any
+//!   [`snb_driver::Connector`] (`snb serve`). It reads a connection's next
+//!   request only after answering the last one, so a peer that writes
+//!   ahead is held back by its own socket buffer.
 //! - [`RemoteConnector`] — a pooled client implementing `Connector`
 //!   (`snb run --connect host:port`). Retries connects with bounded
 //!   backoff; never retries a sent request (updates are not idempotent).

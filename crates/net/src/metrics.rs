@@ -10,7 +10,8 @@ use snb_obs::{Counter, Gauge, LatencyHistogram};
 #[derive(Debug)]
 pub struct NetMetrics {
     side: &'static str,
-    /// Successful dials (client) or accepted connections (server).
+    /// Successful dials (client) or connections served (server; one
+    /// closed at once past the connection cap is an error, not counted).
     pub connections: Counter,
     /// Connections reaped after the peer hung up or erred (server only).
     /// `connections - closed` is the live count — drift past
@@ -20,25 +21,15 @@ pub struct NetMetrics {
     pub reconnects: Counter,
     /// Currently open connections (server only).
     pub open_conns: Gauge,
-    /// Connections accepted in the most recent accept-readiness burst — a
-    /// measure of how far the listen backlog got ahead of the readiness
-    /// loop (server only).
-    pub accept_backlog: Gauge,
-    /// Requests dispatched to the worker pool whose responses have not yet
-    /// been queued for write, across all connections (server only).
-    pub pipeline_depth: Gauge,
-    /// Requests executed on the event-loop thread instead of the worker
-    /// pool: short reads, their partials, the Gct probe and, for a
-    /// connector whose updates do not block, updates (server only).
-    pub inline_requests: Counter,
-    /// Nanoseconds the event-loop thread spent working — accepting,
-    /// reading, parsing, dispatching, executing inline requests, flushing —
-    /// as opposed to blocked in the poller (server only).
-    /// `busy / (busy + idle)` nearing 1 means the loop thread itself, not
-    /// the worker pool, is the bottleneck.
+    /// Nanoseconds the connection threads spent serving a request — from
+    /// holding a whole frame to having written its reply — summed over
+    /// every connection (server only). The benchmark of record reads
+    /// this name and its sibling's, so they keep their `loop_` prefix.
     pub loop_busy_nanos: Counter,
-    /// Nanoseconds the event-loop thread spent blocked waiting for
-    /// readiness (server only).
+    /// Nanoseconds the connection threads spent waiting for the next
+    /// frame to arrive whole, summed over every connection (server only).
+    /// `busy / (busy + idle)` is the share of connection time spent
+    /// serving rather than waiting on the peer.
     pub loop_idle_nanos: Counter,
     /// Requests sent (client) or served (server).
     pub requests: Counter,
@@ -51,9 +42,6 @@ pub struct NetMetrics {
     /// Request latency in microseconds: client-observed round trip on the
     /// client side, execute-to-encode service time on the server side.
     pub request_micros: LatencyHistogram,
-    /// Microseconds a pooled request waited between being parsed and being
-    /// picked up by a worker (server only; inline requests never wait).
-    pub queue_micros: LatencyHistogram,
 }
 
 impl NetMetrics {
@@ -65,9 +53,6 @@ impl NetMetrics {
             closed: Counter::detached(),
             reconnects: Counter::detached(),
             open_conns: Gauge::new(),
-            accept_backlog: Gauge::new(),
-            pipeline_depth: Gauge::new(),
-            inline_requests: Counter::detached(),
             loop_busy_nanos: Counter::detached(),
             loop_idle_nanos: Counter::detached(),
             requests: Counter::detached(),
@@ -75,7 +60,6 @@ impl NetMetrics {
             bytes_in: Counter::detached(),
             bytes_out: Counter::detached(),
             request_micros: LatencyHistogram::new(),
-            queue_micros: LatencyHistogram::new(),
         }
     }
 
@@ -95,9 +79,6 @@ impl NetMetrics {
         if self.side == "server" {
             out.push((name("closed"), self.closed.get()));
             out.push((name("open_conns"), self.open_conns.get()));
-            out.push((name("accept_backlog"), self.accept_backlog.get()));
-            out.push((name("pipeline_depth"), self.pipeline_depth.get()));
-            out.push((name("inline_requests"), self.inline_requests.get()));
             out.push((name("loop_busy_nanos"), self.loop_busy_nanos.get()));
             out.push((name("loop_idle_nanos"), self.loop_idle_nanos.get()));
         }

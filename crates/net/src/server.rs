@@ -1,61 +1,64 @@
-//! Nonblocking readiness-loop TCP server wrapping any [`Connector`].
+//! Blocking TCP server wrapping any [`Connector`], one thread per
+//! connection.
 //!
-//! The paper's throughput metric assumes the SUT absorbs many concurrent
-//! driver sessions, so the server is built for connection counts far past
-//! the driver's partition count: one event-loop thread multiplexes every
-//! connection through an epoll-style poller (the vendored `polling` shim),
-//! and a **fixed worker pool** executes the slow requests — thread count is
-//! constant no matter how many clients connect or how hard they churn.
+//! The paper's driver issues one operation per partition and waits for it
+//! (§4), so a connection carries one request at a time, and the server
+//! gives each connection a thread of its own. An accept thread
+//! (`snb-net-accept`) hands every accepted socket to a named thread,
+//! `snb-net-conn`, which does the handshake and then loops: read one
+//! frame, execute it with `serve_request`, write the reply. Every request
+//! runs on its own connection's thread, so there is no rule choosing a
+//! thread and no cross-thread hand-off: a short read costs one `read` and
+//! one `write`.
 //!
-//! Which thread executes a request is one rule (`runs_inline`). Short
-//! reads S1–S7 (and the S2 partial a router scatters) and the Gct probe
-//! run **inline on the event-loop thread**: they execute in about a
-//! microsecond, less than the two cross-thread wake-ups (loop → worker →
-//! loop) a pool hand-off costs. So do updates, when the connector says
-//! they do not block ([`Connector::updates_block`]): an in-memory commit
-//! takes a few microseconds. Complex reads, their partials and the
-//! counters dump take milliseconds and would stall every connection while
-//! they ran, and an update behind a WAL that syncs waits for `fdatasync`
-//! before it may be acknowledged — on the loop thread it would stall the
-//! loop and shrink group commit to one update per fsync — so those go to
-//! the pool.
+//! The handshake accepts the one protocol magic ([`codec::NET_MAGIC`]) and
+//! severs anything else. Replies go out strictly in order: a peer that
+//! writes ahead is answered one frame at a time, while what it sent early
+//! waits in its buffer and the kernel's. A frame longer than [`MAX_FRAME`],
+//! or empty, severs the connection; one that does not decode is answered
+//! with an error once, and then severed.
 //!
-//! Per-connection state machine: `handshake → frame-read → execute →
-//! frame-write`. The handshake accepts the one protocol magic
-//! ([`codec::NET_MAGIC`]) and severs anything else. The protocol is strict
-//! request/response: a connection has at most one request executing, and
-//! its next frame is parsed only once the reply to the previous one is
-//! flushed. Read interest is on only in that idle state, so a peer that
-//! writes ahead is answered one frame at a time, in order, while the
-//! kernel's socket buffer holds what it sent early. A connection therefore
-//! buffers at most one read chunk plus one partial frame inbound and one
-//! reply frame outbound. Connection state lives in a slab keyed by poller
-//! token and is reaped the moment a connection dies, so accept/close churn
-//! cannot leak fds, buffers, or threads (the leak the old
-//! thread-per-connection server had: it pushed every stream clone and
-//! `JoinHandle` into vectors that only drained at shutdown).
+//! Bounds. At most [`ServerConfig::max_connections`] connections are
+//! served at once; one past the cap is accepted and closed at once. The
+//! socket's read and write timeouts, set once at accept, sever a peer that
+//! sends no magic, leaves a frame half sent, or leaves a reply unread, for
+//! [`FRAME_STALL`]; a handshaken connection idle between frames may wait
+//! forever, because a paced driver can idle that long. A drop guard reaps
+//! the connection on every exit path — hangup, protocol error, stall,
+//! shutdown, or a panic while decoding — so churn leaks no fd, buffer or
+//! thread, and a panic ends only its own connection.
 
 use crate::codec::{self, Request, Response, MAX_FRAME, NET_MAGIC};
 use crate::metrics::NetMetrics;
 use snb_core::{SnbError, SnbResult};
-use snb_driver::connector::{Connector, Operation};
+use snb_driver::connector::Connector;
 use snb_obs::trace::{self, NameId, SpanData};
 use snb_obs::HistogramSnapshot;
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Worker-pool size and shard identity of one server.
+/// How long a peer may leave a frame half sent, or let a reply write make
+/// no progress, before its connection is severed. Waiting for the first
+/// byte of the next frame has no limit.
+pub const FRAME_STALL: Duration = Duration::from_secs(5);
+
+/// Initial inbound buffer, and the most one `read` adds to it: a frame
+/// longer than the buffer grows it only as its bytes arrive, so a hostile
+/// length prefix costs nothing up front.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Connection cap and shard identity of one server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests. `0` = one per hardware thread,
-    /// clamped to `[2, 8]`.
-    pub workers: usize,
+    /// Connections served at once. A connection accepted past the cap is
+    /// closed at once and counted in `net.server.errors`.
+    pub max_connections: usize,
     /// This server's shard index (0-based). Single-process deployments
     /// keep the default `0/1`.
     pub shard: u32,
@@ -67,16 +70,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig { workers: 0, shard: 0, shards: 1 }
-    }
-}
-
-impl ServerConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).clamp(2, 8)
+        ServerConfig { max_connections: 256, shard: 0, shards: 1 }
     }
 }
 
@@ -84,37 +78,21 @@ impl ServerConfig {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    event_loop: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// One request handed to the worker pool. `token` names the connection
-/// (slot + generation) so a completion for a connection that died in the
-/// meantime is recognized and dropped instead of hitting a reused slot.
-struct Job {
-    token: u64,
-    request: Request,
-    /// When the loop parsed the request, for `queue_micros`.
-    parsed: Instant,
-}
-
-/// A fully framed response ready to be queued on its connection.
-struct Completion {
-    token: u64,
-    frame: Vec<u8>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 struct Shared {
     connector: Arc<dyn Connector>,
-    /// `!connector.updates_block()`, asked once at bind.
-    inline_updates: bool,
     config: ServerConfig,
     shutdown: AtomicBool,
-    poller: polling::Poller,
-    jobs: Mutex<VecDeque<Job>>,
-    jobs_ready: Condvar,
-    completions: Mutex<Vec<Completion>>,
+    /// A handle on every open connection's socket, by connection id, so
+    /// shutdown can sever it. Its length is what the cap counts.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     metrics: NetMetrics,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl Server {
@@ -124,51 +102,27 @@ impl Server {
         Server::bind_with_config(addr, connector, ServerConfig::default())
     }
 
-    /// Bind with explicit readiness-loop / worker-pool sizing.
+    /// Bind with an explicit connection cap and shard identity.
     pub fn bind_with_config(
         addr: impl ToSocketAddrs,
         connector: Arc<dyn Connector>,
         config: ServerConfig,
     ) -> SnbResult<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let poller = polling::Poller::new()?;
-        poller.add(&listener, polling::Event::readable(LISTENER_KEY))?;
-        let worker_count = config.effective_workers();
         let shared = Arc::new(Shared {
-            inline_updates: !connector.updates_block(),
             connector,
             config,
             shutdown: AtomicBool::new(false),
-            poller,
-            jobs: Mutex::new(VecDeque::new()),
-            jobs_ready: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             metrics: NetMetrics::new("server"),
         });
-
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("snb-net-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .map_err(SnbError::Io)?,
-            );
-        }
-        let loop_shared = Arc::clone(&shared);
-        let event_loop = std::thread::Builder::new()
-            .name("snb-net-events".into())
-            .spawn(move || EventLoop::new(listener, loop_shared).run())
+        let accept_shared = Arc::clone(&shared);
+        let acceptor = std::thread::Builder::new()
+            .name("snb-net-accept".into())
+            .spawn(move || accept_loop(&listener, &accept_shared))
             .map_err(SnbError::Io)?;
-        Ok(Server {
-            shared,
-            addr,
-            event_loop: Mutex::new(Some(event_loop)),
-            workers: Mutex::new(workers),
-        })
+        Ok(Server { shared, addr, acceptor: Mutex::new(Some(acceptor)) })
     }
 
     /// The bound address (with the OS-assigned port when bound to `:0`).
@@ -188,30 +142,35 @@ impl Server {
     }
 
     /// SUT histogram snapshots merged with the server's request-latency
-    /// and queue-wait histograms — the same view the counters RPC returns.
+    /// histogram — the same view the counters RPC returns.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         merged_histograms(&self.shared)
     }
 
-    /// Stop accepting, sever every open connection, and wake every thread.
-    /// Idempotent; does not wait for threads (see [`Server::join`]).
+    /// Stop accepting and sever every open connection, which unblocks its
+    /// thread. Idempotent; does not wait for threads (see [`Server::join`]).
     pub fn shutdown(&self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The event loop owns every socket; waking it is enough — it sees
-        // the flag, drops the listener and all connections, and exits.
-        let _ = self.shared.poller.notify();
-        self.shared.jobs_ready.notify_all();
+        // Wake the accept thread out of `accept`: it sees the flag and
+        // exits.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        for stream in lock(&self.shared.conns).values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 
-    /// Wait for the event loop and every worker to exit.
+    /// Wait for the accept thread and every connection thread to exit.
     pub fn join(&self) {
-        if let Some(handle) = self.event_loop.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let _ = handle.join();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
-        for handle in workers {
+        if let Some(handle) = lock(&self.acceptor).take() {
             let _ = handle.join();
         }
     }
@@ -224,41 +183,191 @@ impl Drop for Server {
     }
 }
 
-// ---- worker pool ----
-
-fn worker_loop(shared: &Arc<Shared>) {
+/// Accept connections until shutdown, each on a thread of its own; then
+/// join every connection thread.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     loop {
-        let job = {
-            let mut jobs = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                jobs = shared
-                    .jobs_ready
-                    .wait_timeout(jobs, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // Transient accept errors (EMFILE, aborted connections): back
+            // off rather than spin, then retry.
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
             }
         };
-        shared.metrics.queue_micros.record(job.parsed.elapsed().as_micros() as u64);
-        let mut frame = Vec::new();
-        serve_request(shared, job.request, &mut frame);
-        shared
-            .completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Completion { token: job.token, frame });
-        let _ = shared.poller.notify();
+        // Join the threads of connections that have ended, so their
+        // handles do not pile up.
+        let (ended, live) = std::mem::take(&mut threads).into_iter().partition(|t| t.is_finished());
+        threads = live;
+        ended.into_iter().for_each(|t| drop(t.join()));
+
+        let id = {
+            let mut conns = lock(&shared.conns);
+            // Checked under the registry lock, so a connection is either
+            // registered before shutdown severs the registry, or dropped.
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let handle = match stream.try_clone() {
+                Ok(handle) if conns.len() < shared.config.max_connections => handle,
+                // Past the cap, or no handle to sever it by: dropping the
+                // stream closes it.
+                _ => {
+                    shared.metrics.errors.inc();
+                    continue;
+                }
+            };
+            next_id += 1;
+            conns.insert(next_id, handle);
+            next_id
+        };
+        shared.metrics.connections.inc();
+        shared.metrics.open_conns.inc();
+        let reap = Reap { shared: Arc::clone(shared), id };
+        let spawned = std::thread::Builder::new().name("snb-net-conn".into()).spawn(move || {
+            if let Err(e) = serve_connection(&reap.shared, stream) {
+                // A hangup is how a connection ends; anything else is an
+                // error: a broken protocol, a stall, a reset.
+                if e.kind() != ErrorKind::UnexpectedEof {
+                    reap.shared.metrics.errors.inc();
+                }
+            }
+        });
+        match spawned {
+            Ok(thread) => threads.push(thread),
+            // The closure, and the `Reap` in it, were dropped: reaped.
+            Err(_) => shared.metrics.errors.inc(),
+        }
+    }
+    for thread in threads {
+        let _ = thread.join();
+    }
+}
+
+/// Reaps its connection when the connection's thread ends, however it
+/// ends: removes the socket from the registry and ticks `closed` and
+/// `open_conns` (and `errors`, if the thread is unwinding from a panic).
+struct Reap {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.shared.metrics.errors.inc();
+        }
+        lock(&self.shared.conns).remove(&self.id);
+        self.shared.metrics.closed.inc();
+        self.shared.metrics.open_conns.dec();
+    }
+}
+
+/// One connection's blocking socket and inbound buffer: `buf[pos..end]`
+/// has been read but not consumed. A frame is consumed only once it is
+/// whole, so `pos == end` means no byte of the next frame has arrived.
+struct Conn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// The magic was accepted: from now on the peer may idle between
+    /// frames. Before it, a silent peer is stalled like one mid-frame.
+    handshaken: bool,
+}
+
+impl Conn {
+    /// Block until `n` unconsumed bytes are buffered. After the handshake,
+    /// waiting for the first byte of a frame has no limit; otherwise a
+    /// read that makes no progress for [`FRAME_STALL`] fails. A hangup is
+    /// `UnexpectedEof`.
+    fn fill(&mut self, n: usize) -> io::Result<()> {
+        while self.end - self.pos < n {
+            if self.pos == self.end {
+                (self.pos, self.end) = (0, 0);
+            } else if self.buf.len() - self.pos < n {
+                self.buf.copy_within(self.pos..self.end, 0);
+                (self.pos, self.end) = (0, self.end - self.pos);
+            }
+            if self.end == self.buf.len() {
+                self.buf.resize((self.pos + n).min(self.end + READ_CHUNK), 0);
+            }
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(read) => self.end += read,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && self.handshaken
+                        && self.pos == self.end => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Serve one connection until it ends: the handshake, then one request
+/// at a time. Returns how it ended.
+fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
+    let metrics = &shared.metrics;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(FRAME_STALL))?;
+    stream.set_write_timeout(Some(FRAME_STALL))?;
+    let mut conn = Conn { stream, buf: vec![0; READ_CHUNK], pos: 0, end: 0, handshaken: false };
+
+    // Handshake: the client speaks first; echo the magic back.
+    conn.fill(NET_MAGIC.len())?;
+    if conn.buf[..NET_MAGIC.len()] != NET_MAGIC {
+        return Err(ErrorKind::InvalidData.into());
+    }
+    conn.pos = NET_MAGIC.len();
+    conn.handshaken = true;
+    conn.stream.write_all(&NET_MAGIC)?;
+    metrics.bytes_in.add(8);
+    metrics.bytes_out.add(8);
+
+    let mut out = Vec::new();
+    let mut waiting = Instant::now();
+    loop {
+        conn.fill(4)?;
+        let prefix = conn.buf[conn.pos..conn.pos + 4].try_into().expect("4 bytes");
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len == 0 || len > MAX_FRAME {
+            // No trustworthy stream position remains; sever.
+            return Err(ErrorKind::InvalidData.into());
+        }
+        conn.fill(4 + len)?;
+        let started = Instant::now();
+        metrics.loop_idle_nanos.add(started.duration_since(waiting).as_nanos() as u64);
+        let decoded = Request::decode(&conn.buf[conn.pos + 4..conn.pos + 4 + len]);
+        conn.pos += 4 + len;
+        metrics.bytes_in.add((4 + len) as u64);
+        out.clear();
+        let Some(request) = decoded else {
+            // A frame we could not decode leaves no trustworthy stream
+            // position; reply once, then sever.
+            metrics.errors.inc();
+            let error = Response::Error(SnbError::Config("malformed request frame".into()));
+            metrics.bytes_out.add(codec::put_frame(&mut out, |frame| error.encode(frame)) as u64);
+            let _ = conn.stream.write_all(&out);
+            return Ok(());
+        };
+        let n = serve_request(shared, request, &mut out);
+        conn.stream.write_all(&out)?;
+        metrics.bytes_out.add(n as u64);
+        waiting = Instant::now();
+        metrics.loop_busy_nanos.add(waiting.duration_since(started).as_nanos() as u64);
     }
 }
 
 /// Clears the thread's trace-capture buffer on **every** exit path. An
 /// early return or panic between `start_capture` and `take_capture` must
-/// not leave the buffer armed, or a later request handled by this worker
+/// not leave the buffer armed, or a later request handled by this thread
 /// would absorb the leftover spans into its own trace.
 struct CaptureGuard {
     armed: bool,
@@ -292,24 +401,10 @@ impl Drop for CaptureGuard {
     }
 }
 
-/// Whether `request` executes on the event-loop thread rather than the
-/// worker pool: the short reads, the S2 partial, the Gct probe, and
-/// updates when `inline_updates` (the connector's updates do not block).
-/// See the module docs for why exactly these.
-fn runs_inline(request: &Request, inline_updates: bool) -> bool {
-    match request {
-        Request::Execute(Operation::Short(_), _)
-        | Request::Partial(Operation::Short(_))
-        | Request::Gct => true,
-        Request::Execute(Operation::Update(_), _) => inline_updates,
-        _ => false,
-    }
-}
-
 /// Execute one request and append its fully framed response
 /// (`len | payload`) to `out`; returns the frame's length. Never
 /// panics outward: a panicking connector becomes an error response, and
-/// the worker — or the event loop — lives on.
+/// the connection lives on.
 fn serve_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> usize {
     shared.metrics.requests.inc();
     let started = Instant::now();
@@ -386,397 +481,4 @@ fn merged_histograms(shared: &Shared) -> Vec<(String, HistogramSnapshot)> {
     histograms
         .push(("net.server.request_micros".to_string(), shared.metrics.request_micros.snapshot()));
     histograms
-        .push(("net.server.queue_micros".to_string(), shared.metrics.queue_micros.snapshot()));
-    histograms
-}
-
-// ---- event loop ----
-
-const LISTENER_KEY: usize = 0;
-/// Connection keys are `slot + KEY_BASE` so slot 0 never collides with the
-/// listener's key.
-const KEY_BASE: usize = 1;
-
-/// How long `wait` may block with nothing happening. Shutdown and
-/// completions arrive via `poller.notify`, so this is only a lost-wakeup
-/// backstop, not a polling interval.
-const WAIT_BACKSTOP: Duration = Duration::from_millis(250);
-
-/// Read chunk size: one `read` per readiness event. A connection reads only
-/// while it holds no complete frame, so this bounds its inbound buffer to
-/// one chunk plus one partial frame.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// Per-connection state machine.
-struct Conn {
-    stream: TcpStream,
-    gen: u32,
-    /// The peer's magic was received, accepted and echoed.
-    handshaken: bool,
-    /// Inbound bytes: the unparsed window is `rbuf[rpos..]`.
-    rbuf: Vec<u8>,
-    rpos: usize,
-    /// Outbound bytes: the unflushed window is `wbuf[wpos..]`.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// The connection's request is on the worker pool; its reply is owed.
-    busy: bool,
-    /// The peer hung up or sent garbage: read no more, answer the frames
-    /// already read, then close.
-    read_closed: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, gen: u32) -> Conn {
-        Conn {
-            stream,
-            gen,
-            handshaken: false,
-            rbuf: Vec::with_capacity(8 * 1024),
-            rpos: 0,
-            wbuf: Vec::new(),
-            wpos: 0,
-            busy: false,
-            read_closed: false,
-        }
-    }
-
-    fn token(&self, slot: usize) -> u64 {
-        ((self.gen as u64) << 32) | slot as u64
-    }
-
-    fn unflushed(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-
-    /// No request executing and no reply waiting to be written: the only
-    /// state in which the next frame is parsed.
-    fn idle(&self) -> bool {
-        !self.busy && self.unflushed() == 0
-    }
-}
-
-struct EventLoop {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conns: Vec<Option<Conn>>,
-    /// Reusable slots; `gens[slot]` bumps on every close so stale worker
-    /// completions can never reach a recycled connection.
-    free: Vec<usize>,
-    gens: Vec<u32>,
-}
-
-impl EventLoop {
-    fn new(listener: TcpListener, shared: Arc<Shared>) -> EventLoop {
-        EventLoop { listener, shared, conns: Vec::new(), free: Vec::new(), gens: Vec::new() }
-    }
-
-    fn run(mut self) {
-        let mut events = Vec::new();
-        loop {
-            events.clear();
-            let wait_started = Instant::now();
-            if self.shared.poller.wait(&mut events, Some(WAIT_BACKSTOP)).is_err() {
-                // A persistently failing poller must not become a busy
-                // loop; back off and recheck shutdown.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            // Busy/idle split of the loop thread: `wait` time is idle,
-            // everything else (accept, read, parse, dispatch, inline
-            // execution, flush) is busy. busy/(busy+idle) approaching 1
-            // means the single loop thread — not the worker pool — is the
-            // bottleneck.
-            let busy_started = Instant::now();
-            self.shared
-                .metrics
-                .loop_idle_nanos
-                .add(busy_started.duration_since(wait_started).as_nanos() as u64);
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            self.drain_completions();
-            for &event in &events {
-                if event.key == LISTENER_KEY {
-                    self.accept_burst();
-                } else {
-                    self.handle_conn_event(event.key - KEY_BASE, event);
-                }
-            }
-            self.shared.metrics.loop_busy_nanos.add(busy_started.elapsed().as_nanos() as u64);
-        }
-        // Teardown: closing every fd sends FIN/RST, so blocked client
-        // reads fail promptly; workers exit via the shutdown flag.
-        for slot in 0..self.conns.len() {
-            self.close_conn(slot);
-        }
-        self.shared.jobs_ready.notify_all();
-    }
-
-    fn accept_burst(&mut self) {
-        let mut burst = 0u64;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    burst += 1;
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // never serve a stream that would block the loop
-                    }
-                    self.shared.metrics.connections.inc();
-                    self.shared.metrics.open_conns.inc();
-                    let slot = match self.free.pop() {
-                        Some(slot) => slot,
-                        None => {
-                            self.conns.push(None);
-                            self.gens.push(0);
-                            self.conns.len() - 1
-                        }
-                    };
-                    let conn = Conn::new(stream, self.gens[slot]);
-                    if self
-                        .shared
-                        .poller
-                        .add(&conn.stream, polling::Event::readable(slot + KEY_BASE))
-                        .is_err()
-                    {
-                        self.shared.metrics.closed.inc();
-                        self.shared.metrics.open_conns.dec();
-                        self.gens[slot] = self.gens[slot].wrapping_add(1);
-                        self.free.push(slot);
-                        continue;
-                    }
-                    self.conns[slot] = Some(conn);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Transient accept errors (EMFILE, aborted connections):
-                // drop this readiness round; the re-arm below retries.
-                Err(_) => break,
-            }
-        }
-        self.shared.metrics.accept_backlog.set(burst);
-        let _ = self.shared.poller.modify(&self.listener, polling::Event::readable(LISTENER_KEY));
-    }
-
-    fn handle_conn_event(&mut self, slot: usize, event: polling::Event) {
-        if self.conns.get(slot).is_none_or(Option::is_none) {
-            return; // closed earlier this iteration
-        }
-        if event.readable && !self.read_into_conn(slot) {
-            return; // hard error: connection already closed
-        }
-        self.after_progress(slot);
-    }
-
-    /// Read one chunk from the socket into `rbuf`, first dropping the bytes
-    /// already parsed. An idle connection only: a hangup is reported as
-    /// readable even while a reply is owed. Returns false when the
-    /// connection was closed on a hard error.
-    fn read_into_conn(&mut self, slot: usize) -> bool {
-        let conn = self.conns[slot].as_mut().expect("checked by caller");
-        if conn.read_closed || !conn.idle() {
-            return true;
-        }
-        conn.rbuf.drain(..conn.rpos);
-        conn.rpos = 0;
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => conn.read_closed = true,
-                Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
-                // Interest is level-triggered: bytes left in the socket
-                // fire again once `after_progress` re-arms it.
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.shared.metrics.errors.inc();
-                    self.close_conn(slot);
-                    return false;
-                }
-            }
-            return true;
-        }
-    }
-
-    /// Accept the handshake, then take the next complete frame out of
-    /// `rbuf` and decode it. `None` means nothing to start: no complete
-    /// frame yet, a handshake echo or error reply to flush first, or a peer
-    /// that broke the protocol and was severed.
-    fn parse_next(&mut self, slot: usize) -> Option<Request> {
-        let conn = self.conns[slot].as_mut().expect("checked by caller");
-        let window = &conn.rbuf[conn.rpos..];
-
-        // Handshake: the client speaks first; echo the magic back.
-        if !conn.handshaken {
-            let magic = window.first_chunk::<8>()?; // the magic may arrive split
-            if *magic != NET_MAGIC {
-                self.shared.metrics.errors.inc();
-                self.close_conn(slot);
-                return None;
-            }
-            conn.handshaken = true;
-            conn.rpos += 8;
-            conn.wbuf.extend_from_slice(&NET_MAGIC);
-            self.shared.metrics.bytes_in.add(8);
-            self.shared.metrics.bytes_out.add(8);
-            return None; // flush the echo before the first frame
-        }
-
-        let prefix = window.first_chunk::<4>()?;
-        let len = u32::from_le_bytes(*prefix) as usize;
-        if len == 0 || len > MAX_FRAME {
-            // No trustworthy stream position remains; sever.
-            self.shared.metrics.errors.inc();
-            self.close_conn(slot);
-            return None;
-        }
-        if window.len() < 4 + len {
-            return None; // frame still arriving
-        }
-        let decoded = Request::decode(&window[4..4 + len]);
-        conn.rpos += 4 + len;
-        self.shared.metrics.bytes_in.add((4 + len) as u64);
-        if decoded.is_none() {
-            // A frame we could not decode leaves no trustworthy stream
-            // position; reply once, then sever after the reply is flushed.
-            self.shared.metrics.errors.inc();
-            let error = Response::Error(SnbError::Config("malformed request frame".into()));
-            let n = codec::put_frame(&mut conn.wbuf, |frame| error.encode(frame));
-            self.shared.metrics.bytes_out.add(n as u64);
-            conn.rbuf.clear();
-            conn.rpos = 0;
-            conn.read_closed = true;
-        }
-        decoded
-    }
-
-    /// Serve an inline request into the connection's write buffer, or hand
-    /// it to the worker pool and mark the connection busy.
-    fn start(&mut self, slot: usize, request: Request) {
-        let conn = self.conns[slot].as_mut().expect("checked by caller");
-        if runs_inline(&request, self.shared.inline_updates) {
-            self.shared.metrics.inline_requests.inc();
-            let n = serve_request(&self.shared, request, &mut conn.wbuf);
-            self.shared.metrics.bytes_out.add(n as u64);
-            return;
-        }
-        conn.busy = true;
-        self.shared.metrics.pipeline_depth.inc();
-        let job = Job { token: conn.token(slot), request, parsed: Instant::now() };
-        self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner()).push_back(job);
-        // One job wakes one worker; waking them all would send every other
-        // one straight back to sleep.
-        self.shared.jobs_ready.notify_one();
-    }
-
-    /// Queue each completed reply on its connection and keep that
-    /// connection moving.
-    fn drain_completions(&mut self) {
-        let completions =
-            std::mem::take(&mut *self.shared.completions.lock().unwrap_or_else(|e| e.into_inner()));
-        for completion in completions {
-            let slot = (completion.token & 0xffff_ffff) as usize;
-            let gen = (completion.token >> 32) as u32;
-            self.shared.metrics.pipeline_depth.dec();
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                continue; // connection died while the request executed
-            };
-            if conn.gen != gen {
-                continue; // slot recycled: response belongs to a dead peer
-            }
-            conn.busy = false;
-            self.shared.metrics.bytes_out.add(completion.frame.len() as u64);
-            conn.wbuf.extend_from_slice(&completion.frame);
-            self.after_progress(slot);
-        }
-    }
-
-    /// Flush the reply, and while the connection is idle start the next
-    /// request already read; then close a connection whose peer is gone
-    /// and is owed nothing, or re-arm its poller interest: write while a
-    /// reply is unflushed, read while idle, nothing while busy.
-    fn after_progress(&mut self, slot: usize) {
-        loop {
-            if !self.flush(slot) {
-                return;
-            }
-            if !self.conns[slot].as_ref().expect("flush kept it open").idle() {
-                break;
-            }
-            let Some(request) = self.parse_next(slot) else {
-                match &self.conns[slot] {
-                    None => return, // severed for breaking the protocol
-                    Some(conn) if conn.idle() => break,
-                    Some(_) => continue, // flush the echo or error reply first
-                }
-            };
-            self.start(slot, request);
-        }
-        let conn = self.conns[slot].as_ref().expect("still open");
-        if conn.busy {
-            // Left disarmed since the one-shot event that started the
-            // request, so a hangup cannot wake the loop over and over; the
-            // completion re-arms it.
-            return;
-        }
-        let key = slot + KEY_BASE;
-        let interest = if conn.unflushed() > 0 {
-            polling::Event::writable(key)
-        } else if conn.read_closed {
-            return self.close_conn(slot);
-        } else {
-            polling::Event::readable(key)
-        };
-        if self.shared.poller.modify(&conn.stream, interest).is_err() {
-            self.close_conn(slot);
-        }
-    }
-
-    /// Write as much of the reply as the socket accepts. Returns false when
-    /// the connection was closed on a hard error.
-    fn flush(&mut self, slot: usize) -> bool {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return false;
-        };
-        while conn.unflushed() > 0 {
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => {
-                    self.shared.metrics.errors.inc();
-                    self.close_conn(slot);
-                    return false;
-                }
-                Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.shared.metrics.errors.inc();
-                    self.close_conn(slot);
-                    return false;
-                }
-            }
-        }
-        conn.wbuf.clear();
-        conn.wpos = 0;
-        true
-    }
-
-    /// Reap one connection *now*: poller deregistration, fd close (via
-    /// drop), slot recycled under a bumped generation. This runs the
-    /// moment a connection dies — not at shutdown — so churn cannot
-    /// accumulate state.
-    fn close_conn(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        let _ = self.shared.poller.delete(&conn.stream);
-        self.shared.metrics.closed.inc();
-        self.shared.metrics.open_conns.dec();
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-        self.free.push(slot);
-        // A request of this conn still on the pool finishes there and is
-        // dropped by the generation check in drain_completions;
-        // `pipeline_depth` is decremented there, so the gauge stays
-        // balanced.
-        drop(conn);
-    }
 }

@@ -1,15 +1,17 @@
-//! Readiness-loop server tests: connection churn must not leak, requests a
-//! peer writes ahead must be answered one by one in the order sent, a peer
-//! with any other handshake magic must be severed, each request must run
-//! on the thread the dispatch rule picks for it, and an update that blocks
-//! must be answered only once it is done, without the loop waiting for it.
+//! Thread-per-connection server tests: connection churn must not leak,
+//! requests a peer writes ahead must be answered one by one in the order
+//! sent, a peer with any other handshake magic must be severed, the
+//! connection cap and the mid-frame stall bound must hold, and a slow
+//! request must hold up only its own connection, an update being answered
+//! only once it is done.
 
 use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
 use snb_core::{PersonId, SnbResult};
 use snb_datagen::{generate, Dataset, GeneratorConfig};
 use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome, StoreConnector};
-use snb_net::{codec, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC};
+use snb_net::server::FRAME_STALL;
+use snb_net::{codec, Request, Response, Server, ServerConfig, NET_MAGIC};
 use snb_queries::params::{ComplexQuery, Q2Params, Q7Params, ShortQuery};
 use snb_queries::sharded::Partial;
 use snb_queries::Engine;
@@ -42,8 +44,8 @@ fn store_server(config: ServerConfig) -> (Server, MutexGuard<'static, ()>) {
 
 /// Block until the server has reaped every accepted connection (closed
 /// catches up to connections and the open gauge hits zero) or panic after
-/// a deadline. Reaping is asynchronous — the event loop learns about a
-/// hangup on its next readiness wakeup.
+/// a deadline. Reaping is asynchronous — a connection's thread learns
+/// about a hangup when its next read returns.
 fn wait_reaped(server: &Server, deadline: Duration) {
     let t0 = Instant::now();
     loop {
@@ -100,10 +102,10 @@ impl Pipe {
     }
 }
 
-/// Threads of this process that belong to a server: the event loop and
-/// workers are named `snb-net-*`, and a thread spawned without a name
-/// inherits its spawner's. The test harness's own threads come and go as
-/// tests finish, so they are left out.
+/// Threads of this process that belong to a server: the accept thread
+/// and the connection threads are named `snb-net-*`, and a thread spawned
+/// without a name inherits its spawner's. The test harness's own threads
+/// come and go as tests finish, so they are left out.
 #[cfg(target_os = "linux")]
 fn server_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -113,16 +115,27 @@ fn server_thread_count() -> usize {
         .count()
 }
 
+/// Block until the server runs `expected` threads, or panic after a
+/// deadline: a reaped connection's thread exits a moment after its
+/// connection ticks `closed`.
+#[cfg(target_os = "linux")]
+fn wait_server_threads(expected: usize, deadline: Duration) {
+    let t0 = Instant::now();
+    while server_thread_count() != expected {
+        let running = server_thread_count();
+        assert!(t0.elapsed() < deadline, "{running} server threads, expected {expected}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Satellite: connection churn must not leak. 200 connect/disconnect
 /// cycles — some after a full handshake, some hung up mid-handshake — must
 /// all be reaped, with `accepted - closed` settling to zero and (on Linux)
-/// no thread beyond the event loop and the fixed worker pool: there is no
-/// per-connection handler to leak.
+/// no thread left beyond the accept thread: every connection's thread
+/// exits with it.
 #[test]
 fn connection_churn_is_reaped() {
-    const WORKERS: usize = 2;
-    let (server, _one_server) =
-        store_server(ServerConfig { workers: WORKERS, ..ServerConfig::default() });
+    let (server, _one_server) = store_server(ServerConfig::default());
     let addr = server.local_addr();
 
     for i in 0..200u32 {
@@ -142,7 +155,7 @@ fn connection_churn_is_reaped() {
     assert_eq!(server.metrics().connections.get(), 200);
 
     #[cfg(target_os = "linux")]
-    assert_eq!(server_thread_count(), 1 + WORKERS, "server threads after churn");
+    wait_server_threads(1, Duration::from_secs(10));
 
     // The server still works after all that churn.
     let mut client = Pipe::connect(addr);
@@ -155,15 +168,14 @@ fn connection_churn_is_reaped() {
 }
 
 /// One connection writes 200 requests before reading any reply, cycling
-/// a Q2 (run on the worker pool), an S1 (inline), a counters dump (pool)
-/// and a Gct probe (inline). The server answers them one at a time, so the
-/// replies come back in exactly that cycle — an inline reply never
-/// overtakes a pooled one — and none is an error.
+/// a Q2 (milliseconds), an S1 (a microsecond), a counters dump and a Gct
+/// probe. The server answers them one at a time, so the replies come back
+/// in exactly that cycle — a fast reply never overtakes a slow one — and
+/// none is an error.
 #[test]
 fn a_peer_writing_ahead_is_answered_in_order() {
     const REQUESTS: usize = 200;
-    let (server, _one_server) =
-        store_server(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let (server, _one_server) = store_server(ServerConfig::default());
     let mut client = Pipe::connect(server.local_addr());
 
     for i in 0..REQUESTS {
@@ -185,7 +197,6 @@ fn a_peer_writing_ahead_is_answered_in_order() {
         assert!(in_order, "reply {i} is {response:?}");
     }
     assert_eq!(server.metrics().errors.get(), 0);
-    assert_eq!(server.metrics().inline_requests.get(), REQUESTS as u64 / 2, "the S1s and Gcts");
 
     drop(client);
     wait_reaped(&server, Duration::from_secs(10));
@@ -310,8 +321,8 @@ fn a_length_prefix_past_the_frame_decodes_to_none() {
     assert!(Request::decode(&hostile_add_person()).is_none());
 }
 
-/// A request that decodes on the event-loop thread must not be able to
-/// take that thread down: the hostile frame costs its own connection only.
+/// A hostile frame, decoded on its connection's thread, costs that
+/// connection only: every other connection is still served.
 #[test]
 fn hostile_length_prefix_severs_only_that_connection() {
     let (server, _one_server) = store_server(ServerConfig::default());
@@ -336,16 +347,16 @@ fn hostile_length_prefix_severs_only_that_connection() {
     server.join();
 }
 
-/// A stand-in SUT for the dispatch tests: every operation answers one row
-/// and every partial an empty top list, except that a complex read first
-/// sleeps `complex_sleep`, and with `panics` an S1 or a complex read
-/// panics instead. With an `update_wait`, an update blocks: it sleeps
-/// that long, standing in for a durability wait, and then sets `durable`.
+/// A stand-in SUT for the slow-request tests: every operation answers one
+/// row and every partial an empty top list, except that a complex read
+/// first sleeps `complex_sleep`, and with `panics` an S1 or a complex read
+/// panics instead. An update sleeps `update_wait`, standing in for a
+/// durability wait, and then sets `durable`.
 #[derive(Default)]
 struct Stub {
     complex_sleep: Duration,
     panics: bool,
-    update_wait: Option<Duration>,
+    update_wait: Duration,
     durable: Arc<AtomicBool>,
 }
 
@@ -357,7 +368,7 @@ impl Connector for Stub {
             }
             Operation::Complex(_) => std::thread::sleep(self.complex_sleep),
             Operation::Update(_) => {
-                std::thread::sleep(self.update_wait.unwrap_or_default());
+                std::thread::sleep(self.update_wait);
                 self.durable.store(true, Ordering::SeqCst);
             }
             _ => {}
@@ -365,23 +376,22 @@ impl Connector for Stub {
         Ok(OpOutcome { rows: 1, ..OpOutcome::default() })
     }
 
-    fn updates_block(&self) -> bool {
-        self.update_wait.is_some()
-    }
-
     fn execute_partial(&self, _op: &Operation) -> SnbResult<PartialOutcome> {
         Ok(PartialOutcome { partial: Partial::Top(Vec::new()), seed: None })
     }
 }
 
-fn stub_server(stub: Stub, workers: usize) -> (Server, MutexGuard<'static, ()>) {
+fn stub_server(stub: Stub) -> (Server, MutexGuard<'static, ()>) {
     let guard = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServerConfig { workers, ..ServerConfig::default() };
-    (Server::bind_with_config("127.0.0.1:0", Arc::new(stub), config).unwrap(), guard)
+    (Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap(), guard)
 }
 
 fn complex_read() -> Operation {
     Operation::Complex(ComplexQuery::Q7(Q7Params { person: PersonId(1) }))
+}
+
+fn s1() -> Operation {
+    Operation::Short(ShortQuery::S1(PersonId(1)))
 }
 
 fn update() -> Operation {
@@ -393,19 +403,27 @@ fn ask(client: &mut Pipe, op: &Operation) -> Response {
     client.recv()
 }
 
-/// A panicking SUT costs the request, not the server, on both paths: the
-/// S1 panics on the event-loop thread, the complex read on a worker. Each
-/// is answered with an error, the connection that carried them and a fresh
-/// one both keep serving, and no server thread was lost or added.
+/// Block until the server has begun serving `n` requests in all.
+fn wait_requests(server: &Server, n: u64) {
+    let t0 = Instant::now();
+    while server.metrics().requests.get() < n {
+        assert!(t0.elapsed() < Duration::from_secs(10), "the server never took the requests");
+        std::thread::yield_now();
+    }
+}
+
+/// A panicking SUT costs the request, not the server, for a short read
+/// and a complex read alike. Each is answered with an error, the
+/// connection that carried them and a fresh one both keep serving, and the
+/// server runs the accept thread plus one thread per connection.
 #[test]
 fn a_panicking_sut_is_survived_inline_and_on_the_pool() {
-    const WORKERS: usize = 2;
     let stub = Stub { panics: true, ..Stub::default() };
-    let (server, _one_server) = stub_server(stub, WORKERS);
+    let (server, _one_server) = stub_server(stub);
     let addr = server.local_addr();
     let mut client = Pipe::connect(addr);
 
-    for op in [Operation::Short(ShortQuery::S1(PersonId(1))), complex_read()] {
+    for op in [s1(), complex_read()] {
         let response = ask(&mut client, &op);
         assert!(matches!(response, Response::Error(_)), "{op:?} answered {response:?}");
     }
@@ -419,138 +437,50 @@ fn a_panicking_sut_is_survived_inline_and_on_the_pool() {
     }
 
     #[cfg(target_os = "linux")]
-    assert_eq!(server_thread_count(), 1 + WORKERS, "server threads after the panics");
+    assert_eq!(server_thread_count(), 1 + 2, "server threads after the panics");
 
     server.shutdown();
     server.join();
 }
 
-/// How far `inline_requests` moves while `call` runs.
-fn inline_ticks(server: &Server, call: impl FnOnce()) -> u64 {
-    let before = server.metrics().inline_requests.get();
-    call();
-    server.metrics().inline_requests.get() - before
-}
-
-/// Which path each request takes: the seven short reads, the S2 partial,
-/// the Gct probe and an update that does not block run on the event loop;
-/// a complex read, a complex partial and the counters dump go to the pool,
-/// and only those record a queue wait. An update whose connector says it
-/// blocks goes to the pool too, and is its one queue wait.
-#[test]
-fn short_reads_and_gct_run_inline_and_the_rest_on_the_pool() {
-    let (server, one_server) = stub_server(Stub::default(), 2);
-    let remote = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
-
-    let (p, m) = (PersonId(1), snb_core::MessageId(1));
-    for s in [
-        ShortQuery::S1(p),
-        ShortQuery::S2(p),
-        ShortQuery::S3(p),
-        ShortQuery::S4(m),
-        ShortQuery::S5(m),
-        ShortQuery::S6(m),
-        ShortQuery::S7(m),
-    ] {
-        let ticks = inline_ticks(&server, || {
-            remote.execute(&Operation::Short(s)).unwrap();
-        });
-        assert_eq!(ticks, 1, "{s:?}");
-    }
-    let s2 = Operation::Short(ShortQuery::S2(p));
-    let ticks = inline_ticks(&server, || {
-        remote.execute_partial(&s2).unwrap();
-    });
-    assert_eq!(ticks, 1, "S2 partial");
-    let ticks = inline_ticks(&server, || {
-        remote.remote_gct().unwrap();
-    });
-    assert_eq!(ticks, 1, "Gct");
-    let ticks = inline_ticks(&server, || {
-        remote.execute(&update()).unwrap();
-    });
-    assert_eq!(ticks, 1, "an update that does not block");
-
-    let ticks = inline_ticks(&server, || {
-        remote.execute(&complex_read()).unwrap();
-    });
-    assert_eq!(ticks, 0, "complex read");
-    let ticks = inline_ticks(&server, || {
-        remote.execute_partial(&complex_read()).unwrap();
-    });
-    assert_eq!(ticks, 0, "complex partial");
-    let ticks = inline_ticks(&server, || {
-        remote.remote_counters().unwrap();
-    });
-    assert_eq!(ticks, 0, "counters");
-    assert_eq!(server.metrics().queue_micros.count(), 3, "one queue wait per pooled request");
-    drop(remote);
-    server.shutdown();
-    server.join();
-    drop(one_server);
-
-    let stub = Stub { update_wait: Some(Duration::from_millis(1)), ..Stub::default() };
-    let (server, _one_server) = stub_server(stub, 2);
-    let remote = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
-    let ticks = inline_ticks(&server, || {
-        remote.execute(&update()).unwrap();
-    });
-    assert_eq!(ticks, 0, "an update that blocks");
-    assert_eq!(server.metrics().queue_micros.count(), 1, "one queue wait, the update's");
-
-    server.shutdown();
-    server.join();
-}
-
-/// Acknowledged means durable, and the loop does not wait for the disk:
-/// while an update blocks 300 ms on a worker (as one behind a syncing WAL
-/// waits for its fsync), an S1 on a second connection is answered from
-/// the event loop at once; the update's reply arrives only after its wait
-/// has returned; and the wait ran on the fixed pool, not on a thread of
-/// its own.
+/// Acknowledged means durable, and no other connection waits for the
+/// disk: while an update blocks 300 ms (as one behind a syncing WAL waits
+/// for its fsync), an S1 on a second connection is answered at once; the
+/// update's reply arrives only after its wait has returned.
 #[test]
 fn a_durability_wait_neither_blocks_the_loop_nor_acks_early() {
-    const WORKERS: usize = 2;
-    let stub = Stub { update_wait: Some(Duration::from_millis(300)), ..Stub::default() };
+    let stub = Stub { update_wait: Duration::from_millis(300), ..Stub::default() };
     let durable = Arc::clone(&stub.durable);
-    let (server, _one_server) = stub_server(stub, WORKERS);
+    let (server, _one_server) = stub_server(stub);
     let addr = server.local_addr();
     let mut writer = Pipe::connect(addr);
     let mut reader = Pipe::connect(addr);
 
     writer.send(&update());
-    // A worker records the queue wait as it picks the update up.
-    let t0 = Instant::now();
-    while server.metrics().queue_micros.count() < 1 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "no worker took the update");
-        std::thread::yield_now();
-    }
+    wait_requests(&server, 1);
 
     let started = Instant::now();
-    let response = ask(&mut reader, &Operation::Short(ShortQuery::S1(PersonId(1))));
+    let response = ask(&mut reader, &s1());
     let waited = started.elapsed();
     assert!(matches!(response, Response::Outcome(..)), "S1 answered {response:?}");
     assert!(waited < Duration::from_millis(50), "S1 waited {waited:?} behind the durability wait");
     assert!(!durable.load(Ordering::SeqCst), "the 300 ms wait is still running");
-    #[cfg(target_os = "linux")]
-    assert_eq!(server_thread_count(), 1 + WORKERS, "server threads during a durability wait");
 
     let response = writer.recv();
     assert!(durable.load(Ordering::SeqCst), "the update was acknowledged before it was durable");
     assert!(matches!(response, Response::Outcome(..)), "update answered {response:?}");
-    assert_eq!(server.metrics().inline_requests.get(), 1, "the S1 alone");
 
     server.shutdown();
     server.join();
 }
 
 /// A short read does not wait behind slow requests: while two 300 ms
-/// complex reads from two other connections hold both workers, an S1 is
-/// answered from the event loop at once.
+/// complex reads from two other connections run, an S1 is answered at
+/// once.
 #[test]
 fn a_short_read_is_not_blocked_behind_busy_workers() {
     let stub = Stub { complex_sleep: Duration::from_millis(300), ..Stub::default() };
-    let (server, _one_server) = stub_server(stub, 2);
+    let (server, _one_server) = stub_server(stub);
     let addr = server.local_addr();
     let mut slow = [Pipe::connect(addr), Pipe::connect(addr)];
     let mut fast = Pipe::connect(addr);
@@ -558,15 +488,10 @@ fn a_short_read_is_not_blocked_behind_busy_workers() {
     for client in &mut slow {
         client.send(&complex_read());
     }
-    // A worker records the queue wait as it picks a job up.
-    let t0 = Instant::now();
-    while server.metrics().queue_micros.count() < 2 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "the workers never took the reads");
-        std::thread::yield_now();
-    }
+    wait_requests(&server, 2);
 
     let started = Instant::now();
-    let response = ask(&mut fast, &Operation::Short(ShortQuery::S1(PersonId(1))));
+    let response = ask(&mut fast, &s1());
     let waited = started.elapsed();
     assert!(matches!(response, Response::Outcome(..)), "S1 answered {response:?}");
     assert!(waited < Duration::from_millis(50), "S1 waited {waited:?} behind the workers");
@@ -574,6 +499,77 @@ fn a_short_read_is_not_blocked_behind_busy_workers() {
     for client in &mut slow {
         assert!(matches!(client.recv(), Response::Outcome(..)));
     }
+    server.shutdown();
+    server.join();
+}
+
+/// With `max_connections: 4`, four handshaken connections are served, each
+/// on a thread of its own, and a fifth is closed at once — EOF in place of
+/// the echo — and counted as an error. Once the four hang up they are
+/// reaped, their threads exit, and a new connection is answered.
+#[test]
+fn a_connection_past_the_cap_is_closed_at_once() {
+    const CAP: usize = 4;
+    let (server, _one_server) =
+        store_server(ServerConfig { max_connections: CAP, ..ServerConfig::default() });
+    let addr = server.local_addr();
+    let mut pipes: Vec<Pipe> = (0..CAP).map(|_| Pipe::connect(addr)).collect();
+    for pipe in &mut pipes {
+        let response = ask(pipe, &s1());
+        assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
+    }
+
+    let mut fifth = TcpStream::connect(addr).unwrap();
+    fifth.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut echo = [0u8; 8];
+    assert_eq!(fifth.read(&mut echo).unwrap(), 0, "the fifth connection was not closed");
+    assert_eq!(server.metrics().errors.get(), 1);
+    assert_eq!(server.metrics().connections.get(), CAP as u64);
+    #[cfg(target_os = "linux")]
+    assert_eq!(server_thread_count(), 1 + CAP, "the accept thread and one per connection");
+
+    drop(pipes);
+    drop(fifth);
+    wait_reaped(&server, Duration::from_secs(10));
+    #[cfg(target_os = "linux")]
+    wait_server_threads(1, Duration::from_secs(10));
+    let mut fresh = Pipe::connect(addr);
+    let response = ask(&mut fresh, &s1());
+    assert!(matches!(response, Response::Outcome(..)), "got {response:?}");
+
+    server.shutdown();
+    server.join();
+}
+
+/// A peer that sends 2 bytes of a length prefix and then nothing is
+/// severed once the frame has stalled for `FRAME_STALL`, and so is one
+/// that connects and never sends the magic; each counts as an error. A
+/// handshaken connection that sends nothing at all meanwhile is idle
+/// between frames, not stalled, and is still answered afterwards.
+#[test]
+fn a_peer_stalled_mid_frame_is_severed_and_an_idle_one_is_not() {
+    let (server, _one_server) = store_server(ServerConfig::default());
+    let addr = server.local_addr();
+    let mut idle = Pipe::connect(addr);
+    let mut staller = Pipe::connect(addr);
+    let mut silent = TcpStream::connect(addr).unwrap();
+
+    staller.stream.write_all(&[9, 0]).unwrap();
+    let started = Instant::now();
+    for stream in [&mut staller.stream, &mut silent] {
+        stream.set_read_timeout(Some(FRAME_STALL + Duration::from_secs(2))).unwrap();
+        let mut rest = Vec::new();
+        let read = stream.read_to_end(&mut rest);
+        let waited = started.elapsed();
+        assert!(read.is_ok() && rest.is_empty(), "a stalled peer read {read:?}, {rest:?}");
+        assert!(waited > FRAME_STALL - Duration::from_secs(1), "severed after {waited:?}");
+        assert!(waited < FRAME_STALL + Duration::from_secs(2), "severed after {waited:?}");
+    }
+    assert_eq!(server.metrics().errors.get(), 2);
+
+    let response = ask(&mut idle, &s1());
+    assert!(matches!(response, Response::Outcome(..)), "the idle connection got {response:?}");
+
     server.shutdown();
     server.join();
 }

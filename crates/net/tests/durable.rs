@@ -1,10 +1,9 @@
 //! A write-ahead log behind a real server. An update whose commit waits
-//! for an fsync runs on the worker pool and is acknowledged only after
-//! that wait; one that cannot block runs on the event loop. These tests
-//! check the dispatch and that the acknowledged updates are on disk.
+//! for an fsync is acknowledged only after that wait; this test checks
+//! that the acknowledged updates are on disk.
 
 use snb_datagen::{generate, Dataset, GeneratorConfig};
-use snb_driver::connector::{Connector, Operation, StoreConnector};
+use snb_driver::connector::StoreConnector;
 use snb_driver::mix;
 use snb_driver::scheduler::{run, DriverConfig};
 use snb_net::{RemoteConnector, Server};
@@ -24,33 +23,6 @@ fn serve(store: Store) -> (Arc<Store>, Server) {
     let connector = Arc::new(StoreConnector::new(Arc::clone(&store), Engine::Intended));
     let server = Server::bind("127.0.0.1:0", connector).unwrap();
     (store, server)
-}
-
-/// A store with no WAL, or one whose WAL never syncs, commits in a few
-/// microseconds and its updates run on the event loop; behind a WAL that
-/// syncs they go to the worker pool.
-#[test]
-fn updates_run_inline_only_when_the_store_does_not_sync() {
-    let update = Operation::Update(dataset().update_stream().swap_remove(0).op);
-    let wal = |policy| {
-        let path = std::env::temp_dir()
-            .join(format!("snb-net-inline-{}-{policy:?}.wal", std::process::id()));
-        (Store::with_wal_policy(&path, policy).unwrap(), Some(path))
-    };
-    for ((store, path), inline) in
-        [((Store::new(), None), 1), (wal(SyncPolicy::Never), 1), (wal(SyncPolicy::default()), 0)]
-    {
-        let (store, server) = serve(store);
-        let remote = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
-        remote.execute(&update).unwrap();
-        assert_eq!(server.metrics().inline_requests.get(), inline, "{path:?}");
-        drop(remote);
-        drop(server);
-        drop(store);
-        if let Some(path) = path {
-            std::fs::remove_file(path).unwrap();
-        }
-    }
 }
 
 /// `(persons, forums, messages)` a store holds.

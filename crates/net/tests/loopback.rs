@@ -352,11 +352,6 @@ fn mix_loopback_matches_in_process() {
         .expect("stage histograms missing from RPC dump");
     assert!(apply.count > 0, "writes recorded stage samples");
     assert!(histograms.iter().any(|(n, _)| n == "net.server.request_micros"));
-    // The server's time splits into queue wait (pooled updates and complex
-    // reads) and execution; the short-read walk ran on the event loop.
-    let queued = histograms.iter().find(|(n, _)| n == "net.server.queue_micros");
-    assert!(queued.is_some_and(|(_, h)| h.count > 0), "queue waits missing from RPC dump");
-    assert!(get("net.server.inline_requests") > 0, "no request ran on the event loop");
     // Driver-side counters surface through the Connector trait.
     let client_side = remote.counters();
     assert!(client_side.iter().any(|(n, _)| n == "net.client.requests"));

@@ -258,7 +258,7 @@ fn two_shard_mixed_workload_runs_and_discloses_per_shard() {
     // shard, point ops spread by id range.
     assert!(get("shard0.net.server.requests") > 0);
     assert!(get("shard1.net.server.requests") > 0);
-    // The event-loop utilization counters are disclosed per shard.
+    // The connection threads' busy/idle counters are disclosed per shard.
     assert!(get("shard0.net.server.loop_busy_nanos") > 0);
     assert!(get("shard0.net.server.loop_idle_nanos") > 0);
     // Per-shard histograms carry each link's request latency.
@@ -271,7 +271,7 @@ fn two_shard_mixed_workload_runs_and_discloses_per_shard() {
     }
 
     // Once the router hangs up, each shard reaps every connection it
-    // accepted (asynchronously, on the event loop's next wakeup).
+    // accepted (asynchronously, as each connection's thread reads EOF).
     drop(router);
     let deadline = Instant::now() + Duration::from_secs(10);
     for server in [&server0, &server1] {

@@ -14,9 +14,8 @@ use crate::wal::WalMetrics;
 use parking_lot::Mutex;
 use snb_obs::{Counter, Counters, Gauge, HistogramSnapshot, LatencyHistogram};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 /// Stripes in the writer lock map (shared with `store.rs`; also the length
 /// of the per-stripe telemetry arrays below).
@@ -95,7 +94,9 @@ impl StageHistograms {
 /// writes it, with [`LatencyHistogram::record_single_writer`], so a commit
 /// makes no locked read-modify-write on telemetry, and the 128-byte
 /// alignment keeps its inline words off every other writer's lines. The
-/// number of commits is the number of `apply` samples.
+/// number of commits is the number of `apply` samples. When its thread
+/// exits, the shard is released, samples kept, for the next thread that
+/// commits to the store to claim.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct WriterShard {
@@ -106,6 +107,10 @@ pub struct WriterShard {
     /// still unpublished, i.e. how far out of order commits complete.
     /// Samples are timestamp counts, not nanoseconds.
     pub watermark_lag: LatencyHistogram,
+    /// A live thread writes this shard. Cleared with Release as the thread
+    /// exits and set with an Acquire claim, so the next owner's plain
+    /// loads see every store of the last.
+    held: AtomicBool,
 }
 
 /// Source of [`StoreCounters`] ids: unique for the process's lifetime, so a
@@ -113,10 +118,21 @@ pub struct WriterShard {
 /// that happens to reuse a dropped store's address.
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The shards a thread holds, one per store it has committed to, keyed by
+/// store id, the most recently used first. Dropped as the thread exits,
+/// which releases every shard.
+struct HeldShards(Vec<(u64, Arc<WriterShard>)>);
+
+impl Drop for HeldShards {
+    fn drop(&mut self) {
+        for (_, shard) in &self.0 {
+            shard.held.store(false, Ordering::Release);
+        }
+    }
+}
+
 thread_local! {
-    /// The calling thread's shard in the store it committed to last, keyed
-    /// by that store's id.
-    static LAST_SHARD: RefCell<Option<(u64, Arc<WriterShard>)>> = const { RefCell::new(None) };
+    static HELD_SHARDS: RefCell<HeldShards> = const { RefCell::new(HeldShards(Vec::new())) };
 }
 
 /// Per-stripe contention telemetry: how often each of the [`STRIPES`]
@@ -274,11 +290,13 @@ pub struct StoreCounters {
     pub wal_recovery_truncated_bytes: Counter,
     /// WAL fsync latency distribution, in microseconds.
     pub wal_fsync_micros: Arc<LatencyHistogram>,
-    /// Every writer thread's [`WriterShard`], by thread: stage
-    /// histograms, watermark lag and the commit count
-    /// (`store.txn.commits`). Registered on a thread's first commit.
-    writers: Mutex<Vec<(ThreadId, Arc<WriterShard>)>>,
-    /// This instance's process-unique id, the key of `LAST_SHARD`.
+    /// Every [`WriterShard`] of this store: stage histograms, watermark
+    /// lag and the commit count (`store.txn.commits`). A thread's first
+    /// commit claims a released shard, or registers a new one if none is
+    /// free, so the registry holds as many shards as writer threads were
+    /// ever alive at once, not one per thread that ever committed.
+    writers: Mutex<Vec<Arc<WriterShard>>>,
+    /// This instance's process-unique id, the key of `HELD_SHARDS`.
     id: u64,
     /// Per-stripe conflict heatmap + acquire-wait distributions.
     pub stripes: StripeTelemetry,
@@ -319,36 +337,53 @@ impl StoreCounters {
     }
 
     /// Run `f` on the calling thread's [`WriterShard`] of this store. The
-    /// first call on a thread registers its shard; later calls find it in a
-    /// thread-local cache without a lock. A thread that alternates between
-    /// stores misses that one-entry cache and finds its existing shard in
-    /// the registry, so the registry holds one shard per writer thread.
+    /// thread finds it in its thread-local list of held shards without a
+    /// lock — at the front when it last committed to this store — so a
+    /// thread that alternates between stores keeps one shard in each. Its
+    /// first commit to a store claims one, a released shard if the store
+    /// has one.
     #[inline]
     pub fn with_writer<R>(&self, f: impl FnOnce(&WriterShard) -> R) -> R {
-        LAST_SHARD.with(|last| {
-            let mut last = last.borrow_mut();
-            match &*last {
-                Some((id, shard)) if *id == self.id => f(shard),
-                _ => f(&last.insert((self.id, self.writer_shard())).1),
+        HELD_SHARDS.with(|held| {
+            let held = &mut held.borrow_mut().0;
+            if held.first().is_none_or(|(id, _)| *id != self.id) {
+                self.bring_to_front(held);
             }
+            f(&held[0].1)
         })
     }
 
-    /// The calling thread's registered shard, registering one if it has
-    /// none yet.
+    /// Move this store's shard to the front of `held`, claiming one if the
+    /// thread holds none. Shards of dropped stores (whose registry no
+    /// longer shares them) are let go on the way.
     #[cold]
-    fn writer_shard(&self) -> Arc<WriterShard> {
-        let me = std::thread::current().id();
+    fn bring_to_front(&self, held: &mut Vec<(u64, Arc<WriterShard>)>) {
+        match held.iter().position(|(id, _)| *id == self.id) {
+            Some(at) => held[..=at].rotate_right(1),
+            None => {
+                held.retain(|(_, shard)| Arc::strong_count(shard) > 1);
+                held.insert(0, (self.id, self.claim_shard()));
+            }
+        }
+    }
+
+    /// A shard released by an exited thread if there is one, else a new
+    /// one; either way held by the calling thread from now on.
+    fn claim_shard(&self) -> Arc<WriterShard> {
         let mut writers = self.writers.lock();
-        if let Some((_, shard)) = writers.iter().find(|(t, _)| *t == me) {
+        let free = writers.iter().find(|shard| {
+            shard.held.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_ok()
+        });
+        if let Some(shard) = free {
             return Arc::clone(shard);
         }
-        let shard = Arc::new(WriterShard::default());
-        writers.push((me, Arc::clone(&shard)));
+        let shard = Arc::new(WriterShard { held: AtomicBool::new(true), ..WriterShard::default() });
+        writers.push(Arc::clone(&shard));
         shard
     }
 
-    /// Writer threads that have recorded into this store.
+    /// Shards in this store's registry: the most threads that held one at
+    /// once, i.e. that had committed to this store and not yet exited.
     pub fn writer_shards(&self) -> usize {
         self.writers.lock().len()
     }
@@ -356,13 +391,13 @@ impl StoreCounters {
     /// Committed transactions (`store.txn.commits`): the `apply` samples
     /// summed over every writer's shard.
     pub fn commits(&self) -> u64 {
-        self.writers.lock().iter().map(|(_, w)| w.stages.apply.count()).sum()
+        self.writers.lock().iter().map(|w| w.stages.apply.count()).sum()
     }
 
     /// `pick`'s histogram merged over every writer's shard.
     fn merged(&self, pick: impl Fn(&WriterShard) -> &LatencyHistogram) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
-        for (_, w) in self.writers.lock().iter() {
+        for w in self.writers.lock().iter() {
             merged.merge(&pick(w).snapshot());
         }
         merged

@@ -404,12 +404,6 @@ impl Store {
         (guards, blocked)
     }
 
-    /// Whether [`Store::apply`] may block before it returns: behind a WAL
-    /// that syncs, it waits for the commit's record to be on disk.
-    pub fn commits_block(&self) -> bool {
-        self.wal.as_ref().is_some_and(Wal::syncs)
-    }
-
     /// Flush the WAL (an fsync durability point under
     /// [`SyncPolicy::Group`]).
     pub fn flush_wal(&self) -> SnbResult<()> {
@@ -568,20 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn commits_block_only_behind_a_wal_that_syncs() {
+    fn only_a_wal_that_syncs_fsyncs_a_commit() {
         let s = Store::new();
-        assert!(!s.commits_block());
         s.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
         let [.., (_, durable)] = s.counters().stage_snapshots();
         assert_eq!(durable.count, 1, "the stage samples every commit");
 
-        for (policy, blocks) in [(SyncPolicy::Never, false), (SyncPolicy::Group, true)] {
+        for (policy, syncs) in [(SyncPolicy::Never, false), (SyncPolicy::Group, true)] {
             let path = std::env::temp_dir()
-                .join(format!("snb-graph-blocks-{}-{policy:?}.wal", std::process::id()));
+                .join(format!("snb-graph-syncs-{}-{policy:?}.wal", std::process::id()));
             let logged = Store::with_wal_policy(&path, policy).unwrap();
-            assert_eq!(logged.commits_block(), blocks, "{policy:?}");
             logged.apply(&UpdateOp::AddPerson(person(0, 10))).unwrap();
-            assert_eq!(logged.counters().wal_fsyncs.get() > 0, blocks, "{policy:?}");
+            assert_eq!(logged.counters().wal_fsyncs.get() > 0, syncs, "{policy:?}");
             drop(logged);
             std::fs::remove_file(&path).unwrap();
         }

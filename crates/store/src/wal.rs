@@ -269,12 +269,6 @@ impl Wal {
         &self.path
     }
 
-    /// Whether [`Wal::wait_durable`] may block: [`SyncPolicy::Group`]
-    /// syncs before a commit is acknowledged.
-    pub fn syncs(&self) -> bool {
-        self.policy != SyncPolicy::Never
-    }
-
     /// Number of live records (replayed ones included after
     /// [`Wal::open_append`]).
     pub fn records(&self) -> u64 {

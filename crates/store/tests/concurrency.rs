@@ -137,7 +137,7 @@ mod striped {
     use snb_core::update::UpdateOp;
     use snb_core::{PersonId, TagId};
     use snb_store::Store;
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
 
     fn person(id: u64, t: i64) -> Person {
         Person {
@@ -227,6 +227,31 @@ mod striped {
         }
     }
 
+    /// Writer threads that come and go do not pile up shards: 50 threads,
+    /// one after another, each commit one update. Each exiting thread
+    /// releases its shard and the next one claims it, so the store keeps
+    /// one shard holding every sample. (`join`, unlike the end of a
+    /// thread scope, returns only after the thread's thread-locals, which
+    /// release its shards, have been dropped.)
+    #[test]
+    fn exited_writers_release_their_shards_to_the_next() {
+        const THREADS: u64 = 50;
+        let store = Arc::new(Store::new());
+        for i in 0..THREADS {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || store.apply(&UpdateOp::AddPerson(person(i, i as i64))))
+                .join()
+                .unwrap()
+                .unwrap();
+        }
+        let c = store.counters();
+        assert_eq!(c.writer_shards(), 1, "one shard, handed from thread to thread");
+        assert_eq!(c.commits(), THREADS);
+        for (name, h) in c.stage_snapshots() {
+            assert_eq!(h.count, THREADS, "{name} must count every commit once");
+        }
+    }
+
     /// Writer `w`'s stream over ids of its own: persons `w·1000 + i`, each
     /// befriending the one before it.
     fn disjoint_stream(w: u64) -> Vec<UpdateOp> {
@@ -249,21 +274,24 @@ mod striped {
     /// readers merge the shards: four threads committing disjoint streams
     /// into one store give every committed-path stage, the watermark lag
     /// and `store.txn.commits` exactly one sample per commit. A thread
-    /// that alternates between two stores keeps one shard in each.
+    /// that alternates between two stores keeps one shard in each. The
+    /// writers wait for each other before they exit, since an exited
+    /// writer's shard may be claimed by a thread yet to commit.
     #[test]
     fn writer_shards_merge_to_exact_counts() {
         const W: u64 = 4;
         let streams: Vec<Vec<UpdateOp>> = (0..W).map(disjoint_stream).collect();
         let store = Store::new();
-        let start = Barrier::new(W as usize);
+        let (start, done) = (Barrier::new(W as usize), Barrier::new(W as usize));
         std::thread::scope(|scope| {
             for ops in &streams {
-                let (store, start) = (&store, &start);
+                let (store, start, done) = (&store, &start, &done);
                 scope.spawn(move || {
                     start.wait();
                     for op in ops {
                         store.apply(op).unwrap();
                     }
+                    done.wait();
                 });
             }
         });
