@@ -10,6 +10,7 @@
 //! parallel workload [...] on a dataset that by its complex connected
 //! component structure is impossible to partition".
 
+pub mod affinity;
 pub mod connector;
 pub mod dependency;
 pub mod metrics;

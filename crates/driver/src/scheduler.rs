@@ -15,6 +15,7 @@
 //! acceleration when at least [`ON_TIME_SHARE`] of its scheduled
 //! operations started on time.
 
+use crate::affinity;
 use crate::connector::{Connector, Operation};
 use crate::dependency::{Gds, Lds};
 use crate::metrics::Metrics;
@@ -158,6 +159,12 @@ pub fn run(
     let gds = Gds::new(partitions);
     let metrics = Metrics::new();
     let abort = AtomicBool::new(false);
+    // One CPU per partition: a partition waits for each operation it
+    // issues, so it and whatever serves it (a loopback server thread
+    // follows its peer's CPU) never run at once, and every hand-off
+    // between them is a same-CPU wake-up. With one CPU there is nothing to
+    // pin.
+    let cpus = affinity::allowed_cpus();
     let start = Instant::now();
 
     let outcomes: Vec<(PartitionStats, SnbResult<()>)> = std::thread::scope(|scope| {
@@ -177,7 +184,13 @@ pub fn run(
                     stats: PartitionStats { partition: pi, ..PartitionStats::default() },
                     walk_counter: (pi as u64) << 40,
                 };
-                scope.spawn(move || worker.run(queue))
+                let cpu = (cpus.len() > 1).then(|| cpus[pi % cpus.len()]);
+                scope.spawn(move || {
+                    if let Some(cpu) = cpu {
+                        affinity::pin_current_thread(cpu);
+                    }
+                    worker.run(queue)
+                })
             })
             .collect();
         handles

@@ -3,6 +3,9 @@
 //! `RemoteConnector` implements [`Connector`] over TCP with a connection
 //! pool sized by demand: each concurrent `execute` checks a connection
 //! out, so a driver with P partitions settles on at most P connections.
+//! The pool is sticky: a thread gets back the connection it used last, so
+//! each partition keeps one server thread, which a loopback server keeps on
+//! the partition's CPU (DESIGN.md, "Co-location").
 //! Each checked-out connection carries one request and then waits for its
 //! response, as the driver's dependency-execution loop does per partition
 //! and as the server requires. Connect failures are retried with bounded
@@ -21,6 +24,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// A handshaken client connection. Reads go through the buffer, so a whole
@@ -46,7 +50,9 @@ pub type RemoteCounters = (Vec<(String, u64)>, Vec<(String, HistogramSnapshot)>)
 pub struct RemoteConnector {
     addr: String,
     request_timeout: Duration,
-    pool: Mutex<Vec<Stream>>,
+    /// Idle connections, each with the thread that checked it in; the
+    /// most recently pooled last.
+    pool: Mutex<Vec<(ThreadId, Stream)>>,
     ever_connected: AtomicBool,
     metrics: NetMetrics,
 }
@@ -129,15 +135,26 @@ impl RemoteConnector {
         }
     }
 
+    /// The calling thread's own idle connection if one is pooled, else the
+    /// most recently pooled one, else a fresh dial.
     fn checkout(&self) -> SnbResult<Stream> {
-        if let Some(stream) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
-            return Ok(stream);
+        let me = std::thread::current().id();
+        let pooled = {
+            let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+            match pool.iter().rposition(|(owner, _)| *owner == me) {
+                Some(i) => Some(pool.remove(i).1),
+                None => pool.pop().map(|(_, stream)| stream),
+            }
+        };
+        match pooled {
+            Some(stream) => Ok(stream),
+            None => self.dial(),
         }
-        self.dial()
     }
 
     fn checkin(&self, stream: Stream) {
-        self.pool.lock().unwrap_or_else(|e| e.into_inner()).push(stream);
+        let me = std::thread::current().id();
+        self.pool.lock().unwrap_or_else(|e| e.into_inner()).push((me, stream));
     }
 
     /// One request round trip — [`start_request`](Self::start_request) then
@@ -199,6 +216,28 @@ impl RemoteConnector {
                 drop(stream);
                 Err(SnbError::Io(e))
             }
+        }
+    }
+
+    /// The outcome an execute reply carries, with the server's spans
+    /// stitched under `wire`; an error reply is counted and returned.
+    pub(crate) fn execute_reply(
+        &self,
+        wire: &SpanGuard,
+        response: Response,
+    ) -> SnbResult<OpOutcome> {
+        match response {
+            Response::Outcome(outcome, spans) => {
+                if wire.span_id() != 0 && !spans.is_empty() {
+                    stitch_server_spans(wire, spans);
+                }
+                Ok(outcome)
+            }
+            Response::Error(e) => {
+                self.metrics.errors.inc();
+                Err(e)
+            }
+            _ => Err(SnbError::Config("protocol mismatch: wrong reply to execute".into())),
         }
     }
 }
@@ -291,29 +330,28 @@ fn stitch_server_spans(wire: &SpanGuard, mut spans: Vec<SpanData>) {
     trace::record_foreign_rooted(spans, wire.span_id());
 }
 
+/// The wire span of an execute: it covers serialize → RTT → deserialize,
+/// and its context rides in the request so the server's spans come back
+/// stitched underneath it.
+pub(crate) fn wire_span() -> SpanGuard {
+    static SPAN_REQUEST: NameId = NameId::new("net.client.request");
+    trace::span(&SPAN_REQUEST)
+}
+
+/// An execute request for `op`, carrying `wire`'s trace context when it
+/// is recording.
+pub(crate) fn execute_payload(op: &Operation, wire: &SpanGuard) -> Vec<u8> {
+    let ctx = (wire.span_id() != 0).then(|| (wire.trace_id(), wire.span_id()));
+    let mut payload = Vec::new();
+    codec::encode_execute(op, ctx, &mut payload);
+    payload
+}
+
 impl Connector for RemoteConnector {
     fn execute(&self, op: &Operation) -> SnbResult<OpOutcome> {
-        // The wire span covers serialize → RTT → deserialize; its context
-        // rides in the request so the server's spans come back stitched
-        // underneath it.
-        static SPAN_REQUEST: NameId = NameId::new("net.client.request");
-        let wire = trace::span(&SPAN_REQUEST);
-        let ctx = (wire.span_id() != 0).then(|| (wire.trace_id(), wire.span_id()));
-        let mut payload = Vec::new();
-        codec::encode_execute(op, ctx, &mut payload);
-        match self.request(&payload)? {
-            Response::Outcome(outcome, spans) => {
-                if ctx.is_some() && !spans.is_empty() {
-                    stitch_server_spans(&wire, spans);
-                }
-                Ok(outcome)
-            }
-            Response::Error(e) => {
-                self.metrics.errors.inc();
-                Err(e)
-            }
-            _ => Err(SnbError::Config("protocol mismatch: wrong reply to execute".into())),
-        }
+        let wire = wire_span();
+        let response = self.request(&execute_payload(op, &wire))?;
+        self.execute_reply(&wire, response)
     }
 
     fn counters(&self) -> Vec<(String, u64)> {

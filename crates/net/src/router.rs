@@ -22,10 +22,11 @@
 //! * **Updates** route by ownership: forum-tree operations (U4–U7) to the
 //!   forum's shard, likes (U2/U3) through the message directory, and the
 //!   replicated-row operations (U1 addPerson, U8 addFriendship) broadcast
-//!   to every shard. A broadcast completes only when all shards have
-//!   acked, which is exactly the GCT guarantee the driver needs: by the
-//!   time a dependent operation's `T_DEP ≤ GCT` gate opens, the person it
-//!   depends on is visible on whichever shard the operation lands on.
+//!   to every shard, all writes before any read like a scatter. A
+//!   broadcast completes only when all shards have acked, which is
+//!   exactly the GCT guarantee the driver needs: by the time a dependent
+//!   operation's `T_DEP ≤ GCT` gate opens, the person it depends on is
+//!   visible on whichever shard the operation lands on.
 //!   [`ShardedConnector::gct_check`] verifies that invariant end-to-end
 //!   through the servers' GCT RPC.
 //!
@@ -34,7 +35,7 @@
 //! replayed — one dead shard poisons its connection, surfaces an error,
 //! and fails the run promptly (the benchmark's required behavior).
 
-use crate::client::{RemoteConnector, REQUEST_TIMEOUT};
+use crate::client::{self, RemoteConnector, REQUEST_TIMEOUT};
 use crate::codec::{self, Response};
 use snb_core::shard::ShardMap;
 use snb_core::update::UpdateOp;
@@ -46,7 +47,7 @@ use snb_queries::sharded::{self, Partial};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::RwLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A [`Connector`] that routes the interactive workload across N shard
 /// servers and merges scattered reads exactly (see module docs).
@@ -162,18 +163,7 @@ impl ShardedConnector {
 
     fn route_update(&self, op: &Operation, u: &UpdateOp) -> SnbResult<OpOutcome> {
         match u {
-            // Replicated rows: sequential broadcast. The operation is
-            // complete — and GCT may advance past it — only once every
-            // shard acked; any failure aborts with shards divergent, which
-            // fails the run (updates are never retried).
-            UpdateOp::AddPerson(_) | UpdateOp::AddFriendship(_) => {
-                let mut outcome = OpOutcome::default();
-                for shard in &self.shards {
-                    outcome = shard.execute(op)?;
-                }
-                self.broadcast_horizon.fetch_max(u.creation_date().0, Ordering::Release);
-                Ok(outcome)
-            }
+            UpdateOp::AddPerson(_) | UpdateOp::AddFriendship(_) => self.broadcast(op, u),
             UpdateOp::AddForum(f) => self.to_forum_shard(op, f.id),
             UpdateOp::AddMembership(m) => self.to_forum_shard(op, m.forum),
             UpdateOp::AddPost(p) => {
@@ -193,50 +183,75 @@ impl ShardedConnector {
         }
     }
 
+    /// Replicated rows go to every shard through [`fan_out`](Self::fan_out),
+    /// so the shards apply them concurrently. The operation is complete —
+    /// and GCT may advance past it — only once every shard acked; a
+    /// failure leaves the shards divergent, which fails the run (updates
+    /// are never retried).
+    fn broadcast(&self, op: &Operation, u: &UpdateOp) -> SnbResult<OpOutcome> {
+        let wire = client::wire_span();
+        let payload = client::execute_payload(op, &wire);
+        let mut outcomes =
+            self.fan_out(&payload, |shard, reply| shard.execute_reply(&wire, reply))?;
+        self.broadcast_horizon.fetch_max(u.creation_date().0, Ordering::Release);
+        Ok(outcomes.pop().unwrap_or_default())
+    }
+
     fn to_forum_shard(&self, op: &Operation, forum: ForumId) -> SnbResult<OpOutcome> {
         self.shards[self.map.shard_of_forum(forum) as usize].execute(op)
     }
 
-    /// Fan a partial request out to every shard — all writes before any
-    /// read, so shard executions overlap — and collect the partials plus
-    /// each shard's walk-seed candidate. Every request that was started is
-    /// drained even after an error — a failed write stops the fan-out, a
-    /// failed read does not stop the drain — so healthy connections return
-    /// to their pools; the first error wins.
-    #[allow(clippy::type_complexity)]
-    fn scatter(&self, op: &Operation) -> SnbResult<Vec<(Partial, Option<(u64, i64)>)>> {
-        let mut payload = Vec::new();
-        codec::encode_partial_req(op, &mut payload);
+    /// Write `payload` to every shard before reading any reply, so the
+    /// shards execute concurrently, then decode each reply in shard order,
+    /// timing each round trip into its link's `request_micros`. Every
+    /// request that was started is drained even after an error — a failed
+    /// write stops the fan-out, a failed read does not stop the drain — so
+    /// healthy connections return to their pools; the first error wins.
+    fn fan_out<T>(
+        &self,
+        payload: &[u8],
+        mut decode: impl FnMut(&RemoteConnector, Response) -> SnbResult<T>,
+    ) -> SnbResult<Vec<T>> {
+        let started = Instant::now();
         let mut in_flight = Vec::with_capacity(self.shards.len());
         let mut first_err: Option<SnbError> = None;
         for shard in &self.shards {
-            match shard.start_request(&payload) {
-                Ok(started) => in_flight.push(started),
+            match shard.start_request(payload) {
+                Ok(stream) => in_flight.push(stream),
                 Err(e) => {
                     first_err = Some(e);
                     break;
                 }
             }
         }
-        let mut parts = Vec::with_capacity(self.shards.len());
+        let mut replies = Vec::with_capacity(self.shards.len());
         // `in_flight` is a prefix of `shards`: zip pairs each started
         // request with the shard it went to.
         for (shard, stream) in self.shards.iter().zip(in_flight) {
-            match shard.finish_request(stream) {
-                Ok(Response::Partial(p, seed)) => parts.push((p, seed)),
-                Ok(Response::Error(e)) => first_err = first_err.or(Some(e)),
-                Ok(_) => {
-                    first_err = first_err.or(Some(SnbError::Config(
-                        "protocol mismatch: wrong reply to partial".into(),
-                    )));
-                }
+            let reply = shard.finish_request(stream);
+            shard.metrics().request_micros.record(started.elapsed().as_micros() as u64);
+            match reply.and_then(|response| decode(shard, response)) {
+                Ok(decoded) => replies.push(decoded),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(parts),
+            None => Ok(replies),
         }
+    }
+
+    /// Fan a partial request out to every shard and collect the partials
+    /// plus each shard's walk-seed candidate.
+    #[allow(clippy::type_complexity)]
+    fn scatter(&self, op: &Operation) -> SnbResult<Vec<(Partial, Option<(u64, i64)>)>> {
+        let mut payload = Vec::new();
+        codec::encode_partial_req(op, &mut payload);
+        self.fan_out(&payload, |_, reply| match reply {
+            Response::Partial(p, seed) => Ok((p, seed)),
+            Response::Error(e) => Err(e),
+            _ => Err(SnbError::Config("protocol mismatch: wrong reply to partial".into())),
+        })
     }
 
     fn scatter_complex(&self, op: &Operation, q: &ComplexQuery) -> SnbResult<OpOutcome> {

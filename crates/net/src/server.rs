@@ -11,6 +11,14 @@
 //! thread and no cross-thread hand-off: a short read costs one `read` and
 //! one `write`.
 //!
+//! Co-location. A connection whose peer is on this host (a loopback
+//! address) moves its thread to the CPU its requests arrive from: over
+//! loopback that is the sending client's CPU, and the driver pins each
+//! partition to a CPU of its own, so a request and its reply are same-CPU
+//! wake-ups (DESIGN.md, "Co-location"). A remote peer's requests arrive on
+//! a NIC queue's CPU, which says nothing about the client, so its thread is
+//! left to the scheduler.
+//!
 //! The handshake accepts the one protocol magic ([`codec::NET_MAGIC`]) and
 //! severs anything else. Replies go out strictly in order: a peer that
 //! writes ahead is answered one frame at a time, while what it sent early
@@ -315,6 +323,8 @@ impl Conn {
 /// at a time. Returns how it ended.
 fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let metrics = &shared.metrics;
+    let local_peer = stream.peer_addr().is_ok_and(|peer| peer.ip().is_loopback());
+    let mut pinned_cpu = None;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(FRAME_STALL))?;
     stream.set_write_timeout(Some(FRAME_STALL))?;
@@ -342,6 +352,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             return Err(ErrorKind::InvalidData.into());
         }
         conn.fill(4 + len)?;
+        if local_peer {
+            follow_incoming_cpu(&conn.stream, &mut pinned_cpu);
+        }
         let started = Instant::now();
         metrics.loop_idle_nanos.add(started.duration_since(waiting).as_nanos() as u64);
         let decoded = Request::decode(&conn.buf[conn.pos + 4..conn.pos + 4 + len]);
@@ -363,6 +376,54 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         waiting = Instant::now();
         metrics.loop_busy_nanos.add(waiting.duration_since(started).as_nanos() as u64);
     }
+}
+
+/// Pin the calling thread to the CPU that received `stream`'s latest
+/// segment, unless it is already pinned there. Errors leave the thread as
+/// it is: the CPU may lie outside this process's set.
+fn follow_incoming_cpu(stream: &TcpStream, pinned_cpu: &mut Option<usize>) {
+    let Some(cpu) = incoming_cpu(stream) else { return };
+    if *pinned_cpu != Some(cpu) && snb_driver::affinity::pin_current_thread(cpu) {
+        *pinned_cpu = Some(cpu);
+    }
+}
+
+/// `SO_INCOMING_CPU`: the CPU that processed the socket's latest inbound
+/// segment. Bound where the option has its asm-generic number.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+fn incoming_cpu(stream: &TcpStream) -> Option<usize> {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_void};
+    const SOL_SOCKET: c_int = 1;
+    const SO_INCOMING_CPU: c_int = 49;
+    extern "C" {
+        fn getsockopt(
+            fd: c_int,
+            level: c_int,
+            name: c_int,
+            value: *mut c_void,
+            len: *mut u32,
+        ) -> c_int;
+    }
+    let mut cpu: c_int = -1;
+    let mut len = std::mem::size_of::<c_int>() as u32;
+    // SAFETY: `cpu` is a writable int and `len` holds its size; the fd is
+    // open for as long as `stream` is borrowed.
+    let ret = unsafe {
+        getsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_INCOMING_CPU,
+            (&mut cpu as *mut c_int).cast(),
+            &mut len,
+        )
+    };
+    (ret == 0).then_some(cpu).and_then(|cpu| usize::try_from(cpu).ok())
+}
+
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+fn incoming_cpu(_stream: &TcpStream) -> Option<usize> {
+    None
 }
 
 /// Clears the thread's trace-capture buffer on **every** exit path. An

@@ -3,23 +3,28 @@
 //! sent, a peer with any other handshake magic must be severed, the
 //! connection cap and the mid-frame stall bound must hold, and a slow
 //! request must hold up only its own connection, an update being answered
-//! only once it is done.
+//! only once it is done. Co-location: a client thread keeps its connection,
+//! and so its server thread, and a loopback connection's thread moves to
+//! its client's CPU.
 
 use snb_core::time::SimTime;
 use snb_core::update::UpdateOp;
 use snb_core::{PersonId, SnbResult};
 use snb_datagen::{generate, Dataset, GeneratorConfig};
+use snb_driver::affinity::{allowed_cpus, pin_current_thread};
 use snb_driver::connector::{Connector, OpOutcome, Operation, PartialOutcome, StoreConnector};
 use snb_net::server::FRAME_STALL;
-use snb_net::{codec, Request, Response, Server, ServerConfig, NET_MAGIC};
+use snb_net::{codec, RemoteConnector, Request, Response, Server, ServerConfig, NET_MAGIC};
 use snb_queries::params::{ComplexQuery, Q2Params, Q7Params, ShortQuery};
 use snb_queries::sharded::Partial;
 use snb_queries::Engine;
 use snb_store::Store;
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 fn dataset() -> &'static Dataset {
@@ -570,6 +575,138 @@ fn a_peer_stalled_mid_frame_is_severed_and_an_idle_one_is_not() {
     let response = ask(&mut idle, &s1());
     assert!(matches!(response, Response::Outcome(..)), "the idle connection got {response:?}");
 
+    server.shutdown();
+    server.join();
+}
+
+/// A stand-in SUT that answers each operation with the index of the thread
+/// serving it (in the order the threads were first seen) as its row count,
+/// and records that thread's CPU set. With a `gate`, the first
+/// [`CLIENT_THREADS`] requests wait until all of them are being served at
+/// once.
+#[derive(Default)]
+struct Whoami {
+    gate: Option<Barrier>,
+    calls: AtomicUsize,
+    threads: Mutex<Vec<ThreadId>>,
+    cpus: Mutex<Vec<Vec<usize>>>,
+}
+
+impl Connector for Whoami {
+    fn execute(&self, _op: &Operation) -> SnbResult<OpOutcome> {
+        let me = std::thread::current().id();
+        let index = {
+            let mut threads = self.threads.lock().unwrap();
+            match threads.iter().position(|&t| t == me) {
+                Some(i) => i,
+                None => {
+                    threads.push(me);
+                    threads.len() - 1
+                }
+            }
+        };
+        self.cpus.lock().unwrap().push(allowed_cpus());
+        if let Some(gate) = &self.gate {
+            if self.calls.fetch_add(1, Ordering::SeqCst) < CLIENT_THREADS {
+                gate.wait();
+            }
+        }
+        Ok(OpOutcome { rows: index, ..OpOutcome::default() })
+    }
+
+    fn execute_partial(&self, _op: &Operation) -> SnbResult<PartialOutcome> {
+        Ok(PartialOutcome { partial: Partial::Top(Vec::new()), seed: None })
+    }
+}
+
+/// The two client threads of the sticky-pool test.
+const CLIENT_THREADS: usize = 2;
+
+/// The pool gives a thread back the connection it used last. Two threads
+/// first have a request in flight at once, so the pool dials a second
+/// connection; then they alternate, 200 requests each, through the one
+/// `RemoteConnector`. Each thread is served by one server thread
+/// throughout, a different one from the other's, over the server's only
+/// two connections. A pool that hands out the most recently returned
+/// connection gives the thread whose turn comes next the one the other
+/// thread just returned.
+#[test]
+fn each_client_thread_keeps_its_connection() {
+    let _one_server = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
+    let stub = Arc::new(Whoami { gate: Some(Barrier::new(CLIENT_THREADS)), ..Whoami::default() });
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&stub) as Arc<dyn Connector>).unwrap();
+    let client = RemoteConnector::connect(server.local_addr().to_string()).unwrap();
+    let turn = (Mutex::new(0usize), Condvar::new());
+
+    let served: Vec<BTreeSet<usize>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..CLIENT_THREADS)
+            .map(|me| {
+                let (client, turn) = (&client, &turn);
+                scope.spawn(move || {
+                    let mut served = BTreeSet::new();
+                    served.insert(client.execute(&s1()).unwrap().rows);
+                    for round in 0..200 {
+                        let (count, turned) = turn;
+                        let mut next = count.lock().unwrap();
+                        while *next != round * CLIENT_THREADS + me {
+                            next = turned.wait(next).unwrap();
+                        }
+                        served.insert(client.execute(&s1()).unwrap().rows);
+                        *next += 1;
+                        turned.notify_all();
+                    }
+                    served
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+
+    for (me, rows) in served.iter().enumerate() {
+        assert_eq!(rows.len(), 1, "client thread {me} was served by server threads {rows:?}");
+    }
+    assert_ne!(served[0], served[1], "both client threads were served by one server thread");
+    assert_eq!(server.metrics().connections.get(), CLIENT_THREADS as u64);
+
+    drop(client);
+    server.shutdown();
+    server.join();
+}
+
+/// A loopback connection's thread moves to the CPU its requests arrive
+/// from: a client thread pinned to the last allowed CPU sends requests, and
+/// every one is executed by a thread allowed on that CPU alone.
+#[test]
+fn a_loopback_connection_thread_moves_to_its_clients_cpu() {
+    let allowed = allowed_cpus();
+    let stub = Arc::new(Whoami::default());
+    let _one_server = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&stub) as Arc<dyn Connector>).unwrap();
+    let addr = server.local_addr();
+    let cpu = allowed.last().copied();
+
+    std::thread::spawn(move || {
+        if let Some(cpu) = cpu {
+            assert!(pin_current_thread(cpu));
+        }
+        let mut client = Pipe::connect(addr);
+        for _ in 0..20 {
+            assert!(matches!(ask(&mut client, &s1()), Response::Outcome(..)));
+        }
+    })
+    .join()
+    .unwrap();
+
+    let cpus = stub.cpus.lock().unwrap().clone();
+    assert_eq!(cpus.len(), 20);
+    if allowed.len() < 2 {
+        eprintln!("skipped the CPU check: only {allowed:?} is allowed, so nothing moves");
+    } else {
+        let cpu = cpu.unwrap();
+        for (i, seen) in cpus.iter().enumerate() {
+            assert_eq!(seen, &vec![cpu], "request {i} ran outside its client's CPU {cpu}");
+        }
+    }
     server.shutdown();
     server.join();
 }

@@ -6,10 +6,12 @@
 //! pointwise equal to the unsharded query.
 
 use snb_core::rng::Rng;
+use snb_core::schema::Knows;
 use snb_core::shard::ShardMap;
-use snb_core::{ForumId, MessageId, PersonId, SimTime};
+use snb_core::update::UpdateOp;
+use snb_core::{ForumId, MessageId, PersonId, SimTime, SnbError, SnbResult};
 use snb_datagen::{generate, Dataset, GeneratorConfig};
-use snb_driver::connector::{Connector, Operation, StoreConnector};
+use snb_driver::connector::{Connector, OpOutcome, Operation, StoreConnector};
 use snb_driver::mix;
 use snb_driver::scheduler::{run, DriverConfig};
 use snb_net::{RemoteConnector, Server, ServerConfig, ShardedConnector};
@@ -20,6 +22,7 @@ use snb_queries::params::{
 use snb_queries::{sharded, Engine};
 use snb_store::Store;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -333,4 +336,102 @@ fn failed_scatter_drains_the_shards_it_already_wrote_to() {
     drop(router);
     server0.shutdown();
     server0.join();
+}
+
+/// A stand-in shard SUT: every update takes 100 ms, then either counts
+/// and raises the shard's horizon to its date or, when `fails`, is
+/// refused; reads answer at once.
+#[derive(Default)]
+struct SlowShard {
+    fails: bool,
+    updates: AtomicU64,
+    horizon: AtomicI64,
+}
+
+impl Connector for SlowShard {
+    fn execute(&self, op: &Operation) -> SnbResult<OpOutcome> {
+        if let Operation::Update(u) = op {
+            std::thread::sleep(Duration::from_millis(100));
+            if self.fails {
+                return Err(SnbError::Constraint("injected update failure".into()));
+            }
+            self.updates.fetch_add(1, Ordering::SeqCst);
+            self.horizon.fetch_max(u.creation_date().0, Ordering::SeqCst);
+        }
+        Ok(OpOutcome { rows: 1, ..OpOutcome::default() })
+    }
+
+    fn gct_horizon(&self) -> i64 {
+        self.horizon.load(Ordering::SeqCst)
+    }
+}
+
+/// Two [`SlowShard`] servers, shard 0 refusing updates when `shard0_fails`.
+fn slow_shards(shard0_fails: bool) -> [(Server, Arc<SlowShard>); 2] {
+    [0, 1].map(|shard| {
+        let sut = Arc::new(SlowShard { fails: shard == 0 && shard0_fails, ..SlowShard::default() });
+        let config = ServerConfig { shard, shards: 2, ..ServerConfig::default() };
+        let connector = Arc::clone(&sut) as Arc<dyn Connector>;
+        (Server::bind_with_config("127.0.0.1:0", connector, config).unwrap(), sut)
+    })
+}
+
+fn add_friendship(date: i64) -> Operation {
+    let knows = Knows { a: PersonId(1), b: PersonId(2), creation_date: SimTime(date) };
+    Operation::Update(UpdateOp::AddFriendship(knows))
+}
+
+/// A replicated update is written to every shard before any reply is
+/// read, so the shards apply it concurrently: with each taking 100 ms, the
+/// broadcast returns well before the 200 ms two round trips in turn would
+/// take, both shards have applied it, and the GCT check passes.
+#[test]
+fn a_broadcast_update_overlaps_its_shards() {
+    let shards = slow_shards(false);
+    let addrs = shards.each_ref().map(|(server, _)| server.local_addr().to_string());
+    let router = ShardedConnector::connect(&addrs).unwrap();
+
+    let started = Instant::now();
+    router.execute(&add_friendship(1_000)).unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(180), "the broadcast took {took:?}");
+    for (i, (_, sut)) in shards.iter().enumerate() {
+        assert_eq!(sut.updates.load(Ordering::SeqCst), 1, "shard {i} did not apply it");
+    }
+    assert_eq!(router.gct_horizon(), 1_000);
+    router.gct_check().unwrap();
+
+    drop(router);
+    for (server, _) in &shards {
+        server.shutdown();
+        server.join();
+    }
+}
+
+/// A broadcast one shard refuses returns that shard's error, leaves the
+/// completed-broadcast watermark where it was, and still reads the other
+/// shard's reply: that shard applied the update and its connection goes
+/// back to the pool, so the next request routed there does not dial.
+#[test]
+fn a_failed_broadcast_drains_the_other_shard() {
+    let shards = slow_shards(true);
+    let addrs = shards.each_ref().map(|(server, _)| server.local_addr().to_string());
+    let router = ShardedConnector::connect(&addrs).unwrap();
+    let shard1_dials = || shards[1].0.metrics().connections.get();
+    let dials = shard1_dials();
+
+    let err = router.execute(&add_friendship(1_000)).unwrap_err();
+    assert!(matches!(err, SnbError::Constraint(_)), "got {err:?}");
+    assert_eq!(shards[1].1.updates.load(Ordering::SeqCst), 1, "shard 1 did not apply it");
+    assert_eq!(router.gct_horizon(), 0, "a failed broadcast raised the watermark");
+
+    let person = (0..).map(PersonId).find(|&p| ShardMap::new(2).shard_of_person(p) == 1).unwrap();
+    router.execute(&Operation::Short(ShortQuery::S1(person))).unwrap();
+    assert_eq!(shard1_dials(), dials, "shard 1 had to dial again");
+
+    drop(router);
+    for (server, _) in &shards {
+        server.shutdown();
+        server.join();
+    }
 }

@@ -16,7 +16,7 @@ use crate::engine::Engine;
 use crate::helpers::load_two_hop;
 use crate::params::Q3Params;
 use crate::scratch::with_scratch;
-use snb_core::{MessageId, PersonId};
+use snb_core::{MessageId, PersonId, SimTime};
 use snb_store::PinnedSnapshot;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -97,22 +97,23 @@ fn candidates(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> Vec<u64> {
     })
 }
 
-/// Intended plan: traverse from the person; per candidate, scan their
-/// date-ascending message index up to the window's end (the scan stops
-/// there), fetching the country only for in-window messages.
+/// Intended plan: traverse from the person; per candidate, seek their
+/// date-ascending message index to the window's start and scan up to its
+/// end (the scan stops there), fetching the country only for in-window
+/// messages.
 fn intended(snap: &PinnedSnapshot<'_>, p: &Q3Params) -> HashMap<u64, (u32, u32)> {
     let end = p.start.plus_days(p.duration_days);
+    // The seek is exclusive: the millisecond before the window keeps
+    // messages dated exactly at its start.
+    let before_start = SimTime(p.start.0.saturating_sub(1));
     let mut counts = HashMap::new();
     for c in candidates(snap, p) {
         let mut x = 0u32;
         let mut y = 0u32;
-        for (msg, date) in snap.messages_of_iter(PersonId(c)) {
+        for (msg, date) in snap.messages_of_after_iter(PersonId(c), before_start) {
             // Ascending by date: nothing after the window's end can count.
             if date >= end {
                 break;
-            }
-            if date < p.start {
-                continue;
             }
             if let Some(meta) = snap.message_meta(MessageId(msg)) {
                 if meta.country as usize == p.country_x {

@@ -677,6 +677,13 @@ impl PinnedSnapshot<'_> {
         self.iter(self.tables.person_messages.get(id.index()), None)
     }
 
+    /// Messages authored by `id` dated strictly after `after`, ascending by
+    /// date — the bounded scan: every lane seeks past `after` instead of
+    /// filtering entry by entry.
+    pub fn messages_of_after_iter(&self, id: PersonId, after: SimTime) -> DatedIter<'_> {
+        self.iter(self.tables.person_messages.get(id.index()), Some(after))
+    }
+
     /// Posts (no comments) authored by `id`, ascending by date — the
     /// covering index behind the Q5/Q10 circle scans: every entry is a
     /// visible post, so consumers skip the per-message row probe that a

@@ -756,3 +756,38 @@ proptest! {
         }
     }
 }
+
+/// `messages_of_after_iter` is `messages_of_iter` filtered to the dates
+/// strictly after its bound: on bulk-only lists, and again once the update
+/// stream has given the lists tails, with the bound on every entry's date,
+/// a millisecond before it, and outside the list at both ends.
+#[test]
+fn messages_of_after_iter_is_the_date_filtered_scan() {
+    let (ds, stream) = mixed_dataset();
+    let store = Store::new();
+    store.bulk_load(ds);
+    let check = |store: &Store| -> usize {
+        let snap = store.pinned();
+        let mut entries = 0;
+        for p in 0..snap.person_slots() as u64 {
+            let id = PersonId(p);
+            let msgs: Vec<_> = snap.messages_of_iter(id).collect();
+            entries += msgs.len();
+            let bounds = msgs.iter().flat_map(|&(_, d)| [SimTime(d.0 - 1), d]);
+            for bound in bounds.chain([SimTime(0), SimTime(i64::MAX)]) {
+                let after: Vec<_> = msgs.iter().filter(|&&(_, d)| d > bound).copied().collect();
+                assert_eq!(
+                    snap.messages_of_after_iter(id, bound).collect::<Vec<_>>(),
+                    after,
+                    "messages of {p} after {bound:?}"
+                );
+            }
+        }
+        entries
+    };
+    let bulk_entries = check(&store);
+    for u in stream {
+        store.apply(&u.op).unwrap();
+    }
+    assert!(check(&store) > bulk_entries, "the update stream added no message to any list");
+}
