@@ -16,7 +16,7 @@
 //! and `T_GC` the maximum `T_LC` strictly below `T_GI`; exposing `T_LI` is
 //! what lets `T_GC` advance as early as possible.
 
-pub use crate::wake::{WakeSignal, MAX_WAKE_BATCH};
+pub use crate::wake::WakeSignal;
 use snb_core::time::SimTime;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;

@@ -283,10 +283,9 @@ impl Drop for StreamExit<'_> {
         self.lds.finish();
         if self.failed || std::thread::panicking() {
             self.abort.store(true, Ordering::Release);
-            // Waiters park on the GCT signal; wake ALL of them (bypassing
-            // the wake-batch cap) so every partition observes the abort flag
-            // instead of sleeping out its timeout.
-            self.gds.signal().notify_all();
+            // Waiters park on the GCT signal; wake them so every partition
+            // observes the abort flag instead of sleeping out its timeout.
+            self.gds.signal().notify();
         }
     }
 }

@@ -14,53 +14,22 @@ use std::time::Duration;
 /// partitions whose progress it waits for. Notification is skipped entirely
 /// while nobody waits (one load), and waiters recheck their predicate under
 /// the lock plus wake on a short timeout, so a lost wakeup can only delay,
-/// never deadlock.
-///
-/// [`WakeSignal::notify`] wakes at most [`MAX_WAKE_BATCH`] waiters: a
-/// `notify_all` per state change wakes all `P` parked partitions, most of
-/// which recheck and re-park. Since GCT is a single monotone frontier,
-/// waiters become ready in due-time order and a small batch almost always
-/// contains the one that can make progress; any waiter left out is woken by
-/// a later notification or by `wait_until`'s timeout. Teardown paths use
-/// [`WakeSignal::notify_all`], which really does wake everyone — an
-/// aborting run wants every partition to observe the abort flag now, not
-/// after a timeout ladder.
+/// never deadlock. A notification wakes every waiter, so the abort path
+/// makes every partition observe its flag now, not after a timeout.
 #[derive(Debug, Default)]
 pub struct WakeSignal {
     waiters: AtomicUsize,
     /// Condvar waits performed (observability: proves waiters park rather
     /// than spin).
     parks: AtomicU64,
-    /// Wake-ups suppressed by the batch cap (observability: how much
-    /// thundering herd the cap absorbed).
-    capped_wakes: AtomicU64,
     lock: Mutex<()>,
     cond: Condvar,
 }
 
-/// Most waiters woken by a single [`WakeSignal::notify`] call.
-pub const MAX_WAKE_BATCH: usize = 4;
-
 impl WakeSignal {
-    /// Wake up to [`MAX_WAKE_BATCH`] parked waiters. Cheap (one atomic
-    /// load) when nobody waits.
+    /// Wake every parked waiter. Cheap (one atomic load) when nobody
+    /// waits.
     pub fn notify(&self) {
-        let waiting = self.waiters.load(Ordering::SeqCst);
-        if waiting == 0 {
-            return;
-        }
-        let _g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if waiting > MAX_WAKE_BATCH {
-            self.capped_wakes.fetch_add((waiting - MAX_WAKE_BATCH) as u64, Ordering::Relaxed);
-        }
-        for _ in 0..waiting.min(MAX_WAKE_BATCH) {
-            self.cond.notify_one();
-        }
-    }
-
-    /// Wake **every** parked waiter, bypassing the batch cap. For teardown
-    /// (abort, shutdown) where all waiters must re-check a flag promptly.
-    pub fn notify_all(&self) {
         if self.waiters.load(Ordering::SeqCst) == 0 {
             return;
         }
@@ -86,11 +55,6 @@ impl WakeSignal {
     /// Number of times a waiter actually parked on the condvar.
     pub fn parks(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
-    }
-
-    /// Number of wake-ups the batch cap suppressed.
-    pub fn capped_wakes(&self) -> u64 {
-        self.capped_wakes.load(Ordering::Relaxed)
     }
 }
 

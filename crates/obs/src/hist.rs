@@ -267,8 +267,8 @@ impl HistogramSnapshot {
     }
 
     /// Fold another snapshot's buckets into this one (lossless, like
-    /// [`LatencyHistogram::merge`]): used to merge per-stripe wait
-    /// distributions into one store-wide view.
+    /// [`LatencyHistogram::merge`]): used to merge the store's per-writer
+    /// stage distributions into one store-wide view.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;
         self.sum += other.sum;

@@ -17,10 +17,6 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Stripes in the writer lock map (shared with `store.rs`; also the length
-/// of the per-stripe telemetry arrays below).
-pub const STRIPES: usize = 64;
-
 /// Latency histograms for each named stage of the write pipeline, in
 /// **nanoseconds** — most stages are sub-microsecond, and nanosecond
 /// samples keep the histogram sums exact. Stages tile `Store::apply` end-to-end (stage sums ≈
@@ -133,49 +129,6 @@ impl Drop for HeldShards {
 
 thread_local! {
     static HELD_SHARDS: RefCell<HeldShards> = const { RefCell::new(HeldShards(Vec::new())) };
-}
-
-/// Per-stripe contention telemetry: how often each of the [`STRIPES`]
-/// writer locks was found contended, and how long contended acquisitions
-/// waited. Indexed by stripe, so hot stripes show up as a heatmap rather
-/// than vanishing into a global total.
-#[derive(Debug)]
-pub struct StripeTelemetry {
-    conflicts: Box<[AtomicU64]>,
-    wait: Box<[LatencyHistogram]>,
-}
-
-impl Default for StripeTelemetry {
-    fn default() -> Self {
-        StripeTelemetry {
-            conflicts: (0..STRIPES).map(|_| AtomicU64::new(0)).collect(),
-            wait: (0..STRIPES).map(|_| LatencyHistogram::new()).collect(),
-        }
-    }
-}
-
-impl StripeTelemetry {
-    /// Record a contended acquisition of `stripe` that blocked for
-    /// `wait_nanos` before getting the lock.
-    #[inline]
-    pub fn note_conflict(&self, stripe: usize, wait_nanos: u64) {
-        self.conflicts[stripe].fetch_add(1, Ordering::Relaxed);
-        self.wait[stripe].record(wait_nanos);
-    }
-
-    /// Conflict count per stripe index (the heatmap).
-    pub fn conflict_counts(&self) -> Vec<u64> {
-        self.conflicts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// All stripes' waits folded into one store-wide distribution.
-    pub fn merged_wait(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for h in self.wait.iter() {
-            merged.merge(&h.snapshot());
-        }
-        merged
-    }
 }
 
 /// Every index table's name, in the order of [`MemGauges::run_bytes`]
@@ -298,8 +251,6 @@ pub struct StoreCounters {
     writers: Mutex<Vec<Arc<WriterShard>>>,
     /// This instance's process-unique id, the key of `HELD_SHARDS`.
     id: u64,
-    /// Per-stripe conflict heatmap + acquire-wait distributions.
-    pub stripes: StripeTelemetry,
     /// Measured memory gauges (see [`MemGauges`]).
     pub mem: MemGauges,
 }
@@ -330,7 +281,6 @@ impl StoreCounters {
             wal_fsync_micros: Arc::new(LatencyHistogram::new()),
             writers: Mutex::new(Vec::new()),
             id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
-            stripes: StripeTelemetry::default(),
             mem: MemGauges::new(&registry),
             registry,
         }
@@ -411,9 +361,8 @@ impl StoreCounters {
 
     /// Every store-side latency distribution by name: the seven write
     /// stages, the failed-validation split, the watermark-lag distribution
-    /// (timestamp counts, not time), the WAL fsync distribution, and the
-    /// merged per-stripe acquire-wait. This is what the full-disclosure
-    /// export and the counters RPC ship.
+    /// (timestamp counts, not time) and the WAL fsync distribution. This
+    /// is what the full-disclosure export and the counters RPC ship.
     pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
         let mut out: Vec<(String, HistogramSnapshot)> =
             self.stage_snapshots().into_iter().map(|(name, h)| (name.to_string(), h)).collect();
@@ -423,7 +372,6 @@ impl StoreCounters {
         ));
         out.push(("store.write.watermark_lag".to_string(), self.merged(|w| &w.watermark_lag)));
         out.push(("store.wal.fsync_micros".to_string(), self.wal_fsync_micros.snapshot()));
-        out.push(("store.stripe.wait_nanos".to_string(), self.stripes.merged_wait()));
         out
     }
 
@@ -491,9 +439,6 @@ mod tests {
             w.stages.validate_failed.record_single_writer(90);
             w.watermark_lag.record_single_writer(3);
         });
-        c.stripes.note_conflict(3, 55);
-        c.stripes.note_conflict(3, 70);
-        c.stripes.note_conflict(9, 10);
         let snaps = c.histogram_snapshots();
         let names: Vec<&str> = snaps.iter().map(|(n, _)| n.as_str()).collect();
         for expect in [
@@ -507,19 +452,10 @@ mod tests {
             "store.stage.validate_failed_nanos",
             "store.write.watermark_lag",
             "store.wal.fsync_micros",
-            "store.stripe.wait_nanos",
         ] {
             assert!(names.contains(&expect), "missing {expect}");
         }
         let publish = &snaps.iter().find(|(n, _)| n.ends_with("publish_wait_nanos")).unwrap().1;
         assert_eq!(publish.count, 1);
-        let stripe_wait = &snaps.iter().find(|(n, _)| n.starts_with("store.stripe")).unwrap().1;
-        assert_eq!(stripe_wait.count, 3, "merged wait folds every stripe");
-        assert_eq!(stripe_wait.max, 70);
-        let heat = c.stripes.conflict_counts();
-        assert_eq!(heat.len(), STRIPES);
-        assert_eq!(heat[3], 2);
-        assert_eq!(heat[9], 1);
-        assert_eq!(heat.iter().sum::<u64>(), 3);
     }
 }

@@ -1,34 +1,35 @@
 //! Parallel sorted bulk loader.
 //!
-//! The serial loader builds every date-ordered index with per-item
-//! `sorted_insert` — a binary search plus an `O(n)` memmove per entry,
-//! `O(n²)` per list in the worst case, all on one thread. Bulk-load time is
-//! a first-class benchmark dimension (§4: "32 months are bulkloaded at
-//! benchmark start"), so this module builds the same [`Tables`] a different
-//! way:
+//! Bulk-load time is a first-class benchmark dimension (§4: "32 months are
+//! bulkloaded at benchmark start"), so the loader builds the [`Tables`] in
+//! parallel instead of through one [`Tables::insert`] per entity. It takes
+//! every list entry and every list slot from [`index_writes`], the same
+//! function `Tables::insert` (and so `Store::apply` and WAL replay) uses,
+//! so both ways of building the tables write the same lists by
+//! construction:
 //!
-//! 1. every id space (persons, forums, messages) is split into contiguous
-//!    ranges, one per worker thread;
-//! 2. each worker scans the (read-only) dataset and materializes *only*
-//!    the table slots and index lists whose owning id falls in its ranges;
-//! 3. each list is sorted **once** with `sort_unstable_by_key` at the end
-//!    instead of being kept incrementally sorted;
-//! 4. each worker installs its chunk directly into the shared [`Tables`]
+//! 1. a counting pass over [`for_each_entity`] records the final bound of
+//!    every table and the exact length of every list;
+//! 2. every table is split into contiguous slot ranges, one per worker
+//!    thread; each worker walks the (read-only) dataset again and keeps
+//!    only the rows and list entries whose slot falls in its ranges, into
+//!    lists allocated at their final capacity (no growth reallocs);
+//! 3. each list is sorted **once**, by the `(date, id)` key the update
+//!    path keeps its tails in;
+//! 4. each worker installs its slice directly into the shared [`Tables`]
 //!    (stable [`SegVec`][crate::tail::SegVec] addresses make concurrent
 //!    disjoint-slot installs safe), and the table bounds are published
 //!    once, after all workers join.
 //!
-//! Every list is owned by exactly one worker and sorted by the same
-//! `(date, id)` key the serial path maintains, and a counting pre-pass
-//! replicates the serial `ensure` calls slot for slot *and* records each
-//! list's exact final length, so workers allocate every list at final
-//! capacity (no growth reallocs) — and the result is identical to a serial
-//! load regardless of thread count (asserted by `tests/recovery.rs` and
-//! the workspace end-to-end suite).
+//! Every slot is owned by exactly one worker, so the result is identical
+//! at any thread count (asserted by
+//! `parallel_bulk_load_is_deterministic_across_thread_counts` in
+//! `tests/recovery.rs`).
 
 use crate::mvcc::BULK_TS;
 use crate::tables::{
-    comment_row, distinct_tags, post_row, Entry, IndexTable, MessageRow, Tables, Versioned,
+    comment_row, index_writes, key, post_row, Entity, EntityTable, Entry, MessageRow, Tables,
+    Versioned, INDEXES,
 };
 use crate::tail::IndexList;
 use snb_core::schema::{Forum, Person};
@@ -76,97 +77,75 @@ fn keep_message(sel: Option<&ShardSel>, ds: &Dataset, m: MessageId) -> bool {
     sel.is_none_or(|s| s.message(ds, m))
 }
 
-/// The sizing pre-pass result: exact final bound of every [`Tables`]
-/// table (replicating the serial loader's `ensure` calls so slot counts —
-/// and thus `*_slots()` scan bounds — match the serial path exactly), and
-/// the exact number of entries each index list will receive, so workers
-/// allocate every list at final capacity and never pay a growth realloc.
+/// Hand `f` every entity of `ds` dated at or before `cut` (only `sel`'s
+/// slice when set), in one fixed order: persons, knows, forums,
+/// memberships, posts, comments, likes.
+fn for_each_entity(
+    ds: &Dataset,
+    cut: SimTime,
+    sel: Option<&ShardSel>,
+    mut f: impl FnMut(Entity<'_>),
+) {
+    for p in ds.persons.iter().filter(|p| p.creation_date <= cut) {
+        f(Entity::Person(p));
+    }
+    for k in ds.knows.iter().filter(|k| k.creation_date <= cut) {
+        f(Entity::Knows(k));
+    }
+    for x in ds.forums.iter().filter(|x| x.creation_date <= cut && keep_forum(sel, x.id)) {
+        f(Entity::Forum(x));
+    }
+    for m in ds.memberships.iter().filter(|m| m.join_date <= cut && keep_forum(sel, m.forum)) {
+        f(Entity::Membership(m));
+    }
+    for p in ds.posts.iter().filter(|p| p.creation_date <= cut && keep_forum(sel, p.forum)) {
+        f(Entity::Post(p));
+    }
+    for c in ds.comments.iter().filter(|c| c.creation_date <= cut && keep_forum(sel, c.forum)) {
+        f(Entity::Comment(c));
+    }
+    for l in ds.likes.iter().filter(|l| l.creation_date <= cut && keep_message(sel, ds, l.message))
+    {
+        f(Entity::Like(l));
+    }
+}
+
+/// The counting pass: the final bound of every table, and the exact number
+/// of entries each list will receive, so workers allocate every list at
+/// its final capacity.
 #[derive(Debug, Default)]
 struct Plan {
     persons: usize,
     forums: usize,
     messages: usize,
-    knows: Vec<u32>,
-    person_messages: Vec<u32>,
-    person_posts: Vec<u32>,
-    person_forums: Vec<u32>,
-    person_likes: Vec<u32>,
-    forum_posts: Vec<u32>,
-    forum_members: Vec<u32>,
-    message_replies: Vec<u32>,
-    message_likes: Vec<u32>,
-    tag_posts: Vec<u32>,
+    /// Entries per list, one vector per index table ordered as
+    /// [`INDEX_NAMES`][crate::tables::INDEX_NAMES]; its length is the
+    /// table's bound.
+    lists: [Vec<u32>; INDEXES],
 }
 
-fn bump(slot: &mut usize, idx: usize) {
-    *slot = (*slot).max(idx + 1);
-}
-
-/// Extend the count vector so slot `idx` exists (an `ensure` without an
-/// entry: the serial loader also materializes empty lists up to the
-/// highest referenced id).
-fn ensure(v: &mut Vec<u32>, idx: usize) {
-    if idx >= v.len() {
-        v.resize(idx + 1, 0);
-    }
-}
-
-/// `ensure` plus: one more entry will land in slot `idx`.
-fn tick(v: &mut Vec<u32>, idx: usize) {
-    ensure(v, idx);
-    v[idx] += 1;
+fn bump(bound: &mut usize, idx: usize) {
+    *bound = (*bound).max(idx + 1);
 }
 
 fn plan(ds: &Dataset, cut: SimTime, sel: Option<&ShardSel>) -> Plan {
     let mut s = Plan::default();
-    for p in ds.persons.iter().filter(|p| p.creation_date <= cut) {
-        let i = p.id.index();
-        bump(&mut s.persons, i);
-        ensure(&mut s.knows, i);
-        ensure(&mut s.person_messages, i);
-        ensure(&mut s.person_posts, i);
-        ensure(&mut s.person_forums, i);
-        ensure(&mut s.person_likes, i);
-    }
-    for k in ds.knows.iter().filter(|k| k.creation_date <= cut) {
-        tick(&mut s.knows, k.a.index());
-        tick(&mut s.knows, k.b.index());
-    }
-    for f in ds.forums.iter().filter(|f| f.creation_date <= cut && keep_forum(sel, f.id)) {
-        let i = f.id.index();
-        bump(&mut s.forums, i);
-        ensure(&mut s.forum_posts, i);
-        ensure(&mut s.forum_members, i);
-    }
-    for m in ds.memberships.iter().filter(|m| m.join_date <= cut && keep_forum(sel, m.forum)) {
-        tick(&mut s.forum_members, m.forum.index());
-        tick(&mut s.person_forums, m.person.index());
-    }
-    for p in ds.posts.iter().filter(|p| p.creation_date <= cut && keep_forum(sel, p.forum)) {
-        tick(&mut s.forum_posts, p.forum.index());
-        tick(&mut s.person_messages, p.author.index());
-        tick(&mut s.person_posts, p.author.index());
-        for t in distinct_tags(&p.tags) {
-            tick(&mut s.tag_posts, t.index());
+    for_each_entity(ds, cut, sel, |e| {
+        match e {
+            Entity::Person(p) => bump(&mut s.persons, p.id.index()),
+            Entity::Forum(f) => bump(&mut s.forums, f.id.index()),
+            Entity::Post(p) => bump(&mut s.messages, p.id.index()),
+            Entity::Comment(c) => bump(&mut s.messages, c.id.index()),
+            Entity::Knows(_) | Entity::Membership(_) | Entity::Like(_) => {}
         }
-        let i = p.id.index();
-        bump(&mut s.messages, i);
-        ensure(&mut s.message_replies, i);
-        ensure(&mut s.message_likes, i);
-    }
-    for c in ds.comments.iter().filter(|c| c.creation_date <= cut && keep_forum(sel, c.forum)) {
-        tick(&mut s.message_replies, c.reply_to.index());
-        tick(&mut s.person_messages, c.author.index());
-        let i = c.id.index();
-        bump(&mut s.messages, i);
-        ensure(&mut s.message_replies, i);
-        ensure(&mut s.message_likes, i);
-    }
-    for l in ds.likes.iter().filter(|l| l.creation_date <= cut && keep_message(sel, ds, l.message))
-    {
-        tick(&mut s.message_likes, l.message.index());
-        tick(&mut s.person_likes, l.person.index());
-    }
+        index_writes(e, |ix, i, entry| {
+            let counts = &mut s.lists[ix as usize];
+            if i >= counts.len() {
+                counts.resize(i + 1, 0);
+            }
+            counts[i] += u32::from(entry.is_some());
+        });
+    });
     s
 }
 
@@ -178,31 +157,25 @@ fn range_of(len: usize, threads: usize, t: usize) -> Range<usize> {
 }
 
 /// One worker's contiguous slice of every table.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     persons: Vec<Option<Versioned<Person>>>,
     forums: Vec<Option<Versioned<Forum>>>,
     messages: Vec<Option<Versioned<MessageRow>>>,
-    knows: Vec<Vec<Entry>>,
-    person_messages: Vec<Vec<Entry>>,
-    person_posts: Vec<Vec<Entry>>,
-    forum_posts: Vec<Vec<Entry>>,
-    forum_members: Vec<Vec<Entry>>,
-    person_forums: Vec<Vec<Entry>>,
-    message_replies: Vec<Vec<Entry>>,
-    message_likes: Vec<Vec<Entry>>,
-    person_likes: Vec<Vec<Entry>>,
-    tag_posts: Vec<Vec<Entry>>,
+    /// Ordered as [`Plan::lists`].
+    lists: [Vec<Vec<Entry>>; INDEXES],
 }
 
-fn entry(date: SimTime, id: u64) -> Entry {
-    Entry { date, id, commit: BULK_TS }
-}
-
-/// Each list allocated at its exact final capacity, so pushes never
-/// realloc (capacity is invisible to the identical-results contract).
-fn with_caps(counts: &[u32]) -> Vec<Vec<Entry>> {
-    counts.iter().map(|&c| Vec::with_capacity(c as usize)).collect()
+/// Set `rows[i]`, when slot `i` falls in this worker's range `r`.
+fn put_row<T>(
+    rows: &mut [Option<Versioned<T>>],
+    r: &Range<usize>,
+    i: usize,
+    row: impl FnOnce() -> T,
+) {
+    if r.contains(&i) {
+        rows[i - r.start] = Some(Versioned { commit: BULK_TS, row: row() });
+    }
 }
 
 fn build_shard(
@@ -214,211 +187,67 @@ fn build_shard(
     t: usize,
 ) -> Shard {
     let persons_r = range_of(s.persons, threads, t);
-    let knows_r = range_of(s.knows.len(), threads, t);
-    let person_messages_r = range_of(s.person_messages.len(), threads, t);
-    let person_posts_r = range_of(s.person_posts.len(), threads, t);
-    let person_forums_r = range_of(s.person_forums.len(), threads, t);
-    let person_likes_r = range_of(s.person_likes.len(), threads, t);
     let forums_r = range_of(s.forums, threads, t);
-    let forum_posts_r = range_of(s.forum_posts.len(), threads, t);
-    let forum_members_r = range_of(s.forum_members.len(), threads, t);
     let messages_r = range_of(s.messages, threads, t);
-    let message_replies_r = range_of(s.message_replies.len(), threads, t);
-    let message_likes_r = range_of(s.message_likes.len(), threads, t);
-    let tag_posts_r = range_of(s.tag_posts.len(), threads, t);
-
+    let ranges = s.lists.each_ref().map(|counts| range_of(counts.len(), threads, t));
     let mut sh = Shard {
         persons: vec![None; persons_r.len()],
         forums: vec![None; forums_r.len()],
         messages: vec![None; messages_r.len()],
-        knows: with_caps(&s.knows[knows_r.clone()]),
-        person_messages: with_caps(&s.person_messages[person_messages_r.clone()]),
-        person_posts: with_caps(&s.person_posts[person_posts_r.clone()]),
-        forum_posts: with_caps(&s.forum_posts[forum_posts_r.clone()]),
-        forum_members: with_caps(&s.forum_members[forum_members_r.clone()]),
-        person_forums: with_caps(&s.person_forums[person_forums_r.clone()]),
-        message_replies: with_caps(&s.message_replies[message_replies_r.clone()]),
-        message_likes: with_caps(&s.message_likes[message_likes_r.clone()]),
-        person_likes: with_caps(&s.person_likes[person_likes_r.clone()]),
-        tag_posts: with_caps(&s.tag_posts[tag_posts_r.clone()]),
+        lists: std::array::from_fn(|x| {
+            let counts = &s.lists[x][ranges[x].clone()];
+            counts.iter().map(|&c| Vec::with_capacity(c as usize)).collect()
+        }),
     };
-
-    for p in ds.persons.iter().filter(|p| p.creation_date <= cut) {
-        let i = p.id.index();
-        if persons_r.contains(&i) {
-            sh.persons[i - persons_r.start] = Some(Versioned { commit: BULK_TS, row: p.clone() });
-        }
-    }
-    for k in ds.knows.iter().filter(|k| k.creation_date <= cut) {
-        let (a, b) = (k.a.index(), k.b.index());
-        if knows_r.contains(&a) {
-            sh.knows[a - knows_r.start].push(entry(k.creation_date, k.b.raw()));
-        }
-        if knows_r.contains(&b) {
-            sh.knows[b - knows_r.start].push(entry(k.creation_date, k.a.raw()));
-        }
-    }
-    for f in ds.forums.iter().filter(|f| f.creation_date <= cut && keep_forum(sel, f.id)) {
-        let i = f.id.index();
-        if forums_r.contains(&i) {
-            sh.forums[i - forums_r.start] = Some(Versioned { commit: BULK_TS, row: f.clone() });
-        }
-    }
-    for m in ds.memberships.iter().filter(|m| m.join_date <= cut && keep_forum(sel, m.forum)) {
-        let (f, p) = (m.forum.index(), m.person.index());
-        if forum_members_r.contains(&f) {
-            sh.forum_members[f - forum_members_r.start].push(entry(m.join_date, m.person.raw()));
-        }
-        if person_forums_r.contains(&p) {
-            sh.person_forums[p - person_forums_r.start].push(entry(m.join_date, m.forum.raw()));
-        }
-    }
-    for p in ds.posts.iter().filter(|p| p.creation_date <= cut && keep_forum(sel, p.forum)) {
-        let f = p.forum.index();
-        if forum_posts_r.contains(&f) {
-            sh.forum_posts[f - forum_posts_r.start].push(entry(p.creation_date, p.id.raw()));
-        }
-        let a = p.author.index();
-        if person_messages_r.contains(&a) {
-            sh.person_messages[a - person_messages_r.start]
-                .push(entry(p.creation_date, p.id.raw()));
-        }
-        if person_posts_r.contains(&a) {
-            sh.person_posts[a - person_posts_r.start].push(entry(p.creation_date, p.id.raw()));
-        }
-        for tag in distinct_tags(&p.tags) {
-            let g = tag.index();
-            if tag_posts_r.contains(&g) {
-                sh.tag_posts[g - tag_posts_r.start].push(entry(p.creation_date, p.id.raw()));
+    for_each_entity(ds, cut, sel, |e| {
+        match e {
+            Entity::Person(p) => put_row(&mut sh.persons, &persons_r, p.id.index(), || p.clone()),
+            Entity::Forum(f) => put_row(&mut sh.forums, &forums_r, f.id.index(), || f.clone()),
+            Entity::Post(p) => put_row(&mut sh.messages, &messages_r, p.id.index(), || post_row(p)),
+            Entity::Comment(c) => {
+                put_row(&mut sh.messages, &messages_r, c.id.index(), || comment_row(c))
             }
+            Entity::Knows(_) | Entity::Membership(_) | Entity::Like(_) => {}
         }
-        let i = p.id.index();
-        if messages_r.contains(&i) {
-            sh.messages[i - messages_r.start] =
-                Some(Versioned { commit: BULK_TS, row: post_row(p) });
-        }
-    }
-    for c in ds.comments.iter().filter(|c| c.creation_date <= cut && keep_forum(sel, c.forum)) {
-        let parent = c.reply_to.index();
-        if message_replies_r.contains(&parent) {
-            sh.message_replies[parent - message_replies_r.start]
-                .push(entry(c.creation_date, c.id.raw()));
-        }
-        let a = c.author.index();
-        if person_messages_r.contains(&a) {
-            sh.person_messages[a - person_messages_r.start]
-                .push(entry(c.creation_date, c.id.raw()));
-        }
-        let i = c.id.index();
-        if messages_r.contains(&i) {
-            sh.messages[i - messages_r.start] =
-                Some(Versioned { commit: BULK_TS, row: comment_row(c) });
-        }
-    }
-    for l in ds.likes.iter().filter(|l| l.creation_date <= cut && keep_message(sel, ds, l.message))
-    {
-        let m = l.message.index();
-        if message_likes_r.contains(&m) {
-            sh.message_likes[m - message_likes_r.start]
-                .push(entry(l.creation_date, l.person.raw()));
-        }
-        let p = l.person.index();
-        if person_likes_r.contains(&p) {
-            sh.person_likes[p - person_likes_r.start].push(entry(l.creation_date, l.message.raw()));
-        }
-    }
-
-    // Sort each index list once — same `(date, id)` order `sorted_insert`
-    // maintains incrementally.
-    let lists = sh
-        .knows
-        .iter_mut()
-        .chain(sh.person_messages.iter_mut())
-        .chain(sh.person_posts.iter_mut())
-        .chain(sh.forum_posts.iter_mut())
-        .chain(sh.forum_members.iter_mut())
-        .chain(sh.person_forums.iter_mut())
-        .chain(sh.message_replies.iter_mut())
-        .chain(sh.message_likes.iter_mut())
-        .chain(sh.person_likes.iter_mut())
-        .chain(sh.tag_posts.iter_mut());
-    for list in lists {
-        list.sort_unstable_by_key(|e| (e.date, e.id));
+        index_writes(e, |ix, i, entry| {
+            let r = &ranges[ix as usize];
+            if let Some((date, id)) = entry.filter(|_| r.contains(&i)) {
+                sh.lists[ix as usize][i - r.start].push(Entry { date, id, commit: BULK_TS });
+            }
+        });
+    });
+    for list in sh.lists.iter_mut().flatten() {
+        list.sort_unstable_by_key(key);
     }
     sh
 }
 
-/// Install `lists` as immutable bulk prefixes at `table[start..]`.
+/// Install `rows` at `table[start..]`.
 ///
-/// Uses [`SegVec::set_slot`][crate::tail::SegVec] (no bound bump): slots
-/// stay invisible to readers until the final publication pass in
-/// [`build_into`] raises each table's high-water mark.
-fn put_lists(table: &IndexTable, start: usize, lists: Vec<Vec<Entry>>) {
-    for (j, list) in lists.into_iter().enumerate() {
-        table.set_slot(start + j, IndexList::from_bulk(list));
+/// Uses [`SegVec::set_slot`][crate::tail::SegVec] (no bound bump), as
+/// does the list install: slots stay invisible to readers until the final
+/// publication pass in [`build_into_sharded`] raises each table's bound.
+fn put_rows<T>(table: &EntityTable<T>, start: usize, rows: Vec<Option<Versioned<T>>>) {
+    for (j, row) in rows.into_iter().enumerate() {
+        if let Some(v) = row {
+            table.set_slot(start + j, v);
+        }
     }
 }
 
-/// Install one worker's shard into the shared tables. Ranges are
-/// recomputed from the same `(len, threads, t)` inputs `build_shard` used,
-/// so every slot index lands exactly where the serial loader would put it.
+/// Install one worker's shard into the shared tables, each list as an
+/// immutable bulk prefix. Ranges are recomputed from the same
+/// `(len, threads, t)` inputs `build_shard` used.
 fn install_shard(tables: &Tables, sh: Shard, s: &Plan, threads: usize, t: usize) {
-    let persons_r = range_of(s.persons, threads, t);
-    for (j, p) in sh.persons.into_iter().enumerate() {
-        if let Some(v) = p {
-            tables.persons.set_slot(persons_r.start + j, v);
+    put_rows(&tables.persons, range_of(s.persons, threads, t).start, sh.persons);
+    put_rows(&tables.forums, range_of(s.forums, threads, t).start, sh.forums);
+    put_rows(&tables.messages, range_of(s.messages, threads, t).start, sh.messages);
+    for ((table, counts), lists) in tables.index_tables().into_iter().zip(&s.lists).zip(sh.lists) {
+        let start = range_of(counts.len(), threads, t).start;
+        for (j, list) in lists.into_iter().enumerate() {
+            table.set_slot(start + j, IndexList::from_bulk(list));
         }
     }
-    let forums_r = range_of(s.forums, threads, t);
-    for (j, f) in sh.forums.into_iter().enumerate() {
-        if let Some(v) = f {
-            tables.forums.set_slot(forums_r.start + j, v);
-        }
-    }
-    let messages_r = range_of(s.messages, threads, t);
-    for (j, m) in sh.messages.into_iter().enumerate() {
-        if let Some(v) = m {
-            tables.messages.set_slot(messages_r.start + j, v);
-        }
-    }
-    put_lists(&tables.knows, range_of(s.knows.len(), threads, t).start, sh.knows);
-    put_lists(
-        &tables.person_messages,
-        range_of(s.person_messages.len(), threads, t).start,
-        sh.person_messages,
-    );
-    put_lists(
-        &tables.person_posts,
-        range_of(s.person_posts.len(), threads, t).start,
-        sh.person_posts,
-    );
-    put_lists(&tables.forum_posts, range_of(s.forum_posts.len(), threads, t).start, sh.forum_posts);
-    put_lists(
-        &tables.forum_members,
-        range_of(s.forum_members.len(), threads, t).start,
-        sh.forum_members,
-    );
-    put_lists(
-        &tables.person_forums,
-        range_of(s.person_forums.len(), threads, t).start,
-        sh.person_forums,
-    );
-    put_lists(
-        &tables.message_replies,
-        range_of(s.message_replies.len(), threads, t).start,
-        sh.message_replies,
-    );
-    put_lists(
-        &tables.message_likes,
-        range_of(s.message_likes.len(), threads, t).start,
-        sh.message_likes,
-    );
-    put_lists(
-        &tables.person_likes,
-        range_of(s.person_likes.len(), threads, t).start,
-        sh.person_likes,
-    );
-    put_lists(&tables.tag_posts, range_of(s.tag_posts.len(), threads, t).start, sh.tag_posts);
 }
 
 /// Build `ds` (entities dated at or before `cut`) straight into `tables`
@@ -466,14 +295,7 @@ pub(crate) fn build_into_sharded(
     tables.persons.bump(s.persons);
     tables.forums.bump(s.forums);
     tables.messages.bump(s.messages);
-    tables.knows.bump(s.knows.len());
-    tables.person_messages.bump(s.person_messages.len());
-    tables.person_posts.bump(s.person_posts.len());
-    tables.forum_posts.bump(s.forum_posts.len());
-    tables.forum_members.bump(s.forum_members.len());
-    tables.person_forums.bump(s.person_forums.len());
-    tables.message_replies.bump(s.message_replies.len());
-    tables.message_likes.bump(s.message_likes.len());
-    tables.person_likes.bump(s.person_likes.len());
-    tables.tag_posts.bump(s.tag_posts.len());
+    for (table, counts) in tables.index_tables().into_iter().zip(&s.lists) {
+        table.bump(counts.len());
+    }
 }

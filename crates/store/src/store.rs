@@ -25,10 +25,10 @@
 //! - Readers take no lock at all: a pin is one acquire load of the commit
 //!   horizon, and MVCC visibility filters everything above it.
 
-use crate::counters::{StoreCounters, STRIPES};
+use crate::counters::StoreCounters;
 use crate::mvcc::CommitClock;
 use crate::read::PinnedSnapshot;
-use crate::tables::Tables;
+use crate::tables::{index_writes, Entity, Tables};
 use crate::wal::{SyncPolicy, Wal};
 use crate::Padded;
 use parking_lot::{Mutex, MutexGuard};
@@ -38,11 +38,10 @@ use snb_core::SnbResult;
 use snb_obs::trace::{self, NameId};
 use std::path::Path;
 
-// Write-lock striping width (`STRIPES`, declared next to the per-stripe
-// telemetry in `counters.rs` so the lock map and the heatmap can't drift).
-// Power of two so the stripe map is a mask; 64 stripes keep the collision
-// probability of two random ids ~1.6%, and at one 128-byte line pair per
-// lock the whole array is 8 KiB.
+/// Stripes in the writer lock map. A power of two so the stripe map is a
+/// mask; 64 stripes keep the collision probability of two random ids
+/// ~1.6%, and at one 128-byte line pair per lock the whole array is 8 KiB.
+const STRIPES: usize = 64;
 
 /// Trace-span names for the write-pipeline stages and the read pin
 /// ([`trace::record_stage`] attaches these as children of whatever span the
@@ -57,38 +56,20 @@ static SPAN_PUBLISH_WAIT: NameId = NameId::new("store.stage.publish_wait");
 static SPAN_DURABLE_WAIT: NameId = NameId::new("store.stage.durable_wait");
 static SPAN_READ_PIN: NameId = NameId::new("store.read.pin");
 
-#[inline]
-fn stripe_of(raw: u64) -> usize {
-    (raw as usize) & (STRIPES - 1)
-}
-
 /// The stripes an update writes to, as a bitmask: bit `i` set = stripe
-/// `i` locked. Iterating the set bits low to high locks in ascending order
-/// with duplicates merged, which makes overlapping writers deadlock-free;
-/// a post also writes one `tag_posts` list per tag, so its set has no
-/// fixed size. Validation-only reads (e.g. a comment's forum or root post)
-/// take no stripe: latch-free readers don't either, and a miss is
-/// equivalent to serializing before the in-flight dependency.
+/// `i` locked. They are the stripes of the slots [`index_writes`] names,
+/// which include the entity's own row, and so cover every list and row
+/// [`Tables::insert`] touches. Iterating the set bits low to high locks in
+/// ascending order with duplicates merged, which makes overlapping writers
+/// deadlock-free; a post also writes one `tag_posts` list per tag, so its
+/// set has no fixed size. Validation-only reads (e.g. a comment's forum or
+/// root post) take no stripe: latch-free readers don't either, and a miss
+/// is equivalent to serializing before the in-flight dependency.
 fn stripe_set(op: &UpdateOp) -> u64 {
     const _: () = assert!(STRIPES <= 64, "the stripe set is a u64 bitmask");
-    fn mask(ids: impl IntoIterator<Item = u64>) -> u64 {
-        ids.into_iter().fold(0, |m, id| m | 1 << stripe_of(id))
-    }
-    match op {
-        UpdateOp::AddPerson(p) => mask([p.id.raw()]),
-        UpdateOp::AddFriendship(k) => mask([k.a.raw(), k.b.raw()]),
-        UpdateOp::AddForum(f) => mask([f.id.raw()]),
-        UpdateOp::AddMembership(m) => mask([m.person.raw(), m.forum.raw()]),
-        UpdateOp::AddPost(p) => mask(
-            [p.author.raw(), p.forum.raw(), p.id.raw()]
-                .into_iter()
-                .chain(p.tags.iter().map(|t| t.raw())),
-        ),
-        UpdateOp::AddComment(c) => mask([c.author.raw(), c.reply_to.raw(), c.id.raw()]),
-        UpdateOp::AddPostLike(l) | UpdateOp::AddCommentLike(l) => {
-            mask([l.person.raw(), l.message.raw()])
-        }
-    }
+    let mut set = 0;
+    index_writes(Entity::of(op), |_, slot, _| set |= 1 << (slot & (STRIPES - 1)));
+    set
 }
 
 /// Default bulk-load parallelism: the machine's cores, capped — loading is
@@ -133,7 +114,7 @@ impl Store {
     /// Empty store without durability.
     pub fn new() -> Store {
         Store {
-            tables: Tables::new(),
+            tables: Tables::default(),
             stripes: std::array::from_fn(|_| Padded(Mutex::new(()))),
             clock: CommitClock::new(),
             wal: None,
@@ -321,17 +302,7 @@ impl Store {
         };
         let ts = self.clock.reserve();
         let t3 = trace::now_nanos();
-        match op {
-            UpdateOp::AddPerson(p) => self.tables.insert_person(p.clone(), ts),
-            UpdateOp::AddPostLike(l) | UpdateOp::AddCommentLike(l) => {
-                self.tables.insert_like(l, ts)
-            }
-            UpdateOp::AddForum(f) => self.tables.insert_forum(f.clone(), ts),
-            UpdateOp::AddMembership(m) => self.tables.insert_membership(m, ts),
-            UpdateOp::AddPost(p) => self.tables.insert_post(p, ts),
-            UpdateOp::AddComment(c) => self.tables.insert_comment(c, ts),
-            UpdateOp::AddFriendship(k) => self.tables.insert_knows(k, ts),
-        }
+        self.tables.insert(Entity::of(op), ts);
         let t4 = trace::now_nanos();
         let publication = self.clock.publish(ts);
         drop(guards);
@@ -378,9 +349,8 @@ impl Store {
     /// Lock the stripes `op` writes to, ascending, and return the guards
     /// with the nanoseconds spent blocked. Only a contended stripe reads
     /// the clock: it is counted in `store.write.shard_conflicts` before
-    /// blocking, and the time spent blocked lands in that stripe's
-    /// acquire-wait histogram — the per-stripe heatmap that separates "one
-    /// hot stripe" from "uniform collision pressure".
+    /// blocking, and the time spent blocked is summed into the commit's
+    /// `stripe_wait` stage.
     fn lock_stripes(&self, op: &UpdateOp) -> (Vec<MutexGuard<'_, ()>>, u64) {
         let mut set = stripe_set(op);
         let mut guards = Vec::with_capacity(set.count_ones() as usize);
@@ -394,9 +364,7 @@ impl Store {
                     self.counters.write_shard_conflicts.inc();
                     let since = trace::now_nanos();
                     let g = self.stripes[i].lock();
-                    let waited = trace::now_nanos() - since;
-                    self.counters.stripes.note_conflict(i, waited);
-                    blocked += waited;
+                    blocked += trace::now_nanos() - since;
                     guards.push(g);
                 }
             }

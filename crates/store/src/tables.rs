@@ -17,10 +17,14 @@
 //! early termination, which is exactly the locality §3 says systems should
 //! exploit when ids correlate with time.
 //!
+//! [`index_writes`] is the one definition of which list entries and list
+//! slots each entity writes; [`Tables::insert`] (behind `Store::apply` and
+//! WAL replay) and the bulk loader both build the lists from it.
+//!
 //! Everything here is plain data over the [`crate::tail`] containers: no
 //! atomics, no locks. Writers reach it through [`crate::store`] (which
-//! holds the stripe locks the insert methods require), readers through
-//! [`crate::read`].
+//! holds the stripe locks [`Tables::insert`] requires) and the bulk
+//! loader, readers through [`crate::read`].
 
 use crate::mvcc::CommitTs;
 use crate::tail::{IndexList, SegVec};
@@ -87,10 +91,10 @@ pub(crate) type EntityTable<T> = SegVec<Versioned<T>, 10, 22>;
 pub(crate) type IndexTable = SegVec<IndexList, 10, 22>;
 
 /// All tables of the store, shared lock-free between readers and writers.
-/// Insert methods take `&self` but require the caller to hold the stripe
-/// locks covering every id they write (the per-list single-writer
+/// [`Tables::insert`] takes `&self` but requires the caller to hold the
+/// stripe locks covering every id it writes (the per-list single-writer
 /// guarantee behind [`crate::tail::IndexTail::push`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Tables {
     pub(crate) persons: EntityTable<Person>,
     pub(crate) forums: EntityTable<Forum>,
@@ -123,11 +127,19 @@ pub(crate) struct Tables {
     pub(crate) tag_posts: IndexTable,
 }
 
-/// Declares the one ordered list of index tables. [`INDEX_NAMES`], the
-/// `store.mem.run_bytes.<index>` gauge names and [`Tables::index_tables`]
-/// all expand from the same field list, so they cannot drift.
+/// Declares the one ordered list of index tables. [`Ix`], [`INDEX_NAMES`],
+/// the `store.mem.run_bytes.<index>` gauge names and
+/// [`Tables::index_tables`] all expand from the same list, so they cannot
+/// drift.
 macro_rules! index_tables {
-    ($($field:ident),* $(,)?) => {
+    ($($ix:ident => $field:ident),* $(,)?) => {
+        /// An index table, named as its field in [`Tables`]; its
+        /// discriminant is its position in [`INDEX_NAMES`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Ix {
+            $($ix),*
+        }
+
         /// Every index table's name (its field name in the store's
         /// tables), in the order of every per-index report: storage
         /// footprints and the `store.mem.run_bytes.<index>` gauges.
@@ -140,8 +152,14 @@ macro_rules! index_tables {
 
         impl Tables {
             /// The index tables, ordered as [`INDEX_NAMES`].
-            fn index_tables(&self) -> [&IndexTable; INDEXES] {
+            pub(crate) fn index_tables(&self) -> [&IndexTable; INDEXES] {
                 [$(&self.$field),*]
+            }
+
+            fn index(&self, ix: Ix) -> &IndexTable {
+                match ix {
+                    $(Ix::$ix => &self.$field),*
+                }
             }
         }
     };
@@ -151,56 +169,112 @@ macro_rules! index_tables {
 pub const INDEXES: usize = 10;
 
 index_tables!(
-    knows,
-    person_messages,
-    person_posts,
-    forum_posts,
-    forum_members,
-    person_forums,
-    message_replies,
-    message_likes,
-    person_likes,
-    tag_posts,
+    Knows => knows,
+    PersonMessages => person_messages,
+    PersonPosts => person_posts,
+    ForumPosts => forum_posts,
+    ForumMembers => forum_members,
+    PersonForums => person_forums,
+    MessageReplies => message_replies,
+    MessageLikes => message_likes,
+    PersonLikes => person_likes,
+    TagPosts => tag_posts,
 );
 
 /// The distinct tags of a post, first occurrence first. An update that
 /// names a tag twice (updates also arrive over the wire and from a WAL)
 /// still enters that tag's `tag_posts` list once, as Q6 counts a post
-/// once; the insert path and the bulk loader both use it.
-pub(crate) fn distinct_tags(tags: &[TagId]) -> impl Iterator<Item = TagId> + '_ {
+/// once.
+fn distinct_tags(tags: &[TagId]) -> impl Iterator<Item = TagId> + '_ {
     tags.iter().enumerate().filter(|&(i, t)| !tags[..i].contains(t)).map(|(_, &t)| t)
 }
 
-impl Tables {
-    pub(crate) fn new() -> Tables {
-        Tables {
-            persons: SegVec::new(),
-            forums: SegVec::new(),
-            messages: SegVec::new(),
-            knows: SegVec::new(),
-            person_messages: SegVec::new(),
-            person_posts: SegVec::new(),
-            forum_posts: SegVec::new(),
-            forum_members: SegVec::new(),
-            person_forums: SegVec::new(),
-            message_replies: SegVec::new(),
-            message_likes: SegVec::new(),
-            person_likes: SegVec::new(),
-            tag_posts: SegVec::new(),
+/// One entity of the graph, borrowed from an update or from a dataset:
+/// what both ways of building the tables, [`Tables::insert`] and the bulk
+/// loader, hand to [`index_writes`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Entity<'a> {
+    Person(&'a Person),
+    Knows(&'a Knows),
+    Forum(&'a Forum),
+    Membership(&'a ForumMembership),
+    Post(&'a Post),
+    Comment(&'a Comment),
+    Like(&'a Like),
+}
+
+impl<'a> Entity<'a> {
+    /// The entity an update inserts.
+    pub(crate) fn of(op: &'a UpdateOp) -> Entity<'a> {
+        match op {
+            UpdateOp::AddPerson(p) => Entity::Person(p),
+            UpdateOp::AddFriendship(k) => Entity::Knows(k),
+            UpdateOp::AddForum(f) => Entity::Forum(f),
+            UpdateOp::AddMembership(m) => Entity::Membership(m),
+            UpdateOp::AddPost(p) => Entity::Post(p),
+            UpdateOp::AddComment(c) => Entity::Comment(c),
+            UpdateOp::AddPostLike(l) | UpdateOp::AddCommentLike(l) => Entity::Like(l),
         }
     }
+}
 
+/// The one definition of what an entity writes to the index tables:
+/// `w(table, slot, Some((date, id)))` for each entry it adds to the list at
+/// `slot`, and `w(table, slot, None)` for each list slot its own id owns
+/// (the slot exists, empty, from then on, so a table's bound is the
+/// highest id that owns or holds a list). An entity's row lives at a slot
+/// it names here, so the slots named are all the slots it writes.
+pub(crate) fn index_writes(e: Entity<'_>, mut w: impl FnMut(Ix, usize, Option<(SimTime, u64)>)) {
+    match e {
+        Entity::Person(p) => {
+            for ix in
+                [Ix::Knows, Ix::PersonMessages, Ix::PersonPosts, Ix::PersonForums, Ix::PersonLikes]
+            {
+                w(ix, p.id.index(), None);
+            }
+        }
+        Entity::Knows(k) => {
+            w(Ix::Knows, k.a.index(), Some((k.creation_date, k.b.raw())));
+            w(Ix::Knows, k.b.index(), Some((k.creation_date, k.a.raw())));
+        }
+        Entity::Forum(f) => {
+            w(Ix::ForumPosts, f.id.index(), None);
+            w(Ix::ForumMembers, f.id.index(), None);
+        }
+        Entity::Membership(m) => {
+            w(Ix::ForumMembers, m.forum.index(), Some((m.join_date, m.person.raw())));
+            w(Ix::PersonForums, m.person.index(), Some((m.join_date, m.forum.raw())));
+        }
+        Entity::Post(p) => {
+            let entry = Some((p.creation_date, p.id.raw()));
+            w(Ix::ForumPosts, p.forum.index(), entry);
+            w(Ix::PersonPosts, p.author.index(), entry);
+            for t in distinct_tags(&p.tags) {
+                w(Ix::TagPosts, t.index(), entry);
+            }
+            w(Ix::PersonMessages, p.author.index(), entry);
+            w(Ix::MessageReplies, p.id.index(), None);
+            w(Ix::MessageLikes, p.id.index(), None);
+        }
+        Entity::Comment(c) => {
+            let entry = Some((c.creation_date, c.id.raw()));
+            w(Ix::MessageReplies, c.reply_to.index(), entry);
+            w(Ix::PersonMessages, c.author.index(), entry);
+            w(Ix::MessageReplies, c.id.index(), None);
+            w(Ix::MessageLikes, c.id.index(), None);
+        }
+        Entity::Like(l) => {
+            w(Ix::MessageLikes, l.message.index(), Some((l.creation_date, l.person.raw())));
+            w(Ix::PersonLikes, l.person.index(), Some((l.creation_date, l.message.raw())));
+        }
+    }
+}
+
+impl Tables {
     /// Whether no entity has ever been inserted (the parallel loader can
     /// only build a store from scratch).
     pub(crate) fn is_empty(&self) -> bool {
         self.persons.high() == 0 && self.forums.high() == 0 && self.messages.high() == 0
-    }
-
-    /// The list at `i`, created empty on first touch (with the bound
-    /// raised, replicating the old `ensure` slot parity).
-    fn list(table: &IndexTable, i: usize) -> &IndexList {
-        table.bump(i + 1);
-        table.slot(i).get_or_init(IndexList::default)
     }
 
     pub(crate) fn validate(&self, op: &UpdateOp) -> SnbResult<()> {
@@ -269,95 +343,32 @@ impl Tables {
         Ok(())
     }
 
-    pub(crate) fn insert_person(&self, p: Person, ts: CommitTs) {
-        let i = p.id.index();
-        self.knows.bump(i + 1);
-        self.person_messages.bump(i + 1);
-        self.person_posts.bump(i + 1);
-        self.person_forums.bump(i + 1);
-        self.person_likes.bump(i + 1);
-        self.persons.install(i, Versioned { commit: ts, row: p });
-    }
-
-    pub(crate) fn insert_knows(&self, k: &Knows, ts: CommitTs) {
-        let (a, b) = (k.a.index(), k.b.index());
-        Self::list(&self.knows, a).push(Entry { date: k.creation_date, id: k.b.raw(), commit: ts });
-        Self::list(&self.knows, b).push(Entry { date: k.creation_date, id: k.a.raw(), commit: ts });
-    }
-
-    pub(crate) fn insert_forum(&self, f: Forum, ts: CommitTs) {
-        let i = f.id.index();
-        self.forum_posts.bump(i + 1);
-        self.forum_members.bump(i + 1);
-        self.forums.install(i, Versioned { commit: ts, row: f });
-    }
-
-    pub(crate) fn insert_membership(&self, m: &ForumMembership, ts: CommitTs) {
-        Self::list(&self.forum_members, m.forum.index()).push(Entry {
-            date: m.join_date,
-            id: m.person.raw(),
-            commit: ts,
+    /// Insert `e` at commit timestamp `commit`: its [`index_writes`], then
+    /// its row. The caller holds the stripe locks of every slot
+    /// `index_writes` names.
+    pub(crate) fn insert(&self, e: Entity<'_>, commit: CommitTs) {
+        index_writes(e, |ix, i, entry| {
+            let table = self.index(ix);
+            table.bump(i + 1);
+            if let Some((date, id)) = entry {
+                table.slot(i).get_or_init(IndexList::default).push(Entry { date, id, commit });
+            }
         });
-        Self::list(&self.person_forums, m.person.index()).push(Entry {
-            date: m.join_date,
-            id: m.forum.raw(),
-            commit: ts,
-        });
-    }
-
-    fn insert_message_row(&self, id: MessageId, row: MessageRow, ts: CommitTs) {
-        let i = id.index();
-        self.message_replies.bump(i + 1);
-        self.message_likes.bump(i + 1);
-        Self::list(&self.person_messages, row.author.index()).push(Entry {
-            date: row.creation_date,
-            id: id.raw(),
-            commit: ts,
-        });
-        self.messages.install(i, Versioned { commit: ts, row });
-    }
-
-    pub(crate) fn insert_post(&self, p: &Post, ts: CommitTs) {
-        Self::list(&self.forum_posts, p.forum.index()).push(Entry {
-            date: p.creation_date,
-            id: p.id.raw(),
-            commit: ts,
-        });
-        Self::list(&self.person_posts, p.author.index()).push(Entry {
-            date: p.creation_date,
-            id: p.id.raw(),
-            commit: ts,
-        });
-        for t in distinct_tags(&p.tags) {
-            Self::list(&self.tag_posts, t.index()).push(Entry {
-                date: p.creation_date,
-                id: p.id.raw(),
-                commit: ts,
-            });
+        match e {
+            Entity::Person(p) => {
+                self.persons.install(p.id.index(), Versioned { commit, row: p.clone() })
+            }
+            Entity::Forum(f) => {
+                self.forums.install(f.id.index(), Versioned { commit, row: f.clone() })
+            }
+            Entity::Post(p) => {
+                self.messages.install(p.id.index(), Versioned { commit, row: post_row(p) })
+            }
+            Entity::Comment(c) => {
+                self.messages.install(c.id.index(), Versioned { commit, row: comment_row(c) })
+            }
+            Entity::Knows(_) | Entity::Membership(_) | Entity::Like(_) => {}
         }
-        self.insert_message_row(p.id, post_row(p), ts);
-    }
-
-    pub(crate) fn insert_comment(&self, c: &Comment, ts: CommitTs) {
-        Self::list(&self.message_replies, c.reply_to.index()).push(Entry {
-            date: c.creation_date,
-            id: c.id.raw(),
-            commit: ts,
-        });
-        self.insert_message_row(c.id, comment_row(c), ts);
-    }
-
-    pub(crate) fn insert_like(&self, l: &Like, ts: CommitTs) {
-        Self::list(&self.message_likes, l.message.index()).push(Entry {
-            date: l.creation_date,
-            id: l.person.raw(),
-            commit: ts,
-        });
-        Self::list(&self.person_likes, l.person.index()).push(Entry {
-            date: l.creation_date,
-            id: l.message.raw(),
-            commit: ts,
-        });
     }
 
     /// `(name, measured footprint)` for each index table, ordered as

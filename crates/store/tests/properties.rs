@@ -344,11 +344,15 @@ type Lists = HashMap<u64, Vec<(SimTime, u64)>>;
 
 /// The ten index lists a store holds after `bulk_load` and an applied
 /// update prefix, assembled straight from the dataset and the ops as plain
-/// `(date, id)`-sorted vectors — the pre-compact representation. It
-/// shares nothing with the store: no bulk decoder, no tail slots, no
-/// visibility check.
+/// `(date, id)`-sorted vectors — the pre-compact representation — with
+/// the bound of each entity table (highest loaded id + 1). It shares
+/// nothing with the store: no bulk decoder, no tail slots, no visibility
+/// check.
 #[derive(Default)]
 struct ListModel {
+    person_slots: usize,
+    forum_slots: usize,
+    message_slots: usize,
     knows: Lists,
     person_messages: Lists,
     person_posts: Lists,
@@ -383,17 +387,25 @@ impl ListModel {
     ) -> ListModel {
         let split = ds.config.update_split;
         let mut m = ListModel::default();
+        for p in ds.persons.iter().filter(|p| p.creation_date <= split) {
+            m.person_slots = m.person_slots.max(p.id.index() + 1);
+        }
         for k in ds.knows.iter().filter(|k| k.creation_date <= split) {
             m.knows(k);
+        }
+        for f in ds.forums.iter().filter(|f| f.creation_date <= split && owned(f.id)) {
+            m.forum_slots = m.forum_slots.max(f.id.index() + 1);
         }
         for f in ds.memberships.iter().filter(|f| f.join_date <= split && owned(f.forum)) {
             m.membership(f);
         }
         for p in ds.posts.iter().filter(|p| p.creation_date <= split && owned(p.forum)) {
             m.post(p);
+            m.message_slots = m.message_slots.max(p.id.index() + 1);
         }
         for c in ds.comments.iter().filter(|c| c.creation_date <= split && owned(c.forum)) {
             m.comment(c);
+            m.message_slots = m.message_slots.max(c.id.index() + 1);
         }
         for l in ds
             .likes
@@ -403,6 +415,7 @@ impl ListModel {
             m.like(l);
         }
         for u in applied {
+            m.raise_slots(&u.op);
             match &u.op {
                 UpdateOp::AddFriendship(k) => m.knows(k),
                 UpdateOp::AddMembership(f) => m.membership(f),
@@ -431,6 +444,20 @@ impl ListModel {
         m
     }
 
+    /// Raise the entity-table bound `op` inserts into. Bounds are not
+    /// versioned: an op committed after a pin raises them while its
+    /// entries stay invisible to that pin.
+    fn raise_slots(&mut self, op: &UpdateOp) {
+        let (slots, id) = match op {
+            UpdateOp::AddPerson(p) => (&mut self.person_slots, p.id.index()),
+            UpdateOp::AddForum(f) => (&mut self.forum_slots, f.id.index()),
+            UpdateOp::AddPost(p) => (&mut self.message_slots, p.id.index()),
+            UpdateOp::AddComment(c) => (&mut self.message_slots, c.id.index()),
+            _ => return,
+        };
+        *slots = (*slots).max(id + 1);
+    }
+
     fn knows(&mut self, k: &Knows) {
         add(&mut self.knows, k.a.raw(), k.creation_date, k.b.raw());
         add(&mut self.knows, k.b.raw(), k.creation_date, k.a.raw());
@@ -449,6 +476,43 @@ impl ListModel {
         for tag in distinct {
             add(&mut self.tag_posts, tag, p.creation_date, p.id.raw());
         }
+    }
+
+    /// Every entity table's bound and every list scan of `snap` equal the
+    /// model: the nine ascending scans over each slot below the bounds,
+    /// and the tag lists.
+    fn check_all(&self, snap: &snb_store::PinnedSnapshot<'_>, what: &str) {
+        assert_eq!(snap.person_slots(), self.person_slots, "{what}: person slots");
+        assert_eq!(snap.forum_slots(), self.forum_slots, "{what}: forum slots");
+        assert_eq!(snap.message_slots(), self.message_slots, "{what}: message slots");
+        for p in 0..self.person_slots as u64 {
+            let id = PersonId(p);
+            let friends: Vec<_> = snap.friends_iter(id).collect();
+            assert_eq!(friends, dated(&self.knows, p), "{what}: friends of {p}");
+            let msgs: Vec<_> = snap.messages_of_iter(id).collect();
+            assert_eq!(msgs, dated(&self.person_messages, p), "{what}: messages of {p}");
+            let posts: Vec<_> = snap.posts_of_iter(id).collect();
+            assert_eq!(posts, dated(&self.person_posts, p), "{what}: posts of {p}");
+            let forums: Vec<_> = snap.forums_of_iter(id).collect();
+            assert_eq!(forums, dated(&self.person_forums, p), "{what}: forums of {p}");
+            let likes: Vec<_> = snap.likes_by_iter(id).collect();
+            assert_eq!(likes, dated(&self.person_likes, p), "{what}: likes by {p}");
+        }
+        for f in 0..self.forum_slots as u64 {
+            let id = ForumId(f);
+            let posts: Vec<_> = snap.posts_in_forum_iter(id).collect();
+            assert_eq!(posts, dated(&self.forum_posts, f), "{what}: posts in forum {f}");
+            let members: Vec<_> = snap.members_of_iter(id).collect();
+            assert_eq!(members, dated(&self.forum_members, f), "{what}: members of {f}");
+        }
+        for m in 0..self.message_slots as u64 {
+            let id = MessageId(m);
+            let replies: Vec<_> = snap.replies_of_iter(id).collect();
+            assert_eq!(replies, dated(&self.message_replies, m), "{what}: replies of {m}");
+            let likes: Vec<_> = snap.likes_of_iter(id).collect();
+            assert_eq!(likes, dated(&self.message_likes, m), "{what}: likes of {m}");
+        }
+        self.check_tag_posts(snap, what);
     }
 
     /// `posts_with_tag_iter` for every tag the dictionary has (and one
@@ -510,30 +574,23 @@ proptest! {
         for u in &stream[applied..later] {
             store.apply(&u.op).unwrap();
         }
-        let model = ListModel::new(ds, &stream[..applied]);
+        let mut model = ListModel::new(ds, &stream[..applied]);
+        for u in &stream[applied..later] {
+            model.raise_slots(&u.op);
+        }
         let max_date = SimTime(SimTime::SIM_START.0 + day_offset * 86_400_000);
 
+        model.check_all(&snap, &format!("{prefix_pct} % of the stream applied"));
         for p in 0..snap.person_slots() as u64 {
             let id = PersonId(p);
-            prop_assert_eq!(snap.friends_iter(id).collect::<Vec<_>>(), dated(&model.knows, p));
-            let msgs = dated(&model.person_messages, p);
-            prop_assert_eq!(snap.messages_of_iter(id).collect::<Vec<_>>(), msgs.clone());
-            prop_assert_eq!(
-                snap.posts_of_iter(id).collect::<Vec<_>>(),
-                dated(&model.person_posts, p)
-            );
-            let forums = dated(&model.person_forums, p);
-            prop_assert_eq!(snap.forums_of_iter(id).collect::<Vec<_>>(), forums.clone());
-            prop_assert_eq!(
-                snap.likes_by_iter(id).collect::<Vec<_>>(),
-                dated(&model.person_likes, p)
-            );
             // Newest first under the date bound: the anchor seek and the
             // backward block decode at every list length and bound.
+            let msgs = dated(&model.person_messages, p);
             let newest: Vec<_> = msgs.iter().rev().filter(|&&(_, d)| d <= max_date).copied().collect();
             prop_assert_eq!(snap.recent_messages_walk(id, max_date).collect::<Vec<_>>(), newest);
             // Strictly after the bound, with the bound on an entry's date
             // in every lane the list has, and off the entries.
+            let forums = dated(&model.person_forums, p);
             for bound in forums.iter().map(|&(_, d)| d).chain([max_date]) {
                 let after: Vec<_> = forums.iter().filter(|&&(_, d)| d > bound).copied().collect();
                 prop_assert_eq!(
@@ -545,53 +602,37 @@ proptest! {
                 );
             }
         }
-        for f in 0..snap.forum_slots() as u64 {
-            let id = ForumId(f);
-            prop_assert_eq!(
-                snap.posts_in_forum_iter(id).collect::<Vec<_>>(),
-                dated(&model.forum_posts, f)
-            );
-            prop_assert_eq!(
-                snap.members_of_iter(id).collect::<Vec<_>>(),
-                dated(&model.forum_members, f)
-            );
-        }
-        for m in 0..snap.message_slots() as u64 {
-            let id = MessageId(m);
-            prop_assert_eq!(
-                snap.replies_of_iter(id).collect::<Vec<_>>(),
-                dated(&model.message_replies, m)
-            );
-            prop_assert_eq!(
-                snap.likes_of_iter(id).collect::<Vec<_>>(),
-                dated(&model.message_likes, m)
-            );
-        }
-        model.check_tag_posts(&snap, &format!("{prefix_pct} % of the stream applied"));
     }
 }
 
-/// `posts_with_tag_iter` equals the tag lists built straight from the
-/// dataset on every way a store is built: a bulk load, each slice of a
-/// 2-shard load (only the posts of the forums the shard owns), and a store
-/// recovered from its WAL (the index rebuilt by replaying `apply`). The
-/// property above covers a bulk load plus a random update prefix.
+/// Every index list and entity-table bound equals [`ListModel`] on every
+/// way a store is built: a bulk load at the default thread count and at 1
+/// and 3 threads, each slice of a 2-shard load (only the activity of the
+/// forums the shard owns), and a store recovered from its WAL (the lists
+/// rebuilt by replaying `apply`). The property above covers a bulk load
+/// plus a random update prefix.
 #[test]
 fn tag_posts_match_the_dataset_on_every_load_path() {
     let (ds, stream) = mixed_dataset();
+    let split = ds.config.update_split;
+    let bulk_model = ListModel::new(ds, &[]);
 
     let bulk = Store::new();
     bulk.bulk_load(ds);
-    ListModel::new(ds, &[]).check_tag_posts(&bulk.pinned(), "bulk load");
+    bulk_model.check_all(&bulk.pinned(), "bulk load");
+    for threads in [1, 3] {
+        let s = Store::new();
+        s.bulk_load_until_threads(ds, split, threads);
+        bulk_model.check_all(&s.pinned(), &format!("bulk load on {threads} threads"));
+    }
 
     let map = snb_core::shard::ShardMap::new(2);
     for shard in 0..2 {
         let slice = Store::new();
-        slice.bulk_load_sharded(ds, ds.config.update_split, 2, map, shard);
+        slice.bulk_load_sharded(ds, split, 2, map, shard);
         ListModel::of_forums(ds, &[], |f| map.owns_forum(f, shard))
-            .check_tag_posts(&slice.pinned(), &format!("shard {shard} of 2"));
+            .check_all(&slice.pinned(), &format!("shard {shard} of 2"));
     }
-
     let path = std::env::temp_dir().join(format!("snb-tag-posts-{}.wal", std::process::id()));
     let applied = &stream[..stream.len() * 2 / 3];
     {
@@ -605,7 +646,7 @@ fn tag_posts_match_the_dataset_on_every_load_path() {
     let (recovered, report) = Store::recover(ds, &path).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(report.replayed as usize, applied.len());
-    ListModel::new(ds, applied).check_tag_posts(&recovered.pinned(), "recovered from the WAL");
+    ListModel::new(ds, applied).check_all(&recovered.pinned(), "recovered from the WAL");
 }
 
 /// Highest entity id used by [`mixed_dataset`] plus one: synthetic ops
