@@ -151,6 +151,12 @@ pub struct MemGauges {
     /// Raw (uncompressed) tail slot bytes across all indexes
     /// (`store.mem.tail_bytes`).
     pub tail_bytes: Gauge,
+    /// Index lists with an allocated tail header
+    /// (`store.mem.tail_headers`).
+    pub tail_headers: Gauge,
+    /// Raw tail slot segments allocated across all index lists
+    /// (`store.mem.tail_segments`).
+    pub tail_segments: Gauge,
     /// Entity-row heap bytes: persons + forums + messages including string
     /// content (`store.mem.entity_bytes`).
     pub entity_bytes: Gauge,
@@ -171,6 +177,8 @@ impl MemGauges {
         MemGauges {
             run_bytes: RUN_BYTES_GAUGES.map(|name| registry.gauge(name)),
             tail_bytes: registry.gauge("store.mem.tail_bytes"),
+            tail_headers: registry.gauge("store.mem.tail_headers"),
+            tail_segments: registry.gauge("store.mem.tail_segments"),
             entity_bytes: registry.gauge("store.mem.entity_bytes"),
             dict_bytes: registry.gauge("store.mem.dict_bytes"),
             index_bytes: registry.gauge("store.mem.index_bytes"),
@@ -185,6 +193,8 @@ impl MemGauges {
             gauge.set(f.run_bytes as u64);
         }
         self.tail_bytes.set(stats.index.tail_bytes as u64);
+        self.tail_headers.set(stats.index.tail_headers as u64);
+        self.tail_segments.set(stats.index.tail_segments as u64);
         self.entity_bytes.set(stats.entity_bytes as u64);
         self.dict_bytes.set(dict_bytes as u64);
         self.index_bytes.set(stats.index.bytes() as u64);
@@ -235,6 +245,9 @@ pub struct StoreCounters {
     /// Records made durable summed over all fsyncs (`store.wal.group_size`);
     /// mean commit-group size = `group_size / fsyncs`.
     pub wal_group_size: Counter,
+    /// Group-commit leaders that stopped filling their group at the
+    /// one-sync bound (`store.wal.fill_timeouts`).
+    pub wal_fill_timeouts: Counter,
     /// WAL flush/sync failures, including those surfaced from `Drop`
     /// (`store.wal.sync_errors`).
     pub wal_sync_errors: Counter,
@@ -276,6 +289,7 @@ impl StoreCounters {
             wal_bytes: registry.counter("store.wal.bytes"),
             wal_fsyncs: registry.counter("store.wal.fsyncs"),
             wal_group_size: registry.counter("store.wal.group_size"),
+            wal_fill_timeouts: registry.counter("store.wal.fill_timeouts"),
             wal_sync_errors: registry.counter("store.wal.sync_errors"),
             wal_recovery_truncated_bytes: registry.counter("store.wal.recovery_truncated_bytes"),
             wal_fsync_micros: Arc::new(LatencyHistogram::new()),
@@ -381,6 +395,7 @@ impl StoreCounters {
         WalMetrics {
             fsyncs: self.wal_fsyncs.clone(),
             group_size: self.wal_group_size.clone(),
+            fill_timeouts: self.wal_fill_timeouts.clone(),
             sync_errors: self.wal_sync_errors.clone(),
             recovery_truncated_bytes: self.wal_recovery_truncated_bytes.clone(),
             fsync_micros: Arc::clone(&self.wal_fsync_micros),
@@ -411,7 +426,7 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        assert_eq!(names.len(), 30);
+        assert_eq!(names.len(), 33);
         assert!(snap.contains(&("store.mvcc.snapshots", 1)));
         // The store.mem.* gauge family registers eagerly so remote and
         // local disclosures agree on the name set even before a refresh.
@@ -419,6 +434,9 @@ mod tests {
             assert!(names.iter().any(|n| n.strip_prefix("store.mem.run_bytes.") == Some(idx)));
         }
         assert!(names.contains(&"store.mem.tail_bytes"));
+        assert!(names.contains(&"store.mem.tail_headers"));
+        assert!(names.contains(&"store.mem.tail_segments"));
+        assert!(names.contains(&"store.wal.fill_timeouts"));
         assert!(names.contains(&"store.mem.dict_bytes"));
         assert!(names.contains(&"store.mem.index_bytes"));
         assert!(names.contains(&"store.mem.entity_bytes"));

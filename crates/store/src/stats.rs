@@ -22,6 +22,11 @@ pub struct IndexFootprint {
     /// Raw tail slot bytes (kept uncompressed so in-place appends stay
     /// lock-free; identical in both formats).
     pub tail_bytes: usize,
+    /// Lists with an allocated tail header (`IndexTail`, about 1 KB each
+    /// before any entry; not in `tail_bytes`).
+    pub tail_headers: usize,
+    /// Raw tail slot segments allocated across those lists.
+    pub tail_segments: usize,
     /// The same runs' cost as plain 24-byte entries (bulk + ladder
     /// copies) — the uncompressed baseline the compression ratio is
     /// measured against.
@@ -47,6 +52,8 @@ impl IndexFootprint {
         self.entries += other.entries;
         self.run_bytes += other.run_bytes;
         self.tail_bytes += other.tail_bytes;
+        self.tail_headers += other.tail_headers;
+        self.tail_segments += other.tail_segments;
         self.oracle_run_bytes += other.oracle_run_bytes;
     }
 }

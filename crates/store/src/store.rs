@@ -548,6 +548,31 @@ mod tests {
     }
 
     #[test]
+    fn tail_headers_and_segments_are_gauged() {
+        let ds =
+            snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(120).activity(0.3))
+                .unwrap();
+        let s = Store::new();
+        s.bulk_load(&ds);
+        let bulk = s.pinned().storage_stats();
+        assert_eq!((bulk.index.tail_headers, bulk.index.tail_segments), (0, 0));
+        for u in ds.update_stream() {
+            s.apply(&u.op).unwrap();
+        }
+        let stats = s.pinned().storage_stats();
+        let idx = stats.index;
+        assert!(idx.tail_headers > 0, "the update stream allocates tails");
+        assert!(idx.tail_segments >= idx.tail_headers, "every tail has its first segment");
+        s.refresh_mem_gauges();
+        let mem = &s.counters().mem;
+        assert_eq!(mem.tail_headers.get(), idx.tail_headers as u64);
+        assert_eq!(mem.tail_segments.get(), idx.tail_segments as u64);
+        // The counts are reported beside the bytes, not folded into them.
+        assert_eq!(mem.bytes_per_message.get(), stats.bytes_per_message() as u64);
+        assert_eq!(mem.tail_bytes.get(), idx.tail_bytes as u64);
+    }
+
+    #[test]
     fn parallel_bulk_load_matches_serial_indexes() {
         let ds =
             snb_datagen::generate(snb_datagen::GeneratorConfig::with_persons(150).activity(0.4))

@@ -384,6 +384,9 @@ impl Tables {
                     f.entries += l.len();
                     f.run_bytes += run_bytes;
                     f.tail_bytes += tail_bytes;
+                    let (headers, segments) = l.tail_allocs();
+                    f.tail_headers += headers;
+                    f.tail_segments += segments;
                     f.oracle_run_bytes += run_entries * std::mem::size_of::<Entry>();
                 }
             }

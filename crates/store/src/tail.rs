@@ -138,6 +138,11 @@ impl<T, const B: u32, const N: usize> SegVec<T, B, N> {
         self.set_slot(i, v);
     }
 
+    /// Segments allocated so far.
+    fn segments(&self) -> usize {
+        self.segs.iter().filter(|s| s.get().is_some()).count()
+    }
+
     /// Element `i` without the `high` gate, for readers whose visibility
     /// proof is external (e.g. a ladder run published strictly before an
     /// acquire-loaded tail length). Skips one atomic load per lookup.
@@ -428,6 +433,12 @@ impl IndexList {
             tail_bytes += raw_bytes;
         }
         (run_bytes, run_entries, tail_bytes)
+    }
+
+    /// Tail allocations: `(headers, segments)` — 1 and the raw slot
+    /// segments allocated when this list has a tail, else `(0, 0)`.
+    pub(crate) fn tail_allocs(&self) -> (usize, usize) {
+        self.tail().map_or((0, 0), |t| (1, t.slots.segments()))
     }
 }
 

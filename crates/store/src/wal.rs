@@ -22,13 +22,20 @@
 //!   decides when data hits disk (fastest, not crash-durable).
 //! - [`SyncPolicy::Group`] (the default): commits are acknowledged only
 //!   after their record is fsynced, but the fsync is shared. The first
-//!   committer to find no sync in flight becomes the *leader* and fsyncs
-//!   once for every record appended so far while followers block on a
-//!   condvar; commits arriving during that fsync pile up and are covered
-//!   together by the next leader's sync. This natural piggybacking
-//!   amortizes the dominant durability cost across concurrent committers
-//!   without ever acknowledging a non-durable commit and without delaying
-//!   anyone.
+//!   committer to find no sync in flight becomes the *leader*. Before it
+//!   syncs, it lets the group fill: it yields until as many records are
+//!   pending as the previous `fdatasync` covered, for at most that sync's
+//!   duration (a record that misses the sync costs no more on the next
+//!   one), then fsyncs once for every record appended so far. Followers
+//!   whose record the sync in flight covers yield for it briefly before
+//!   parking on a condvar; the leader publishes the new durable horizon
+//!   and wakes them all at once. A lone committer's previous group is
+//!   itself, so it never waits.
+//!
+//! A failed `fdatasync` poisons the log: Linux reports a writeback error
+//! once, so a retried sync could succeed after the failed pages were
+//! dropped. Every later append, wait and flush returns an error instead,
+//! and the durable horizon never passes the failed group.
 //!
 //! A record's payload is a version byte followed by one update operation
 //! in the encoding of `update_codec.rs`; this file is the log, group
@@ -41,9 +48,9 @@ use snb_obs::{Counter, LatencyHistogram};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Log format version, first byte of every record payload.
 const WAL_VERSION: u8 = 2;
@@ -69,8 +76,8 @@ pub enum SyncPolicy {
     /// Buffered writes only; acknowledged commits may be lost on a crash.
     Never,
     /// Group commit: one `fdatasync` covers every commit in flight. The
-    /// leader syncs immediately; batching comes from commits piling up
-    /// behind the in-flight fsync.
+    /// leader first waits, for at most the previous sync's duration, until
+    /// as many records are pending as the previous sync covered.
     #[default]
     Group,
 }
@@ -95,6 +102,9 @@ pub struct WalMetrics {
     /// `store.wal.group_size`: records made durable, summed over all fsyncs
     /// (mean batch size = `group_size / fsyncs`).
     pub group_size: Counter,
+    /// `store.wal.fill_timeouts`: leaders that stopped filling their group
+    /// at the one-sync bound, before it reached the previous group's size.
+    pub fill_timeouts: Counter,
     /// `store.wal.sync_errors`: flush/sync failures, including those that
     /// would otherwise vanish inside `Drop`.
     pub sync_errors: Counter,
@@ -111,6 +121,7 @@ impl WalMetrics {
         WalMetrics {
             fsyncs: Counter::detached(),
             group_size: Counter::detached(),
+            fill_timeouts: Counter::detached(),
             sync_errors: Counter::detached(),
             recovery_truncated_bytes: Counter::detached(),
             fsync_micros: Arc::new(LatencyHistogram::new()),
@@ -160,12 +171,16 @@ impl Writer {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SyncState {
-    /// Sequence number of the last record known durable on disk.
-    synced: u64,
-    /// Whether some committer is currently fsyncing.
+    /// Whether some committer leads: it is filling its group or fsyncing.
     leader: bool,
+    /// Records the last `fdatasync` made durable: the size the next
+    /// leader lets its group fill to.
+    last_group: u64,
+    /// How long the last `fdatasync` took: the longest the next leader
+    /// waits for its group to fill.
+    last_sync: Duration,
 }
 
 /// An open write-ahead log. Internally synchronized: [`Wal::append`],
@@ -179,9 +194,29 @@ pub struct Wal {
     sync_handle: File,
     state: Mutex<SyncState>,
     cond: Condvar,
+    /// Sequence number of the last record known durable on disk. Stored
+    /// only under `state` (Release), so it is exact under the lock; a
+    /// yielding follower reads it without the lock (Acquire).
+    synced: AtomicU64,
+    /// Last record the sync in flight covers, `u64::MAX` while its leader
+    /// is still filling the group. Stored under `state` on election and
+    /// under `writer` when the leader reads its target, so a follower that
+    /// appended under `writer` and then reads it under `state` sees the
+    /// value that decides whether its record is covered.
+    covering: AtomicU64,
+    /// An fsync or spill failed: the log accepts no append and
+    /// acknowledges no record from then on. Set before the failing leader
+    /// releases `state`, so every waiter it wakes sees it.
+    failed: AtomicBool,
+    /// Test hook: the next sync fails as if `fdatasync` had.
+    #[cfg(test)]
+    fail_next_sync: AtomicBool,
     policy: SyncPolicy,
     metrics: WalMetrics,
     path: PathBuf,
+    /// Live records, replayed ones included; equal to the last appended
+    /// sequence number once each `append` returns (the append horizon a
+    /// filling leader watches).
     records: AtomicU64,
 }
 
@@ -255,8 +290,13 @@ impl Wal {
                 allocated,
             }),
             sync_handle,
-            state: Mutex::new(SyncState { synced: last_seq, leader: false }),
+            state: Mutex::new(SyncState::default()),
             cond: Condvar::new(),
+            synced: AtomicU64::new(last_seq),
+            covering: AtomicU64::new(last_seq),
+            failed: AtomicBool::new(false),
+            #[cfg(test)]
+            fail_next_sync: AtomicBool::new(false),
             policy,
             metrics,
             path: path.to_path_buf(),
@@ -277,13 +317,14 @@ impl Wal {
 
     /// Sequence number of the last record known durable.
     pub fn synced_seq(&self) -> u64 {
-        lock(&self.state).synced
+        self.synced.load(Ordering::Acquire)
     }
 
     /// Append one committed operation. Buffered only — follow with
     /// [`Wal::wait_durable`] on the returned sequence number to honour the
     /// sync policy before acknowledging the commit.
     pub fn append(&self, op: &UpdateOp) -> SnbResult<Appended> {
+        self.check_failed()?;
         let mut payload = Vec::with_capacity(128);
         payload.push(WAL_VERSION);
         encode_update(op, &mut payload);
@@ -297,87 +338,167 @@ impl Wal {
         w.buf.extend_from_slice(&payload);
         w.appended = seq;
         if w.buf.len() >= SPILL_BYTES {
-            w.spill()?;
+            w.spill().map_err(|e| self.fail(e))?;
         }
         drop(w);
         self.records.fetch_add(1, Ordering::Relaxed);
         Ok(Appended { seq, bytes: RECORD_HEADER as u64 + payload.len() as u64 })
     }
 
-    /// Block until record `seq` is durable per the sync policy (returns
-    /// immediately under [`SyncPolicy::Never`]). The durable horizon is
-    /// cumulative: one wait on the newest record covers every earlier one.
+    /// Block until record `seq` (from [`Wal::append`]) is durable per the
+    /// sync policy (returns immediately under [`SyncPolicy::Never`]). The
+    /// durable horizon is cumulative: one wait on the newest record covers
+    /// every earlier one. Fails once any sync has failed.
     pub fn wait_durable(&self, seq: u64) -> SnbResult<()> {
         if self.policy == SyncPolicy::Never {
             return Ok(());
         }
+        self.durable(seq, true)
+    }
+
+    /// Wait for `seq` as a follower, or lead one group commit covering it;
+    /// a leader lets its group `fill` first.
+    fn durable(&self, seq: u64, fill: bool) -> SnbResult<()> {
         let mut st = lock(&self.state);
-        while st.synced < seq {
-            if st.leader {
-                // A sync is in flight; it may or may not cover `seq`.
-                st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                continue;
+        let mut may_yield = true;
+        loop {
+            self.check_failed()?;
+            if self.synced.load(Ordering::Relaxed) >= seq {
+                return Ok(());
             }
-            // Become the leader: one fsync for every record appended so far.
-            st.leader = true;
-            drop(st);
-            let res = self.sync_now();
-            st = lock(&self.state);
-            st.leader = false;
-            drop(st);
-            // Wake the followers `sync_now` did not cover: one leads next.
-            self.cond.notify_all();
-            res?;
-            st = lock(&self.state);
+            if !st.leader {
+                break;
+            }
+            if may_yield && self.covering.load(Ordering::Relaxed) >= seq {
+                // The sync in flight covers `seq`: waiting for it on the
+                // CPU saves the condvar wake-up, but not for longer than
+                // two syncs (its fill and its fsync).
+                may_yield = false;
+                let bound = 2 * st.last_sync;
+                drop(st);
+                if yield_until(bound, || {
+                    self.synced.load(Ordering::Acquire) >= seq
+                        || self.failed.load(Ordering::Acquire)
+                }) {
+                    return self.check_failed();
+                }
+                st = lock(&self.state);
+            } else {
+                st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+        // Lead. Let the group fill to the previous group's size, for at
+        // most the previous fsync's duration: a record that arrives later
+        // costs no more on the next sync than it would have here.
+        st.leader = true;
+        self.covering.store(u64::MAX, Ordering::Relaxed);
+        let base = self.synced.load(Ordering::Relaxed);
+        let (group, bound) = (if fill { st.last_group } else { 0 }, st.last_sync);
+        drop(st);
+        let filled = || self.records.load(Ordering::Relaxed).saturating_sub(base) >= group;
+        if !yield_until(bound, filled) {
+            self.metrics.fill_timeouts.inc();
+        }
+        let res = self.sync_now();
+        // Publish and step down under one lock, then wake every follower
+        // once: the covered ones return, one of the rest leads next.
+        let mut st = lock(&self.state);
+        st.leader = false;
+        let res = match res {
+            Ok((target, took)) => {
+                self.metrics.group_size.add(target - base);
+                self.synced.store(target, Ordering::Release);
+                st.last_group = target - base;
+                st.last_sync = took;
+                Ok(())
+            }
+            Err(e) => Err(self.fail(e)),
+        };
+        drop(st);
+        self.cond.notify_all();
+        res
+    }
+
+    /// Spill and fsync everything appended so far: the last record the
+    /// sync covers and how long the `fdatasync` took. Only a leader calls
+    /// it, so syncs never overlap.
+    fn sync_now(&self) -> SnbResult<(u64, Duration)> {
+        let mut w = lock(&self.writer);
+        let target = w.appended;
+        self.covering.store(target, Ordering::Relaxed);
+        w.spill()?;
+        drop(w);
+        #[cfg(test)]
+        if self.fail_next_sync.swap(false, Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected fdatasync failure").into());
+        }
+        let t0 = Instant::now();
+        self.sync_handle.sync_data()?;
+        let took = t0.elapsed();
+        self.metrics.fsync_micros.record(took.as_micros() as u64);
+        self.metrics.fsyncs.inc();
+        Ok((target, took))
+    }
+
+    /// Poison the log after a failed spill or sync, and count the failure.
+    fn fail(&self, e: SnbError) -> SnbError {
+        self.failed.store(true, Ordering::Release);
+        self.metrics.sync_errors.inc();
+        e
+    }
+
+    /// The error every operation returns once the log is poisoned.
+    fn check_failed(&self) -> SnbResult<()> {
+        if self.failed.load(Ordering::Acquire) {
+            return Err(std::io::Error::other(format!(
+                "{}: an earlier WAL write or sync failed; the log accepts no more commits",
+                self.path.display()
+            ))
+            .into());
         }
         Ok(())
     }
 
-    /// Spill and fsync everything appended so far, then publish the new
-    /// durable horizon to waiting committers.
-    fn sync_now(&self) -> SnbResult<()> {
-        let res = (|| -> SnbResult<u64> {
-            let mut w = lock(&self.writer);
-            let target = w.appended;
-            w.spill()?;
-            drop(w);
-            let t0 = Instant::now();
-            self.sync_handle.sync_data()?;
-            self.metrics.fsync_micros.record(t0.elapsed().as_micros() as u64);
-            self.metrics.fsyncs.inc();
-            Ok(target)
-        })();
-        match res {
-            Ok(target) => {
-                let mut st = lock(&self.state);
-                if target > st.synced {
-                    self.metrics.group_size.add(target - st.synced);
-                    st.synced = target;
-                }
-                drop(st);
-                self.cond.notify_all();
-                Ok(())
-            }
-            Err(e) => {
-                self.metrics.sync_errors.inc();
-                Err(e)
-            }
+    /// Flush buffered records to the OS; under [`SyncPolicy::Group`] this
+    /// is also a full durability point: it leads a sync, without letting
+    /// the group fill, unless every appended record is durable already.
+    pub fn flush(&self) -> SnbResult<()> {
+        self.check_failed()?;
+        if self.policy == SyncPolicy::Never {
+            lock(&self.writer).spill().map_err(|e| self.fail(e))
+        } else {
+            self.durable(self.records(), false)
         }
     }
+}
 
-    /// Flush buffered records to the OS; under [`SyncPolicy::Group`] this
-    /// is also a full durability point (fsync).
-    pub fn flush(&self) -> SnbResult<()> {
-        if self.policy == SyncPolicy::Never {
-            lock(&self.writer).spill()
-        } else {
-            self.sync_now()
+/// Yield the CPU until `done` holds or `bound` has passed; whether `done`
+/// held. Yielding rather than spinning lets the thread being waited for
+/// run when both share one CPU.
+fn yield_until(bound: Duration, done: impl Fn() -> bool) -> bool {
+    if done() {
+        return true;
+    }
+    let t0 = Instant::now();
+    loop {
+        std::thread::yield_now();
+        if done() {
+            return true;
+        }
+        if t0.elapsed() >= bound {
+            return false;
         }
     }
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
+        if *self.failed.get_mut() {
+            // The file is left as the failure left it: after a failed
+            // spill its offset is unknown, and recovery takes the intact
+            // prefix.
+            return;
+        }
         let policy = self.policy;
         let res = (|| -> SnbResult<()> {
             let w = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
@@ -789,6 +910,98 @@ mod tests {
             assert_eq!(metrics.group_size.get(), k);
             wal.wait_durable(1).unwrap();
             assert_eq!(metrics.fsyncs.get(), 1, "seq 1 was already durable");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `threads` closed-loop committers on one group-commit log, each
+    /// appending and waiting `commits[t]` times; `between` runs on thread 0
+    /// once every other thread has finished (they have then stopped
+    /// committing), and before thread 0's last `tail` commits.
+    fn closed_loop(
+        name: &str,
+        commits: &[usize],
+        tail: usize,
+        between: impl FnOnce(&WalMetrics) + Send,
+    ) -> WalMetrics {
+        let path = tmp(name);
+        let metrics = WalMetrics::detached();
+        let ops = sample_ops();
+        {
+            let wal = Wal::create_with(&path, SyncPolicy::Group, metrics.clone()).unwrap();
+            let others_done = std::sync::Barrier::new(commits.len());
+            let commit = |i: usize| {
+                let a = wal.append(&ops[i % ops.len()]).unwrap();
+                wal.wait_durable(a.seq).unwrap();
+            };
+            std::thread::scope(|s| {
+                for (t, &n) in commits.iter().enumerate().skip(1) {
+                    let (commit, others_done) = (&commit, &others_done);
+                    s.spawn(move || {
+                        (0..n).for_each(|i| commit(t + i));
+                        others_done.wait();
+                    });
+                }
+                (0..commits[0]).for_each(commit);
+                others_done.wait();
+                between(&metrics);
+                (0..tail).for_each(commit);
+            });
+            let total = (commits.iter().sum::<usize>() + tail) as u64;
+            assert_eq!(wal.synced_seq(), total);
+            assert_eq!(metrics.group_size.get(), total);
+        }
+        std::fs::remove_file(&path).unwrap();
+        metrics
+    }
+
+    #[test]
+    fn a_lone_committer_syncs_at_once() {
+        // Its previous group is itself, so there is nothing to wait for.
+        let m = closed_loop("lone", &[200], 0, |_| {});
+        assert_eq!(m.fsyncs.get(), 200);
+        assert_eq!(m.fill_timeouts.get(), 0);
+    }
+
+    #[test]
+    fn two_committers_share_their_fsyncs() {
+        let m = closed_loop("pair", &[300, 300], 0, |_| {});
+        let per_fsync = m.group_size.get() as f64 / m.fsyncs.get() as f64;
+        assert!(per_fsync >= 1.5, "{per_fsync:.2} records per fsync ({} fsyncs)", m.fsyncs.get());
+    }
+
+    #[test]
+    fn a_committer_dropping_out_costs_one_fill_timeout() {
+        let before = AtomicU64::new(0);
+        let m = closed_loop("dropout", &[150, 150], 50, |m| {
+            before.store(m.fill_timeouts.get(), Ordering::Relaxed);
+        });
+        let after = m.fill_timeouts.get() - before.load(Ordering::Relaxed);
+        assert!(
+            after <= 1,
+            "{after} fill timeouts in 50 commits after the other committer stopped"
+        );
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_log() {
+        let path = tmp("poison");
+        let metrics = WalMetrics::detached();
+        let ops = sample_ops();
+        {
+            let wal = Wal::create_with(&path, SyncPolicy::Group, metrics.clone()).unwrap();
+            assert_eq!(wal.append(&ops[0]).unwrap().seq, 1);
+            assert_eq!(wal.append(&ops[1]).unwrap().seq, 2);
+            wal.fail_next_sync.store(true, Ordering::Relaxed);
+            assert!(wal.wait_durable(1).is_err());
+            // The failed sync covered record 2: a retry that succeeds could
+            // acknowledge it although its pages may have been dropped.
+            assert!(wal.wait_durable(2).is_err(), "a record of the failed group acknowledged");
+            assert!(wal.flush().is_err());
+            assert!(wal.append(&ops[2]).is_err());
+            assert_eq!(wal.synced_seq(), 0);
+            assert_eq!(metrics.fsyncs.get(), 0);
+            assert_eq!(metrics.sync_errors.get(), 1);
         }
         std::fs::remove_file(&path).unwrap();
     }
