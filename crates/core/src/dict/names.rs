@@ -13,6 +13,7 @@
 
 use crate::dict::places::CountryIdx;
 use crate::rng::Rng;
+use crate::wire_enum;
 
 /// Person gender. The SNB schema stores it as a string; we keep an enum and
 /// render on serialization.
@@ -33,6 +34,8 @@ impl Gender {
         }
     }
 }
+
+wire_enum!(Gender { 0 => Male, 1 => Female });
 
 /// Name pools per country.
 #[derive(Debug)]
@@ -184,7 +187,7 @@ impl Names {
 }
 
 /// Resolve a name string back to its `&'static str` in some pool (used by
-/// WAL recovery, which must reconstruct `Person` rows).
+/// decoding, which rebuilds `Person` rows from the log or the wire).
 pub fn intern_name(name: &str) -> Option<&'static str> {
     use std::collections::HashMap;
     use std::sync::OnceLock;

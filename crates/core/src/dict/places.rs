@@ -193,7 +193,7 @@ impl Places {
     }
 }
 
-/// Resolve a language code back to its `&'static str` (WAL recovery).
+/// Resolve a language code back to its `&'static str` (decoding).
 pub fn intern_language(lang: &str) -> Option<&'static str> {
     for (_, _, languages, _) in RAW {
         for &l in *languages {

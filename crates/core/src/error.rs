@@ -1,5 +1,7 @@
 //! Crate-wide error type.
 
+use crate::wire::{get_str, put_str, Layout};
+use crate::wire_enum;
 use std::fmt;
 
 /// Errors surfaced by the SNB crates.
@@ -45,6 +47,48 @@ impl std::error::Error for SnbError {
 impl From<std::io::Error> for SnbError {
     fn from(e: std::io::Error) -> Self {
         SnbError::Io(e)
+    }
+}
+
+wire_enum!(SnbError {
+    0 => NotFound { entity as Entity, id },
+    1 => Constraint(msg),
+    2 => Config(msg),
+    3 => Io(error as IoMessage),
+});
+
+/// A [`SnbError::NotFound`] entity on the wire: one of the names the store
+/// and the router raise, any other travelling as the last, `"entity"`.
+struct Entity;
+
+const ENTITIES: [&str; 5] = ["person", "forum", "message", "message route", "entity"];
+
+impl Layout<&'static str> for Entity {
+    const MIN_BYTES: usize = 8;
+
+    fn put(v: &&'static str, buf: &mut Vec<u8>) {
+        put_str(buf, ENTITIES.iter().find(|&e| e == v).unwrap_or(&"entity"));
+    }
+
+    fn get(p: &mut &[u8]) -> Option<&'static str> {
+        let name = get_str(p)?;
+        ENTITIES.into_iter().find(|&e| e == name)
+    }
+}
+
+/// An I/O error on the wire: its message, arriving as
+/// [`std::io::Error::other`].
+struct IoMessage;
+
+impl Layout<std::io::Error> for IoMessage {
+    const MIN_BYTES: usize = 8;
+
+    fn put(v: &std::io::Error, buf: &mut Vec<u8>) {
+        put_str(buf, &v.to_string());
+    }
+
+    fn get(p: &mut &[u8]) -> Option<std::io::Error> {
+        get_str(p).map(std::io::Error::other)
     }
 }
 

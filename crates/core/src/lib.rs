@@ -19,6 +19,7 @@ pub mod schema;
 pub mod shard;
 pub mod time;
 pub mod update;
+pub mod wire;
 
 pub use error::{SnbError, SnbResult};
 pub use id::*;

@@ -12,6 +12,7 @@
 
 use crate::schema::{Comment, Forum, ForumMembership, Knows, Like, Person, Post};
 use crate::time::SimTime;
+use crate::wire_enum;
 
 /// One of the eight SNB-Interactive update (DML) operations.
 #[derive(Debug, Clone)]
@@ -87,6 +88,17 @@ impl UpdateOp {
         matches!(self, UpdateOp::AddPerson(_) | UpdateOp::AddForum(_))
     }
 }
+
+wire_enum!(UpdateOp {
+    1 => AddPerson(person),
+    2 => AddPostLike(like),
+    3 => AddCommentLike(like),
+    4 => AddForum(forum),
+    5 => AddMembership(membership),
+    6 => AddPost(post),
+    7 => AddComment(comment),
+    8 => AddFriendship(knows),
+});
 
 /// Which driver stream an operation belongs to (§4.2, "Stream Execution
 /// Modes"): person-level operations touch the non-partitionable FRIEND

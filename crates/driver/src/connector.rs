@@ -8,7 +8,7 @@
 //! experiment (Table 5).
 
 use snb_core::update::UpdateOp;
-use snb_core::{MessageId, PersonId, SimTime, SnbError, SnbResult};
+use snb_core::{wire_enum, wire_struct, MessageId, PersonId, SimTime, SnbError, SnbResult};
 use snb_obs::trace::NameId;
 use snb_obs::HistogramSnapshot;
 use snb_queries::params::{ComplexQuery, ShortQuery};
@@ -29,6 +29,8 @@ pub enum Operation {
     /// A short read (S1–S7).
     Short(ShortQuery),
 }
+
+wire_enum!(Operation { 1 => Update(op), 2 => Complex(query), 3 => Short(query) });
 
 /// Classification used by the metrics recorder: `(class, 1-based number)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,17 +126,19 @@ impl Operation {
     }
 }
 
-/// What an execution returned: a row count plus optional anchors the
-/// short-read random walk can continue from (§4: "results of the
-/// [complex] queries become input for simple read-only queries").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpOutcome {
-    /// Result rows (or 1 for a successful update).
-    pub rows: usize,
-    /// A person surfaced by the result.
-    pub seed_person: Option<PersonId>,
-    /// A message surfaced by the result.
-    pub seed_message: Option<MessageId>,
+wire_struct! {
+    /// What an execution returned: a row count plus optional anchors the
+    /// short-read random walk can continue from (§4: "results of the
+    /// [complex] queries become input for simple read-only queries").
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct OpOutcome {
+        /// Result rows (or 1 for a successful update).
+        pub rows: usize,
+        /// A person surfaced by the result.
+        pub seed_person: Option<PersonId>,
+        /// A message surfaced by the result.
+        pub seed_message: Option<MessageId>,
+    }
 }
 
 /// A shard's reply to a scattered read: the mergeable partial result plus

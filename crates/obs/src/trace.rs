@@ -24,8 +24,9 @@
 //! - **Remote stitching**: a server adopts a client's `(trace id, parent
 //!   span id)` with [`start_capture`], records the request's spans into a
 //!   side buffer, and returns them with [`take_capture`]; the client
-//!   re-anchors their clock and files them with [`record_foreign`], so one
-//!   exported trace shows client queue → wire → server execution.
+//!   re-anchors their clock and files them under its wire span with
+//!   [`record_foreign_rooted`], so one exported trace shows client queue →
+//!   wire → server execution.
 //!
 //! [`export_chrome_trace`] renders everything as a Chrome `trace_event`
 //! JSON document (load in `chrome://tracing` or Perfetto).
@@ -195,8 +196,8 @@ fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Server-returned spans filed by [`record_foreign`], exported under their
-/// own process lane.
+/// Server-returned spans filed by [`record_foreign_rooted`], exported
+/// under their own process lane.
 fn foreign() -> &'static Mutex<Vec<SpanData>> {
     static FOREIGN: OnceLock<Mutex<Vec<SpanData>>> = OnceLock::new();
     FOREIGN.get_or_init(|| Mutex::new(Vec::new()))
@@ -427,8 +428,8 @@ fn record_stage_slow(name: &NameId, start_us: u64, end_us: u64) {
 /// `(trace id, span id)` of the innermost live span on this thread — the
 /// context a client propagates across the wire. `None` when tracing is
 /// off, the root was sampled out, or no span is open.
-#[inline]
-pub fn current_context() -> Option<(u64, u64)> {
+#[cfg(test)]
+fn current_context() -> Option<(u64, u64)> {
     if !tracing_possible() {
         return None;
     }
@@ -525,12 +526,6 @@ impl SpanData {
             process,
         }
     }
-}
-
-/// File spans that were recorded by another process (a traced server's
-/// piggybacked response), already re-anchored to this process's clock.
-pub fn record_foreign(spans: impl IntoIterator<Item = SpanData>) {
-    record_foreign_rooted(spans.into_iter().collect(), 0);
 }
 
 /// File a foreign batch and graft its root onto a local span.
@@ -813,16 +808,19 @@ mod tests {
             let _child = span(&CHILD);
         }
         disable();
-        record_foreign([SpanData {
-            trace_id: trace,
-            span_id: u64::MAX - 1,
-            parent_id: 0,
-            name: "server.execute".into(),
-            start_us: 1,
-            dur_us: 1,
-            tid: 9,
-            process: "server",
-        }]);
+        record_foreign_rooted(
+            vec![SpanData {
+                trace_id: trace,
+                span_id: u64::MAX - 1,
+                parent_id: 0,
+                name: "server.execute".into(),
+                start_us: 1,
+                dur_us: 1,
+                tid: 9,
+                process: "server",
+            }],
+            0,
+        );
         let spans = spans_of(&[trace]);
         let doc = export_chrome_trace(&spans);
         let text = doc.render();

@@ -41,35 +41,39 @@ use crate::engine::Engine;
 use crate::params::{ComplexQuery, ShortQuery};
 use crate::short;
 use snb_core::dict::Dictionaries;
-use snb_core::SimTime;
+use snb_core::{wire_enum, wire_struct, SimTime};
 use snb_store::PinnedSnapshot;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// One merged result row: an explicit sort key (ascending; descending
-/// orders negate), id/measure columns, and owning-shard-resolved strings.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct MergedRow {
-    /// Ascending composite sort key.
-    pub key: [i64; 3],
-    /// Identifier and measure columns (per-query layout, documented on
-    /// [`partial`] and [`merge`]).
-    pub cols: Vec<i64>,
-    /// Display strings only the owning shard can resolve.
-    pub text: Vec<String>,
+wire_struct! {
+    /// One merged result row: an explicit sort key (ascending; descending
+    /// orders negate), id/measure columns, and owning-shard-resolved strings.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+    pub struct MergedRow {
+        /// Ascending composite sort key.
+        pub key: [i64; 3],
+        /// Identifier and measure columns (per-query layout, documented on
+        /// [`partial`] and [`merge`]).
+        pub cols: Vec<i64>,
+        /// Display strings only the owning shard can resolve.
+        pub text: Vec<String>,
+    }
 }
 
-/// One per-shard group aggregate: `(k1, k2)` identify the group, `a`/`b`
-/// carry additive measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupRow {
-    /// Primary group key (person, tag, or an edge's lower endpoint).
-    pub k1: u64,
-    /// Secondary key / kind discriminator (query-specific).
-    pub k2: u64,
-    /// First additive measure.
-    pub a: i64,
-    /// Second additive measure.
-    pub b: i64,
+wire_struct! {
+    /// One per-shard group aggregate: `(k1, k2)` identify the group, `a`/`b`
+    /// carry additive measures.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct GroupRow {
+        /// Primary group key (person, tag, or an edge's lower endpoint).
+        pub k1: u64,
+        /// Secondary key / kind discriminator (query-specific).
+        pub k2: u64,
+        /// First additive measure.
+        pub a: i64,
+        /// Second additive measure.
+        pub b: i64,
+    }
 }
 
 /// A shard's contribution to one query.
@@ -88,6 +92,11 @@ pub enum Partial {
         paths: Vec<Vec<u64>>,
     },
 }
+
+// The merge takes each query's limit from the query, so none is shipped.
+// Tag 1 was a top partial that shipped a limit word ahead of its rows: it
+// stays retired, so a peer that still sends it is refused, not misread.
+wire_enum!(Partial { 3 => Top(rows), 2 => Groups { rows, pairs, paths } });
 
 /// Whether the sharded connector scatters this query to every shard.
 /// False for the replicated-only queries, which any one shard answers.

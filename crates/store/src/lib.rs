@@ -24,7 +24,6 @@ pub mod stats;
 mod store;
 mod tables;
 mod tail;
-mod update_codec;
 pub mod wal;
 
 pub use counters::StoreCounters;
@@ -32,7 +31,6 @@ pub use read::{Dated, DatedIter, MessageMeta, PinnedSnapshot, RecentWalk};
 pub use stats::StorageStats;
 pub use store::{RecoveryReport, Store};
 pub use tables::MessageRow;
-pub use update_codec::{decode_update, encode_update};
 pub use wal::{Replay, SyncPolicy, Wal, WalMetrics};
 
 /// `T` alone on its own 128-byte line pair (adjacent-line prefetch pulls

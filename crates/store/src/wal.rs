@@ -38,11 +38,13 @@
 //! and the durable horizon never passes the failed group.
 //!
 //! A record's payload is a version byte followed by one update operation
-//! in the encoding of `update_codec.rs`; this file is the log, group
-//! commit and replay only.
+//! in its [`Wire`] layout (`snb_core::wire`, the one the network protocol
+//! carries too), and nothing after it: a record whose payload is not
+//! exactly one encoded update ends the replayed prefix like a corrupt one.
+//! This file is the log, group commit and replay only.
 
-use crate::update_codec::{decode_update, encode_update};
 use snb_core::update::UpdateOp;
+use snb_core::wire::{decode_exact, Wire};
 use snb_core::{SnbError, SnbResult};
 use snb_obs::{Counter, LatencyHistogram};
 use std::fs::{File, OpenOptions};
@@ -327,7 +329,7 @@ impl Wal {
         self.check_failed()?;
         let mut payload = Vec::with_capacity(128);
         payload.push(WAL_VERSION);
-        encode_update(op, &mut payload);
+        op.put(&mut payload);
         let len = payload.len() as u32;
         let mut w = lock(&self.writer);
         let seq = w.appended + 1;
@@ -602,8 +604,7 @@ pub fn replay(path: &Path) -> SnbResult<Replay> {
         if rseq != seq + 1 || payload.first() != Some(&WAL_VERSION) {
             break; // hole or reordering in the sequence, or foreign version
         }
-        let mut p = &payload[1..];
-        let Some(op) = decode_update(&mut p) else { break };
+        let Some(op) = decode_exact(&payload[1..]) else { break };
         ops.push(op);
         seq = rseq;
         off += RECORD_HEADER + len;
@@ -766,6 +767,35 @@ mod tests {
         let replayed = replay(&path).unwrap();
         assert_eq!(replayed.ops.len(), 2, "replay must stop exactly before the bad length");
         assert!(replayed.truncated_bytes > 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A record whose checksum holds but whose payload runs past its one
+    /// update is not an encoding the log writes: replay stops before it.
+    #[test]
+    fn bytes_after_a_records_update_stop_replay() {
+        let path = tmp("trailing");
+        let ops = sample_ops();
+        {
+            let wal = create(&path).unwrap();
+            for op in ops.iter().take(3) {
+                wal.append(op).unwrap();
+            }
+            wal.flush().unwrap();
+        }
+        let mut payload = vec![WAL_VERSION];
+        ops[3].put(&mut payload);
+        payload.push(0);
+        let (len, seq) = (payload.len() as u32, 4u64);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        bytes.extend_from_slice(&record_checksum(len, seq, &payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+        let replayed = replay(&path).unwrap();
+        assert_eq!(replayed.ops.len(), 3);
+        assert_eq!(replayed.truncated_records, 1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -6,10 +6,9 @@ use ldbc_snb::core::SnbResult;
 use ldbc_snb::datagen::{generate, Dataset, GeneratorConfig};
 use ldbc_snb::driver::connector::{OpOutcome, Operation};
 use ldbc_snb::driver::{mix, run, Connector, DriverConfig, RunReport, WorkItem};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// How long one `run` may take before the test fails instead of hanging.
@@ -81,14 +80,14 @@ impl OrderValidatingConnector {
     }
 
     fn check_person(&self, id: u64, what: &str) {
-        if !self.persons.lock().contains(&id) {
-            self.violations.lock().push(format!("{what}: person {id} missing"));
+        if !self.persons.lock().unwrap().contains(&id) {
+            self.violations.lock().unwrap().push(format!("{what}: person {id} missing"));
         }
     }
 
     fn check_forum(&self, id: u64, what: &str) {
-        if !self.forums.lock().contains(&id) {
-            self.violations.lock().push(format!("{what}: forum {id} missing"));
+        if !self.forums.lock().unwrap().contains(&id) {
+            self.violations.lock().unwrap().push(format!("{what}: forum {id} missing"));
         }
     }
 }
@@ -100,7 +99,7 @@ impl Connector for OrderValidatingConnector {
         };
         match u {
             UpdateOp::AddPerson(p) => {
-                self.persons.lock().insert(p.id.raw());
+                self.persons.lock().unwrap().insert(p.id.raw());
             }
             UpdateOp::AddFriendship(k) => {
                 self.check_person(k.a.raw(), "addFriendship");
@@ -108,7 +107,7 @@ impl Connector for OrderValidatingConnector {
             }
             UpdateOp::AddForum(f) => {
                 self.check_person(f.moderator.raw(), "addForum");
-                self.forums.lock().insert(f.id.raw());
+                self.forums.lock().unwrap().insert(f.id.raw());
             }
             UpdateOp::AddMembership(m) => {
                 self.check_person(m.person.raw(), "addMembership");
@@ -138,7 +137,7 @@ fn parallel_mode_never_violates_dependencies() {
         let conn = Arc::new(OrderValidatingConnector::new(ds));
         let config = DriverConfig { partitions, ..DriverConfig::default() };
         run_bounded(&items, &conn, &config, &format!("partitions={partitions}"));
-        let violations = std::mem::take(&mut *conn.violations.lock());
+        let violations = std::mem::take(&mut *conn.violations.lock().unwrap());
         assert!(
             violations.is_empty(),
             "partitions={partitions}: {} violations, first: {}",
@@ -166,17 +165,17 @@ fn intra_forum_causality_holds_per_partition() {
             if let Operation::Update(u) = op {
                 match u {
                     UpdateOp::AddPost(p) => {
-                        self.messages.lock().insert(p.id.raw());
+                        self.messages.lock().unwrap().insert(p.id.raw());
                     }
                     UpdateOp::AddComment(c) => {
-                        let seen = self.messages.lock();
+                        let seen = self.messages.lock().unwrap();
                         if !seen.contains(&c.reply_to.raw())
                             && !self.bulk.contains(&c.reply_to.raw())
                         {
-                            *self.violations.lock() += 1;
+                            *self.violations.lock().unwrap() += 1;
                         }
                         drop(seen);
-                        self.messages.lock().insert(c.id.raw());
+                        self.messages.lock().unwrap().insert(c.id.raw());
                     }
                     _ => {}
                 }
@@ -196,7 +195,7 @@ fn intra_forum_causality_holds_per_partition() {
     let conn = Arc::new(ForumOrderConnector { bulk, ..Default::default() });
     let config = DriverConfig { partitions: 8, ..DriverConfig::default() };
     run_bounded(&items, &conn, &config, "partitions=8");
-    assert_eq!(*conn.violations.lock(), 0, "comment executed before its parent");
+    assert_eq!(*conn.violations.lock().unwrap(), 0, "comment executed before its parent");
 }
 
 #[test]
